@@ -46,7 +46,7 @@ from .similarity import (
 )
 from .state import ArrayBinding, Frame, Region, SymState
 from .stats import CoverageTracker, EngineStats
-from .testgen import TestCase, TestSuite, make_test_case
+from .testgen import TestSuite, build_test_case, make_test_case
 
 ARGV_KEY = (0, "global", "$argv")
 
@@ -921,18 +921,8 @@ class Engine:
             if case is not None:
                 self.tests.add(case)
         elif model is not None:
-            from ..expr.canon import named_key
-            from ..solver.portfolio import complete_model
-
-            full = complete_model(model, self.spec.input_variables())
-            argv = tuple(self.spec.decode(full))
-            items = tuple(
-                sorted((k, v) for k, v in full.items() if k.startswith(("arg", "stdin")))
-            )
-            pc = error_pc if error_pc is not None else list(state.pc)
-            self.tests.add(TestCase(kind=kind, argv=argv, model=items, line=line,
-                                    stdin=self.spec.decode_stdin(full),
-                                    path_id=named_key(pc)))
+            pc = error_pc if error_pc is not None else state.pc
+            self.tests.add(build_test_case(self.spec, model, pc, kind, line=line))
         else:
             case = make_test_case(self.solver, self.spec, state.pc, kind, line=line)
             if case is not None:

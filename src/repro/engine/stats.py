@@ -41,9 +41,15 @@ class EngineStats:
     # Work done by deterministic test generation's history-free solves
     # (testgen_deterministic).  Kept separate from the solver_* mirrors:
     # those reflect the engine's own chain, whose ledger must balance on
-    # its own; these count the extra per-path re-solves.
+    # its own.  ``testgen_queries`` is one per test asked for; each of its
+    # independence groups is either solved (``testgen_group_solves``, its
+    # cost in ``testgen_cost_units``) or served from the process-wide memo
+    # (``testgen_group_hits``) — which of the two depends on what the
+    # process generated before, so only their sum is order-independent.
     testgen_queries: int = 0
     testgen_cost_units: int = 0
+    testgen_group_solves: int = 0
+    testgen_group_hits: int = 0
     wall_time: float = 0.0
     # CPU seconds consumed by this engine's process while exploring.
     # Unlike wall_time this is immune to timesharing, which makes it the

@@ -16,11 +16,14 @@ exploration order (see :mod:`repro.parallel`).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..env.argv import ArgvSpec
 from ..expr.canon import named_key
+from ..solver.independence import split_independent
 from ..solver.portfolio import SolverChain, complete_model
+from .stats import EngineStats
 
 
 @dataclass(frozen=True)
@@ -66,23 +69,89 @@ class TestSuite:
         return [c for c in self.cases if c.kind != "path"]
 
 
-def deterministic_model(pc, stats_sink=None) -> dict[str, int] | None:
-    """Solve ``pc`` from scratch with a history-free chain.
+# History-free model per independence group, keyed by the group's *ordered*
+# eid tuple (eids are never reused in a process).  The order matters: the
+# solve is a pure function of the constraint list, not of the set, so a
+# set key would make the model depend on which ordering was seen first —
+# i.e. on exploration order.  Same shape and eviction rule as
+# ``presolve._REWRITE_MEMO``; losing an entry only loses acceleration.
+_GROUP_MEMO: OrderedDict[tuple[int, ...], dict[str, int] | None] = OrderedDict()
+_GROUP_MEMO_MAX = 65536
 
-    No cache, no persistent blasters, no carried-over activity: the answer
-    (and in particular the *model*) depends only on the constraint set, so
-    any process solving the same pc decodes the same test input.
+
+def clear_group_memo() -> None:
+    """Drop the process-wide group-model memo (tests only)."""
+    _GROUP_MEMO.clear()
+
+
+def deterministic_model(pc, stats_sink=None) -> dict[str, int] | None:
+    """History-free model of ``pc``: a pure function of the constraint list.
+
+    The pc is flattened and split into variable-disjoint groups exactly as
+    a solver chain would; each group's model comes from a fresh chain (no
+    cache, no persistent blasters, no carried-over activity) run on that
+    group alone, memoised process-wide.  Groups share no variables, hence
+    no presolve signature and no blaster, so solving them apart gives the
+    model a single fresh chain over the whole pc would — any process
+    solving the same pc decodes the same test input.
 
     ``stats_sink`` (an :class:`~repro.engine.stats.EngineStats`) receives
-    the extra solver work (``testgen_queries``/``testgen_cost_units``) —
-    it is not part of the engine chain's own balanced ledger.
+    the extra solver work: one ``testgen_queries`` per call, a
+    ``testgen_group_hits``/``testgen_group_solves`` per group, and the
+    ``testgen_cost_units`` of the solves actually run — none of it is part
+    of the engine chain's own balanced ledger.
     """
-    chain = SolverChain(use_cache=False)
-    result = chain.check(list(pc))
-    if stats_sink is not None:
-        stats_sink.testgen_queries += chain.stats.queries
-        stats_sink.testgen_cost_units += chain.stats.cost_units
-    return result.model if result.is_sat else None
+    if stats_sink is None:
+        stats_sink = EngineStats()
+    stats_sink.testgen_queries += 1
+    flat, const_false = SolverChain._flatten(pc)
+    if const_false:
+        return None
+    model: dict[str, int] = {}
+    for group in split_independent(flat):
+        key = tuple(c.eid for c in group)
+        if key in _GROUP_MEMO:
+            stats_sink.testgen_group_hits += 1
+            sub = _GROUP_MEMO[key]
+        else:
+            chain = SolverChain(use_cache=False)
+            result = chain.check(group)
+            stats_sink.testgen_group_solves += 1
+            stats_sink.testgen_cost_units += chain.stats.cost_units
+            sub = result.model if result.is_sat else None
+            _GROUP_MEMO[key] = sub
+            if len(_GROUP_MEMO) > _GROUP_MEMO_MAX:
+                _GROUP_MEMO.popitem(last=False)
+        if sub is None:
+            return None
+        model.update(sub)
+    return model
+
+
+def build_test_case(
+    spec: ArgvSpec,
+    model: dict[str, int],
+    pc,
+    kind: str,
+    exit_code: int | None = None,
+    line: int | None = None,
+    multiplicity: int = 1,
+) -> TestCase:
+    """Decode a model of ``pc`` into a concrete test input."""
+    full = complete_model(model, spec.input_variables())
+    items = tuple(
+        sorted((k, v) for k, v in full.items() if k.startswith(("arg", "stdin")))
+    )
+    return TestCase(
+        kind=kind,
+        argv=tuple(spec.decode(full)),
+        model=items,
+        exit_code=exit_code,
+        line=line,
+        multiplicity=multiplicity,
+        stdin=spec.decode_stdin(full),
+        path_id=named_key(pc),
+    )
 
 
 def make_test_case(
@@ -103,18 +172,4 @@ def make_test_case(
         model = solver.get_model(list(pc))
     if model is None:
         return None
-    full = complete_model(model, spec.input_variables())
-    argv = tuple(spec.decode(full))
-    items = tuple(
-        sorted((k, v) for k, v in full.items() if k.startswith(("arg", "stdin")))
-    )
-    return TestCase(
-        kind=kind,
-        argv=argv,
-        model=items,
-        exit_code=exit_code,
-        line=line,
-        multiplicity=multiplicity,
-        stdin=spec.decode_stdin(full),
-        path_id=named_key(list(pc)),
-    )
+    return build_test_case(spec, model, pc, kind, exit_code, line, multiplicity)

@@ -33,6 +33,7 @@ keys are stable across processes and runs.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .nodes import (
@@ -64,6 +65,13 @@ _COMMUTATIVE = frozenset({ADD, MUL, BVAND, BVOR, BVXOR, EQ, AND, OR, XOR})
 # Name-blind structural hash per node, memoized by eid (valid process-wide:
 # an eid's structure never changes, and the hash ignores variable names).
 _skeleton_cache: dict[int, bytes] = {}
+
+# Name-*sensitive* (Merkle digest, DAG node count) per constraint, by eid:
+# what :func:`named_key` needs of each conjunct.  A pure function of the
+# interned constraint, so valid process-wide; bounded, first-in first-out
+# — an evicted entry is recomputed, never answered differently.
+_named_cache: OrderedDict[int, tuple[bytes, int]] = OrderedDict()
+_NAMED_CACHE_MAX = 65536
 
 
 def _sort_code(e: Expr) -> int:
@@ -278,36 +286,35 @@ def canonicalize(constraints) -> CanonResult:
     # (e.g. fully symmetric constraint cycles), while equal keys still
     # force equal renamed multisets — hence α-equivalent sets.
     digest, node_count = _multiset_digest(
-        cons, lambda node: rename[node.name] if node.kind == VAR else node.name
+        [_constraint_digest(c, lambda node: rename[node.name]) for c in cons]
     )
     key = f"{len(cons)}:{len(rename)}:{node_count}:{digest}"
     return CanonResult(key=key, rename=rename)
 
 
-def _multiset_digest(cons, label) -> tuple[str, int]:
-    """SHA-256 over the sorted per-constraint Merkle digests + node count.
+def _constraint_digest(c: Expr, label) -> tuple[bytes, int]:
+    """Merkle digest of one constraint under a variable labelling, plus
+    its DAG node count.
 
-    Per-constraint digests come from :func:`_hash_bottom_up` with the
-    given variable labelling, so commutative operand orientation never
-    leaks into the key.  (A Merkle digest identifies the expression
-    *tree*; DAG sharing is a representation detail with no semantic
-    content, so conflating shared and unshared builds is sound.)
+    :func:`_hash_bottom_up` sorts commutative operands' digests, so
+    operand orientation never leaks in.  (A Merkle digest identifies the
+    expression *tree*; DAG sharing is a representation detail with no
+    semantic content, so conflating shared and unshared builds is sound.)
     """
-    node_count = 0
-    digests: list[bytes] = []
-    for c in cons:
-        memo: dict[int, bytes] = {}
-        digests.append(
-            _hash_bottom_up(
-                c, memo, lambda node: _h("V", _sort_code(node), label(node))
-            )
-        )
-        node_count += len(memo)
+    memo: dict[int, bytes] = {}
+    digest = _hash_bottom_up(
+        c, memo, lambda node: _h("V", _sort_code(node), label(node))
+    )
+    return digest, len(memo)
+
+
+def _multiset_digest(parts) -> tuple[str, int]:
+    """SHA-256 over the sorted per-constraint digests + total node count."""
     m = hashlib.sha256()
-    for digest in sorted(digests):
+    for digest in sorted(digest for digest, _ in parts):
         m.update(digest)
         m.update(b"\x00")
-    return m.hexdigest(), node_count
+    return m.hexdigest(), sum(count for _, count in parts)
 
 
 def canonical_key(constraints) -> str:
@@ -325,9 +332,23 @@ def named_key(constraints) -> str:
     key them apart.  Still stable across processes and constraint order.
     """
     cons = list(constraints)
-    digest, node_count = _multiset_digest(cons, lambda node: node.name)
+    parts = []
+    for c in cons:
+        part = _named_cache.get(c.eid)
+        if part is None:
+            part = _constraint_digest(c, lambda node: node.name)
+            _named_cache[c.eid] = part
+            if len(_named_cache) > _NAMED_CACHE_MAX:
+                _named_cache.popitem(last=False)
+        parts.append(part)
+    digest, node_count = _multiset_digest(parts)
     n_vars = len({n for c in cons for n in c.variables})
     return f"{len(cons)}:{n_vars}:{node_count}:{digest}"
+
+
+def clear_named_cache() -> None:
+    """Drop the per-constraint memo behind :func:`named_key` (tests only)."""
+    _named_cache.clear()
 
 
 def structural_prefix(key: str) -> tuple[int, int, int]:

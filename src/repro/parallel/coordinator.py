@@ -304,7 +304,9 @@ class ParallelResult:
         if s.queries != s.sat_answers + s.unsat_answers + s.timeouts:
             raise AssertionError("ledger violation: queries != sat + unsat + timeouts")
         for fname in ("paths_completed", "tests_generated", "errors_found",
-                      "blocks_executed", "forks", "states_terminated"):
+                      "blocks_executed", "forks", "states_terminated",
+                      "testgen_queries", "testgen_cost_units",
+                      "testgen_group_solves", "testgen_group_hits"):
             total = sum(getattr(entry[1], fname) for entry in self.ledger)
             merged = getattr(self.stats, fname)
             if merged != total:

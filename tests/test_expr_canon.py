@@ -23,7 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import ops
-from repro.expr.canon import canonical_key, canonicalize, structural_prefix
+from repro.expr.canon import (
+    _constraint_digest,
+    _multiset_digest,
+    canonical_key,
+    canonicalize,
+    clear_named_cache,
+    named_key,
+    structural_prefix,
+)
 
 # -- template AST: instantiable with arbitrary variable names ----------------
 
@@ -156,6 +164,37 @@ def test_model_fragment_roundtrip(template, data):
     assert canon.from_canonical(canonical_model) == model
     # Strangers are dropped, not smuggled through.
     assert canon.to_canonical({"not_in_set_xyz": 1}) == {}
+
+
+def _unmemoised_named_key(cons) -> str:
+    """``named_key`` with every per-constraint digest recomputed."""
+    digest, n_nodes = _multiset_digest(
+        [_constraint_digest(c, lambda node: node.name) for c in cons]
+    )
+    n_vars = len({name for c in cons for name in c.variables})
+    return f"{len(cons)}:{n_vars}:{n_nodes}:{digest}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(template=_set_template(_ALL_BV_OPS, _ALL_CMPS), data=st.data())
+def test_named_key_memo_is_unobservable(template, data):
+    """The per-constraint memo behind ``named_key`` (the ``path_id`` of
+    every generated test) never shows: cold, warm, permuted and cleared
+    lookups all give the unmemoised digest, and the key still tells
+    α-equivalent sets over different variables apart."""
+    constraints = _instantiate(template, _fresh_names())
+    reference = _unmemoised_named_key(constraints)
+    clear_named_cache()
+    assert named_key(constraints) == reference  # all misses
+    shuffled = list(data.draw(st.permutations(constraints)))
+    assert named_key(shuffled) == reference  # all hits, another order
+    clear_named_cache()
+    assert named_key(shuffled) == reference
+    renamed = _instantiate(template, _fresh_names())
+    assert canonical_key(renamed) == canonical_key(constraints)
+    if any(c.variables for c in constraints):
+        assert named_key(renamed) != reference
+        assert named_key(renamed) == _unmemoised_named_key(renamed)
 
 
 def test_key_is_deterministic_and_distinct():

@@ -125,13 +125,22 @@ def test_export_frontier_preserves_path_space():
 
 def test_engine_stats_merge_laws():
     a = EngineStats(blocks_executed=5, forks=2, max_worklist=7, wall_time=1.0,
-                    timed_out=False, states_created=3)
+                    timed_out=False, states_created=3, testgen_queries=4,
+                    testgen_cost_units=9, testgen_group_solves=3,
+                    testgen_group_hits=8)
     b = EngineStats(blocks_executed=11, forks=1, max_worklist=4, wall_time=0.5,
-                    timed_out=True, states_created=2)
+                    timed_out=True, states_created=2, testgen_queries=2,
+                    testgen_cost_units=1, testgen_group_solves=1,
+                    testgen_group_hits=5)
     merged = EngineStats.merged([a, b])
     assert merged.blocks_executed == 16
     assert merged.forks == 3
     assert merged.states_created == 5
+    # The test-generation layer's counters are plain event counts.
+    assert merged.testgen_queries == 6
+    assert merged.testgen_cost_units == 10
+    assert merged.testgen_group_solves == 4
+    assert merged.testgen_group_hits == 13
     assert merged.max_worklist == 7  # max, not sum
     assert merged.timed_out is True  # any-of
     assert merged.wall_time == pytest.approx(1.5)
