@@ -126,6 +126,8 @@ class Engine:
         self.tests = TestSuite(spec)
         self.worklist: list[SymState] = []
         self._loc_index: dict[tuple, list[SymState]] = {}
+        # sid -> the loc_key a resident state is indexed under.
+        self._loc_of: dict[int, tuple] = {}
         self._sid_counter = 0
         self._live_cache: dict[str, dict[str, frozenset[str]]] = {}
         self._live_at_cache: dict[tuple[str, str, int], frozenset[str]] = {}
@@ -553,32 +555,57 @@ class Engine:
         return state
 
     def _add_state(self, state: SymState, try_merge: bool) -> None:
+        """Enter ``state`` into the worklist, or merge it into a resident.
+
+        ``try_merge`` marks a successor that just moved (seeds and freshly
+        merged states pass False).  Its location key is computed here, once
+        per move: it feeds the DSM history entry, the merge-candidate
+        lookup and the location index, and is kept for the removal.
+        """
+        loc = state.loc_key()
         if try_merge:
-            merged = self._try_merge(state)
-            if merged is not None:
+            self._record_history(state, loc)
+            if self._try_merge(state, loc) is not None:
                 return
         self.worklist.append(state)
-        self._loc_index.setdefault(state.loc_key(), []).append(state)
+        self._loc_index.setdefault(loc, []).append(state)
+        self._loc_of[state.sid] = loc
         self.strategy.on_add(state)
         self.stats.max_worklist = max(self.stats.max_worklist, len(self.worklist))
 
     def _index_remove(self, state: SymState) -> None:
-        bucket = self._loc_index.get(state.loc_key())
-        if bucket is not None:
-            try:
-                bucket.remove(state)
-            except ValueError:
-                pass
-            if not bucket:
-                del self._loc_index[state.loc_key()]
+        loc = self._loc_of.pop(state.sid)
+        bucket = self._loc_index[loc]
+        bucket.remove(state)
+        if not bucket:
+            del self._loc_index[loc]
 
-    def _try_merge(self, new_state: SymState) -> SymState | None:
+    def _record_history(self, state: SymState, loc: tuple) -> None:
+        """Append the state's current (location, hash) to its DSM trace.
+
+        Called while the state is *off* the worklist (between its step and
+        its re-add), so the strategy's hash index picks the new entry up at
+        re-add time.
+        """
+        if self.config.merging != "dynamic":
+            return
+        entry = (loc, self.similarity.state_hash(state))
+        history = state.history + (entry,)
+        if len(history) > self.config.dsm_delta:
+            history = history[-self.config.dsm_delta :]
+        state.history = history
+
+    def _try_merge(self, new_state: SymState, loc: tuple) -> SymState | None:
         """Algorithm 1 lines 17–22: merge into a matching worklist state."""
-        bucket = self._loc_index.get(new_state.loc_key())
+        bucket = self._loc_index.get(loc)
         if not bucket:
             return None
+        # Every candidate shares new_state's location, hence whatever the
+        # relation derives from the location alone: resolve that once.
+        similarity = self.similarity
+        context = similarity.location_context(new_state)
         for candidate in bucket:
-            if not self.similarity.mergeable(new_state, candidate):
+            if not similarity.mergeable(new_state, candidate, context):
                 continue
             merged = merge_states(
                 new_state, candidate, self._fresh_sid(), live_scalars=self._merge_live_oracle
@@ -643,7 +670,7 @@ class Engine:
                     return []
             elif isinstance(instr, ICall):
                 self._exec_call(state, instr)
-                return self._after_move(state)
+                return [state]
             else:
                 raise RuntimeError(f"unknown instruction {instr!r}")
 
@@ -651,7 +678,7 @@ class Engine:
         if isinstance(term, TJmp):
             frame.block = term.label
             frame.idx = 0
-            return self._after_move(state)
+            return [state]
         if isinstance(term, TBr):
             return self._exec_branch(state, term)
         if isinstance(term, TRet):
@@ -679,24 +706,6 @@ class Engine:
             if compiled is not None:
                 self.stats.blocks_compiled += 1
         return compiled
-
-    def _after_move(self, state: SymState) -> list[SymState]:
-        self._record_history(state)
-        return [state]
-
-    def _record_history(self, state: SymState) -> None:
-        """Append the state's current (location, hash) to its DSM trace.
-
-        Called while the state is *off* the worklist (mid-step), so the
-        strategy's hash index picks the new entry up at re-add time.
-        """
-        if self.config.merging != "dynamic":
-            return
-        entry = (state.loc_key(), self.similarity.state_hash(state))
-        history = state.history + (entry,)
-        if len(history) > self.config.dsm_delta:
-            history = history[-self.config.dsm_delta :]
-        state.history = history
 
     # -- instruction semantics -------------------------------------------------------------------
 
@@ -816,7 +825,7 @@ class Engine:
             return [self._halt(state, value if value is not None else ops.bv(0, 32))]
         if frame.ret_dst is not None and value is not None:
             state.assign(frame.ret_dst, value)
-        return self._after_move(state)
+        return [state]
 
     def _exec_branch(self, state: SymState, term: TBr) -> list[SymState]:
         cond = state.eval_expr(term.cond)
@@ -824,7 +833,7 @@ class Engine:
         if cond.is_true() or cond.is_false():
             frame.block = term.then_label if cond.is_true() else term.else_label
             frame.idx = 0
-            return self._after_move(state)
+            return [state]
         neg = ops.not_(cond)
         # One batch query decides both arms: on an incremental chain the
         # two probes share the path condition's persistent encoding, and a
@@ -844,14 +853,14 @@ class Engine:
                 target_state.top.idx = 0
                 target_state.add_constraint(branch_cond)
                 self._split_exact_pcs(target_state, branch_cond)
-                successors.extend(self._after_move(target_state))
+                successors.append(target_state)
         elif then_res.is_sat or else_res.is_sat:
             branch_cond = cond if then_res.is_sat else neg
             frame.block = term.then_label if then_res.is_sat else term.else_label
             frame.idx = 0
             state.add_constraint(branch_cond)
             self._split_exact_pcs(state, branch_cond)
-            successors.extend(self._after_move(state))
+            successors.append(state)
         else:
             self.stats.states_infeasible += 1
         return successors

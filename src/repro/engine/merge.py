@@ -56,11 +56,10 @@ def merge_states(
         return None
     if s1.shape_fingerprint() != s2.shape_fingerprint():
         return None
-    _, suffix1, suffix2 = split_guard(s1.pc, s2.pc)
+    prefix_len, suffix1, suffix2 = split_guard(s1.pc, s2.pc)
     guard = suffix1
 
     merged = s2.clone(new_sid)
-    prefix_len, _, _ = split_guard(s1.pc, s2.pc)
     merged.pc = s1.pc[:prefix_len] + (ops.or_(suffix1, suffix2),)
     # Drop a trailing `true` (both suffixes empty => identical pcs).
     if merged.pc and merged.pc[-1].is_true():

@@ -15,6 +15,8 @@ themselves, so hash equality conservatively approximates ``~``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from ..expr.nodes import Expr
 from ..qce.qce import QceAnalysis
 from .state import SymState
@@ -37,7 +39,15 @@ class SimilarityRelation:
 
     name = "abstract"
 
-    def mergeable(self, s1: SymState, s2: SymState) -> bool:
+    def location_context(self, state: SymState):
+        """What :meth:`mergeable` derives from ``state``'s stack location alone.
+
+        A caller comparing one state against many at the same ``loc_key``
+        resolves it once and passes it along; None means nothing to hoist.
+        """
+        return None
+
+    def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         raise NotImplementedError
 
     def state_hash(self, state: SymState) -> int:
@@ -47,7 +57,7 @@ class SimilarityRelation:
 class MergeNever(SimilarityRelation):
     name = "never"
 
-    def mergeable(self, s1: SymState, s2: SymState) -> bool:
+    def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         return False
 
     def state_hash(self, state: SymState) -> int:
@@ -57,7 +67,7 @@ class MergeNever(SimilarityRelation):
 class MergeAlways(SimilarityRelation):
     name = "always"
 
-    def mergeable(self, s1: SymState, s2: SymState) -> bool:
+    def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         return True
 
     def state_hash(self, state: SymState) -> int:
@@ -69,36 +79,63 @@ class QceSimilarity(SimilarityRelation):
 
     ``qt_global`` sums the local Qt of every stack frame's current location
     (paper §3.2's dynamic interprocedural combination); the hot set of each
-    frame is then looked up against that global total.
+    frame is then looked up against that global total.  Both depend only on
+    the stack's ``(func, block)`` locations, so they are resolved once per
+    distinct stack and kept as pre-sorted name tuples.
     """
 
     name = "qce"
 
+    # FIFO bound of the region-signature memo, as ``presolve._REWRITE_MEMO``:
+    # losing an entry only loses acceleration.
+    CELLS_MEMO_MAX = 4096
+
     def __init__(self, qce: QceAnalysis):
         self.qce = qce
-        self._hot_cache: dict[tuple, frozenset[str]] = {}
+        # Tuple of frame (func, block) -> per-frame sorted hot names.
+        self._hot_sets: dict[tuple, tuple[tuple[str, ...], ...]] = {}
+        # id(cells) -> (cells, h(v) over them), for the immutable ``cells``
+        # tuple of a region (clones and untouched steps share it).  An entry
+        # pins its tuple, so a live key's id cannot be reused.  Kept here,
+        # not on ``Region``: region equality and ``snapshot()`` never see it.
+        self._cells_memo: OrderedDict[int, tuple[tuple, tuple[int, ...]]] = OrderedDict()
 
     def qt_global(self, state: SymState) -> float:
         return sum(self.qce.qt_local(f.func, f.block) for f in state.frames)
 
-    def hot_set(self, func: str, block: str, qt_global: float) -> frozenset[str]:
-        key = (func, block, round(qt_global, 6))
-        cached = self._hot_cache.get(key)
-        if cached is None:
-            cached = self.qce.hot_variables(func, block, qt_global)
-            self._hot_cache[key] = cached
-        return cached
+    def location_context(self, state: SymState) -> tuple[tuple[str, ...], ...]:
+        """Per-frame hot names, shared by every state at this stack location."""
+        key = tuple([(f.func, f.block) for f in state.frames])
+        hot_sets = self._hot_sets.get(key)
+        if hot_sets is None:
+            qt_g = self.qt_global(state)
+            hot_sets = tuple(
+                tuple(sorted(self.qce.hot_variables(func, block, qt_g)))
+                for func, block in key
+            )
+            self._hot_sets[key] = hot_sets
+        return hot_sets
 
-    def _frame_hot_sets(self, state: SymState) -> list[frozenset[str]]:
-        qt_g = self.qt_global(state)
-        return [self.hot_set(f.func, f.block, qt_g) for f in state.frames]
+    def _cells_signature(self, cells: tuple[Expr, ...]) -> tuple[int, ...]:
+        memo = self._cells_memo
+        entry = memo.get(id(cells))
+        if entry is not None and entry[0] is cells:
+            return entry[1]
+        signature = tuple([_h(c) for c in cells])
+        memo[id(cells)] = (cells, signature)
+        if len(memo) > self.CELLS_MEMO_MAX:
+            memo.popitem(last=False)
+        return signature
 
-    def mergeable(self, s1: SymState, s2: SymState) -> bool:
-        for f1, f2, hot in zip(s1.frames, s2.frames, self._frame_hot_sets(s2)):
+    def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
+        if context is None:
+            context = self.location_context(s2)
+        for f1, f2, hot in zip(s1.frames, s2.frames, context):
+            store1, store2 = f1.store, f2.store
             for var in hot:
-                v2 = f2.store.get(var)
+                v2 = store2.get(var)
                 if v2 is not None:
-                    v1 = f1.store.get(var)
+                    v1 = store1.get(var)
                     if v1 is None or not _compatible(v1, v2):
                         return False
                     continue
@@ -123,27 +160,28 @@ class QceSimilarity(SimilarityRelation):
         return True
 
     def state_hash(self, state: SymState) -> int:
-        qt_g = self.qt_global(state)
         # Structural mergeability must be part of the hash: two states with
         # equal hot-variable values but, say, different output lengths can
         # never merge, and treating them as "similar" would make DSM
         # fast-forward them against each other indefinitely.
         parts: list = [state.shape_fingerprint()]
-        for frame, hot in zip(state.frames, self._frame_hot_sets(state)):
+        globals_store = state.globals_store
+        for frame, hot in zip(state.frames, self.location_context(state)):
             frame_part: list = []
-            for var in sorted(hot):
-                value = frame.store.get(var)
+            store = frame.store
+            for var in hot:
+                value = store.get(var)
                 if value is not None:
                     frame_part.append((var, _h(value)))
                     continue
-                if var.startswith("g$") and var in state.globals_store:
-                    frame_part.append((var, _h(state.globals_store[var])))
+                if var.startswith("g$") and var in globals_store:
+                    frame_part.append((var, _h(globals_store[var])))
                     continue
                 binding = frame.arrays.get(var)
                 key = binding.key if binding is not None else (0, "global", var)
                 region = state.regions.get(key)
                 if region is not None:
-                    frame_part.append((var, tuple(_h(c) for c in region.cells)))
+                    frame_part.append((var, self._cells_signature(region.cells)))
             parts.append(tuple(frame_part))
         return hash(tuple(parts))
 
@@ -194,7 +232,7 @@ class QceFullSimilarity(QceSimilarity):
             if v1 is not None and v1 is not v2:
                 yield 0, var, v1, v2
 
-    def mergeable(self, s1: SymState, s2: SymState) -> bool:
+    def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         qt_g = self.qt_global(s2)
         threshold = self.qce.params.alpha * qt_g
         max_qite = 0.0
@@ -221,7 +259,7 @@ class LiveVarSimilarity(SimilarityRelation):
     def __init__(self, live_sets):
         self.live_sets = live_sets
 
-    def mergeable(self, s1: SymState, s2: SymState) -> bool:
+    def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         for f1, f2, live in zip(s1.frames, s2.frames, self.live_sets(s2)):
             for var in live:
                 v1, v2 = f1.store.get(var), f2.store.get(var)

@@ -146,19 +146,23 @@ class SymState:
         Two states with equal fingerprints are structurally mergeable (the
         value-level similarity check is separate).
         """
+        # Lists, not generators, feed tuple()/sorted(): DSM hashes every
+        # move of every state through here.
         frames_part = tuple(
-            (
-                f.func,
-                f.block,
-                f.idx,
-                f.ret_dst,
-                tuple(sorted(f.store)),
-                tuple(sorted((n, b.binding_fingerprint()) for n, b in f.arrays.items())),
-            )
-            for f in self.frames
+            [
+                (
+                    f.func,
+                    f.block,
+                    f.idx,
+                    f.ret_dst,
+                    tuple(sorted(f.store)),
+                    tuple(sorted([(n, b.binding_fingerprint()) for n, b in f.arrays.items()])),
+                )
+                for f in self.frames
+            ]
         )
         regions_part = tuple(
-            sorted((k, r.size, r.cols, r.width) for k, r in self.regions.items())
+            sorted([(k, len(r.cells), r.cols, r.width) for k, r in self.regions.items()])
         )
         return (frames_part, regions_part, len(self.output))
 

@@ -162,18 +162,21 @@ class Prioritizer:
 
     * **registered** — the engine mirrors its worklist through
       ``add``/``remove`` (the strategy ``on_add``/``on_remove`` hooks) and
-      ``select`` answers from the heap: signals are scored once per
-      residency (at ``add``, re-scored only when stale) instead of once
-      per state per pick.  The final state→index mapping is still a
-      linear identity scan — the worklist is a plain list — so a pick is
-      O(n) in cheap pointer compares but no longer O(n · signals) in
-      signal evaluations;
+      ``select`` answers from the heap: signals are scored at ``add`` and
+      re-scored only for the stale minima a pick pops on its way to a
+      verified one (k of them cost O(k · (signals + log n)); with a
+      shared pick counter k is typically a handful per pick, not 0),
+      instead of once per state per pick.  The final state→index mapping
+      is still a linear identity scan — the worklist is a plain list — so
+      a pick is O(n) in cheap pointer compares but no longer
+      O(n · signals) in signal evaluations;
     * **ad hoc** — ``select`` on a worklist that was never registered
       (direct strategy calls in tests, subset ranking) falls back to a
-      linear argmin over fresh keys.  ``select_among``/``select_worst``
-      are always linear: they serve rare paths (DSM forwarding subsets,
-      steal-victim choice) where heap bookkeeping would cost more than
-      it saves.
+      linear argmin over fresh keys.  ``select_among`` is linear in the
+      *subset* it is handed (DSM passes only its maintained forwarding
+      set, which is empty on most picks and small otherwise) and
+      ``select_worst`` in the worklist (steal-victim choice): rare paths
+      where heap bookkeeping would cost more than it saves.
 
     ``rng`` (optional) supplies a tiebreak drawn once per registration —
     frozen per heap entry so rescoring compares stably — mirroring the
@@ -257,7 +260,7 @@ class Prioritizer:
         return self._scan(worklist, engine)
 
     def select_among(self, worklist, indices, engine) -> int:
-        """Best index among a subset (linear; used for DSM forwarding)."""
+        """Best index among a subset (linear in it; used for DSM forwarding)."""
         best = None
         best_key = None
         for index in indices:

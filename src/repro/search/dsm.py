@@ -9,6 +9,15 @@ priority (topologically-first within the forwarding set ``F``) until it
 either merges or diverges.  When ``F`` is empty the driving strategy is in
 full control — that is the property that lets coverage-guided search
 coexist with merging (§4.1/§5.5).
+
+``F`` is maintained, not recomputed (§4.3): with ``cur(s)`` the newest
+hash of a resident state's history,
+
+    F == {s : hash_counts[cur(s)] > own_counts[s][cur(s)]}
+
+holds after every ``on_add``/``on_remove``.  Membership of ``s`` can only
+change when the count of ``cur(s)`` changes, so each hook re-evaluates
+just the residents filed under the hashes it touched.
 """
 
 from __future__ import annotations
@@ -23,11 +32,11 @@ from .strategies import Strategy
 class DsmStrategy(Strategy):
     """pickNext for DSM; wraps the driving heuristic (pickNextD).
 
-    The forwarding set is computed from hash counts maintained
-    incrementally in :meth:`on_add`/:meth:`on_remove` — checking a state
-    costs O(1): its current hash must occur in the global multiset more
-    often than in its own history.  Ranking *within* the forwarding set
-    (topologically first, per Algorithm 2) delegates to a
+    Bookkeeping costs O(delta + affected residents) per worklist change.
+    A pick with an empty forwarding set is O(1) on top of the driving
+    strategy's own pick; a pick with a non-empty one maps ``F`` to
+    worklist indices (one pass of set lookups) and ranks only those,
+    topologically first per Algorithm 2, through a
     :class:`~repro.sched.Prioritizer` over the shared topological signal.
     """
 
@@ -38,6 +47,11 @@ class DsmStrategy(Strategy):
         self.engine = engine
         self.hash_counts: Counter = Counter()
         self.own_counts: dict[int, Counter] = {}
+        # The forwarding set F, as sids of resident states.
+        self.forwarding: set[int] = set()
+        # Current hash -> sids of the resident states whose newest history
+        # entry carries it (states with an empty history are not filed).
+        self.by_current_hash: dict[int, set[int]] = {}
         self.ff_sids: set[int] = set()
         self.topo = Prioritizer((TopologicalSignal(),))
 
@@ -54,6 +68,10 @@ class DsmStrategy(Strategy):
         own = Counter(h for _, h in state.history)
         self.own_counts[state.sid] = own
         self.hash_counts.update(own)
+        if state.history:
+            current = state.history[-1][1]
+            self.by_current_hash.setdefault(current, set()).add(state.sid)
+        self._reevaluate(own)
         self.driving.on_add(state)
 
     def on_remove(self, state: SymState) -> None:
@@ -65,21 +83,35 @@ class DsmStrategy(Strategy):
                     self.hash_counts[h] = remaining
                 else:
                     del self.hash_counts[h]
+            if state.history:
+                current = state.history[-1][1]
+                filed = self.by_current_hash[current]
+                filed.discard(state.sid)
+                if not filed:
+                    del self.by_current_hash[current]
+            self.forwarding.discard(state.sid)
+            self._reevaluate(own)
         self.driving.on_remove(state)
+
+    def _reevaluate(self, changed_hashes) -> None:
+        """Restore the F invariant for residents filed under these hashes."""
+        forwarding = self.forwarding
+        for h in changed_hashes:
+            filed = self.by_current_hash.get(h)
+            if filed is None:
+                continue
+            total = self.hash_counts[h]
+            for sid in filed:
+                if total > self.own_counts[sid][h]:
+                    forwarding.add(sid)
+                else:
+                    forwarding.discard(sid)
 
     # -- Algorithm 2 ------------------------------------------------------------
 
-    def _in_forwarding_set(self, state: SymState) -> bool:
-        if not state.history:
-            return False
-        current_hash = state.history[-1][1]
-        total = self.hash_counts.get(current_hash, 0)
-        own = self.own_counts.get(state.sid, Counter()).get(current_hash, 0)
-        return total > own
-
     def pick(self, worklist, engine) -> int:
-        forwarding = [
-            i for i, state in enumerate(worklist) if self._in_forwarding_set(state)
+        forwarding = self.forwarding and [
+            i for i, state in enumerate(worklist) if state.sid in self.forwarding
         ]
         if forwarding:
             engine.stats.dsm_fastforward_picks += 1
@@ -100,7 +132,7 @@ class DsmStrategy(Strategy):
         strategy's victim choice among non-forwarding states.
         """
         non_forwarding = [
-            i for i, state in enumerate(worklist) if not self._in_forwarding_set(state)
+            i for i, state in enumerate(worklist) if state.sid not in self.forwarding
         ]
         if not non_forwarding:
             return self.driving.steal_pick(worklist, engine)

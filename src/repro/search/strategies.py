@@ -10,11 +10,13 @@ Since the :mod:`repro.sched` refactor the ranking strategies are thin
 adapters over a shared :class:`~repro.sched.Prioritizer` heap: they
 declare their signal chain, mirror the engine worklist through the
 ``on_add``/``on_remove`` hooks, and ``pick`` reduces to one heap
-``select`` — the bespoke per-pick O(n·signals) argmin loops are gone
-(signals are scored once per worklist residency; what remains per pick
-is the heap pop plus an identity scan mapping the winner back to its
-list index).  Strategies used without an engine binding (direct calls
-in tests) still work: the prioritizer falls back to a linear scan over
+``select`` — the bespoke per-pick O(n·signals) argmin loops are gone.
+Signals are scored when a state enters the worklist and again only for
+the stale heap minima a pick has to correct (k rescored entries cost
+O(k·(signals + log n)); a location picked over and over makes k several
+per pick), plus one identity scan mapping the winner back to its list
+index.  Strategies used without an engine binding (direct calls in
+tests) still work: the prioritizer falls back to a linear scan over
 fresh keys.
 """
 

@@ -120,3 +120,127 @@ def test_live_similarity_requires_identical_live_values():
     assert sim.mergeable(a, b)       # only dead w differs
     assert not sim.mergeable(a, c)   # live v differs
     assert sim.state_hash(a) == sim.state_hash(b)
+
+
+# ---------------------------------------------------------------------------
+# Memoisation inside QceSimilarity is unobservable
+# ---------------------------------------------------------------------------
+
+
+def frontier(program="uniq", blocks=300):
+    """A live DSM engine stopped mid-run, and same-location state pairs."""
+    from repro.engine import Engine, EngineConfig
+    from repro.env import ArgvSpec
+    from repro.programs.registry import get_program
+
+    info = get_program(program)
+    engine = Engine(
+        info.compile(),
+        ArgvSpec(n_args=info.default_n, arg_len=info.default_l, stdin_len=info.default_stdin),
+        EngineConfig(merging="dynamic", similarity="qce", strategy="coverage",
+                     generate_tests=False),
+    )
+    engine.seed_states([engine.make_initial_state()])
+    engine.explore(interrupt=lambda e: e.stats.blocks_executed >= blocks)
+    pairs = [
+        (a, b) for bucket in engine._loc_index.values() for a in bucket for b in bucket
+        if a is not b
+    ]
+    assert len(engine.worklist) > 10 and len(pairs) > 10
+    return engine, pairs
+
+
+def answers(sim, engine, pairs):
+    return (
+        [sim.state_hash(s) for s in engine.worklist],
+        [sim.mergeable(a, b) for a, b in pairs],
+    )
+
+
+def test_qce_memos_do_not_change_answers(monkeypatch):
+    engine, pairs = frontier()
+    sim = QceSimilarity(engine.qce)
+    cold = answers(sim, engine, pairs)
+    assert sim._cells_memo and sim._hot_sets
+    assert answers(sim, engine, pairs) == cold            # warm tables
+    assert any(cold[1]) and not all(cold[1])
+
+    monkeypatch.setattr(QceSimilarity, "CELLS_MEMO_MAX", 1)  # every entry evicted
+    tight = QceSimilarity(engine.qce)
+    assert answers(tight, engine, pairs) == cold
+    assert len(tight._cells_memo) == 1
+
+    # The context a bucket scan hoists is the one mergeable resolves itself.
+    hoisted = [sim.mergeable(a, b, sim.location_context(a)) for a, b in pairs]
+    assert hoisted == cold[1]
+
+
+def test_cells_memo_stays_out_of_regions_and_snapshots():
+    engine, _ = frontier()
+    state = engine.worklist[0]
+    before = state.snapshot()
+    regions = dict(state.regions)
+    sim = QceSimilarity(engine.qce)
+    sim.state_hash(state)
+    assert sim._cells_memo
+    assert state.snapshot() == before
+    assert state.regions == regions
+
+
+DEPTH_SRC = """
+int f(int a, int b) {
+  if (a > 1) putchar('x'); if (b > 2) putchar('y'); if (b > 3) putchar('z');
+  return a; }
+int main(int argc, char argv[][]) {
+  int r = f(argc, argc);
+  if (argv[1][0] == 'a') putchar('a'); if (argv[1][1] == 'b') putchar('b');
+  if (argv[1][0] == 'c') putchar('c'); if (argv[1][1] == 'd') putchar('d');
+  return r; }
+"""
+
+
+def test_hot_sets_are_keyed_by_the_whole_stack():
+    module = compile_program(DEPTH_SRC, include_stdlib=False)
+    qce = QceAnalysis(module, QceParams(alpha=0.3))
+    sim = QceSimilarity(qce)
+    f, main = module.function("f"), module.function("main")
+    alone = SymState(1)
+    alone.frames = [Frame("f", f.entry, 0, {}, {}, None, 1)]
+    nested = SymState(2)
+    nested.frames = [
+        Frame("main", main.entry, 1, {}, {}, "r", 1),
+        Frame("f", f.entry, 0, {}, {}, None, 2),
+    ]
+    # Same top frame location; main's Qt below it raises the threshold.
+    assert sim.location_context(alone) == (("b",),)
+    assert sim.location_context(nested)[-1] == ()
+    for state in (alone, nested):
+        assert sim.location_context(state) == tuple(
+            tuple(sorted(qce.hot_variables(fr.func, fr.block, sim.qt_global(state))))
+            for fr in state.frames
+        )
+    assert len(sim._hot_sets) == 2
+
+
+def test_hot_variables_resolved_once_per_stack_location(monkeypatch):
+    from repro.env.runner import run_symbolic
+
+    calls = {"hot": 0, "lookups": 0}
+    real_hot = QceAnalysis.hot_variables
+    real_context = QceSimilarity.location_context
+
+    def hot_variables(self, func, block, qt_global):
+        calls["hot"] += 1
+        return real_hot(self, func, block, qt_global)
+
+    def location_context(self, state):
+        calls["lookups"] += 1
+        return real_context(self, state)
+
+    monkeypatch.setattr(QceAnalysis, "hot_variables", hot_variables)
+    monkeypatch.setattr(QceSimilarity, "location_context", location_context)
+    result = run_symbolic("tsort", merging="dynamic", similarity="qce", strategy="coverage")
+    stacks = result.engine.similarity._hot_sets
+    # One resolution per frame of each distinct stack, however often asked.
+    assert calls["hot"] == sum(len(stack) for stack in stacks)
+    assert calls["lookups"] > 10 * calls["hot"]

@@ -43,6 +43,7 @@ from repro.search.strategies import (
     TopologicalStrategy,
     topological_key,
 )
+from test_search_dsm_incremental import check_forwarding_invariants
 
 MAIN = "int main(int argc, char argv[][]) { %s }"
 
@@ -205,7 +206,8 @@ def dsm_engine(program):
 
 
 def assert_dsm_books_consistent(strategy: DsmStrategy, worklist):
-    """hash_counts == sum of own_counts, nothing negative, keys = worklist."""
+    """hash_counts == sum of own_counts, nothing negative, keys = worklist,
+    and the maintained forwarding set is the one the definition yields."""
     assert set(strategy.own_counts) == {s.sid for s in worklist}
     totals = __import__("collections").Counter()
     for own in strategy.own_counts.values():
@@ -215,6 +217,7 @@ def assert_dsm_books_consistent(strategy: DsmStrategy, worklist):
     assert totals == strategy.hash_counts
     for count in strategy.hash_counts.values():
         assert count > 0
+    check_forwarding_invariants(strategy, worklist)
 
 
 def test_dsm_bookkeeping_survives_frontier_export():
@@ -230,9 +233,6 @@ def test_dsm_bookkeeping_survives_frontier_export():
     exported = engine.export_frontier(len(engine.worklist) // 2)
     assert exported
     assert_dsm_books_consistent(strategy, engine.worklist)
-    # Forwarding-set checks on the survivors stay well-defined.
-    for state in engine.worklist:
-        strategy._in_forwarding_set(state)
 
     # The victim finishes its remaining frontier cleanly...
     engine.explore()
@@ -258,6 +258,7 @@ def test_dsm_full_drain_export_clears_books():
     assert exported and not engine.worklist
     assert not engine.strategy.hash_counts
     assert not engine.strategy.own_counts
+    assert not engine.strategy.forwarding and not engine.strategy.by_current_hash
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ def test_history_is_bounded_by_delta():
         state = engine2._pick_next()
         for succ in engine2.step(state):
             if not succ.halted:
-                assert len(succ.history) <= 3
                 engine2._add_state(succ, try_merge=True)
+        assert all(0 < len(s.history) <= 3 for s in engine2.worklist)
 
 
 def test_hash_index_consistency():
@@ -65,6 +65,7 @@ def test_hash_index_consistency():
     assert not engine.worklist
     assert not strategy.hash_counts
     assert not strategy.own_counts
+    assert not strategy.forwarding and not strategy.by_current_hash
 
 
 def test_forwarding_set_detection():
