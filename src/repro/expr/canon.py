@@ -12,15 +12,23 @@ constraint *set* to a canonical key such that
 * **stability** — the key is a pure function of the set's structure:
   independent of interning order, process, hash seed, and variable names.
 
-The construction: every constraint is hashed *name-blind* (variables
-collapse to their sort), variable classes are refined for two rounds of
+The construction works per *independence component* — a maximal subset
+of the constraints connected through shared variables
+(:func:`~repro.expr.independence.split_independent`).  Within one
+component every constraint is hashed *name-blind* (variables collapse to
+their sort), variable classes are refined for two rounds of
 Weisfeiler–Leman-style colouring (a variable's colour mixes the colours
 of the constraints it occurs in, a constraint's colour mixes the colours
 of its variables), constraints are ordered by their refined colour, and
 canonical names ``v0, v1, ...`` are assigned by first occurrence in that
-order.  The key is a structural prefix (constraint/variable/node counts
-— sets differing there can never collide) plus a SHA-256 digest of the
-renamed DAG encoding.
+order.  The component's key is a structural prefix (constraint/variable/
+node counts — sets differing there can never collide) plus a SHA-256
+digest of the renamed DAG encoding.  The set's key is the summed prefix
+plus a SHA-256 over the *sorted multiset of component keys*, and
+component ``r`` of that order contributes its renaming with every name
+prefixed ``c<r>.``.  Component results are memoised process-wide, so a
+path condition that grew by one conjunct costs that conjunct's
+component, not the whole set.
 
 Equal keys are exact for renamings of the same constraint list; for
 adversarially symmetric sets the refinement may order tied constraints
@@ -35,7 +43,9 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
+from .independence import split_independent
 from .nodes import (
     ADD,
     AND,
@@ -73,6 +83,13 @@ _skeleton_cache: dict[int, bytes] = {}
 _named_cache: OrderedDict[int, tuple[bytes, int]] = OrderedDict()
 _NAMED_CACHE_MAX = 65536
 
+# α-canonical form of one independence component, by the component's
+# sorted eid tuple: path conditions grow by a conjunct at a time, so a
+# query's components are mostly ones an earlier query already had.  Pure
+# and bounded like ``_named_cache``.
+_component_cache: OrderedDict[tuple[int, ...], "CanonResult"] = OrderedDict()
+_COMPONENT_CACHE_MAX = 4096
+
 
 def _sort_code(e: Expr) -> int:
     return _BOOL_CODE if e.sort is BOOL else e.sort.width
@@ -86,40 +103,32 @@ def _h(*parts) -> bytes:
     return m.digest()
 
 
-def _postorder(root: Expr, done: set[int]) -> list[Expr]:
-    """DAG nodes under ``root`` not in ``done``, children before parents."""
+def _postorder(roots, done=()) -> list[Expr]:
+    """DAG nodes under ``roots``, each once and children before parents,
+    leaving out those whose eid is already in ``done``."""
+    seen: set[int] = set()
     out: list[Expr] = []
-    stack: list[tuple[Expr, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.eid in done:
-            continue
-        if expanded:
-            done.add(node.eid)
-            out.append(node)
-        else:
-            stack.append((node, True))
-            for child in node.children:
-                if child.eid not in done:
-                    stack.append((child, False))
+    for root in roots:
+        stack: list[tuple[Expr, bool]] = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node.eid in seen or node.eid in done:
+                continue
+            if expanded:
+                seen.add(node.eid)
+                out.append(node)
+            else:
+                stack.append((node, True))
+                for child in node.children:
+                    if child.eid not in seen and child.eid not in done:
+                        stack.append((child, False))
     return out
 
 
-def _hash_bottom_up(root: Expr, memo: dict[int, bytes], var_digest) -> bytes:
-    """Structural hash over the DAG; ``memo`` doubles as the done-set (it is
-    consulted by membership, never copied — it may be the process-global
-    skeleton cache)."""
-    stack: list[tuple[Expr, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.eid in memo:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                if child.eid not in memo:
-                    stack.append((child, False))
-            continue
+def _digest_nodes(nodes, memo: dict[int, bytes], var_digest) -> None:
+    """Structural hash of every node of a post-order into ``memo``
+    (children not in ``nodes`` must already be there)."""
+    for node in nodes:
         if node.kind == VAR:
             digest = var_digest(node)
         elif node.kind == CONST:
@@ -136,6 +145,13 @@ def _hash_bottom_up(root: Expr, memo: dict[int, bytes], var_digest) -> bytes:
                 *child_digests,
             )
         memo[node.eid] = digest
+
+
+def _hash_bottom_up(root: Expr, memo: dict[int, bytes], var_digest) -> bytes:
+    """Structural hash over the DAG; ``memo`` doubles as the done-set (it is
+    consulted by membership, never copied — it may be the process-global
+    skeleton cache)."""
+    _digest_nodes(_postorder([root], memo), memo, var_digest)
     return memo[root.eid]
 
 
@@ -146,14 +162,7 @@ def skeleton_hash(root: Expr) -> bytes:
     )
 
 
-def _colored_hash(root: Expr, colors: dict[str, bytes], memo: dict[int, bytes]) -> bytes:
-    """Structural hash with every variable replaced by its current colour."""
-    return _hash_bottom_up(
-        root, memo, lambda node: _h("V", _sort_code(node), colors[node.name])
-    )
-
-
-def _context_sigs(cons, ccolors, memo) -> dict[str, list[bytes]]:
+def _context_sigs(cons, topo, ccolors, memo) -> dict[str, list[bytes]]:
     """Per-variable root-to-occurrence context signatures (top-down WL).
 
     A variable's *parent digest* alone cannot tell apart two occurrences
@@ -169,17 +178,17 @@ def _context_sigs(cons, ccolors, memo) -> dict[str, list[bytes]]:
     stay orientation-blind).  Shared DAG nodes fold the contexts of all
     their parent edges into one sorted multiset, which keeps the pass
     linear in DAG edges instead of exponential in sharing depth.
+
+    ``topo`` is the post-order of ``cons`` and ``memo`` the colored digest
+    of every node in it.
     """
     # eid -> contexts of every parent edge reaching that node.
     edge_ctx: dict[int, list[bytes]] = {}
-    walked: set[int] = set()
-    topo: list[Expr] = []
-    for i, c in enumerate(cons):
-        edge_ctx.setdefault(c.eid, []).append(_h("root", ccolors[i]))
-        topo.extend(_postorder(c, walked))
+    for c, color in zip(cons, ccolors):
+        edge_ctx.setdefault(c.eid, []).append(_h("root", color))
     sigs: dict[str, list[bytes]] = {}
-    # _postorder emits children before parents; reversed, every node is
-    # visited only after all its parents, so its context is complete.
+    # topo has children before parents; reversed, every node is visited
+    # only after all its parents, so its context is complete.
     for node in reversed(topo):
         ctx = _h("td", *sorted(edge_ctx.get(node.eid, ())))
         if node.kind == VAR:
@@ -201,7 +210,7 @@ class CanonResult:
     """Canonical key plus the renaming that produced it.
 
     ``rename`` maps every original variable name of the set to its
-    canonical ``v<i>`` name (a bijection over the set's variables); use
+    canonical name (a bijection over the set's variables); use
     :meth:`to_canonical` / :meth:`from_canonical` to move model fragments
     across the renaming.
     """
@@ -209,26 +218,74 @@ class CanonResult:
     key: str
     rename: dict[str, str]
 
+    @cached_property
+    def _inverse(self) -> dict[str, str]:
+        return {v: k for k, v in self.rename.items()}
+
     def to_canonical(self, model: dict[str, int]) -> dict[str, int]:
         """Project a model into canonical variable names (drops strangers)."""
         return {self.rename[k]: v for k, v in model.items() if k in self.rename}
 
     def from_canonical(self, model: dict[str, int]) -> dict[str, int]:
-        inverse = {v: k for k, v in self.rename.items()}
+        inverse = self._inverse
         return {inverse[k]: v for k, v in model.items() if k in inverse}
 
 
 def canonicalize(constraints) -> CanonResult:
-    """Canonical key + renaming for a constraint set (order-insensitive)."""
-    cons = list(constraints)
+    """Canonical key + renaming for a constraint set (order-insensitive).
 
-    # Variable inventory: name -> sort code, per-constraint occurrence sets.
-    var_sorts: dict[str, int] = {}
-    for c in cons:
-        seen: set[int] = set()
-        for node in _postorder(c, seen):
-            if node.kind == VAR and node.name not in var_sorts:
-                var_sorts[node.name] = _sort_code(node)
+    The set is split into variable-disjoint components, each component is
+    canonicalized alone (and remembered, :func:`_component`), and the
+    set's key digests the *sorted multiset* of component keys behind the
+    summed structural prefix.  Component ``r`` of that sorted order names
+    its variables ``c<r>.v<i>``.  Equal keys force pairwise α-equivalent
+    components, whose renamings — over disjoint variables — union to a
+    bijection of the whole set; components with equal keys are
+    α-equivalent to each other, so which of them gets which rank is
+    immaterial to any model moved across the renaming.
+    """
+    parts = sorted(
+        (_component(group) for group in split_independent(list(constraints))),
+        key=lambda part: part.key,
+    )
+    totals = [0, 0, 0]
+    m = hashlib.sha256()
+    rename: dict[str, str] = {}
+    for rank, part in enumerate(parts):
+        for i, count in enumerate(structural_prefix(part.key)):
+            totals[i] += count
+        m.update(part.key.encode())
+        m.update(b"\x00")
+        for name, canonical in part.rename.items():
+            rename[name] = f"c{rank}.{canonical}"
+    n_cons, n_vars, n_nodes = totals
+    return CanonResult(f"{n_cons}:{n_vars}:{n_nodes}:{m.hexdigest()}", rename)
+
+
+def _component(group) -> CanonResult:
+    """:func:`_canonicalize_component`, memoised by the sorted eid tuple."""
+    memo_key = tuple(sorted(c.eid for c in group))
+    result = _component_cache.get(memo_key)
+    if result is None:
+        result = _canonicalize_component(group)
+        _component_cache[memo_key] = result
+        if len(_component_cache) > _COMPONENT_CACHE_MAX:
+            _component_cache.popitem(last=False)
+    return result
+
+
+def clear_component_cache() -> None:
+    """Drop the per-component memo behind :func:`canonicalize` (tests only)."""
+    _component_cache.clear()
+
+
+def _canonicalize_component(cons) -> CanonResult:
+    """Canonical key + ``v<i>`` renaming of one independence component."""
+    # One post-order of the component's DAG serves every pass below.
+    topo = _postorder(cons)
+    var_sorts = {
+        node.name: _sort_code(node) for node in topo if node.kind == VAR
+    }
 
     # WL refinement: constraint colours from variable colours and back.
     # A variable's colour mixes the colours of the constraints it occurs in
@@ -243,8 +300,11 @@ def canonicalize(constraints) -> CanonResult:
     ccolors: list[bytes] = []
     for round_no in range(_REFINE_ROUNDS):
         memo: dict[int, bytes] = {}
-        ccolors = [_colored_hash(c, colors, memo) for c in cons]
-        var_sigs = _context_sigs(cons, ccolors, memo)
+        _digest_nodes(
+            topo, memo, lambda node: _h("V", _sort_code(node), colors[node.name])
+        )
+        ccolors = [memo[c.eid] for c in cons]
+        var_sigs = _context_sigs(cons, topo, ccolors, memo)
         new_colors: dict[str, bytes] = {}
         for name in var_sorts:
             occurrences = sorted(

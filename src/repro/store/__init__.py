@@ -23,9 +23,11 @@ parallel coordinator; see also ROADMAP.md):
   its own and its workers' buffered inserts.  Workers open read-only and
   ship inserts over the wire protocol.
 * **canonical-key soundness** — a cached answer is valid only because the
-  canonical key digests the *complete* renamed constraint set; partial
-  keys would turn α-equivalence into wrong verdicts.  SAT models are
-  additionally verified by evaluation before being trusted.
+  canonical key digests the *complete* renamed constraint set of every
+  independence component (the set's key is the sorted multiset of
+  component keys); partial keys would turn α-equivalence into wrong
+  verdicts.  SAT models are additionally verified by evaluation before
+  being trusted.
 * **warm-start neutrality** — store hits and cache seedings may change
   *which tier* answers a query, never the verdict, so warm runs explore
   the same path space and emit the same (deterministically generated)

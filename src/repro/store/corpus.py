@@ -1,9 +1,10 @@
 """Test-corpus recording and warm-start seeding.
 
-Recording replays each generated test on the concrete interpreter to
-attach its true coverage bitmap (content-addressed, so the many tests
-sharing a bitmap store it once) — which doubles as an end-to-end check
-that the corpus stays replayable.
+Recording replays each test the corpus does not hold yet on the concrete
+interpreter to attach its true coverage bitmap (content-addressed, so
+the many tests sharing a bitmap store it once) — which doubles as an
+end-to-end check that the corpus stays replayable.  A test the corpus
+already holds keeps the bitmap its first recording attached.
 
 Warm-start seeding is the read side: a fresh engine against a populated
 store pre-loads its in-memory :class:`QueryCache` with
@@ -51,11 +52,19 @@ def record_tests(
     run_id: int | None = None,
     with_coverage: bool = True,
 ) -> int:
-    """Write a run's generated tests into the corpus (deduplicated)."""
+    """Write a run's generated tests into the corpus (deduplicated).
+
+    Rows the corpus already holds are not replayed: ``put_tests`` ignores
+    everything about a duplicate but its key, whose ``created_run`` it
+    refreshes.  The known keys are read on the caller's connection, so
+    inside the caller's transaction they cannot go stale.
+    """
     spec_fp = spec_fingerprint(spec)
+    known = store.test_keys(program, spec_fp)
     rows = []
     for case in cases:
-        coverage = replay_coverage(module, case) if with_coverage else None
+        replay = with_coverage and (case.kind, case.path_id, case.line) not in known
+        coverage = replay_coverage(module, case) if replay else None
         rows.append(
             (
                 case.kind,

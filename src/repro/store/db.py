@@ -569,6 +569,18 @@ class ReproStore:
         self._commit()
         return inserted
 
+    def test_keys(self, program: str, spec: str) -> set[tuple]:
+        """The ``(kind, path_id, line)`` identities the corpus holds for
+        ``(program, spec)`` — what :meth:`put_tests` deduplicates on."""
+        rows = self.conn.execute(
+            "SELECT kind, path_id, line FROM tests WHERE program = ? AND spec = ?",
+            (program, spec),
+        )
+        return {
+            (kind, path_id, None if line == -1 else line)
+            for kind, path_id, line in rows
+        }
+
     def iter_tests(self, program: str, spec: str | None = None) -> list[dict]:
         """Corpus rows for a program (optionally one spec), oldest first."""
         query = (

@@ -3,12 +3,17 @@
 :class:`PersistentTier` sits between the in-memory :class:`QueryCache`
 and independence splitting in :meth:`SolverChain._check_inner`: a query
 that misses the process-local cache is canonicalized
-(:mod:`repro.expr.canon`) and looked up in the cross-run store.  Hits
+(:func:`repro.expr.canon.canonicalize`) and looked up in the cross-run
+store.  The key is composed from the canonical forms of the query's
+independence components, which :mod:`repro.expr.canon` remembers
+process-wide — a path condition that grew by one conjunct pays for that
+conjunct's component only, and the tier keeps no memo of its own.  Hits
 come back as ``(is_sat, model)`` with the stored model fragment renamed
 into the query's own variables; SAT models are *verified* by evaluation
 before being trusted (a failed verification is treated as a miss), UNSAT
-verdicts rest on canonical-key soundness — the key digests the complete
-renamed constraint set, so equal keys mean α-equivalent sets.
+verdicts rest on canonical-key soundness — the key digests the sorted
+multiset of component keys, each of which digests its complete renamed
+component, so equal keys mean α-equivalent sets.
 
 Writes never happen inline.  Every tier buffers its inserts (deduplicated
 by canonical key) and the **single writer** — the sequential engine at
@@ -21,14 +26,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..expr.canon import CanonResult, canonicalize
+from ..expr.canon import canonicalize
 from ..expr.evaluate import EvalError, evaluate
 from ..expr.serialize import encode_exprs
 from .db import ReproStore
-
-# Bound on the per-tier memo of canonicalizations: the same flat set is
-# looked up and then recorded, and branch queries repeat pc prefixes.
-_CANON_MEMO_LIMIT = 4096
 
 
 class PersistentTier:
@@ -45,22 +46,7 @@ class PersistentTier:
         )
         # (size, serialized exprs) payloads of extracted UNSAT cores.
         self._pending_cores: list[tuple[int, bytes]] = []
-        self._canon_memo: OrderedDict[tuple[int, ...], CanonResult] = OrderedDict()
         self.rejects = 0  # SAT hits whose model failed verification
-
-    # -- canonicalization ------------------------------------------------------
-
-    def _canon(self, flat) -> CanonResult:
-        memo_key = tuple(sorted(c.eid for c in flat))
-        hit = self._canon_memo.get(memo_key)
-        if hit is not None:
-            self._canon_memo.move_to_end(memo_key)
-            return hit
-        result = canonicalize(flat)
-        self._canon_memo[memo_key] = result
-        if len(self._canon_memo) > _CANON_MEMO_LIMIT:
-            self._canon_memo.popitem(last=False)
-        return result
 
     # -- lookups ---------------------------------------------------------------
 
@@ -74,7 +60,7 @@ class PersistentTier:
         """
         if self.store is None:
             return None
-        canon = self._canon(flat)
+        canon = canonicalize(flat)
         hit = self.store.lookup_constraint(canon.key)
         if hit is None:
             return None
@@ -96,7 +82,7 @@ class PersistentTier:
 
     def record(self, flat, is_sat: bool, model: dict[str, int] | None) -> bool:
         """Buffer a verdict for the flush; True if the key is new here."""
-        canon = self._canon(flat)
+        canon = canonicalize(flat)
         if canon.key in self._pending:
             return False
         self._pending[canon.key] = (

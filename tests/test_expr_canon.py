@@ -15,23 +15,31 @@ is actually used:
 Plus: constraint-list shuffles never change the key, non-equivalent sets
 differ in (at least) the structural prefix, and model fragments survive
 the rename round trip.
+
+The key of a set is composed from the keys of its independence
+components (memoised per component); the composition laws at the end
+pin what that must not change.
 """
 
 import itertools
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.expr import canon as canon_module
 from repro.expr import ops
 from repro.expr.canon import (
     _constraint_digest,
     _multiset_digest,
     canonical_key,
     canonicalize,
+    clear_component_cache,
     clear_named_cache,
     named_key,
     structural_prefix,
 )
+from repro.expr.evaluate import evaluate
 
 # -- template AST: instantiable with arbitrary variable names ----------------
 
@@ -214,3 +222,140 @@ def test_symmetric_cycle_shuffle_and_rename():
     renamed = [ops.ult(b, c), ops.ult(c, a), ops.ult(a, b)]
     assert canonical_key(cycle) == canonical_key(shuffled)
     assert canonical_key(cycle) == canonical_key(renamed)
+
+
+# -- composition laws: the key is built per independence component -----------
+
+_byte_values = st.lists(st.integers(0, 255), min_size=4, max_size=4)
+
+
+def _satisfied_instance(template, names, values):
+    """The template over ``names`` with every conjunct that ``values``
+    falsifies negated: satisfied by ``values`` by construction, and two
+    instances with equal ``values`` are α-equivalent rebuilds."""
+    model = dict(zip(names, values))
+    return [
+        c if evaluate(c, model) else ops.not_(c)
+        for c in _instantiate(template, names)
+    ], model
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t1=_set_template(_ALL_BV_OPS, _ALL_CMPS),
+    t2=_set_template(_ALL_BV_OPS, _ALL_CMPS),
+    data=st.data(),
+)
+def test_union_key_is_composed_per_part(t1, t2, data):
+    """Two variable-disjoint parts: rebuilding and shuffling each part on
+    its own, interleaving them, and handing the names of one α-equivalent
+    part to the other all leave the key of the union alone."""
+    shuffled = lambda cons: list(data.draw(st.permutations(cons)))
+    union = _instantiate(t1, _fresh_names()) + _instantiate(t2, _fresh_names())
+    rebuilt = shuffled(
+        shuffled(_instantiate(t2, _fresh_names()))
+        + shuffled(_instantiate(t1, _fresh_names()))
+    )
+    assert canonical_key(rebuilt) == canonical_key(union)
+
+    # Twins: two α-equivalent parts side by side.  Which twin comes first
+    # in the list, and which got the earlier names, cannot matter.
+    twins = (
+        _instantiate(t1, _fresh_names())
+        + _instantiate(t1, _fresh_names())
+        + _instantiate(t2, _fresh_names())
+    )
+    early, late = _fresh_names(), _fresh_names()
+    swapped = (
+        _instantiate(t2, _fresh_names())
+        + _instantiate(t1, late)
+        + _instantiate(t1, early)
+    )
+    assert canonical_key(swapped) == canonical_key(twins)
+    assert structural_prefix(canonical_key(twins))[0] == len(twins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t1=_set_template(_ALL_BV_OPS, _ALL_CMPS),
+    t2=_set_template(_ALL_BV_OPS, _ALL_CMPS),
+    v1=_byte_values,
+    v2=_byte_values,
+    v3=_byte_values,
+    data=st.data(),
+)
+def test_model_crosses_to_alpha_equivalent_rebuild(t1, t2, v1, v2, v3, data):
+    """What the store does with a SAT row: a model of A, written in A's
+    canonical names, read back through the renaming of a rebuild B,
+    satisfies B — twins (two parts of one template) included."""
+    parts_a, model_a = [], {}
+    parts_b = []
+    for template, values in ((t1, v1), (t1, v2), (t2, v3)):
+        cons, model = _satisfied_instance(template, _fresh_names(), values)
+        parts_a += cons
+        model_a.update(model)
+        parts_b.append(_satisfied_instance(template, _fresh_names(), values)[0])
+    set_b = list(data.draw(st.permutations(sum(reversed(parts_b), []))))
+    canon_a, canon_b = canonicalize(parts_a), canonicalize(set_b)
+    assert canon_a.key == canon_b.key
+    model_b = canon_b.from_canonical(canon_a.to_canonical(model_a))
+    assert sorted(model_b) == sorted(canon_b.rename)
+    assert all(evaluate(c, model_b) for c in set_b)
+
+
+def test_equal_key_components_carry_their_own_values():
+    """Two components with one key and *different* satisfying values: the
+    model must reach a rebuild component-wise, never mixed or doubled."""
+    x, y, z, w = (ops.bv_var(f"canon_tw{i}", 8) for i in range(4))
+    window = lambda v, lo, hi: [ops.ult(ops.bv(lo, 8), v), ops.ult(v, ops.bv(hi, 8))]
+    between = lambda p, q: [ops.ult(p, q)]
+    set_a = window(x, 3, 10) + window(y, 3, 10) + between(z, w)
+    assert canonical_key(window(x, 3, 10)) == canonical_key(window(y, 3, 10))
+    p, q, r, t = (ops.bv_var(f"canon_tx{i}", 8) for i in range(4))
+    set_b = between(t, r) + window(q, 3, 10) + window(p, 3, 10)
+    canon_a, canon_b = canonicalize(set_a), canonicalize(set_b)
+    assert canon_a.key == canon_b.key
+    model_a = {x.name: 4, y.name: 9, z.name: 1, w.name: 200}
+    model_b = canon_b.from_canonical(canon_a.to_canonical(model_a))
+    assert sorted(model_b[v.name] for v in (p, q)) == [4, 9]
+    assert (model_b[t.name], model_b[r.name]) == (1, 200)
+    assert all(evaluate(c, model_b) for c in set_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t1=_set_template(_ALL_BV_OPS, _ALL_CMPS),
+    t2=_set_template(_ALL_BV_OPS, _ALL_CMPS),
+)
+def test_component_memo_is_unobservable(t1, t2):
+    """Cold, warm, evicting (bound 1) and cleared memo: one key, one
+    renaming."""
+    constraints = _instantiate(t1, _fresh_names()) + _instantiate(t2, _fresh_names())
+    clear_component_cache()
+    results = [canonicalize(constraints), canonicalize(constraints)]
+    with mock.patch.object(canon_module, "_COMPONENT_CACHE_MAX", 1):
+        clear_component_cache()
+        results += [canonicalize(constraints), canonicalize(constraints)]
+        assert len(canon_module._component_cache) <= 1
+    clear_component_cache()
+    results.append(canonicalize(constraints))
+    assert len({r.key for r in results}) == 1
+    assert all(r.rename == results[0].rename for r in results)
+
+
+def test_ground_conjuncts_and_single_constraint_roundtrip():
+    x = ops.bv_var("canon_gx", 8)
+    c = ops.ult(x, ops.bv(5, 8))
+    single = canonicalize([c])
+    assert structural_prefix(single.key)[:2] == (1, 1)
+    assert single.from_canonical(single.to_canonical({x.name: 3})) == {x.name: 3}
+
+    # A ground conjunct is a component of its own with nothing to rename.
+    grounded = canonicalize([ops.TRUE, c, ops.TRUE])
+    assert structural_prefix(grounded.key)[:2] == (3, 1)
+    assert grounded.key != single.key
+    assert grounded.key == canonical_key([c, ops.TRUE, ops.TRUE])
+    assert sorted(grounded.rename) == [x.name]
+    assert grounded.from_canonical(grounded.to_canonical({x.name: 3})) == {x.name: 3}
+    assert canonical_key([ops.TRUE]) != canonical_key([ops.FALSE])
+    assert canonicalize([ops.TRUE]).rename == {}

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.env.argv import ArgvSpec
+from repro.env.runner import run_symbolic
+from repro.expr import canon as canon_module
 from repro.expr import ops
 from repro.expr.canon import canonicalize
 from repro.solver.cache import QueryCache
@@ -11,8 +13,10 @@ from repro.store import (
     ReproStore,
     StoreError,
     apply_payload,
+    corpus,
     decode_core,
     open_store,
+    record_tests,
     seed_query_cache,
     spec_fingerprint,
 )
@@ -122,6 +126,33 @@ def test_tier_rejects_bad_model(store):
     assert tier.rejects == 1
 
 
+def test_tier_canonicalizes_per_component_once(store, monkeypatch):
+    """lookup + record of one flat set canonicalize each independence
+    component once between them; a pc grown by one conjunct pays for that
+    conjunct's component alone."""
+    calls = []
+    real = canon_module._canonicalize_component
+
+    def counted(cons):
+        calls.append(sorted(cons, key=lambda c: c.eid))
+        return real(cons)
+
+    monkeypatch.setattr(canon_module, "_canonicalize_component", counted)
+    canon_module.clear_component_cache()
+    by_eid = lambda *cons: sorted(cons, key=lambda c: c.eid)
+    tier = PersistentTier(store, program="prog")
+    flat = [A, C, B]  # components {A, B} over st_x and {C} over st_y
+    assert tier.lookup(flat) is None
+    assert tier.record(flat, True, {"st_x": 5, "st_y": 7})
+    assert sorted(calls, key=len) == [by_eid(C), by_eid(A, B)]
+
+    calls.clear()
+    grown = flat + [ops.ult(Y, ops.bv(9, 8))]
+    assert tier.lookup(grown) is None
+    assert tier.record(grown, True, {"st_x": 5, "st_y": 7})
+    assert calls == [by_eid(C, grown[-1])]
+
+
 # -- run metadata & test corpus ----------------------------------------------
 
 
@@ -169,3 +200,49 @@ def test_seed_query_cache(store):
     assert cache.lookup([ops.eq(X, ops.bv(5, 8))]) == (True, {"st_x": 5})
     # ... and the seeded core powers subset-UNSAT on supersets.
     assert cache.lookup([A, contradiction, C]) == (False, None)
+
+
+def test_record_tests_replays_only_new_rows(tmp_path, monkeypatch):
+    """A second commit of the same suite replays nothing, and the corpus
+    is row for row what replaying everything twice leaves (provenance of
+    the duplicates refreshed)."""
+    run = run_symbolic("echo", generate_tests=True)
+    module, spec, cases = run.engine.module, run.engine.spec, run.tests.cases
+    assert cases
+    replays = []
+    real_replay = corpus.replay_coverage
+
+    def counted(module, case, *args, **kwargs):
+        replays.append(case)
+        return real_replay(module, case, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "replay_coverage", counted)
+
+    def dump(store):
+        return [
+            store.conn.execute(f"SELECT * FROM {table} ORDER BY {order}").fetchall()
+            for table, order in (
+                ("tests", "id"),
+                ("test_coverage", "program, func, block"),
+                ("blobs", "hash"),
+            )
+        ]
+
+    with ReproStore(tmp_path / "incremental.sqlite") as store:
+        assert record_tests(store, module, "echo", spec, cases, run_id=1) == len(cases)
+        assert len(replays) == len(cases)
+        replays.clear()
+        assert record_tests(store, module, "echo", spec, cases, run_id=2) == 0
+        assert replays == []
+        incremental = dump(store)
+
+    with ReproStore(tmp_path / "replay_all.sqlite") as store:
+        monkeypatch.setattr(ReproStore, "test_keys", lambda *args: set())
+        record_tests(store, module, "echo", spec, cases, run_id=1)
+        record_tests(store, module, "echo", spec, cases, run_id=2)
+        assert len(replays) == 2 * len(cases)
+        assert dump(store) == incremental
+
+    created_run = [row[-1] for row in incremental[0]]
+    assert created_run == [2] * len(cases)
+    assert all(row[-2] is not None for row in incremental[0])  # coverage kept
