@@ -26,7 +26,7 @@ import time
 from ..expr import ops
 from ..solver.bitblast import check_sat
 from ..solver.portfolio import IncrementalChain, SolverChain
-from ..solver.sat import CDCLSolver, make_solver
+from ..solver.sat import CDCLSolver
 from .harness import RunSettings, cost_of, run_cell
 
 # Merge-heavy cells: the DSM/SSM mini corpus the presolve ablation targets.
@@ -165,7 +165,7 @@ def _stepping_rows() -> list[dict]:
     def bcp_pigeonhole():
         holes = 6
         pigeons = holes + 1
-        solver = make_solver()
+        solver = CDCLSolver()
         var = [[solver.new_var() for _ in range(holes)] for _ in range(pigeons)]
         for p in range(pigeons):
             solver.add_clause([var[p][h] for h in range(holes)])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..expr import nodes as N
 from ..expr.nodes import Expr
-from .sat import SatResult, make_solver
+from .sat import CDCLSolver, SatResult
 
 
 class BitBlaster:
@@ -30,7 +30,7 @@ class BitBlaster:
     """
 
     def __init__(self, max_learned: int | None = 4000) -> None:
-        self.sat = make_solver(max_learned=max_learned)
+        self.sat = CDCLSolver(max_learned=max_learned)
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
         self._bool_cache: dict[int, int] = {}

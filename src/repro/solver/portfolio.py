@@ -65,9 +65,8 @@ class SolverStats:
     sat_decisions: int = 0
     sat_conflicts: int = 0
     sat_propagations: int = 0
-    # Watch-list entries visited during BCP (array kernel).  The blocker
-    # optimization shows up as this falling relative to ``sat_propagations``;
-    # stays 0 under the legacy dict-of-lists kernel.
+    # Watch-list entries visited during BCP.  The blocker optimization
+    # shows up as this falling relative to ``sat_propagations``.
     bcp_props: int = 0
     cost_units: int = 0
     time_total: float = 0.0
@@ -103,6 +102,10 @@ class SolverStats:
     # ``sat_solver_runs`` counts *full blasts*: every bottom-tier query on
     # the fresh chain, but only blaster (re)builds on the incremental one.
     assumption_probes: int = 0
+    # Assumption literals whose level a probe found still on the CDCL
+    # trail vs. had left to place; they sum to the literals probes carried.
+    assumption_levels_reused: int = 0
+    assumption_levels_opened: int = 0
     incremental_reuses: int = 0
     clauses_retained: int = 0
     clauses_forgotten: int = 0
@@ -416,29 +419,31 @@ class SolverChain:
         return self.check(list(path_condition) + [expr]).is_sat
 
 
+# Cumulative CDCL counter -> the SolverStats field its per-probe delta feeds.
+_PROBE_COUNTERS = (
+    ("stats_decisions", "sat_decisions"),
+    ("stats_conflicts", "sat_conflicts"),
+    ("stats_propagations", "sat_propagations"),
+    ("stats_bcp_props", "bcp_props"),
+    ("stats_forgotten", "clauses_forgotten"),
+    ("stats_levels_reused", "assumption_levels_reused"),
+    ("stats_levels_opened", "assumption_levels_opened"),
+)
+
+
 class _PersistentBlaster:
     """A long-lived :class:`BitBlaster` plus last-seen CDCL counters.
 
-    The counters let the chain account each probe's *delta* cost, since
-    the underlying solver statistics are cumulative across queries.
+    The counters (``seen``, in :data:`_PROBE_COUNTERS` order) let the chain
+    account each probe's *delta* cost, since the underlying solver
+    statistics are cumulative across queries.
     """
 
-    __slots__ = (
-        "blaster",
-        "seen_decisions",
-        "seen_conflicts",
-        "seen_propagations",
-        "seen_bcp_props",
-        "seen_forgotten",
-    )
+    __slots__ = ("blaster", "seen")
 
     def __init__(self, max_learned: int | None = 4000) -> None:
         self.blaster = BitBlaster(max_learned=max_learned)
-        self.seen_decisions = 0
-        self.seen_conflicts = 0
-        self.seen_propagations = 0
-        self.seen_bcp_props = 0
-        self.seen_forgotten = 0
+        self.seen = [0] * len(_PROBE_COUNTERS)
 
 
 @dataclass
@@ -586,22 +591,14 @@ class IncrementalChain(SolverChain):
 
     def _account_probe(self, entry: _PersistentBlaster) -> None:
         sat = entry.blaster.sat
-        d_dec = sat.stats_decisions - entry.seen_decisions
-        d_con = sat.stats_conflicts - entry.seen_conflicts
-        d_prop = sat.stats_propagations - entry.seen_propagations
-        d_bcp = sat.stats_bcp_props - entry.seen_bcp_props
-        d_forgot = sat.stats_forgotten - entry.seen_forgotten
-        entry.seen_decisions = sat.stats_decisions
-        entry.seen_conflicts = sat.stats_conflicts
-        entry.seen_propagations = sat.stats_propagations
-        entry.seen_bcp_props = sat.stats_bcp_props
-        entry.seen_forgotten = sat.stats_forgotten
-        self.stats.sat_decisions += d_dec
-        self.stats.sat_conflicts += d_con
-        self.stats.sat_propagations += d_prop
-        self.stats.bcp_props += d_bcp
-        self.stats.clauses_forgotten += d_forgot
-        self.stats.cost_units += d_dec + d_con
+        stats = self.stats
+        seen = entry.seen
+        cost_before = stats.sat_decisions + stats.sat_conflicts
+        for i, (kernel_counter, field_name) in enumerate(_PROBE_COUNTERS):
+            now = getattr(sat, kernel_counter)
+            setattr(stats, field_name, getattr(stats, field_name) + now - seen[i])
+            seen[i] = now
+        stats.cost_units += stats.sat_decisions + stats.sat_conflicts - cost_before
 
 
 def complete_model(model: dict[str, int], variables) -> dict[str, int]:

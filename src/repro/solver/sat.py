@@ -17,30 +17,60 @@ stream of related path-condition queries without re-encoding anything.
 Literals are non-zero Python ints: ``+v`` is the positive literal of
 variable ``v`` (1-based), ``-v`` its negation.
 
-Two kernels implement the identical search:
+There is one kernel, :class:`CDCLSolver`.  Watch lists live in one flat
+preallocated list indexed ``lit + cap`` (grown by doubling in
+:meth:`CDCLSolver._grow_to`, so ``new_var`` never touches a dict), each
+watch entry carries a *blocker* literal whose truth lets the propagator
+skip the clause without normalizing it, assignment reads are inlined int
+compares, and decisions come from a lazy VSIDS max-heap that pops ``(max
+activity, min var)``.
 
-* :class:`CDCLSolver` — the array kernel.  Watch lists live in one flat
-  preallocated list indexed ``lit + cap`` (grown by doubling in
-  :meth:`CDCLSolver._grow_to`, so ``new_var`` never touches a dict), each
-  watch entry carries a *blocker* literal whose truth lets the propagator
-  skip the clause without normalizing it, assignment reads are inlined
-  int compares, and decisions come from a lazy VSIDS max-heap instead of
-  a linear scan.
-* :class:`LegacyCDCLSolver` — the original dict-of-lists implementation,
-  kept verbatim as the ablation baseline.
+The retained trail
+------------------
+Consecutive probes of one path condition share most of their assumption
+list, so the trail is not thrown away between calls:
 
-Both kernels make bit-for-bit identical decisions, propagations and
-conflicts: the blocker shortcut fires only when the blocker *is* the
-clause's current other watch (so it is exactly the legacy "first watch
-already true" keep), and the heap pops ``(max activity, min var)`` which
-is exactly the legacy linear scan's first-maximum tie-break.  Select the
-kernel with :func:`set_kernel` or ``REPRO_SAT_KERNEL=legacy``.
+* **What survives an answer.**  A SAT answer leaves every level on the
+  trail (the model is read from it).  UNSAT under assumptions leaves the
+  levels below the conflicting one — all of those already placed, when a
+  later assumption was simply found false.  Root-level UNSAT (``ok``
+  becomes False) and a conflict-budget timeout leave nothing.
+* **What the next** :meth:`~CDCLSolver.solve` **keeps.**  It backtracks to
+  the longest common prefix of its assumptions and the assumption levels
+  still open; free-decision levels always go.  When a learned-clause
+  reduction is due the prefix is given up for that one call, because
+  :meth:`~CDCLSolver.reduce_db` needs root level.  Assumption *order* is
+  the caller's: nothing is reordered to lengthen the prefix.  A solver
+  that is never given assumptions runs from root exactly as before.
+* **What** :meth:`~CDCLSolver.add_clause` **may do to the trail.**  It
+  undoes the free decisions of a SAT answer, sends a unit clause to root,
+  and otherwise leaves the assumption levels open: the clause is watched
+  on its two best literals (non-false first, then the false literal of
+  the highest level), implies its last open literal on the spot, and
+  undoes only the levels that falsify all of it.
+* **The completeness invariant.**  At every level it keeps, once the
+  propagation queue is drained, the trail is the full unit-propagation
+  closure of the assumptions behind it — what BCP from root would have
+  derived.  BCP alone does not give this for a clause that arrives late:
+  its implied literal is enqueued at the *current* level, but the levels
+  that force it may end lower, and a later backtrack into the region
+  between the two drops the literal while the clause's false watch stays
+  false, so BCP never looks at the clause again.  Abandoned constraints'
+  circuits then get *decided* instead of propagated, which costs more
+  than the kept prefix saves.  So each such literal is recorded in
+  ``_late`` with its clause and true implication level, and
+  :meth:`~CDCLSolver._backtrack` puts it back (at the target level,
+  queued for BCP) whenever the target is still at or above that level;
+  backtracking below it drops the record, and the clause is an ordinary
+  two-watched clause again.  Levels therefore stay monotone along the
+  trail and conflict analysis is unchanged.  Late implications sit only
+  at assumption levels (free decisions are undone before a clause is
+  added), so ``_late`` is empty at root, where reductions happen.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
 UNASSIGNED = -1
 
@@ -113,6 +143,14 @@ class CDCLSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.prop_head = 0
+        # Retained-trail state (module docstring).  ``_assumed`` is the
+        # latest assumption list: levels ``1..min(len(trail_lim),
+        # len(_assumed))`` are its pseudo-decisions, anything above is a
+        # free decision.  ``_late`` maps a variable implied by a clause
+        # that joined a live trail to ``(clause index, true implication
+        # level)``; it is empty at root level.
+        self._assumed: list[int] = []
+        self._late: dict[int, tuple[int, int]] = {}
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.ok = True
@@ -139,6 +177,10 @@ class CDCLSolver:
         # Watched-clause visits during BCP — the unit of propagation work
         # the watch/blocker machinery exists to minimize.
         self.stats_bcp_props = 0
+        # Assumption levels found still on the trail vs. left to place,
+        # per solve: their sum is the sum of ``len(assumptions)``.
+        self.stats_levels_reused = 0
+        self.stats_levels_opened = 0
         # After an UNSAT-under-assumptions answer: the subset of the
         # assumption literals that already forces the conflict (the
         # *assumption core*).  None after SAT answers and after root-level
@@ -148,55 +190,46 @@ class CDCLSolver:
     # -- problem construction ------------------------------------------------
 
     def _grow_to(self, nvars: int) -> None:
-        """Preallocate per-variable structures for variables ``1..nvars``.
-
-        The watch table doubles so a burst of ``new_var`` calls (a fresh
-        bit-blast encodes thousands of gate variables) costs amortized
-        O(1) per variable with no per-variable dict inserts.
-        """
-        if nvars > self._cap:
-            new_cap = self._cap
-            while nvars > new_cap:
-                new_cap *= 2
-            old, old_cap = self.watches, self._cap
-            new: list[list[tuple[int, int]]] = [[] for _ in range(2 * new_cap + 1)]
-            for v in range(1, len(self.assign)):  # vars allocated so far
-                new[new_cap + v] = old[old_cap + v]
-                new[new_cap - v] = old[old_cap - v]
-            self.watches = new
-            self._cap = new_cap
-        append_assign = self.assign.append
-        append_level = self.level.append
-        append_reason = self.reason.append
-        append_act = self.activity.append
-        append_phase = self.phase.append
-        append_in_order = self._in_order.append
-        order = self._order
-        for v in range(len(self.assign), nvars + 1):
-            append_assign(UNASSIGNED)
-            append_level(0)
-            append_reason(None)
-            append_act(0.0)
-            append_phase(False)
-            append_in_order(True)
-            heapq.heappush(order, (0.0, v))
+        """Double the watch table until it has room for variables ``1..nvars``."""
+        new_cap = self._cap
+        while nvars > new_cap:
+            new_cap *= 2
+        old, old_cap = self.watches, self._cap
+        new: list[list[tuple[int, int]]] = [[] for _ in range(2 * new_cap + 1)]
+        for v in range(1, len(self.assign)):  # vars allocated so far
+            new[new_cap + v] = old[old_cap + v]
+            new[new_cap - v] = old[old_cap - v]
+        self.watches = new
+        self._cap = new_cap
 
     def new_var(self) -> int:
-        self.num_vars += 1
-        self._grow_to(self.num_vars)
-        return self.num_vars
+        # A fresh bit-blast allocates tens of thousands of gate variables:
+        # the per-variable work is these appends and nothing else.
+        v = self.num_vars + 1
+        self.num_vars = v
+        if v > self._cap:
+            self._grow_to(v)
+        self.assign.append(UNASSIGNED)
+        self.level.append(0)
+        self.reason.append(None)
+        self.activity.append(0.0)
+        self.phase.append(False)
+        self._in_order.append(True)
+        heapq.heappush(self._order, (0.0, v))
+        return v
 
     def add_clause(self, lits: list[int]) -> bool:
         """Add a clause; returns False if the formula became trivially UNSAT.
 
-        May be called between :meth:`solve` calls (incremental use): any
-        leftover non-root assignment from a previous answer is undone first
-        so root-level simplification stays sound.
+        May be called between :meth:`solve` calls (incremental use).  Free
+        decisions left by a SAT answer are undone first; retained
+        assumption levels stay open unless the clause is a unit (which
+        goes to root) or they falsify it (:meth:`_attach_live`).
         """
         if not self.ok:
             return False
-        if self.trail_lim:
-            self._backtrack(0)
+        if len(self.trail_lim) > len(self._assumed):
+            self._backtrack(len(self._assumed))
         assign = self.assign
         level = self.level
         seen: set[int] = set()
@@ -218,6 +251,7 @@ class CDCLSolver:
             self.ok = False
             return False
         if len(out) == 1:
+            self._backtrack(0)
             if not self._enqueue(out[0], None):
                 self.ok = False
                 return False
@@ -226,8 +260,54 @@ class CDCLSolver:
                 self.ok = False
                 return False
             return True
-        self._attach_clause(out, learnt=False)
+        if self.trail_lim:
+            self._attach_live(out)
+        else:
+            self._attach_clause(out, learnt=False)
         return True
+
+    def _attach_live(self, out: list[int]) -> None:
+        """Attach ``out`` (two or more literals) under open assumption levels.
+
+        The two best watches go to the front — non-false literals first,
+        then the false literal of the highest level — which is the watch
+        invariant BCP would have established had the clause been there all
+        along.  Levels that falsify the whole clause are undone.  If one
+        literal is left to carry the clause it is implied on the spot, and
+        when the levels that force it end below the level it sits at, the
+        pair goes into ``_late`` so :meth:`_backtrack` can keep the
+        implication alive (BCP alone never revisits this clause: its
+        false watch stays false).
+        """
+        assign = self.assign
+        level = self.level
+        non_false = len(self.trail_lim) + 1  # outranks every level
+
+        def rank(lit: int) -> int:
+            var = lit if lit > 0 else -lit
+            val = assign[var]
+            if val == UNASSIGNED or (val == 1) == (lit > 0):
+                return non_false
+            return level[var]
+
+        while True:
+            out.sort(key=rank, reverse=True)  # stable: ties keep their order
+            falsified_at = rank(out[0])
+            if falsified_at == non_false:
+                break
+            self._backtrack(falsified_at - 1)
+        idx = self._attach_clause(out, learnt=False)
+        forced_at = rank(out[1])
+        if forced_at == non_false:
+            return
+        first = out[0]
+        var = first if first > 0 else -first
+        if assign[var] == UNASSIGNED:
+            self._enqueue(first, idx)
+        if level[var] > forced_at:
+            known = self._late.get(var)
+            if known is None or known[1] > forced_at:
+                self._late[var] = (idx, forced_at)
 
     def _attach_clause(self, lits: list[int], learnt: bool) -> int:
         idx = len(self.clauses)
@@ -275,8 +355,8 @@ class CDCLSolver:
         arrays.  Kept watch entries are compacted in place (write index
         chasing the read index) instead of building a fresh list, and a
         true blocker that still matches the clause's other watch skips
-        the clause outright — behaviorally identical to the legacy
-        kernel's "first watch already true" keep.
+        the clause outright — exactly the "first watch already true"
+        keep of a normalizing propagator.
         """
         clauses = self.clauses
         watches = self.watches
@@ -500,6 +580,8 @@ class CDCLSolver:
         trail = self.trail
         in_order = self._in_order
         heappush = heapq.heappush
+        late = self._late
+        undone_late: list[int] = []
         while len(self.trail_lim) > target_level:
             bound = self.trail_lim.pop()
             while len(trail) > bound:
@@ -511,7 +593,21 @@ class CDCLSolver:
                 if not in_order[var]:
                     heappush(order, (-activity[var], var))
                     in_order[var] = True
+                if var in late:
+                    undone_late.append(lit)
         self.prop_head = min(self.prop_head, len(trail))
+        # Completeness at retained levels: a late implication whose
+        # forcing levels all survive is put back (at the target level, so
+        # levels stay monotone along the trail) and queued for BCP; one
+        # that lost a forcing level is ordinary again — its clause's
+        # false watch was just unassigned with it.
+        for lit in reversed(undone_late):
+            var = lit if lit > 0 else -lit
+            ci, forced_at = late[var]
+            if forced_at <= target_level:
+                self._enqueue(lit, ci)
+            else:
+                del late[var]
 
     # -- clause-database reduction --------------------------------------------
 
@@ -597,6 +693,8 @@ class CDCLSolver:
         seen = {abs(lit) for lit in seed_lits if self.level[abs(lit)] > 0}
         core: list[int] = []
         for lit in reversed(self.trail):
+            if not seen:
+                break  # nothing left to explain
             var = abs(lit)
             if var not in seen:
                 continue
@@ -619,9 +717,8 @@ class CDCLSolver:
 
         Heap entries are ``(-activity, var)``; an entry is valid iff the
         variable is unassigned and the cached activity is current.  The
-        ordering reproduces the legacy linear scan exactly: the scan kept
-        the first strict maximum in index order, and the heap pops
-        ``(max activity, min var)``.
+        heap pops ``(max activity, min var)`` — the first strict maximum
+        of a linear scan in index order.
         """
         order = self._order
         assign = self.assign
@@ -653,21 +750,32 @@ class CDCLSolver:
         ``1..k`` before the free search starts.  UNSAT under assumptions
         leaves the solver reusable (``ok`` stays True); only a root-level
         conflict marks the formula permanently UNSAT.  After a SAT answer
-        the trail is kept so :meth:`value` reads the model; the next
-        :meth:`solve` or :meth:`add_clause` call clears it.  An
+        the trail is kept so :meth:`value` reads the model.  An
         UNSAT-under-assumptions answer additionally leaves the culpable
-        assumption subset in :attr:`last_core`.
+        assumption subset in :attr:`last_core`.  Which levels stay on the
+        trail for the next call is the module docstring's contract.
         """
         self.last_core = None
+        assumed = list(assumptions) if assumptions else []
+        keep = 0
+        if self.ok and (self.max_learned is None or self.num_learned <= self.max_learned):
+            # (A reduction that is due needs root level: no prefix then.)
+            retained = self._assumed
+            limit = min(len(self.trail_lim), len(retained), len(assumed))
+            while keep < limit and retained[keep] == assumed[keep]:
+                keep += 1
+        self.stats_levels_reused += keep
+        self.stats_levels_opened += len(assumed) - keep
         if not self.ok:
             return SatResult.UNSAT
-        self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
-            self.ok = False
-            return SatResult.UNSAT
-        self._maybe_reduce()
-        assumed = list(assumptions) if assumptions else []
+        self._assumed = assumed
+        self._backtrack(keep)
+        if not keep:
+            conflict = self._propagate()
+            if conflict is not None:
+                self.ok = False
+                return SatResult.UNSAT
+            self._maybe_reduce()
         restart_num = 1
         conflicts_until_restart = 100 * luby(restart_num)
         total_conflicts = 0
@@ -685,8 +793,9 @@ class CDCLSolver:
                 if len(self.trail_lim) <= len(assumed):
                     # Conflict forced entirely by the assumptions: UNSAT
                     # under assumptions, but the formula itself is intact.
+                    # The levels below the conflicting one stay.
                     self.last_core = self._analyze_final(self.clauses[conflict])
-                    self._backtrack(0)
+                    self._backtrack(len(self.trail_lim) - 1)
                     return SatResult.UNSAT
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -695,6 +804,9 @@ class CDCLSolver:
                 else:
                     idx = self._attach_clause(learned, learnt=True)
                     self.stats_learned += 1
+                    # The backjump cannot have re-implied the negation:
+                    # late implications sit at assumption levels, and
+                    # this variable was assigned above them.
                     self._enqueue(learned[0], idx)
                 self.var_inc /= self.var_decay
                 self.cla_inc /= self.cla_decay
@@ -719,10 +831,10 @@ class CDCLSolver:
                 if val is False:
                     # Earlier assumptions already imply ¬lit: the core is
                     # this assumption plus whatever forced its negation.
+                    # Every open level is consistent and stays.
                     core = self._analyze_final([lit])
                     core.append(lit)
                     self.last_core = core
-                    self._backtrack(0)
                     return SatResult.UNSAT
                 self.trail_lim.append(len(self.trail))
                 if val is None:
@@ -734,252 +846,3 @@ class CDCLSolver:
                 self.stats_decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(decision, None)
-
-
-class LegacyCDCLSolver:
-    """The original dict-of-lists CDCL kernel, kept as the ablation baseline.
-
-    Search-identical to :class:`CDCLSolver` (same decisions, propagation
-    order, conflicts, learned clauses and models); only the data layout
-    differs.  Selected with ``set_kernel("legacy")`` or
-    ``REPRO_SAT_KERNEL=legacy``.
-    """
-
-    def __init__(self, max_learned: int | None = 4000) -> None:
-        self.num_vars = 0
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign: list[int] = [UNASSIGNED]  # index 0 unused
-        self.level: list[int] = [0]
-        self.reason: list[int | None] = [None]
-        self.activity: list[float] = [0.0]
-        self.phase: list[bool] = [False]
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.prop_head = 0
-        self.var_inc = 1.0
-        self.var_decay = 0.95
-        self.ok = True
-        self.clause_learnt: list[bool] = []
-        self.clause_act: list[float] = []
-        self.cla_inc = 1.0
-        self.cla_decay = 0.999
-        self.num_learned = 0
-        self.max_learned = max_learned
-        self.reduce_growth = 1.2
-        self.stats_decisions = 0
-        self.stats_propagations = 0
-        self.stats_conflicts = 0
-        self.stats_learned = 0
-        self.stats_restarts = 0
-        self.stats_forgotten = 0
-        self.stats_reductions = 0
-        # This kernel predates per-visit accounting; stays 0 so the
-        # chain's delta bookkeeping works unchanged on either kernel.
-        self.stats_bcp_props = 0
-        self.last_core: list[int] | None = None
-
-    # -- problem construction ------------------------------------------------
-
-    def new_var(self) -> int:
-        self.num_vars += 1
-        self.assign.append(UNASSIGNED)
-        self.level.append(0)
-        self.reason.append(None)
-        self.activity.append(0.0)
-        self.phase.append(False)
-        v = self.num_vars
-        self.watches[v] = []
-        self.watches[-v] = []
-        return v
-
-    add_clause = CDCLSolver.add_clause
-
-    def _attach_clause(self, lits: list[int], learnt: bool) -> int:
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        self.clause_learnt.append(learnt)
-        self.clause_act.append(self.cla_inc if learnt else 0.0)
-        if learnt:
-            self.num_learned += 1
-        self.watches[lits[0]].append(idx)
-        self.watches[lits[1]].append(idx)
-        return idx
-
-    # -- assignment helpers ---------------------------------------------------
-
-    _lit_value = CDCLSolver._lit_value
-    value = CDCLSolver.value
-    _enqueue = CDCLSolver._enqueue
-
-    # -- BCP with two watched literals ----------------------------------------
-
-    def _propagate(self) -> int | None:
-        """Propagate; returns a conflicting clause index or None."""
-        while self.prop_head < len(self.trail):
-            lit = self.trail[self.prop_head]
-            self.prop_head += 1
-            self.stats_propagations += 1
-            falsified = -lit
-            watch_list = self.watches[falsified]
-            new_list: list[int] = []
-            i = 0
-            n = len(watch_list)
-            while i < n:
-                ci = watch_list[i]
-                i += 1
-                clause = self.clauses[ci]
-                # Ensure the falsified literal is at position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if self._lit_value(first) is True:
-                    new_list.append(ci)
-                    continue
-                # Look for a new literal to watch.
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                new_list.append(ci)
-                if self._lit_value(first) is False:
-                    # Conflict: keep remaining watches, report.
-                    new_list.extend(watch_list[i:n])
-                    self.watches[falsified] = new_list
-                    return ci
-                self._enqueue(first, ci)
-            self.watches[falsified] = new_list
-        return None
-
-    # -- conflict analysis ------------------------------------------------------
-
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-
-    _cla_bump = CDCLSolver._cla_bump
-    _analyze = CDCLSolver._analyze
-
-    def _backtrack(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            bound = self.trail_lim.pop()
-            while len(self.trail) > bound:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.phase[var] = self.assign[var] == 1
-                self.assign[var] = UNASSIGNED
-                self.reason[var] = None
-        self.prop_head = min(self.prop_head, len(self.trail))
-
-    # -- clause-database reduction --------------------------------------------
-
-    _maybe_reduce = CDCLSolver._maybe_reduce
-
-    def reduce_db(self) -> int:
-        """Forget the least-active half of the learned clauses.
-
-        See :meth:`CDCLSolver.reduce_db`; identical policy on the dict
-        watch layout.
-        """
-        if self.trail_lim:
-            raise RuntimeError("reduce_db requires root level")
-        locked = {
-            ci for ci in (self.reason[abs(lit)] for lit in self.trail) if ci is not None
-        }
-        candidates = [
-            ci
-            for ci in range(len(self.clauses))
-            if self.clause_learnt[ci] and ci not in locked and len(self.clauses[ci]) > 2
-        ]
-        candidates.sort(key=lambda ci: self.clause_act[ci])
-        doomed = set(candidates[: len(candidates) // 2])
-        if not doomed:
-            return 0
-        mapping: dict[int, int] = {}
-        clauses: list[list[int]] = []
-        learnt: list[bool] = []
-        act: list[float] = []
-        for ci, clause in enumerate(self.clauses):
-            if ci in doomed:
-                continue
-            mapping[ci] = len(clauses)
-            clauses.append(clause)
-            learnt.append(self.clause_learnt[ci])
-            act.append(self.clause_act[ci])
-        self.clauses = clauses
-        self.clause_learnt = learnt
-        self.clause_act = act
-        # Watched literals live at positions 0/1 of every clause (the
-        # propagation loop maintains that), so rebuilding the watch lists
-        # from those positions reproduces the watch structure exactly.
-        for key in self.watches:
-            self.watches[key].clear()
-        for nc, clause in enumerate(clauses):
-            self.watches[clause[0]].append(nc)
-            self.watches[clause[1]].append(nc)
-        for v in range(1, self.num_vars + 1):
-            r = self.reason[v]
-            if r is not None:
-                self.reason[v] = mapping[r]
-        forgotten = len(doomed)
-        self.num_learned -= forgotten
-        self.stats_forgotten += forgotten
-        self.stats_reductions += 1
-        return forgotten
-
-    # -- assumption-core extraction (MiniSat's analyzeFinal) -------------------
-
-    _analyze_final = CDCLSolver._analyze_final
-
-    # -- decisions -----------------------------------------------------------
-
-    def _decide(self) -> int | None:
-        best_var = 0
-        best_act = -1.0
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] == UNASSIGNED and self.activity[v] > best_act:
-                best_var = v
-                best_act = self.activity[v]
-        if best_var == 0:
-            return None
-        return best_var if self.phase[best_var] else -best_var
-
-    # -- main loop -----------------------------------------------------------
-
-    solve = CDCLSolver.solve
-
-
-# -- kernel selection ----------------------------------------------------------
-
-_KERNELS: dict[str, type] = {
-    "array": CDCLSolver,
-    "legacy": LegacyCDCLSolver,
-}
-
-#: Active kernel name; the bit-blaster constructs through :func:`make_solver`.
-ACTIVE_KERNEL = os.environ.get("REPRO_SAT_KERNEL", "array")
-if ACTIVE_KERNEL not in _KERNELS:  # pragma: no cover - env guard
-    ACTIVE_KERNEL = "array"
-
-
-def set_kernel(name: str) -> str:
-    """Select the CDCL kernel (``"array"`` or ``"legacy"``); returns the old."""
-    if name not in _KERNELS:
-        raise ValueError(f"unknown SAT kernel {name!r}")
-    global ACTIVE_KERNEL
-    old = ACTIVE_KERNEL
-    ACTIVE_KERNEL = name
-    return old
-
-
-def make_solver(max_learned: int | None = 4000):
-    """Construct a solver of the active kernel (the bit-blaster's hook)."""
-    return _KERNELS[ACTIVE_KERNEL](max_learned=max_learned)
