@@ -11,6 +11,7 @@ recent predecessor of another worklist state.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -125,9 +126,13 @@ class Engine:
         self.coverage.register_module(module)
         self.tests = TestSuite(spec)
         self.worklist: list[SymState] = []
-        self._loc_index: dict[tuple, list[SymState]] = {}
-        # sid -> the loc_key a resident state is indexed under.
+        # The merge-candidate index (merging runs only): loc_key -> merge
+        # key -> {entry seq: resident}, the wild residents (merge key None)
+        # filed under None.  Every inner dict is in insertion order.
+        self._loc_index: dict[tuple, dict[object, dict[int, SymState]]] = {}
+        # sid -> (loc_key, merge key, entry seq) a resident is indexed under.
         self._loc_of: dict[int, tuple] = {}
+        self._index_seq = 0
         self._sid_counter = 0
         self._live_cache: dict[str, dict[str, frozenset[str]]] = {}
         self._live_at_cache: dict[tuple[str, str, int], frozenset[str]] = {}
@@ -558,29 +563,41 @@ class Engine:
         """Enter ``state`` into the worklist, or merge it into a resident.
 
         ``try_merge`` marks a successor that just moved (seeds and freshly
-        merged states pass False).  Its location key is computed here, once
-        per move: it feeds the DSM history entry, the merge-candidate
-        lookup and the location index, and is kept for the removal.
+        merged states pass False).  In a merging run its location key,
+        the relation's location context and its merge key are computed
+        here, once per move: they feed the DSM history entry, the
+        merge-candidate lookup and the index, and are kept for the removal.
         """
-        loc = state.loc_key()
-        if try_merge:
-            self._record_history(state, loc)
-            if self._try_merge(state, loc) is not None:
+        if self.config.merging != "none":
+            loc = state.loc_key()
+            similarity = self.similarity
+            context = similarity.location_context(state)
+            if try_merge:
+                self._record_history(state, loc, context)
+            key = similarity.merge_key(state, context)
+            if try_merge and self._try_merge(state, loc, key, context) is not None:
                 return
+            self._index_seq = seq = self._index_seq + 1
+            self._loc_index.setdefault(loc, {}).setdefault(key, {})[seq] = state
+            self._loc_of[state.sid] = (loc, key, seq)
         self.worklist.append(state)
-        self._loc_index.setdefault(loc, []).append(state)
-        self._loc_of[state.sid] = loc
         self.strategy.on_add(state)
         self.stats.max_worklist = max(self.stats.max_worklist, len(self.worklist))
 
     def _index_remove(self, state: SymState) -> None:
-        loc = self._loc_of.pop(state.sid)
+        entry = self._loc_of.pop(state.sid, None)
+        if entry is None:
+            return  # plain run: nothing is indexed
+        loc, key, seq = entry
         bucket = self._loc_index[loc]
-        bucket.remove(state)
-        if not bucket:
-            del self._loc_index[loc]
+        filed = bucket[key]
+        del filed[seq]
+        if not filed:
+            del bucket[key]
+            if not bucket:
+                del self._loc_index[loc]
 
-    def _record_history(self, state: SymState, loc: tuple) -> None:
+    def _record_history(self, state: SymState, loc: tuple, context) -> None:
         """Append the state's current (location, hash) to its DSM trace.
 
         Called while the state is *off* the worklist (between its step and
@@ -589,22 +606,35 @@ class Engine:
         """
         if self.config.merging != "dynamic":
             return
-        entry = (loc, self.similarity.state_hash(state))
+        entry = (loc, self.similarity.state_hash(state, context))
         history = state.history + (entry,)
         if len(history) > self.config.dsm_delta:
             history = history[-self.config.dsm_delta :]
         state.history = history
 
-    def _try_merge(self, new_state: SymState, loc: tuple) -> SymState | None:
-        """Algorithm 1 lines 17–22: merge into a matching worklist state."""
+    def _merge_candidates(self, loc: tuple, key):
+        """Residents at ``loc`` that may be ``~`` to a state with merge ``key``.
+
+        By the ``merge_key`` law those are the residents filed under the
+        same key plus the wild ones — everyone, for a wild newcomer —
+        yielded oldest first, which is the order a scan of the whole
+        bucket would meet them in.
+        """
         bucket = self._loc_index.get(loc)
         if not bucket:
-            return None
-        # Every candidate shares new_state's location, hence whatever the
-        # relation derives from the location alone: resolve that once.
+            return ()
+        if key is None:
+            filed = list(bucket.values())
+        else:
+            filed = [f for f in (bucket.get(key), bucket.get(None)) if f]
+        if len(filed) == 1:
+            return list(filed[0].values())
+        return [state for _, state in heapq.merge(*[f.items() for f in filed])]
+
+    def _try_merge(self, new_state: SymState, loc: tuple, key, context) -> SymState | None:
+        """Algorithm 1 lines 17–22: merge into a matching worklist state."""
         similarity = self.similarity
-        context = similarity.location_context(new_state)
-        for candidate in bucket:
+        for candidate in self._merge_candidates(loc, key):
             if not similarity.mergeable(new_state, candidate, context):
                 continue
             merged = merge_states(

@@ -11,6 +11,12 @@
 Each relation also provides the state hash of §4.3 used by dynamic state
 merging: ``h(v)`` maps symbolic values to a sentinel and concrete values to
 themselves, so hash equality conservatively approximates ``~``.
+
+The same ``h(v)`` signature, kept exact, is what the engine's worklist
+index files residents under (:meth:`SimilarityRelation.merge_key`): the
+"is there a similar state?" of Algorithm 1 line 17 is a dictionary lookup
+for every state whose hot values are all concrete, and a pairwise
+comparison only against — or on behalf of — the others.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ def _h(value: Expr) -> int:
     return _SYMBOLIC if value.is_symbolic() else value.eid
 
 
+def _eid(value: Expr | None) -> int | None:
+    return None if value is None else value.eid
+
+
 def _compatible(v1: Expr, v2: Expr) -> bool:
     """Eq. 1 per-variable condition: equal, or symbolic in at least one."""
     return v1 is v2 or v1.is_symbolic() or v2.is_symbolic()
@@ -42,15 +52,29 @@ class SimilarityRelation:
     def location_context(self, state: SymState):
         """What :meth:`mergeable` derives from ``state``'s stack location alone.
 
-        A caller comparing one state against many at the same ``loc_key``
-        resolves it once and passes it along; None means nothing to hoist.
+        A caller resolves it once per move and passes it to ``state_hash``,
+        ``merge_key`` and every ``mergeable`` against a candidate at the
+        same ``loc_key``; None means nothing to hoist.
         """
         return None
 
     def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         raise NotImplementedError
 
-    def state_hash(self, state: SymState) -> int:
+    def merge_key(self, state: SymState, context=None):
+        """What ``state`` must agree on, exactly, with anything it is ``~`` to.
+
+        The law, for states ``a``, ``b`` at one ``loc_key`` (where the
+        names a frame can see, and the regions they denote, are the same):
+        when both keys are not None, ``merge_key(a) == merge_key(b)`` iff
+        ``mergeable(a, b)``.  None means "compare me pairwise": the state
+        holds one of Eq. 1's wildcards, so no single key can stand for
+        everything it is similar to.  Keys are hashable; the default
+        claims nothing.
+        """
+        return None
+
+    def state_hash(self, state: SymState, context=None) -> int:
         raise NotImplementedError
 
 
@@ -60,7 +84,10 @@ class MergeNever(SimilarityRelation):
     def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         return False
 
-    def state_hash(self, state: SymState) -> int:
+    def merge_key(self, state: SymState, context=None):
+        return state.sid  # distinct for distinct states, as the law asks
+
+    def state_hash(self, state: SymState, context=None) -> int:
         return hash((state.sid, "never"))  # never collides on purpose
 
 
@@ -70,7 +97,10 @@ class MergeAlways(SimilarityRelation):
     def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         return True
 
-    def state_hash(self, state: SymState) -> int:
+    def merge_key(self, state: SymState, context=None):
+        return ()
+
+    def state_hash(self, state: SymState, context=None) -> int:
         return hash(state.loc_key())
 
 
@@ -99,6 +129,9 @@ class QceSimilarity(SimilarityRelation):
         # pins its tuple, so a live key's id cannot be reused.  Kept here,
         # not on ``Region``: region equality and ``snapshot()`` never see it.
         self._cells_memo: OrderedDict[int, tuple[tuple, tuple[int, ...]]] = OrderedDict()
+        # (state, its merge key) left by the latest ``state_hash``, for the
+        # ``merge_key`` call that follows it on the same, unmoved state.
+        self._walked: tuple | None = None
 
     def qt_global(self, state: SymState) -> float:
         return sum(self.qce.qt_local(f.func, f.block) for f in state.frames)
@@ -159,31 +192,69 @@ class QceSimilarity(SimilarityRelation):
                         return False
         return True
 
-    def state_hash(self, state: SymState) -> int:
-        # Structural mergeability must be part of the hash: two states with
-        # equal hot-variable values but, say, different output lengths can
-        # never merge, and treating them as "similar" would make DSM
-        # fast-forward them against each other indefinitely.
-        parts: list = [state.shape_fingerprint()]
+    def _signature(self, state: SymState, context) -> tuple[tuple, bool]:
+        """``(var, h(v))`` of every hot variable per frame, and whether it is exact.
+
+        Resolves names the way :meth:`mergeable` does.  The signature is
+        exact when no ``h(v)`` had to stand in for something else: no hot
+        value is symbolic and none is missing from the state.
+        """
+        exact = True
+        parts: list = []
         globals_store = state.globals_store
-        for frame, hot in zip(state.frames, self.location_context(state)):
+        for frame, hot in zip(state.frames, context):
             frame_part: list = []
             store = frame.store
             for var in hot:
                 value = store.get(var)
+                if value is None and var.startswith("g$"):
+                    value = globals_store.get(var)
                 if value is not None:
-                    frame_part.append((var, _h(value)))
-                    continue
-                if var.startswith("g$") and var in globals_store:
-                    frame_part.append((var, _h(globals_store[var])))
+                    h = _h(value)
+                    exact = exact and h != _SYMBOLIC
+                    frame_part.append((var, h))
                     continue
                 binding = frame.arrays.get(var)
                 key = binding.key if binding is not None else (0, "global", var)
                 region = state.regions.get(key)
-                if region is not None:
-                    frame_part.append((var, self._cells_signature(region.cells)))
+                if region is None:
+                    exact = False
+                    continue
+                signature = self._cells_signature(region.cells)
+                exact = exact and _SYMBOLIC not in signature
+                frame_part.append((var, signature))
             parts.append(tuple(frame_part))
-        return hash(tuple(parts))
+        return tuple(parts), exact
+
+    def merge_key(self, state: SymState, context=None):
+        """The hot-value signature when it is exact, else None.
+
+        Between exact signatures Eq. 1 is equality: every hot value is a
+        concrete interned expression, present on both sides.  A symbolic
+        or missing hot value is Eq. 1's wildcard — the state may be
+        similar to states whose signatures differ from its own and from
+        each other — so it is left to pairwise comparison.
+        """
+        walked = self._walked
+        if walked is not None and walked[0] is state:
+            self._walked = None
+            return walked[1]
+        if context is None:
+            context = self.location_context(state)
+        signature, exact = self._signature(state, context)
+        return signature if exact else None
+
+    def state_hash(self, state: SymState, context=None) -> int:
+        # Structural mergeability must be part of the hash: two states with
+        # equal hot-variable values but, say, different output lengths can
+        # never merge, and treating them as "similar" would make DSM
+        # fast-forward them against each other indefinitely.
+        if context is None:
+            context = self.location_context(state)
+        signature, exact = self._signature(state, context)
+        # The engine asks for the moved state's merge key next: same walk.
+        self._walked = (state, signature if exact else None)
+        return hash((state.shape_fingerprint(),) + signature)
 
 
 class QceFullSimilarity(QceSimilarity):
@@ -232,6 +303,9 @@ class QceFullSimilarity(QceSimilarity):
             if v1 is not None and v1 is not v2:
                 yield 0, var, v1, v2
 
+    def merge_key(self, state: SymState, context=None):
+        return None  # Eq. 7 weighs differing values; it is not an equivalence
+
     def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         qt_g = self.qt_global(s2)
         threshold = self.qce.params.alpha * qt_g
@@ -271,7 +345,21 @@ class LiveVarSimilarity(SimilarityRelation):
                 return False
         return s1.globals_store == s2.globals_store
 
-    def state_hash(self, state: SymState) -> int:
+    def merge_key(self, state: SymState, context=None):
+        """The identity of everything :meth:`mergeable` compares: never wild."""
+        frames = tuple(
+            [
+                tuple([(var, _eid(frame.store.get(var))) for var in sorted(live)])
+                for frame, live in zip(state.frames, self.live_sets(state))
+            ]
+        )
+        regions = tuple(
+            sorted([(key, tuple([c.eid for c in r.cells])) for key, r in state.regions.items()])
+        )
+        globals_part = tuple(sorted([(n, v.eid) for n, v in state.globals_store.items()]))
+        return (frames, regions, globals_part)
+
+    def state_hash(self, state: SymState, context=None) -> int:
         parts: list = [state.shape_fingerprint()]
         for frame, live in zip(state.frames, self.live_sets(state)):
             parts.append(tuple((v, frame.store[v].eid) for v in sorted(live) if v in frame.store))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..env.argv import ArgvSpec
 from ..expr.canon import named_key
-from ..solver.independence import split_independent
+from ..expr.independence import split_independent
 from ..solver.portfolio import SolverChain, complete_model
 from .stats import EngineStats
 

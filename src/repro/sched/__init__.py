@@ -18,7 +18,9 @@ The model: a :class:`Signal` maps a work item (a live
 :class:`~repro.engine.state.SymState` or a partition's metadata) to a
 comparable score, *lower = run sooner*.  A :class:`Prioritizer` composes
 signals lexicographically into one key and maintains a lazily-rescored
-heap over the registered items.  Signals available today:
+heap over the registered items, one entry per group of items that share
+a key (per location when every signal is location-scoped).  Signals
+available today:
 
 * global coverage frontier (is the item's block uncovered *this run*?);
 * stored corpus evidence (does any stored test cover the block? —

@@ -4,7 +4,11 @@ A :class:`Signal` scores one work item; a :class:`Prioritizer` composes
 several into a lexicographic key (lower = run sooner) and keeps the
 registered items in a binary heap with *lazy rescoring*: keys are
 computed at registration time, and a popped minimum is re-checked against
-its current key before it is trusted.
+its current key before it is trusted.  The heap holds one entry per
+*group* of items that are bound to share a key — every item at one
+``(func, block)`` when all signals are location-scoped, the single item
+otherwise — so a key that went stale is corrected once, not once per
+item waiting there.
 
 Why lazy rescoring is sound here: every dynamic signal in this module is
 **monotone** while an item sits in the worklist — run coverage only
@@ -34,9 +38,14 @@ class Signal:
     Scores must be mutually comparable across calls (numbers or
     homogeneous tuples) and must never *decrease* while the item stays
     registered (see the module docstring).
+
+    ``location_scoped`` declares that the score is a function of the top
+    frame's ``(func, block)`` and the engine alone, and never decreases
+    while *any* item waits at that location (items there share one key).
     """
 
     name = "signal"
+    location_scoped = False
 
     def score(self, state, engine):
         raise NotImplementedError
@@ -50,6 +59,7 @@ class CoverageFrontierSignal(Signal):
     """
 
     name = "coverage-frontier"
+    location_scoped = True
 
     def score(self, state, engine):
         frame = state.top
@@ -67,6 +77,7 @@ class CorpusNoveltySignal(Signal):
     """
 
     name = "corpus-novelty"
+    location_scoped = True
 
     def score(self, state, engine):
         corpus = getattr(engine, "corpus_covered", None)
@@ -87,6 +98,7 @@ class PickCountSignal(Signal):
     """
 
     name = "pick-count"
+    location_scoped = True
 
     def __init__(self, counts: Counter):
         self.counts = counts
@@ -108,6 +120,7 @@ class QceLoadSignal(Signal):
     """
 
     name = "qce-load"
+    location_scoped = True
 
     def __init__(self, qt_table: dict[tuple[str, str], float], prefer: str = "light"):
         self.qt_table = qt_table
@@ -155,6 +168,22 @@ class TopologicalSignal(Signal):
         return topological_key(state, engine)
 
 
+class _Group:
+    """Residents that share one scheduling key.
+
+    ``entry`` is the heap entry that speaks for the group, ``members`` a
+    heap of the frozen ``(tiebreak, seq, sid)`` of everything registered
+    into it (removals are lazy), ``live`` how many of those are resident.
+    """
+
+    __slots__ = ("entry", "members", "live")
+
+    def __init__(self, entry, member):
+        self.entry = entry
+        self.members = [member]
+        self.live = 1
+
+
 class Prioritizer:
     """A lexicographic composition of signals over a lazily-rescored heap.
 
@@ -162,14 +191,25 @@ class Prioritizer:
 
     * **registered** — the engine mirrors its worklist through
       ``add``/``remove`` (the strategy ``on_add``/``on_remove`` hooks) and
-      ``select`` answers from the heap: signals are scored at ``add`` and
-      re-scored only for the stale minima a pick pops on its way to a
-      verified one (k of them cost O(k · (signals + log n)); with a
-      shared pick counter k is typically a handful per pick, not 0),
-      instead of once per state per pick.  The final state→index mapping
-      is still a linear identity scan — the worklist is a plain list — so
-      a pick is O(n) in cheap pointer compares but no longer
-      O(n · signals) in signal evaluations;
+      ``select`` answers from the heap.  The heap orders *groups*: the
+      top frame's ``(func, block)`` when every signal declares itself
+      ``location_scoped`` (all residents there share one key), the item
+      itself otherwise.  A group's entry ``(key, tiebreak, seq, gid)``
+      is a lower bound on ``(current key, tiebreak, seq)`` of its best
+      member, members being ordered by the ``(tiebreak, seq)`` frozen at
+      ``add``.  ``select`` checks the top entry against the group's live
+      head and fresh key, corrects it in place when either moved (one
+      *rescore*), and otherwise returns that head — the argmin of
+      ``(current key, tiebreak, seq)`` over all residents, whatever the
+      grouping.  Signals are scored once per ``add`` (the newcomer's key
+      also refreshes a standing group's bound) and once per rescore, so
+      a location picked over and over costs at most one rescore per
+      pick however many states wait there (``tsort dsm-qce 3x2``: 2 372
+      rescores for 31 270 picks).  Bookkeeping is O(resident): an emptied group is dropped,
+      and superseded entries and lazily removed members are swept out
+      whenever they outnumber the live ones.  The final state→index
+      mapping is still a linear identity scan — the worklist is a plain
+      list;
     * **ad hoc** — ``select`` on a worklist that was never registered
       (direct strategy calls in tests, subset ranking) falls back to a
       linear argmin over fresh keys.  ``select_among`` is linear in the
@@ -179,18 +219,18 @@ class Prioritizer:
       where heap bookkeeping would cost more than it saves.
 
     ``rng`` (optional) supplies a tiebreak drawn once per registration —
-    frozen per heap entry so rescoring compares stably — mirroring the
+    frozen per member so rescoring compares stably — mirroring the
     randomized tie-breaking the coverage strategy always had.
     """
 
     def __init__(self, signals, rng=None):
         self.signals = tuple(signals)
         self.rng = rng
-        # Heap entries: [key, tiebreak, seq, sid, version].  ``version``
-        # invalidates entries from a previous residency of the same sid.
-        self._heap: list[list] = []
-        self._alive: dict[int, object] = {}
-        self._version: dict[int, int] = {}
+        self._by_location = all(signal.location_scoped for signal in self.signals)
+        self._heap: list[tuple] = []
+        self._groups: dict[object, _Group] = {}
+        # sid -> (state, seq, group) of every registered state.
+        self._resident: dict[int, tuple] = {}
         self._seq = 0
         self.picks = 0
         self._rescores = 0
@@ -198,32 +238,67 @@ class Prioritizer:
     # -- bookkeeping ---------------------------------------------------------
 
     def key(self, state, engine) -> tuple:
-        return tuple(signal.score(state, engine) for signal in self.signals)
+        return tuple([signal.score(state, engine) for signal in self.signals])
 
     def _tiebreak(self) -> float:
         return self.rng.random() if self.rng is not None else 0.0
 
     def add(self, state, engine) -> None:
         sid = state.sid
-        version = self._version.get(sid, 0) + 1
-        self._version[sid] = version
-        self._alive[sid] = state
+        if sid in self._resident:
+            self.remove(state)
         self._seq += 1
-        heapq.heappush(
-            self._heap,
-            [self.key(state, engine), self._tiebreak(), self._seq, sid, version],
-        )
+        seq = self._seq
+        tiebreak = self._tiebreak()
+        if self._by_location:
+            frame = state.top
+            gid = (frame.func, frame.block)
+        else:
+            gid = sid
+        key = self.key(state, engine)
+        group = self._groups.get(gid)
+        if group is None:
+            entry = (key, tiebreak, seq, gid)
+            group = self._groups[gid] = _Group(entry, (tiebreak, seq, sid))
+            heapq.heappush(self._heap, entry)
+        else:
+            heapq.heappush(group.members, (tiebreak, seq, sid))
+            group.live += 1
+            head = group.entry
+            if (tiebreak, seq) < (head[1], head[2]):
+                entry = (key, tiebreak, seq, gid)
+            elif key != head[0]:
+                entry = (key, head[1], head[2], gid)  # the bound went stale
+            else:
+                entry = None
+            if entry is not None:
+                group.entry = entry
+                heapq.heappush(self._heap, entry)
+        self._resident[sid] = (state, seq, group)
 
     def remove(self, state) -> None:
-        self._alive.pop(state.sid, None)
-        if not self._alive:
-            # Worklist drained (end of run or full frontier export): drop
-            # every stale entry at once instead of popping them one by one.
-            self._heap.clear()
-            self._version.clear()
+        record = self._resident.pop(state.sid, None)
+        if record is None:
+            return
+        group = record[2]
+        group.live -= 1
+        if not group.live:
+            del self._groups[group.entry[3]]
+        elif len(group.members) > 2 * group.live + 8:
+            resident = self._resident
+            group.members = [
+                m for m in group.members
+                if m[2] in resident and resident[m[2]][1] == m[1]
+            ]
+            heapq.heapify(group.members)
+        if not self._groups or len(self._heap) > 2 * len(self._groups) + 8:
+            # Worklist drained, or entries of dropped groups and superseded
+            # bounds outnumber the live ones: keep exactly one per group.
+            self._heap = [group.entry for group in self._groups.values()]
+            heapq.heapify(self._heap)
 
     def __len__(self) -> int:
-        return len(self._alive)
+        return len(self._resident)
 
     def take_rescores(self) -> int:
         """Rescore count since the last call (flushed into EngineStats)."""
@@ -235,28 +310,40 @@ class Prioritizer:
 
     def select(self, worklist, engine) -> int:
         """Index of the best worklist state (heap path when registered)."""
-        if len(self._alive) != len(worklist):
+        resident = self._resident
+        if len(resident) != len(worklist):
             return self._scan(worklist, engine)
-        while self._heap:
-            entry = self._heap[0]
-            key, _tb, _seq, sid, version = entry
-            state = self._alive.get(sid)
-            if state is None or self._version.get(sid) != version:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        groups = self._groups
+        while heap:
+            entry = heap[0]
+            group = groups.get(entry[3])
+            if group is None or group.entry is not entry:
+                heapq.heappop(heap)  # dropped group or superseded head
                 continue
+            members = group.members
+            while True:
+                tiebreak, seq, sid = members[0]
+                record = resident.get(sid)
+                if record is not None and record[1] == seq:
+                    break
+                heapq.heappop(members)
+            state = record[0]
             fresh = self.key(state, engine)
-            if fresh != key:
+            if fresh != entry[0] or seq != entry[2]:
                 # Stale lower bound: correct it in place and re-sift.
-                entry[0] = fresh
-                heapq.heapreplace(self._heap, entry)
+                group.entry = entry = (fresh, tiebreak, seq, entry[3])
+                heapq.heapreplace(heap, entry)
                 self._rescores += 1
-                continue
-            for index, candidate in enumerate(worklist):
-                if candidate is state:
-                    self.picks += 1
-                    return index
-            # Foreign worklist (same length by coincidence): fall back.
-            return self._scan(worklist, engine)
+                if heap[0] is not entry:
+                    continue
+            try:
+                index = worklist.index(state)
+            except ValueError:
+                # Foreign worklist (same length by coincidence): fall back.
+                return self._scan(worklist, engine)
+            self.picks += 1
+            return index
         return self._scan(worklist, engine)
 
     def select_among(self, worklist, indices, engine) -> int:

@@ -22,8 +22,6 @@ just the residents filed under the hashes it touched.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from ..engine.state import SymState
 from ..sched import Prioritizer, TopologicalSignal
 from .strategies import Strategy
@@ -45,8 +43,10 @@ class DsmStrategy(Strategy):
     def __init__(self, driving: Strategy, engine):
         self.driving = driving
         self.engine = engine
-        self.hash_counts: Counter = Counter()
-        self.own_counts: dict[int, Counter] = {}
+        # Multiset of the hashes in resident histories, and each resident's
+        # own share of it (plain dicts: entries exist only while positive).
+        self.hash_counts: dict[int, int] = {}
+        self.own_counts: dict[int, dict[int, int]] = {}
         # The forwarding set F, as sids of resident states.
         self.forwarding: set[int] = set()
         # Current hash -> sids of the resident states whose newest history
@@ -65,9 +65,12 @@ class DsmStrategy(Strategy):
     # -- bookkeeping ----------------------------------------------------------
 
     def on_add(self, state: SymState) -> None:
-        own = Counter(h for _, h in state.history)
+        own: dict[int, int] = {}
+        hash_counts = self.hash_counts
+        for _, h in state.history:
+            own[h] = own.get(h, 0) + 1
+            hash_counts[h] = hash_counts.get(h, 0) + 1
         self.own_counts[state.sid] = own
-        self.hash_counts.update(own)
         if state.history:
             current = state.history[-1][1]
             self.by_current_hash.setdefault(current, set()).add(state.sid)

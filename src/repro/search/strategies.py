@@ -12,9 +12,11 @@ declare their signal chain, mirror the engine worklist through the
 ``on_add``/``on_remove`` hooks, and ``pick`` reduces to one heap
 ``select`` — the bespoke per-pick O(n·signals) argmin loops are gone.
 Signals are scored when a state enters the worklist and again only for
-the stale heap minima a pick has to correct (k rescored entries cost
-O(k·(signals + log n)); a location picked over and over makes k several
-per pick), plus one identity scan mapping the winner back to its list
+the stale heap minima a pick has to correct; the heap keeps one entry
+per group of states that share a key (per ``(func, block)`` for the
+coverage chain, whose signals are all location-scoped), so a location
+picked over and over costs one rescore per pick, not one per state
+waiting there.  One identity scan maps the winner back to its list
 index.  Strategies used without an engine binding (direct calls in
 tests) still work: the prioritizer falls back to a linear scan over
 fresh keys.

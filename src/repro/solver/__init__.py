@@ -5,10 +5,10 @@ independent-constraint splitting, incomplete fast path, bit-blasting to
 CNF, and a from-scratch CDCL SAT solver.
 """
 
+from ..expr.independence import relevant_constraints, split_independent
 from .bitblast import BitBlaster, check_sat
 from .cache import QueryCache
 from .domains import quick_check
-from .independence import relevant_constraints, split_independent
 from .presolve import PresolveEnv, PresolveManager, simplify_group
 from .portfolio import (
     CheckResult,

@@ -42,11 +42,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..expr import ops
+from ..expr.independence import split_independent
 from ..expr.nodes import Expr
 from ..expr.subst import conjuncts as flatten_conjuncts
 from .bitblast import BitBlaster
 from .cache import QueryCache
-from .independence import split_independent
 from .presolve import SAT, UNSAT, PresolveManager, group_signature, simplify_group
 from .sat import SatResult
 

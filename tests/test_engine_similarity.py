@@ -142,10 +142,10 @@ def frontier(program="uniq", blocks=300):
     )
     engine.seed_states([engine.make_initial_state()])
     engine.explore(interrupt=lambda e: e.stats.blocks_executed >= blocks)
-    pairs = [
-        (a, b) for bucket in engine._loc_index.values() for a in bucket for b in bucket
-        if a is not b
-    ]
+    pairs = []
+    for bucket in engine._loc_index.values():
+        here = [s for filed in bucket.values() for s in filed.values()]
+        pairs += [(a, b) for a in here for b in here if a is not b]
     assert len(engine.worklist) > 10 and len(pairs) > 10
     return engine, pairs
 

@@ -21,7 +21,7 @@ from repro.env.argv import ArgvSpec
 from repro.expr import ops
 from repro.expr.serialize import decode_exprs, encode_exprs
 from repro.programs.registry import get_program
-from repro.solver.independence import split_independent
+from repro.expr.independence import split_independent
 
 
 def group_signatures(pc):

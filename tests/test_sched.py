@@ -116,6 +116,115 @@ def test_prioritizer_bookkeeping_balances():
     assert not sched._heap  # drained worklist clears stale entries
 
 
+class RecordingRng:
+    """The seeded stream, remembering the tiebreak each ``add`` froze."""
+
+    def __init__(self, seed):
+        self.base = random.Random(seed)
+        self.last = None
+
+    def random(self):
+        self.last = self.base.random()
+        return self.last
+
+
+LOCATION_CHAIN = "location-scoped"   # the coverage strategy's: one key per block
+STATE_CHAIN = "state-scoped"         # a topological term: one key per state
+
+
+@pytest.mark.parametrize("chain", [LOCATION_CHAIN, STATE_CHAIN])
+@pytest.mark.parametrize("seed", range(6))
+def test_grouped_heap_picks_the_scan_argmin(chain, seed):
+    """``select`` returns the argmin of (current key, frozen tiebreak, seq)
+    over the residents — the state a scan over fresh keys finds — under
+    random adds, removes, re-adds under a live sid's old number, pick-count
+    bumps and coverage flips."""
+    engine = engine_for(
+        "if (argv[1][0]) putchar('a'); if (argv[1][1]) putchar('b'); return 0;")
+    blocks = list(engine.module.function("main").blocks)
+    rng = random.Random(seed)
+    draws = RecordingRng(seed)
+    counts = __import__("collections").Counter()
+    signals = [CoverageFrontierSignal(), PickCountSignal(counts)]
+    if chain == STATE_CHAIN:
+        signals.append(TopologicalSignal())
+    sched = Prioritizer(signals, rng=draws)
+    assert sched._by_location == (chain == LOCATION_CHAIN)
+
+    worklist, frozen, retired = [], {}, []   # frozen: sid -> (tiebreak, seq)
+    seq = next_sid = 0
+
+    def add(sid):
+        nonlocal seq
+        state = SymState(sid)
+        state.frames = [Frame("main", rng.choice(blocks), 0, {}, {}, None, 1)]
+        worklist.append(state)
+        sched.add(state, engine)
+        seq += 1
+        frozen[sid] = (draws.last, seq)
+
+    def remove(index):
+        state = worklist.pop(index)
+        sched.remove(state)
+        del frozen[state.sid]
+        retired.append(state.sid)
+
+    for _ in range(400):
+        action = rng.random()
+        if action < 0.40 or not worklist:
+            next_sid += 1
+            add(next_sid)
+        elif action < 0.50 and retired:
+            add(retired.pop(rng.randrange(len(retired))))   # same sid, new place
+        elif action < 0.65:
+            remove(rng.randrange(len(worklist)))
+        elif action < 0.80:
+            counts[("main", rng.choice(blocks))] += rng.randint(1, 3)
+        elif action < 0.90:
+            engine.coverage.touch("main", rng.choice(blocks))
+        else:
+            # What the engine does: pick the winner, bump its block, drop it.
+            index = sched.select(worklist, engine)
+            counts[("main", worklist[index].top.block)] += 1
+            remove(index)
+        if worklist:
+            best = min(worklist, key=lambda s: (sched.key(s, engine), *frozen[s.sid]))
+            assert worklist[sched.select(worklist, engine)] is best
+        assert len(sched) == len(worklist)
+
+
+@pytest.mark.parametrize("signals", [
+    (CoverageFrontierSignal(),),             # every state in one of a few groups
+    (TopologicalSignal(),),                  # every state its own group
+])
+def test_prioritizer_bookkeeping_is_bounded_by_the_residents(signals):
+    """Thousands of states pass through, five at a time: nothing the
+    scheduler keeps may grow with the number it has *seen*."""
+    engine = engine_for("if (argv[1][0]) putchar('a'); return 0;")
+    blocks = list(engine.module.function("main").blocks)
+    sched = Prioritizer(signals, rng=random.Random(1))
+    rng = random.Random(2)
+    worklist = []
+    for sid in range(1, 3001):
+        state = SymState(sid)
+        state.frames = [Frame("main", rng.choice(blocks), 0, {}, {}, None, 1)]
+        worklist.append(state)
+        sched.add(state, engine)
+        if len(worklist) > 5:
+            # Mostly the scheduler's own pick, sometimes a bystander (a
+            # merge partner, a stolen state) from the middle of a group.
+            index = sched.select(worklist, engine) if rng.random() < 0.7 else 2
+            sched.remove(worklist.pop(index))
+        kept = sum(
+            len(value) for value in vars(sched).values()
+            if isinstance(value, (dict, list, set))
+        )
+        assert kept <= 8 * len(worklist) + 16
+        members = sum(len(group.members) for group in sched._groups.values())
+        assert members <= 4 * len(worklist) + 16
+    assert not hasattr(sched, "_version")
+
+
 def test_select_falls_back_on_unregistered_worklist():
     """Direct strategy calls (no on_add) must still pick a valid argmin."""
     engine = engine_for("if (argv[1][0]) putchar('a'); return 0;")
@@ -214,7 +323,7 @@ def assert_dsm_books_consistent(strategy: DsmStrategy, worklist):
         for h, n in own.items():
             assert n > 0
             totals[h] += n
-    assert totals == strategy.hash_counts
+    assert dict(totals) == strategy.hash_counts
     for count in strategy.hash_counts.values():
         assert count > 0
     check_forwarding_invariants(strategy, worklist)

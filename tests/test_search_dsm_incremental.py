@@ -114,7 +114,17 @@ class DsmBooks(RuleBasedStateMachine):
         strategy = self.strategy
         check_forwarding_invariants(strategy, self.worklist)
         assert set(strategy.own_counts) == {s.sid for s in self.worklist}
-        assert sum(strategy.own_counts.values(), Counter()) == strategy.hash_counts
+        # The ledger, on plain dicts: every resident's share is its history's
+        # multiset, the shares add up to ``hash_counts`` key for key, and no
+        # entry outlives its last occurrence.
+        total = Counter()
+        for state in self.worklist:
+            own = strategy.own_counts[state.sid]
+            assert type(own) is dict and own == Counter(h for _, h in state.history)
+            total.update(own)
+        assert type(strategy.hash_counts) is dict
+        assert strategy.hash_counts == dict(total)
+        assert all(n > 0 for n in strategy.hash_counts.values())
 
     @invariant()
     def steal_victims_avoid_the_forwarding_set(self):

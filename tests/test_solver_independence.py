@@ -1,7 +1,7 @@
 """Independent-constraint splitting and relevance filtering."""
 
 from repro.expr import ops
-from repro.solver.independence import relevant_constraints, split_independent
+from repro.expr.independence import relevant_constraints, split_independent
 
 X = ops.bv_var("ix", 8)
 Y = ops.bv_var("iy", 8)
