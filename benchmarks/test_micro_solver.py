@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.expr import ops
 from repro.solver import CDCLSolver, SatResult, SolverChain, check_sat
 
@@ -173,3 +175,37 @@ def test_factor_probes_keep_their_prefix_on_the_trail(benchmark):
     assert stats.bcp_props <= 400_000
     carried = stats.assumption_levels_reused + stats.assumption_levels_opened
     assert stats.assumption_levels_reused / carried >= 0.8
+
+
+@pytest.mark.parametrize("program, mode, paths, tests", [
+    ("uniq", "dsm-qce", 184, 14),
+    ("wc", "plain", 84, 84),
+])
+def test_store_answers_blasts_not_lookups(tmp_path, program, mode, paths, tests):
+    """Count gate (no wall time) for where a run consults its store.
+
+    Cold then warm 2x2 against one store, the group memo dropped between
+    them as a second process would find it.  The store is told only what
+    the bottom tier solved and asked only what it would have to solve;
+    warm test generation reads every group the cold run solved.
+    """
+    from repro.engine.testgen import clear_group_memo
+    from repro.env.runner import run_symbolic
+    from repro.experiments.harness import MODES
+
+    def run():
+        clear_group_memo()
+        return run_symbolic(program, n_args=2, arg_len=2,
+                            store_path=str(tmp_path / "store.sqlite"), **MODES[mode])
+
+    cold, warm = run(), run()
+    for result in (cold, warm):
+        assert (result.paths, len(result.tests.cases)) == (paths, tests)
+    c, w = cold.solver_stats, warm.solver_stats
+    assert cold.stats.testgen_group_solves > 0
+    assert warm.stats.testgen_group_solves == 0
+    assert warm.stats.testgen_corpus_hits == cold.stats.testgen_group_solves
+    assert c.store_hits == 0 and c.store_misses == c.assumption_probes
+    assert c.store_inserts <= c.assumption_probes + c.unsat_cores
+    assert w.store_hits + w.store_misses <= c.assumption_probes
+    assert w.sat_solver_runs <= c.sat_solver_runs

@@ -197,9 +197,11 @@ class Engine:
             self._owns_store = self.store is not None
         if self.store is None and not self.config.store_path:
             return
-        from ..store import PersistentTier, seed_query_cache
+        from ..store import PersistentTier, seed_query_cache, spec_fingerprint
 
-        self._store_tier = PersistentTier(self.store, program=self.program)
+        self._store_tier = PersistentTier(
+            self.store, program=self.program, spec=spec_fingerprint(self.spec)
+        )
         self.solver.persistent = self._store_tier
         if self.store is not None and self.config.warm_start:
             from ..store import corpus_covered_blocks

@@ -43,13 +43,16 @@ class EngineStats:
     # those reflect the engine's own chain, whose ledger must balance on
     # its own.  ``testgen_queries`` is one per test asked for; each of its
     # independence groups is either solved (``testgen_group_solves``, its
-    # cost in ``testgen_cost_units``) or served from the process-wide memo
-    # (``testgen_group_hits``) — which of the two depends on what the
-    # process generated before, so only their sum is order-independent.
+    # cost in ``testgen_cost_units``) or served (``testgen_group_hits``)
+    # from the process-wide memo or, the ``testgen_corpus_hits`` among
+    # them, from the store's corpus row for that test — which of these
+    # depends on what the process generated before and on what the store
+    # holds, so only solves + hits is order-independent.
     testgen_queries: int = 0
     testgen_cost_units: int = 0
     testgen_group_solves: int = 0
     testgen_group_hits: int = 0
+    testgen_corpus_hits: int = 0
     wall_time: float = 0.0
     # CPU seconds consumed by this engine's process while exploring.
     # Unlike wall_time this is immune to timesharing, which makes it the

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..env.argv import ArgvSpec
 from ..expr.canon import named_key
+from ..expr.evaluate import EvalError, evaluate
 from ..expr.independence import split_independent
 from ..solver.portfolio import SolverChain, complete_model
+from ..solver.presolve import group_signature
 from .stats import EngineStats
 
 
@@ -79,12 +82,16 @@ _GROUP_MEMO: OrderedDict[tuple[int, ...], dict[str, int] | None] = OrderedDict()
 _GROUP_MEMO_MAX = 65536
 
 
+_UNASKED = object()  # the corpus row of the test at hand, before the first miss
+
+
 def clear_group_memo() -> None:
-    """Drop the process-wide group-model memo (tests only)."""
+    """Drop the process-wide group-model memo (tests, and the warm-start
+    figure, which lets its warm run start as a second process would)."""
     _GROUP_MEMO.clear()
 
 
-def deterministic_model(pc, stats_sink=None) -> dict[str, int] | None:
+def deterministic_model(pc, stats_sink=None, stored=None) -> dict[str, int] | None:
     """History-free model of ``pc``: a pure function of the constraint list.
 
     The pc is flattened and split into variable-disjoint groups exactly as
@@ -95,9 +102,19 @@ def deterministic_model(pc, stats_sink=None) -> dict[str, int] | None:
     model a single fresh chain over the whole pc would — any process
     solving the same pc decodes the same test input.
 
+    ``stored`` (zero-argument callable, asked at most once and only when a
+    group misses the memo) returns the input an earlier run's corpus row
+    holds for this very test, or None.  Restricted to a missing group's
+    variables and **verified by evaluating every constraint of the
+    group**, it stands in for the fresh solve: a row this generator wrote
+    for the same pc *is* the union of the groups' fresh models, so the
+    answer is bit-for-bit the one a solve would give; a row that fails,
+    lacks a variable or came from elsewhere falls through to the solve.
+
     ``stats_sink`` (an :class:`~repro.engine.stats.EngineStats`) receives
     the extra solver work: one ``testgen_queries`` per call, a
-    ``testgen_group_hits``/``testgen_group_solves`` per group, and the
+    ``testgen_group_hits``/``testgen_group_solves`` per group (corpus
+    answers are hits, also counted in ``testgen_corpus_hits``), and the
     ``testgen_cost_units`` of the solves actually run — none of it is part
     of the engine chain's own balanced ledger.
     """
@@ -108,17 +125,25 @@ def deterministic_model(pc, stats_sink=None) -> dict[str, int] | None:
     if const_false:
         return None
     model: dict[str, int] = {}
+    row = _UNASKED
     for group in split_independent(flat):
         key = tuple(c.eid for c in group)
         if key in _GROUP_MEMO:
             stats_sink.testgen_group_hits += 1
             sub = _GROUP_MEMO[key]
         else:
-            chain = SolverChain(use_cache=False)
-            result = chain.check(group)
-            stats_sink.testgen_group_solves += 1
-            stats_sink.testgen_cost_units += chain.stats.cost_units
-            sub = result.model if result.is_sat else None
+            if row is _UNASKED:
+                row = stored() if stored is not None else None
+            sub = _stored_group_model(group, row)
+            if sub is not None:
+                stats_sink.testgen_group_hits += 1
+                stats_sink.testgen_corpus_hits += 1
+            else:
+                chain = SolverChain(use_cache=False)
+                result = chain.check(group)
+                stats_sink.testgen_group_solves += 1
+                stats_sink.testgen_cost_units += chain.stats.cost_units
+                sub = result.model if result.is_sat else None
             _GROUP_MEMO[key] = sub
             if len(_GROUP_MEMO) > _GROUP_MEMO_MAX:
                 _GROUP_MEMO.popitem(last=False)
@@ -126,6 +151,20 @@ def deterministic_model(pc, stats_sink=None) -> dict[str, int] | None:
             return None
         model.update(sub)
     return model
+
+
+def _stored_group_model(group, stored: dict[str, int] | None) -> dict[str, int] | None:
+    """``stored`` cut down to ``group``'s variables, if it satisfies it."""
+    if stored is None:
+        return None
+    try:
+        sub = {name: stored[name] for name in group_signature(group)}
+        memo: dict[int, int] = {}
+        if all(evaluate(c, sub, memo) for c in group):
+            return sub
+    except (KeyError, EvalError):
+        pass
+    return None
 
 
 def build_test_case(
@@ -136,8 +175,13 @@ def build_test_case(
     exit_code: int | None = None,
     line: int | None = None,
     multiplicity: int = 1,
+    path_id: str | None = None,
 ) -> TestCase:
-    """Decode a model of ``pc`` into a concrete test input."""
+    """Decode a model of ``pc`` into a concrete test input.
+
+    ``path_id`` spares the digest when the caller already holds
+    ``named_key(pc)``.
+    """
     full = complete_model(model, spec.input_variables())
     items = tuple(
         sorted((k, v) for k, v in full.items() if k.startswith(("arg", "stdin")))
@@ -150,7 +194,7 @@ def build_test_case(
         line=line,
         multiplicity=multiplicity,
         stdin=spec.decode_stdin(full),
-        path_id=named_key(pc),
+        path_id=named_key(pc) if path_id is None else path_id,
     )
 
 
@@ -165,11 +209,23 @@ def make_test_case(
     deterministic: bool = False,
     stats_sink=None,
 ) -> TestCase | None:
-    """Solve the path condition and decode a concrete argv; None if UNSAT."""
+    """Solve the path condition and decode a concrete argv; None if UNSAT.
+
+    A deterministic test generated under a solver with a persistent tier
+    first asks the corpus: the row filed under this test's own identity
+    (``kind``, ``path_id``, ``line``) answers the independence groups the
+    process-wide memo misses (see :func:`deterministic_model`).
+    """
+    path_id = None
     if deterministic:
-        model = deterministic_model(pc, stats_sink=stats_sink)
+        tier = solver.persistent
+        stored = None
+        if tier is not None:
+            path_id = named_key(pc)
+            stored = partial(tier.test_model, kind, path_id, line)
+        model = deterministic_model(pc, stats_sink=stats_sink, stored=stored)
     else:
         model = solver.get_model(list(pc))
     if model is None:
         return None
-    return build_test_case(spec, model, pc, kind, exit_code, line, multiplicity)
+    return build_test_case(spec, model, pc, kind, exit_code, line, multiplicity, path_id)

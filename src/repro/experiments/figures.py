@@ -737,6 +737,10 @@ def _test_multiset(cases):
 @dataclass
 class WarmRow:
     program: str
+    # 'blast-only' = presolve off (every undecided group reaches the bottom
+    # tier, so the row isolates what the store saves the bit-blaster);
+    # 'default' = the chain as shipped.
+    chain: str
     paths: int
     tests: int
     sat_runs_cold: int
@@ -744,6 +748,9 @@ class WarmRow:
     cost_cold: int
     cost_warm: int
     store_hits_warm: int
+    store_misses_warm: int
+    testgen_solves_cold: int
+    testgen_solves_warm: int
     warm_models: int
     warm_cores: int
     t_cold: float
@@ -760,13 +767,15 @@ class WarmStartResult:
         data = [
             [
                 r.program,
+                r.chain,
                 r.paths,
                 r.tests,
                 r.sat_runs_cold,
                 r.sat_runs_warm,
                 r.cost_cold,
                 r.cost_warm,
-                r.store_hits_warm,
+                f"{r.store_hits_warm}/{r.store_hits_warm + r.store_misses_warm}",
+                f"{r.testgen_solves_cold}->{r.testgen_solves_warm}",
                 r.warm_models + r.warm_cores,
                 round(r.t_cold, 2),
                 round(r.t_warm, 2),
@@ -774,14 +783,16 @@ class WarmStartResult:
             for r in self.rows
         ]
         return render_table(
-            ["tool", "paths", "tests", "blasts(cold)", "blasts(warm)",
-             "cost(cold)", "cost(warm)", "store hits", "seeds",
-             "t_cold(s)", "t_warm(s)"],
+            ["tool", "chain", "paths", "tests", "blasts(cold)", "blasts(warm)",
+             "cost(cold)", "cost(warm)", "store hits/bottom groups",
+             "testgen solves", "seeds", "t_cold(s)", "t_warm(s)"],
             data,
             title=(
                 "Warm start — second run against a populated store "
-                f"(store: {self.store_counts}; expect blasts(warm) < blasts(cold) "
-                "with identical tests and coverage)"
+                f"(store: {self.store_counts}; blast-only rows: expect "
+                "blasts(warm) < blasts(cold); default rows: <=, the store is "
+                "asked only about groups presolve left undecided; every row: "
+                "identical tests and coverage, warm testgen solves 0)"
             ),
         )
 
@@ -802,67 +813,88 @@ def warm_start(
 ) -> WarmStartResult:
     """Run each program twice against one store: cold, then warm.
 
-    The differential this figure *enforces* (it raises on violation — the
-    CI warm-start smoke job runs it as an assertion):
+    Each program gets a *blast-only* row (presolve off, the chain that
+    leans on the store hardest) and a *default* row (the chain as
+    shipped, its own store file).  The differential this figure
+    *enforces* (it raises on violation — the CI warm-start smoke job runs
+    it as an assertion):
 
-    * the warm run performs strictly fewer bottom-tier full blasts
-      (``sat_solver_runs``) than the cold run;
     * the warm run emits the identical test multiset and coverage — store
       hits and cache seedings are verdict-neutral, so the explored path
-      space cannot change.
+      space cannot change;
+    * blast-only: the warm run performs strictly fewer bottom-tier full
+      blasts (``sat_solver_runs``) than the cold run; default: no more —
+      with presolve on, seeding and the abstract domains may leave the
+      bottom tier nothing to ask the store about;
+    * the warm run's test generation solves nothing: every independence
+      group the cold run solved is answered from the corpus (the
+      process-wide group memo is dropped between the two runs, as a
+      second process would find it).
     """
+    from ..engine.testgen import clear_group_memo
+
     programs = programs or ["echo", "wc", "uniq"]
-    tmpdir = None
     if store_path is None:
-        tmpdir = tempfile.mkdtemp(prefix="repro-store-")
-        store_path = os.path.join(tmpdir, "warm.sqlite")
+        store_path = os.path.join(tempfile.mkdtemp(prefix="repro-store-"), "warm.sqlite")
+    chains = (("blast-only", False, store_path), ("default", True, store_path + "-default"))
     rows: list[WarmRow] = []
     for program in programs:
-        # The presolve tier would answer most of these programs' queries
-        # before the bottom tier is ever reached; disable it so the cold/
-        # warm differential isolates exactly what the *store* saves.
-        settings = RunSettings(
-            program=program, mode=mode, generate_tests=True, store_path=store_path,
-            solver_fastpath=False,
-        )
-        cold = run_cell(settings)
-        warm = run_cell(settings)
-        if _test_multiset(warm.tests.cases) != _test_multiset(cold.tests.cases):
-            raise AssertionError(f"{program}: warm run changed the test multiset")
-        if warm.engine.coverage.covered != cold.engine.coverage.covered:
-            raise AssertionError(f"{program}: warm run changed coverage")
-        if warm.paths != cold.paths:
-            raise AssertionError(
-                f"{program}: warm run changed the path space "
-                f"({cold.paths} vs {warm.paths})"
+        for chain, fastpath, path in chains:
+            settings = RunSettings(
+                program=program, mode=mode, generate_tests=True, store_path=path,
+                solver_fastpath=fastpath,
             )
-        if cold.solver_stats.sat_solver_runs == 0:
-            raise AssertionError(
-                f"{program}: cold run never reached the SAT solver — pick a "
-                "program whose queries are not all fast-path decidable"
+            clear_group_memo()
+            cold = run_cell(settings)
+            clear_group_memo()
+            warm = run_cell(settings)
+            label = f"{program} ({chain})"
+            if _test_multiset(warm.tests.cases) != _test_multiset(cold.tests.cases):
+                raise AssertionError(f"{label}: warm run changed the test multiset")
+            if warm.engine.coverage.covered != cold.engine.coverage.covered:
+                raise AssertionError(f"{label}: warm run changed coverage")
+            if warm.paths != cold.paths:
+                raise AssertionError(
+                    f"{label}: warm run changed the path space "
+                    f"({cold.paths} vs {warm.paths})"
+                )
+            blasts_cold = cold.solver_stats.sat_solver_runs
+            blasts_warm = warm.solver_stats.sat_solver_runs
+            if not fastpath and blasts_cold == 0:
+                raise AssertionError(
+                    f"{label}: cold run never reached the SAT solver — pick a "
+                    "program whose queries are not all fast-path decidable"
+                )
+            if blasts_warm > blasts_cold or (not fastpath and blasts_warm == blasts_cold):
+                raise AssertionError(
+                    f"{label}: warm run did not reduce full blasts "
+                    f"({blasts_cold} -> {blasts_warm})"
+                )
+            if warm.stats.testgen_group_solves:
+                raise AssertionError(
+                    f"{label}: warm test generation solved "
+                    f"{warm.stats.testgen_group_solves} groups the corpus holds"
+                )
+            rows.append(
+                WarmRow(
+                    program=program,
+                    chain=chain,
+                    paths=warm.paths,
+                    tests=len(warm.tests.cases),
+                    sat_runs_cold=blasts_cold,
+                    sat_runs_warm=blasts_warm,
+                    cost_cold=cost_of(cold),
+                    cost_warm=cost_of(warm),
+                    store_hits_warm=warm.solver_stats.store_hits,
+                    store_misses_warm=warm.solver_stats.store_misses,
+                    testgen_solves_cold=cold.stats.testgen_group_solves,
+                    testgen_solves_warm=warm.stats.testgen_group_solves,
+                    warm_models=warm.stats.warm_models_seeded,
+                    warm_cores=warm.stats.warm_cores_seeded,
+                    t_cold=cold.stats.wall_time,
+                    t_warm=warm.stats.wall_time,
+                )
             )
-        if warm.solver_stats.sat_solver_runs >= cold.solver_stats.sat_solver_runs:
-            raise AssertionError(
-                f"{program}: warm run did not reduce full blasts "
-                f"({cold.solver_stats.sat_solver_runs} -> "
-                f"{warm.solver_stats.sat_solver_runs})"
-            )
-        rows.append(
-            WarmRow(
-                program=program,
-                paths=warm.paths,
-                tests=len(warm.tests.cases),
-                sat_runs_cold=cold.solver_stats.sat_solver_runs,
-                sat_runs_warm=warm.solver_stats.sat_solver_runs,
-                cost_cold=cost_of(cold),
-                cost_warm=cost_of(warm),
-                store_hits_warm=warm.solver_stats.store_hits,
-                warm_models=warm.stats.warm_models_seeded,
-                warm_cores=warm.stats.warm_cores_seeded,
-                t_cold=cold.stats.wall_time,
-                t_warm=warm.stats.wall_time,
-            )
-        )
     from ..store import open_store
 
     store = open_store(store_path, readonly=True)
@@ -885,6 +917,7 @@ class CacheRow:
     hits_subset: int
     hits_model: int
     misses: int
+    # Groups that reached the bottom tier and were answered by the store.
     store_hits: int
     unsat_cores: int
     hit_rate: float
@@ -902,9 +935,14 @@ class CacheReportResult:
         ]
         return render_table(
             ["tool", "queries", "exact", "subset-UNSAT", "model-reuse",
-             "misses", "store", "cores", "hit rate"],
+             "misses", "store (bottom tier)", "cores", "hit rate"],
             data,
-            title="Cache effectiveness — query-cache tiers + persistent store",
+            title=(
+                "Cache effectiveness — query-cache tiers + persistent store "
+                "(store: independence groups answered instead of bit-blasted; "
+                "it is asked only after cache, presolve and rewrite all passed, "
+                "so 0 on a default chain means nothing was left to ask)"
+            ),
         )
 
     def overall_hit_rate(self) -> float:

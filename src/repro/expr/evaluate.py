@@ -16,13 +16,22 @@ class EvalError(Exception):
     """Raised when evaluation hits an unbound variable."""
 
 
-def evaluate(expr: Expr, assignment: dict[str, int]) -> int:
+def evaluate(expr: Expr, assignment: dict[str, int], memo: dict[int, int] | None = None) -> int:
     """Evaluate ``expr`` to a Python int under ``assignment``.
 
     Booleans evaluate to 0/1; bitvectors to their unsigned value.  Raises
     :class:`EvalError` for variables missing from the assignment.
+
+    ``memo`` is a caller-owned node-level memo (eid -> value) for callers
+    that evaluate many expressions under the *same* assignment: successive
+    path conditions share most of their DAG, so each shared node is
+    evaluated once per memo instead of once per call.  Only values are
+    ever written to it: an :class:`EvalError` leaves the memo valid and
+    the failed expression unrecorded — it may be a child of the next
+    expression, where a lazy ``ite`` or connective can still step around
+    the unbound variable.
     """
-    cache: dict[int, int] = {}
+    cache: dict[int, int] = {} if memo is None else memo
 
     def ev(e: Expr) -> int:
         val = cache.get(e.eid)

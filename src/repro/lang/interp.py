@@ -155,12 +155,12 @@ class Interpreter:
     # -- execution ---------------------------------------------------------------
 
     def _call(self, fn: Function, args: list) -> int:
-        store: dict[str, int] = {}
+        env = _Env(self.globals_store)
         arrays: dict[str, int] = dict(self.global_arrays)
         for (pname, ptype), arg in zip(fn.params, args):
             kind, value = arg
             if kind == "scalar":
-                store[pname] = to_unsigned(value, ptype.width)
+                env[pname] = to_unsigned(value, ptype.width)
             else:
                 arrays[pname] = value
         # Allocate local arrays (parameters already bound by reference).
@@ -176,12 +176,6 @@ class Interpreter:
                 size = (vtype.rows or 0) * (vtype.cols or 0)
                 arrays[vname] = self._alloc([0] * size, vtype.cols, vtype.element.width)
 
-        def env() -> dict[str, int]:
-            # Globals sit under their g$ names; locals shadow nothing.
-            merged = dict(self.globals_store)
-            merged.update(store)
-            return merged
-
         label = fn.entry
         while True:
             self.steps += 1
@@ -191,30 +185,30 @@ class Interpreter:
             block = fn.blocks[label]
             for instr in block.instrs:
                 if isinstance(instr, IAssign):
-                    value = evaluate(instr.expr, env())
+                    value = evaluate(instr.expr, env)
                     if instr.dst.startswith("g$"):
                         self.globals_store[instr.dst] = value
                     else:
-                        store[instr.dst] = value
+                        env[instr.dst] = value
                 elif isinstance(instr, ILoad):
-                    store[instr.dst] = self._load(instr.ref, instr.index, arrays, env(), instr.line)
+                    env[instr.dst] = self._load(instr.ref, instr.index, arrays, env, instr.line)
                 elif isinstance(instr, IStore):
-                    self._store(instr, arrays, env())
+                    self._store(instr, arrays, env)
                 elif isinstance(instr, ICall):
                     callee = self.module.function(instr.func)
                     call_args: list = []
                     for arg, (_, ptype) in zip(instr.args, callee.params):
                         if isinstance(arg, MemRef):
-                            call_args.append(("region", self._ref_region(arg, arrays, env())))
+                            call_args.append(("region", self._ref_region(arg, arrays, env)))
                         else:
-                            call_args.append(("scalar", evaluate(arg, env())))
+                            call_args.append(("scalar", evaluate(arg, env)))
                     result = self._call(callee, call_args)
                     if instr.dst is not None:
-                        store[instr.dst] = to_unsigned(result, callee.return_type.width)
+                        env[instr.dst] = to_unsigned(result, callee.return_type.width)
                 elif isinstance(instr, IPutc):
-                    self.output.append(evaluate(instr.value, env()) & 0xFF)
+                    self.output.append(evaluate(instr.value, env) & 0xFF)
                 elif isinstance(instr, IAssert):
-                    if not evaluate(instr.cond, env()):
+                    if not evaluate(instr.cond, env):
                         raise AssertionFailure(instr.line)
                 else:
                     raise InterpError(f"unknown instruction {instr!r}")
@@ -222,11 +216,11 @@ class Interpreter:
             if isinstance(term, TJmp):
                 label = term.label
             elif isinstance(term, TBr):
-                label = term.then_label if evaluate(term.cond, env()) else term.else_label
+                label = term.then_label if evaluate(term.cond, env) else term.else_label
             elif isinstance(term, TRet):
-                return evaluate(term.value, env()) if term.value is not None else 0
+                return evaluate(term.value, env) if term.value is not None else 0
             elif isinstance(term, THalt):
-                raise _Halt(evaluate(term.code, env()) if term.code is not None else 0)
+                raise _Halt(evaluate(term.code, env) if term.code is not None else 0)
             else:
                 raise InterpError(f"block {label} has no terminator")
 
@@ -285,6 +279,24 @@ class Interpreter:
         value = evaluate(instr.value, env)
         mask = (1 << region.element_width) - 1
         region.cells[flat] = value & mask
+
+
+class _Env(dict):
+    """A frame's locals, layered live over the interpreter's globals.
+
+    Globals sit under their ``g$`` names, which no local can take, so a
+    read that misses the locals is a global read — of the one shared
+    dict, which keeps a callee's global writes visible to its callers.
+    """
+
+    __slots__ = ("globals",)
+
+    def __init__(self, globals_store: dict[str, int]):
+        super().__init__()
+        self.globals = globals_store
+
+    def __missing__(self, name: str) -> int:
+        return self.globals[name]
 
 
 class _RowProxy:

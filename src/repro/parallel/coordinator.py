@@ -306,7 +306,8 @@ class ParallelResult:
         for fname in ("paths_completed", "tests_generated", "errors_found",
                       "blocks_executed", "forks", "states_terminated",
                       "testgen_queries", "testgen_cost_units",
-                      "testgen_group_solves", "testgen_group_hits"):
+                      "testgen_group_solves", "testgen_group_hits",
+                      "testgen_corpus_hits"):
             total = sum(getattr(entry[1], fname) for entry in self.ledger)
             merged = getattr(self.stats, fname)
             if merged != total:

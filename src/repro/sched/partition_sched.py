@@ -78,9 +78,10 @@ class PartitionScheduler:
     ):
         """``qt_table`` may be the dict itself or a zero-arg callable
         producing it — the callable is resolved only when a steal-victim
-        choice first needs the load signal, so runs that never steal
-        (the inline backend, steal-free process runs) never pay for the
-        QCE analysis behind it."""
+        choice first has two candidates to rank by load, so runs that
+        never steal (the inline backend, steal-free process runs) and
+        runs with one possible victim (always, at two workers) never pay
+        for the QCE analysis behind it."""
         if policy not in ("corpus", "fifo"):
             raise ValueError(f"unknown dispatch policy {policy!r}")
         self.corpus_covered = frozenset(corpus_covered)
@@ -143,6 +144,10 @@ class PartitionScheduler:
         """
         if not running:
             raise ValueError("pick_victim with no busy workers")
+        if len(running) == 1:
+            # Nothing to rank — and ranking would resolve the lazy Qt
+            # table, i.e. run the whole QCE analysis on the coordinator.
+            return next(iter(running))
         return min(
             running,
             key=lambda wid: (self.victim_score(running[wid]), wid)

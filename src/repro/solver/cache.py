@@ -17,11 +17,6 @@ from collections import OrderedDict
 from ..expr.evaluate import EvalError, evaluate
 from ..expr.nodes import Expr
 
-# Sentinels for the per-model evaluation memo: distinguishable from any
-# genuine evaluate() result (ints, including 0).
-_MISSING = object()
-_EVAL_ERROR = object()
-
 
 class QueryCache:
     """Bounded cache of solver verdicts keyed by canonical constraint sets."""
@@ -32,12 +27,15 @@ class QueryCache:
         )
         self._recent_models: OrderedDict[int, dict[str, int]] = OrderedDict()
         self._model_counter = 0
-        # (model id -> (expr eid -> evaluate() result)): path conditions
-        # grow one conjunct at a time, so successive model-reuse scans
-        # re-evaluate almost the same constraints against almost the same
-        # models.  evaluate() is pure, so memoizing per (model, expr) is
-        # observation-equivalent; memos die with their model's eviction.
-        self._eval_cache: dict[int, dict[int, object]] = {}
+        # model id -> (evaluate()'s node memo, eids of constraints that
+        # raised EvalError): path conditions grow one conjunct at a time,
+        # so successive model-reuse scans evaluate almost the same DAG
+        # against almost the same models.  evaluate() is pure, so the memo
+        # is unobservable; it dies with its model's eviction.  Failures are
+        # marked per constraint, beside the memo and never in it — a failed
+        # constraint can be a child of a later one, and a node memo holds
+        # values only.
+        self._eval_cache: dict[int, tuple[dict[int, int], set[int]]] = {}
         self._unsat_sets: OrderedDict[frozenset[int], None] = OrderedDict()
         self.max_entries = max_entries
         self.max_models = max_models
@@ -65,19 +63,24 @@ class QueryCache:
                 return (False, None)
         eval_cache = self._eval_cache
         for mid, model in reversed(self._recent_models.items()):
-            memo = eval_cache.get(mid)
-            if memo is None:
-                memo = eval_cache[mid] = {}
+            entry = eval_cache.get(mid)
+            if entry is None:
+                entry = eval_cache[mid] = ({}, set())
+            memo, failed = entry
             satisfied = True
             for c in constraints:
-                val = memo.get(c.eid, _MISSING)
-                if val is _MISSING:
+                val = memo.get(c.eid)
+                if val is None:
+                    if c.eid in failed:
+                        satisfied = False
+                        break
                     try:
-                        val = evaluate(c, model)
+                        val = evaluate(c, model, memo)
                     except EvalError:
-                        val = _EVAL_ERROR
-                    memo[c.eid] = val
-                if val is _EVAL_ERROR or not val:
+                        failed.add(c.eid)
+                        satisfied = False
+                        break
+                if not val:
                     satisfied = False
                     break
             if satisfied:

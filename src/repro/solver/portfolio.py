@@ -1,4 +1,4 @@
-"""The solver chain: cache → store → splitting → pre-solve → bit-blasting.
+"""The solver chain: cache → splitting → pre-solve → rewrite-fold → store → bit-blasting.
 
 :class:`SolverChain` is the engine-facing facade, mirroring KLEE's stacked
 solvers (independent-constraint splitter, counterexample cache, and STP at
@@ -9,6 +9,16 @@ abstract domains that answer queries without blasting, plus a solver-
 boundary structural simplifier that shrinks the groups that do get
 blasted.  The fastpath neutrality law: enabling or disabling the tier
 changes which tier answers (and the counters), never a verdict.
+
+The optional persistent store (:mod:`repro.store`) is consulted at one
+place only — :meth:`SolverChain._check_group`, for a group every cheaper
+tier has failed to decide, i.e. where the next step would be a SAT solve
+— and is told one thing only: the verdict of the solve that follows a
+miss (plus the UNSAT core extracted from it).  The tier-order ledger law,
+with a store attached: ``store_hits + store_misses`` counts the groups
+that reached the bottom tier, ``store_misses`` the bottom-tier solves run
+(``assumption_probes`` here, ``sat_solver_runs`` on the fresh chain), and
+``store_inserts <= store_misses + unsat_cores``.
 
 :class:`IncrementalChain` replaces the bottom tier with *incremental*
 assumption-based solving: one long-lived :class:`BitBlaster` is kept per
@@ -78,7 +88,8 @@ class SolverStats:
     cache_hits_subset: int = 0
     cache_hits_model: int = 0
     cache_misses: int = 0
-    # Persistent-store tier (stay 0 when no store is attached).
+    # Persistent-store tier (stay 0 when no store is attached): hits +
+    # misses = groups that reached the bottom tier, misses = solves run.
     store_hits: int = 0
     store_misses: int = 0
     store_inserts: int = 0
@@ -176,9 +187,9 @@ class SolverChain:
     # gated by ``use_fastpath``.  Environments live per independence-group
     # signature and are extended incrementally as path conditions grow.
     presolve: PresolveManager = field(default_factory=PresolveManager, repr=False)
-    # Optional persistent tier (repro.store.PersistentTier), consulted on
-    # in-memory-cache misses *before* independence splitting and fed every
-    # solved verdict (buffered; a single writer flushes at end of run).
+    # Optional persistent tier (repro.store.PersistentTier): asked about
+    # a group right before it would be solved, told that solve's verdict
+    # (buffered; a single writer flushes at end of run).
     persistent: object | None = None
 
     def check(self, constraints) -> CheckResult:
@@ -274,21 +285,6 @@ class SolverChain:
                 self.stats.cache_hits += 1
                 return CheckResult(hit[0], dict(hit[1]) if hit[1] is not None else None)
 
-        if self.persistent is not None:
-            hit = self.persistent.lookup(flat)
-            if hit is not None:
-                self.stats.store_hits += 1
-                is_sat, model_hit = hit
-                if self.use_cache:
-                    # Promote into the in-memory cache so repeats of this
-                    # query (and its SAT model / UNSAT subset power) stay
-                    # process-local.
-                    self.cache.store(flat, is_sat, model_hit)
-                return CheckResult(
-                    is_sat, dict(model_hit) if model_hit is not None else None
-                )
-            self.stats.store_misses += 1
-
         groups = split_independent(flat) if self.use_independence else [flat]
         model: dict[str, int] = {}
         for group in groups:
@@ -296,7 +292,6 @@ class SolverChain:
             if not sub.is_sat:
                 if self.use_cache:
                     self.cache.store(flat, False, None)
-                self._persist(flat, False, None)
                 return CheckResult(False)
             if sub.model:
                 # A cache hit may return a model binding variables outside
@@ -309,7 +304,6 @@ class SolverChain:
                 model.update({k: v for k, v in sub.model.items() if k in group_vars})
         if self.use_cache:
             self.cache.store(flat, True, model)
-        self._persist(flat, True, model)
         return CheckResult(True, model)
 
     def _check_group(self, group: list[Expr]) -> CheckResult:
@@ -332,7 +326,26 @@ class SolverChain:
                 self.stats.presolve_hits_unsat += 1
                 self._store_group(group, False, None)
                 return CheckResult(False)
-        return self._check_sat(group, sig)
+        blast, early = self._blast_set(group)
+        if early is not None:
+            return early
+        # The bottom of the chain: what is left costs a SAT solve, which is
+        # what a stored verdict is worth.  Everything above decides a group
+        # for less than the store's canonical key costs to compute.
+        if self.persistent is not None:
+            hit = self.persistent.lookup(group)
+            if hit is not None:
+                self.stats.store_hits += 1
+                is_sat, model = hit
+                # Promoted into the in-memory cache: repeats of the group
+                # (and its SAT model / UNSAT subset power) stay local.
+                self._store_group(group, is_sat, model)
+                return CheckResult(is_sat, dict(model) if model is not None else None)
+            self.stats.store_misses += 1
+        result = self._check_sat(group, blast, sig)
+        self._store_group(group, result.is_sat, result.model)
+        self._persist(group, result.is_sat, result.model)
+        return result
 
     def _blast_set(self, group: list[Expr]) -> tuple[list[Expr], CheckResult | None]:
         """Solver-boundary structural simplification of a group.
@@ -367,15 +380,12 @@ class SolverChain:
     def _store_group(self, group: list[Expr], is_sat: bool, model) -> None:
         if self.use_cache and len(group) > 1:
             self.cache.store(group, is_sat, model)
-        if len(group) > 1:
-            # Group-level verdicts are worth persisting too: a future run's
-            # whole query may equal one of today's independence groups.
-            self._persist(group, is_sat, model)
 
-    def _check_sat(self, group: list[Expr], sig: frozenset[str] | None = None) -> CheckResult:
-        blast, early = self._blast_set(group)
-        if early is not None:
-            return early
+    def _check_sat(
+        self, group: list[Expr], blast: list[Expr], sig: frozenset[str] | None
+    ) -> CheckResult:
+        """Bottom tier: bit-blast ``blast`` (``group`` after the boundary
+        rewrite) from scratch and solve it."""
         blaster = BitBlaster(max_learned=self.sat_max_learned)
         for c in blast:
             blaster.assert_expr(c)
@@ -386,11 +396,7 @@ class SolverChain:
             self._account_sat(blaster)
             raise SolverTimeout(str(exc)) from exc
         self._account_sat(blaster)
-        if model is None:
-            self._store_group(group, False, None)
-            return CheckResult(False)
-        self._store_group(group, True, model)
-        return CheckResult(True, model)
+        return CheckResult(model is not None, model)
 
     def _account_sat(self, blaster: BitBlaster) -> None:
         sat = blaster.sat
@@ -516,10 +522,10 @@ class IncrementalChain(SolverChain):
 
     # -- incremental bottom tier ------------------------------------------------
 
-    def _check_sat(self, group: list[Expr], sig: frozenset[str] | None = None) -> CheckResult:
-        blast, early = self._blast_set(group)
-        if early is not None:
-            return early
+    def _check_sat(
+        self, group: list[Expr], blast: list[Expr], sig: frozenset[str] | None
+    ) -> CheckResult:
+        """Bottom tier: one assumption probe on the signature's blaster."""
         if sig is None:
             sig = group_signature(group)
         entry = self._blasters.get(sig)
@@ -553,17 +559,13 @@ class IncrementalChain(SolverChain):
             self.presolve.reset_signature(sig)
             raise SolverTimeout(str(exc)) from exc
         self._account_probe(entry)
-        if model is None:
-            if blast is group:
-                # Cores are only harvested when the group went to the
-                # blaster un-rewritten: cache and store must see original
-                # constraint shapes, or the seeded subset-UNSAT entries
-                # would never match future (original-form) queries.
-                self._extract_core(entry.blaster, group)
-            self._store_group(group, False, None)
-            return CheckResult(False)
-        self._store_group(group, True, model)
-        return CheckResult(True, model)
+        if model is None and blast is group:
+            # Cores are only harvested when the group went to the
+            # blaster un-rewritten: cache and store must see original
+            # constraint shapes, or the seeded subset-UNSAT entries
+            # would never match future (original-form) queries.
+            self._extract_core(entry.blaster, group)
+        return CheckResult(model is not None, model)
 
     def _extract_core(self, blaster: BitBlaster, group: list[Expr]) -> None:
         """Feed the assumption core of an UNSAT answer to the caches.

@@ -6,12 +6,15 @@ knowledge *durable*.  One SQLite file (plus content-addressed blobs in
 it) holds three kinds of cross-run state:
 
 1. **canonicalized constraint cache** — α-canonical keys
-   (:mod:`repro.expr.canon`) → SAT/UNSAT + model fragments, consulted by
-   :class:`~repro.solver.portfolio.SolverChain` as a tier above
-   independence splitting;
+   (:mod:`repro.expr.canon`) → SAT/UNSAT + model fragments, one row per
+   independence group the solver chain had to bit-blast; the chain asks
+   for a group at the bottom of its tiers only (cache → split → presolve
+   → rewrite-fold → **store** → blast), where the alternative is a SAT
+   solve, and records nothing but the verdict of that solve;
 2. **test corpus** — every generated test with its coverage bitmap and
-   path-prefix id, replayable and used to warm-start the next run's
-   model-reuse cache tier;
+   path-prefix id, replayable, used to warm-start the next run's
+   model-reuse cache tier and to answer test generation's group misses
+   (the row filed under a test's own identity holds its input);
 3. **run metadata** — per-run stats rows for cross-run comparisons
    (the ``warm_start`` experiment figure reads these).
 
@@ -32,6 +35,19 @@ parallel coordinator; see also ROADMAP.md):
   *which tier* answers a query, never the verdict, so warm runs explore
   the same path space and emit the same (deterministically generated)
   test multiset as cold runs.
+* **tier-order ledger** — with a store attached, ``store_hits +
+  store_misses`` counts the groups that reached the bottom tier,
+  ``store_misses`` the bottom-tier solves run, and ``store_inserts <=
+  store_misses + unsat_cores``: a query presolve decides never touches
+  the store, in either direction.
+* **corpus answer** — a stored input stands in for a test-generation
+  solve only after it was cut down to the group's variables and every
+  constraint of the group evaluated true under it.  A row this build's
+  deterministic generator wrote for the same path *is* the union of the
+  groups' fresh models, so the emitted test is bit-for-bit the one a
+  solve would give; a row from any other generator yields a verified
+  input for a key the corpus would have deduplicated onto that row
+  anyway (the law's same-generator scope).
 """
 
 from .corpus import (

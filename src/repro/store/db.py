@@ -581,6 +581,17 @@ class ReproStore:
             for kind, path_id, line in rows
         }
 
+    def test_model(
+        self, program: str, spec: str, kind: str, path_id: str, line: int | None
+    ) -> dict[str, int] | None:
+        """The stored input model of one corpus row, or ``None``."""
+        row = self.conn.execute(
+            "SELECT model FROM tests WHERE program = ? AND spec = ? AND kind = ?"
+            " AND path_id = ? AND line = ?",
+            (program, spec, kind, path_id, line if line is not None else -1),
+        ).fetchone()
+        return None if row is None else dict(pickle.loads(row[0]))
+
     def iter_tests(self, program: str, spec: str | None = None) -> list[dict]:
         """Corpus rows for a program (optionally one spec), oldest first."""
         query = (

@@ -1,19 +1,26 @@
-"""The solver chain's persistent cache tier.
+"""The run's read view of the persistent store, and its insert buffer.
 
-:class:`PersistentTier` sits between the in-memory :class:`QueryCache`
-and independence splitting in :meth:`SolverChain._check_inner`: a query
-that misses the process-local cache is canonicalized
-(:func:`repro.expr.canon.canonicalize`) and looked up in the cross-run
-store.  The key is composed from the canonical forms of the query's
-independence components, which :mod:`repro.expr.canon` remembers
-process-wide — a path condition that grew by one conjunct pays for that
-conjunct's component only, and the tier keeps no memo of its own.  Hits
-come back as ``(is_sat, model)`` with the stored model fragment renamed
-into the query's own variables; SAT models are *verified* by evaluation
-before being trusted (a failed verification is treated as a miss), UNSAT
-verdicts rest on canonical-key soundness — the key digests the sorted
-multiset of component keys, each of which digests its complete renamed
-component, so equal keys mean α-equivalent sets.
+:class:`PersistentTier` answers the two questions a run would otherwise
+bit-blast for, and nothing else:
+
+* **the solver chain's bottom tier** — :meth:`SolverChain._check_group`
+  consults :meth:`lookup` for an independence group only after the cache,
+  presolve and the boundary rewrite have all failed to decide it, i.e.
+  exactly where the next step is a SAT solve; the solve that follows a
+  miss is the only verdict :meth:`record` ever sees.  The group is
+  canonicalized (:func:`repro.expr.canon.canonicalize`, which remembers
+  component forms process-wide, so the tier keeps no memo of its own) and
+  looked up in the cross-run store.  Hits come back as ``(is_sat,
+  model)`` with the stored model fragment renamed into the query's own
+  variables; SAT models are *verified* by evaluation before being
+  trusted (a failed or absent model is a miss), UNSAT verdicts rest on
+  canonical-key soundness — the key digests the sorted multiset of
+  component keys, each of which digests its complete renamed component,
+  so equal keys mean α-equivalent sets.
+* **test generation's group misses** — :meth:`test_model` hands
+  :func:`repro.engine.testgen.deterministic_model` the input the corpus
+  holds under the very key the test about to be built would be
+  deduplicated onto; the caller verifies it by evaluation too.
 
 Writes never happen inline.  Every tier buffers its inserts (deduplicated
 by canonical key) and the **single writer** — the sequential engine at
@@ -33,11 +40,19 @@ from .db import ReproStore
 
 
 class PersistentTier:
-    """Chain-facing view of one store: canonical lookups + buffered inserts."""
+    """One run's view of one store: verified lookups + buffered inserts."""
 
-    def __init__(self, store: ReproStore | None, program: str | None = None):
+    def __init__(
+        self,
+        store: ReproStore | None,
+        program: str | None = None,
+        spec: str | None = None,
+    ):
         self.store = store
         self.program = program
+        # Spec fingerprint the corpus rows of this run are filed under
+        # (None: no corpus lookups).
+        self.spec = spec
         self.writable = store is not None and not store.readonly
         # key -> (is_sat, canonical model | None); insertion-ordered so
         # flushes are deterministic.
@@ -47,6 +62,8 @@ class PersistentTier:
         # (size, serialized exprs) payloads of extracted UNSAT cores.
         self._pending_cores: list[tuple[int, bytes]] = []
         self.rejects = 0  # SAT hits whose model failed verification
+        # Corpus identities held for (program, spec), read on first use.
+        self._test_keys: set[tuple] | None = None
 
     # -- lookups ---------------------------------------------------------------
 
@@ -68,15 +85,32 @@ class PersistentTier:
         if not is_sat:
             return (False, None)
         if canonical_model is None:
-            return (True, None)
+            return None  # nothing to verify: not an answer
         model = canon.from_canonical(canonical_model)
+        memo: dict[int, int] = {}
         try:
-            if all(evaluate(c, model) for c in flat):
+            if all(evaluate(c, model, memo) for c in flat):
                 return (True, model)
         except EvalError:
             pass
         self.rejects += 1
         return None
+
+    def test_model(self, kind: str, path_id: str, line: int | None) -> dict[str, int] | None:
+        """The input the corpus holds for this test identity, or ``None``.
+
+        Unverified — the caller checks it against the constraints it is
+        about to solve.  The corpus' key set is read once, on the first
+        call: a store that holds nothing for this program and spec then
+        costs nothing per test.
+        """
+        if self.store is None or self.spec is None:
+            return None
+        if self._test_keys is None:
+            self._test_keys = self.store.test_keys(self.program, self.spec)
+        if (kind, path_id, line) not in self._test_keys:
+            return None
+        return self.store.test_model(self.program, self.spec, kind, path_id, line)
 
     # -- buffered writes -------------------------------------------------------
 

@@ -77,3 +77,92 @@ def test_bool_ops_evaluate():
     assert evaluate(c, {"evx": 3}) == 1
     assert evaluate(c, {"evx": 7}) == 0
     assert evaluate(ops.not_(c), {"evx": 7}) == 1
+
+
+# ---------------------------------------------------------------------------
+# The caller-owned node memo: unobservable, errors included.
+# ---------------------------------------------------------------------------
+
+Z = ops.bv_var("evz", 8)
+
+_bv_leaf = st.one_of(
+    st.sampled_from([X, Y, Z]),
+    st.integers(0, 255).map(lambda v: ops.bv(v, 8)),
+)
+_bv = st.recursive(
+    _bv_leaf,
+    lambda ch: st.one_of(
+        st.tuples(st.sampled_from(BINOPS), ch, ch).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(st.sampled_from(CMPS), ch, ch, ch, ch).map(
+            lambda t: ops.ite(t[0](t[1], t[2]), t[3], t[4])),
+    ),
+    max_leaves=4,
+)
+_atom = st.tuples(st.sampled_from(CMPS), _bv, _bv).map(lambda t: t[0](t[1], t[2]))
+_CONNECTIVES = [
+    lambda new, old: ops.or_(new, old),
+    lambda new, old: ops.or_(old, new),
+    lambda new, old: ops.and_(new, old),
+    lambda new, old: ops.and_(old, new),
+    lambda new, old: ops.xor(new, old),
+    lambda new, old: ops.not_(old),
+    lambda new, old: ops.eq(ops.ite(new, ops.bv(1, 8), ops.bv(2, 8)),
+                            ops.ite(old, ops.bv(1, 8), ops.bv(3, 8))),
+]
+
+
+@st.composite
+def _constraint_lists(draw):
+    """Constraints the way path conditions grow: later ones reuse earlier
+    ones — whole, as children, behind short-circuits or not."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        c = draw(_atom)
+        if out and draw(st.booleans()):
+            c = draw(st.sampled_from(_CONNECTIVES))(c, draw(st.sampled_from(out)))
+        out.append(c)
+    return out
+
+
+def _outcome(expr, assignment, memo=None):
+    try:
+        return evaluate(expr, assignment, memo)
+    except EvalError:
+        return "unbound"
+
+
+@given(
+    _constraint_lists(),
+    st.dictionaries(st.sampled_from(["evx", "evy", "evz"]), st.integers(0, 255)),
+)
+@settings(max_examples=100, deadline=None)
+def test_shared_memo_equals_fresh_evaluation(constraints, assignment):
+    """One memo across a constraint list == each constraint on its own,
+    also when a constraint raises mid-list (a variable is unbound) and a
+    later one holds the failed constraint as a child."""
+    fresh = [_outcome(c, assignment) for c in constraints]
+    memo: dict[int, int] = {}
+    assert [_outcome(c, assignment, memo) for c in constraints] == fresh
+    # Only values were written: the memo answers a second pass the same,
+    # and never holds a mark for a failure.
+    assert all(type(v) is int for v in memo.values())
+    assert [_outcome(c, assignment, memo) for c in constraints] == fresh
+    for c, value in zip(constraints, fresh):
+        assert (c.eid in memo) == (value != "unbound") or c.is_const()
+
+
+def test_failed_constraint_as_child_of_a_later_one():
+    failed = ops.ult(Y, ops.bv(5, 8))              # evy is unbound
+    holds = ops.ult(X, ops.bv(5, 8))
+    memo: dict[int, int] = {}
+    with pytest.raises(EvalError):
+        evaluate(failed, {"evx": 3}, memo)
+    assert failed.eid not in memo
+    # A lazy ite steps around the unbound variable ...
+    guarded = ops.ite(holds, X, ops.ite(failed, Y, Z))
+    assert evaluate(guarded, {"evx": 3}, memo) == 3
+    # ... and where nothing does, the failure is raised again, not
+    # replayed as a value.
+    with pytest.raises(EvalError):
+        evaluate(ops.not_(failed), {"evx": 3}, memo)
+    assert evaluate(holds, {"evx": 3}, memo) == 1 and memo[holds.eid] == 1

@@ -73,6 +73,26 @@ def test_process_two_workers_matches_sequential():
     assert sum(worker_paths) > 0
 
 
+def test_two_worker_plain_run_never_runs_the_qce_analysis(monkeypatch):
+    """With two workers a steal has one possible victim, and choosing it
+    must not resolve the scheduler's lazy Qt table — in plain mode that is
+    a whole QCE analysis on the coordinator, blocking dispatch."""
+    from repro.parallel import coordinator
+
+    analysed = []
+    real = coordinator.analyze_module
+
+    def counted(module, params):
+        analysed.append(module)
+        return real(module, params)
+
+    monkeypatch.setattr(coordinator, "analyze_module", counted)
+    par = run_parallel("wc", parallel=ParallelConfig(workers=2, backend="process"))
+    par.check_ledger()
+    assert par.partitions > 0
+    assert analysed == []
+
+
 def test_testgen_deterministic_across_exploration_orders():
     """The satellite regression: tests are a function of the path prefix,
     not of global exploration order — so DFS and BFS (which reach the
@@ -127,11 +147,11 @@ def test_engine_stats_merge_laws():
     a = EngineStats(blocks_executed=5, forks=2, max_worklist=7, wall_time=1.0,
                     timed_out=False, states_created=3, testgen_queries=4,
                     testgen_cost_units=9, testgen_group_solves=3,
-                    testgen_group_hits=8)
+                    testgen_group_hits=8, testgen_corpus_hits=2)
     b = EngineStats(blocks_executed=11, forks=1, max_worklist=4, wall_time=0.5,
                     timed_out=True, states_created=2, testgen_queries=2,
                     testgen_cost_units=1, testgen_group_solves=1,
-                    testgen_group_hits=5)
+                    testgen_group_hits=5, testgen_corpus_hits=4)
     merged = EngineStats.merged([a, b])
     assert merged.blocks_executed == 16
     assert merged.forks == 3
@@ -141,6 +161,7 @@ def test_engine_stats_merge_laws():
     assert merged.testgen_cost_units == 10
     assert merged.testgen_group_solves == 4
     assert merged.testgen_group_hits == 13
+    assert merged.testgen_corpus_hits == 6
     assert merged.max_worklist == 7  # max, not sum
     assert merged.timed_out is True  # any-of
     assert merged.wall_time == pytest.approx(1.5)

@@ -486,6 +486,45 @@ def test_pick_victim_load_breaks_novelty_ties():
     assert sched.score(running[0]) < sched.score(running[1])
 
 
+def test_pick_victim_single_candidate_never_resolves_qt():
+    """One eligible victim (always, at two workers) is returned unscored:
+    ranking it would run the QCE analysis behind the lazy Qt supplier."""
+    def supplier():
+        raise AssertionError("Qt table resolved to rank a single candidate")
+
+    sched = PartitionScheduler(frozenset({("f", "g")}), qt_table=supplier, policy="corpus")
+    assert sched.pick_victim({3: fake_partition(0, block="then1", prefix_len=3)}) == 3
+    assert sched.pick_victim({5: None}) == 5
+    with pytest.raises(ValueError):
+        sched.pick_victim({})
+    # Two candidates are ranked exactly as before, load signal included.
+    with pytest.raises(AssertionError, match="Qt table resolved"):
+        sched.pick_victim({
+            0: fake_partition(0, block="then1", prefix_len=3),
+            1: fake_partition(1, block="entry0", prefix_len=3),
+        })
+
+
+def test_pick_victim_scores_two_or_more_candidates_by_victim_score():
+    qt = {("main", "entry0"): 100.0, ("main", "then1"): 1.0, ("main", "else2"): 30.0}
+    sched = PartitionScheduler(frozenset({("main", "else2")}), qt_table=qt, policy="corpus")
+    running = {
+        4: fake_partition(0, block="then1", prefix_len=3),
+        2: fake_partition(1, block="entry0", prefix_len=9),
+        7: fake_partition(2, block="else2", prefix_len=1),
+        1: None,
+    }
+    for size in (2, 3, 4):
+        subset = dict(list(running.items())[:size])
+        expected = min(
+            subset,
+            key=lambda wid: (sched.victim_score(subset[wid]), wid)
+            if subset[wid] is not None else ((), wid),
+        )
+        assert sched.pick_victim(subset) == expected
+    assert sched.pick_victim(dict(list(running.items())[:3])) == 2  # novel and heaviest
+
+
 def test_paths_to_cover_empty_target_is_zero():
     from repro.experiments.figures import _paths_to_cover
 

@@ -150,3 +150,80 @@ def test_property_lru_bounds_hold(stores):
         assert len(cache._exact) <= cache.max_entries
         assert len(cache._recent_models) <= cache.max_models
         assert len(cache._unsat_sets) <= cache.max_unsat_sets
+
+
+# ---------------------------------------------------------------------------
+# Node-level evaluation memos are unobservable.
+# ---------------------------------------------------------------------------
+
+from repro.expr.evaluate import EvalError  # noqa: E402
+
+
+class MemoFreeCache(QueryCache):
+    """The oracle: the same three tiers, every model-reuse probe a fresh
+    tree walk — nothing remembered between lookups."""
+
+    def lookup(self, constraints):
+        key = self.key_of(constraints)
+        hit = self._exact.get(key)
+        if hit is not None:
+            self._exact.move_to_end(key)
+            self.hits_exact += 1
+            return hit
+        if any(unsat_key <= key for unsat_key in self._unsat_sets):
+            self.hits_subset_unsat += 1
+            return (False, None)
+        for model in reversed(self._recent_models.values()):
+            try:
+                if all(evaluate(c, model) for c in constraints):
+                    self.hits_model_reuse += 1
+                    return (True, model)
+            except EvalError:
+                continue
+        self.misses += 1
+        return None
+
+
+# Constraints that hold other constraints as children, the way a merged
+# pc's disjunction holds the branch conditions of the paths it joined.
+_NESTED = _POOL + [
+    ops.or_(_POOL[0], _POOL[10]),
+    ops.and_(_POOL[5], ops.not_(_POOL[11])),
+    ops.not_(ops.or_(_POOL[3], _POOL[13])),
+    ops.eq(ops.ite(_POOL[12], PX, PY), ops.bv(5, 4)),
+]
+_nested_subsets = st.lists(st.sampled_from(_NESTED), min_size=1, max_size=4, unique=True)
+# Seeded models may bind one variable only: constraints over the other
+# raise EvalError under them, at any depth of a nested constraint.
+_seed_models = st.dictionaries(
+    st.sampled_from(["qcx", "qcy"]), st.integers(0, 15), min_size=1)
+_cache_ops = st.one_of(
+    st.tuples(st.just("store"), _nested_subsets),
+    st.tuples(st.just("lookup"), _nested_subsets),
+    st.tuples(st.just("seed"), _seed_models),
+)
+
+
+@given(st.lists(_cache_ops, min_size=5, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_property_node_memos_are_unobservable(workload):
+    """Over any store/lookup/seed interleaving, with bounds small enough
+    that models are evicted mid-stream, the memoising cache answers and
+    counts exactly as the memo-free oracle — and a model's memo dies with
+    its eviction."""
+    bounds = dict(max_entries=6, max_models=2, max_unsat_sets=2)
+    cache, oracle = QueryCache(**bounds), MemoFreeCache(**bounds)
+    for op, arg in workload:
+        if op == "store":
+            verdict = _brute_force(arg)
+            cache.store(arg, *verdict)
+            oracle.store(arg, *verdict)
+        elif op == "seed":
+            cache.seed_model(arg)
+            oracle.seed_model(arg)
+        else:
+            assert cache.lookup(arg) == oracle.lookup(arg)
+        assert set(cache._eval_cache) <= set(cache._recent_models)
+        assert len(cache._eval_cache) <= cache.max_models
+    for counter in ("hits_exact", "hits_subset_unsat", "hits_model_reuse", "misses"):
+        assert getattr(cache, counter) == getattr(oracle, counter)

@@ -182,6 +182,42 @@ def test_corpus_dedup_and_models(store):
     assert store.iter_test_models("echo", fp) == [{"arg1_b0": 97}]
 
 
+def test_test_model_reads_one_row_by_its_identity(store):
+    """``ReproStore.test_model`` is keyed like ``put_tests`` deduplicates
+    (``line=None`` is the stored -1); the tier reads the key set once and
+    never queries for an identity the corpus does not hold."""
+    fp = spec_fingerprint(ArgvSpec(n_args=1, arg_len=2))
+    store.put_tests("echo", fp, [
+        ("path", "pid1", None, (b"prog", b"a"), (("arg1_b0", 97),), b"", 1, None),
+        ("assert", "pid1", 7, (b"prog", b"b"), (("arg1_b0", 98),), b"", 1, None),
+    ])
+    assert store.test_model("echo", fp, "path", "pid1", None) == {"arg1_b0": 97}
+    assert store.test_model("echo", fp, "assert", "pid1", 7) == {"arg1_b0": 98}
+    assert store.test_model("echo", fp, "assert", "pid1", 8) is None
+    assert store.test_model("cat", fp, "path", "pid1", None) is None
+
+    tier = PersistentTier(store, program="echo", spec=fp)
+    assert tier.test_model("path", "pid1", None) == {"arg1_b0": 97}
+    assert tier.test_model("assert", "pid1", 7) == {"arg1_b0": 98}
+    selects = []
+    store.conn.set_trace_callback(selects.append)
+    assert tier.test_model("path", "other", None) is None
+    assert selects == []
+    store.conn.set_trace_callback(None)
+    # No spec, or no store (a closed one): no corpus to ask.
+    assert PersistentTier(store, program="echo").test_model("path", "pid1", None) is None
+    assert PersistentTier(None, program="echo", spec=fp).test_model("path", "pid1", None) is None
+
+
+def test_tier_sat_row_without_a_model_is_a_miss(store):
+    """A SAT verdict is only ever taken together with a model that
+    verifies; a model-less row (nothing this build writes) is not one."""
+    store.put_constraints([(canonicalize([A, B]).key, True, None)])
+    tier = PersistentTier(store, program="prog")
+    assert tier.lookup([A, B]) is None
+    assert tier.rejects == 0
+
+
 def test_seed_query_cache(store):
     spec = ArgvSpec(n_args=1, arg_len=2)
     fp = spec_fingerprint(spec)
