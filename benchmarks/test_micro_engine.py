@@ -76,3 +76,38 @@ def test_tsort_worklist_indexes_answer_by_lookup(benchmark):
     assert stats.sched_picks == 1707
     assert len(calls) <= 4 * stats.merges
     assert stats.sched_rescores <= 150
+
+
+# A purely concrete loop, so the lowering tier compiles every block once
+# it turns hot.
+_STEP_LOOP_SRC = """
+int main(int argc, char argv[][]) {
+  int i; int j; int acc;
+  acc = 0;
+  for (i = 0; i < 2000; i = i + 1) {
+    j = i * 7 + 3;
+    acc = acc + (j & 63) - (j % 5) + (j / 9);
+  }
+  return acc;
+}
+"""
+
+
+def test_step_loop_lowered_and_interpreted_execute_the_same():
+    """Count gate (no wall time) for the stepping tiers: compiled and
+    interpreted stepping execute the same instructions, and only the
+    lowered arm compiles anything."""
+    from repro.env.runner import run_symbolic_module
+
+    module = compile_program(_STEP_LOOP_SRC)
+    spec = ArgvSpec(n_args=1, arg_len=2)
+
+    def run(lowered):
+        config = EngineConfig(merging="none", strategy="dfs", generate_tests=False,
+                              lowering_enabled=lowered)
+        return run_symbolic_module(module, spec, config).stats
+
+    lowered, interp = run(True), run(False)
+    assert lowered.instructions_executed == interp.instructions_executed == 6005
+    assert lowered.compiled_steps > 0 and lowered.blocks_compiled > 0
+    assert interp.compiled_steps == 0 and interp.blocks_compiled == 0

@@ -209,3 +209,24 @@ def test_store_answers_blasts_not_lookups(tmp_path, program, mode, paths, tests)
     assert c.store_inserts <= c.assumption_probes + c.unsat_cores
     assert w.store_hits + w.store_misses <= c.assumption_probes
     assert w.sat_solver_runs <= c.sat_solver_runs
+
+
+def test_presolve_fixpoint_deep_ite():
+    """Count gate (no wall time): a 24-deep ite chain under a growing
+    path condition is decided by the presolve fixpoint alone — every
+    query a fast-path hit, nothing blasted."""
+    from repro.solver.portfolio import IncrementalChain
+
+    chain = IncrementalChain(use_cache=False)
+    x = ops.bv_var("px", 8)
+    acc = ops.bv(0, 8)
+    for k in range(24):
+        acc = ops.ite(ops.ult(x, ops.bv(200 - k, 8)), ops.add(acc, ops.bv(1, 8)), acc)
+    pc = [ops.ult(ops.bv(3, 8), x)]
+    for k in range(12):
+        chain.check(pc + [ops.ule(acc, ops.bv(30 - k, 8))])
+        pc = pc + [ops.ult(ops.bv(4 + k, 8), x)]
+    stats = chain.stats
+    assert (stats.queries, stats.fastpath_hits) == (12, 12)
+    assert stats.presolve_batch_rounds == 144
+    assert stats.sat_solver_runs == 0 and stats.assumption_probes == 0

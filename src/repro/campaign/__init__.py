@@ -1,12 +1,13 @@
 """repro.campaign — durable, crash-resumable exploration campaigns.
 
-PR 6's lease layer made *workers* expendable; this package makes the
+The lease layer makes *workers* expendable; this package makes the
 **coordinator** expendable too.  A campaign is a partitioned exploration
 with an identity: the coordinator periodically (and at every lease
-requeue / steal checkpoint) persists a :class:`CampaignRecord` — pending
-partition snapshots as content-addressed store blobs, completed-
-partition results, the accepted per-worker stats deltas, and the
-buffered store inserts — under a monotonic epoch in the store's
+requeue / steal checkpoint) persists a :class:`CampaignRecord` — the
+durable half of its :class:`~repro.parallel.state.CampaignState`:
+pending partition snapshots as content-addressed store blobs,
+completed-partition results, the accepted per-worker stats deltas, and
+the buffered store inserts — under a monotonic epoch in the store's
 ``checkpoints`` table.  Kill the coordinator at any point and
 ``python -m repro.remote campaign --resume <id>`` (or
 :func:`resume_campaign`) rebuilds the scheduler queue and ledger from

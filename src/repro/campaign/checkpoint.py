@@ -1,22 +1,26 @@
-"""Checkpoint cadence and the campaign resume entry point.
+"""Checkpoint epochs and the campaign resume entry point.
 
-:class:`CampaignCheckpointer` is the coordinator-side state machine: it
-owns the monotonic epoch counter, decides when an accepted completion is
-worth an epoch (``checkpoint_every``), writes records through
-:mod:`repro.campaign.record`, and deletes the campaign once the run
-commits — a completed campaign leaves no checkpoint rows behind.
+:class:`CampaignCheckpointer` owns the monotonic epoch counter and
+writes records through :mod:`repro.campaign.record`; *what* a record
+holds and *when* one is due are decided by the coordinator's
+:class:`~repro.parallel.state.CampaignState` (``to_record`` and the
+``CHECKPOINT`` actions it returns).  A completed campaign's rows are
+deleted in the same transaction that commits its results.
 
 :func:`resume_campaign` is the other half: load the newest consistent
 epoch, rebuild spec/config/parallel from the record's replay context,
 and hand a :class:`~repro.parallel.coordinator.Coordinator` the record
-to continue from.  Resume semantics mirror worker-death recovery
-exactly: completed partitions stay completed (their tests, coverage and
-stats deltas are restored from the record, never re-explored), while
-every partition that was in flight at the crash goes back to the
-scheduler queue and is explored from its original snapshot — the same
-"revoked lease" treatment :meth:`handle_death` applies, so the identity
-law (byte-identical plain-mode test multiset, clean ``check_ledger()``)
-carries over a coordinator SIGKILL.
+to continue from — the record becomes the campaign's state.  Resume
+semantics mirror worker-death recovery exactly, because a checkpoint
+folds every outstanding lease back to pending with the same
+:meth:`~repro.parallel.state.CampaignState.revoke` a worker death
+applies: completed partitions stay completed (their tests, coverage and
+stats deltas are in the record, never re-explored), while every
+partition that was in flight at the crash is explored again from its
+snapshot (or from its last steal checkpoint) — so the identity law
+(byte-identical plain-mode test multiset, clean ``check_ledger()``)
+carries over a coordinator SIGKILL, on either way of obtaining worker
+connections.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def new_campaign_id() -> str:
 
 
 class CampaignCheckpointer:
-    """Owns the epoch counter and write cadence for one campaign."""
+    """Owns the epoch counter of one campaign and writes its records."""
 
     def __init__(self, store, campaign: str, keep: int = 2):
         self.store = store
@@ -63,18 +67,12 @@ class CampaignCheckpointer:
         # Monotonic across resumes: a resumed coordinator continues from
         # the loaded record's epoch, so epoch numbers never reuse.
         self.epoch = 0
-        self.epochs_written = 0
 
     def save(self, record: CampaignRecord) -> int:
         self.epoch += 1
         record.epoch = self.epoch
         save_checkpoint(self.store, record, keep=self.keep)
-        self.epochs_written += 1
         return self.epoch
-
-    def finish(self) -> None:
-        """Campaign completed: drop its checkpoints (and their blobs)."""
-        self.store.delete_campaign(self.campaign)
 
 
 def resume_campaign(store_path, campaign_id: str, overrides: dict | None = None):
@@ -88,7 +86,7 @@ def resume_campaign(store_path, campaign_id: str, overrides: dict | None = None)
     """
     from ..env.argv import ArgvSpec
     from ..parallel.coordinator import Coordinator, ParallelConfig
-    from ..parallel.wire import decode_config
+    from ..parallel.wire import decode_config, encode_config
     from ..store import open_store
 
     store = open_store(store_path)
@@ -111,6 +109,9 @@ def resume_campaign(store_path, campaign_id: str, overrides: dict | None = None)
     payload.update(overrides or {})
     payload["campaign_id"] = campaign_id
     parallel = ParallelConfig(**payload)
+    # Later epochs replay from what this run actually uses.
+    record.config_payload = encode_config(config)
+    record.parallel_payload = dataclasses.asdict(parallel)
     coordinator = Coordinator(
         record.program, spec, config, parallel, resume=record
     )

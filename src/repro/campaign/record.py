@@ -1,7 +1,11 @@
 """Campaign records: everything a crashed coordinator needs to continue.
 
-One :class:`CampaignRecord` is a full snapshot of a partitioned
-exploration at a quiescent point of the coordinator's select loop:
+A :class:`CampaignRecord` is the durable half of the coordinator's
+:class:`~repro.parallel.state.CampaignState` — the running campaign
+mutates one in place, :meth:`CampaignState.to_record` snapshots it with
+every lease folded back to pending, and a resume makes a loaded one the
+state again.  One record describes a partitioned exploration at a
+quiescent point of the select loop:
 
 * the **pending frontier** — every partition not yet accepted (queued,
   leased, or retained by a steal checkpoint), as content-addressed
@@ -17,7 +21,7 @@ exploration at a quiescent point of the coordinator's select loop:
   crash/resume boundary exactly as it does across a worker death;
 * the **replay context** — program name, input spec, engine config
   (:func:`repro.parallel.wire.encode_config` — the same codec the worker
-  handshake ships), parallel knobs, and the coordinator counters (next
+  handshake ships), parallel knobs, and the campaign counters (next
   pid, steals, requeue log) so telemetry continues instead of resetting;
 * the split engine's **buffered store inserts**, applied at the resumed
   run's final commit in place of the tier the crash took with it.
@@ -32,21 +36,27 @@ epoch" is simply ``ORDER BY epoch DESC LIMIT 1``.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
-from ..store.db import ReproStore
+if TYPE_CHECKING:  # the record itself is store-free; only save/load touch one
+    from ..store.db import ReproStore
 
 # Bumped whenever the pickled record layout changes; a resume refuses
 # records it cannot faithfully reconstruct instead of guessing.
-RECORD_VERSION = 1
+#   v2 — partitions_dispatched (always == next_pid) and requeues (the
+#        count of "requeue" entries in requeue_log) dropped; pending
+#        rows always carry a pid.
+RECORD_VERSION = 2
 
 
 @dataclass
 class CampaignRecord:
     """One checkpoint epoch of one campaign (see module docstring)."""
 
-    campaign: str
+    campaign: str | None  # None: a run without an identity, never saved
     program: str
     # Replay context.
     spec_payload: dict
@@ -55,32 +65,42 @@ class CampaignRecord:
     # Assigned by the checkpointer at save time; the epoch a resume loaded.
     epoch: int = 0
     phase: str = "dispatch"  # split | dispatch | steal | requeue | drain
-    # Coordinator counters, restored verbatim so pids stay unique and
-    # telemetry accumulates across the crash.
+    # Campaign counters, kept across a crash so pids stay unique (next_pid
+    # is also the number of partitions ever created) and telemetry
+    # accumulates.  requeue_log holds one named dict per lease revocation
+    # and per poison drop; requeue_counts maps pid -> revocations charged
+    # to its lineage, so the poison cap spans crashes.
     factor: int = 0
     next_pid: int = 0
-    partitions_dispatched: int = 0
     steals: int = 0
     workers_lost: int = 0
-    requeues: int = 0
     requeue_log: list = field(default_factory=list)
     requeue_counts: dict = field(default_factory=dict)
-    # Pending frontier: (pid | None, snapshot bytes, origin, sched meta).
-    # pid None = a steal-retained state that never got a pid; the resume
-    # allocates one.
+    # Pending frontier: (pid, snapshot bytes, origin, sched meta).  Empty
+    # while a fleet runs (the scheduler queue and the lease table hold
+    # it); filled by CampaignState.to_record, drained by begin().
     pending: list = field(default_factory=list)
     # Accepted results (completed partitions — not re-explored).
     tests: list = field(default_factory=list)
     covered: set = field(default_factory=set)
     streamed_paths: int = 0
     partition_results: list = field(default_factory=list)
-    # Ledger: merged accepted per-worker deltas and the frozen split entry.
+    # Ledger: one (name, EngineStats, SolverStats) entry per worker of
+    # every fleet generation — the sum of its accepted per-partition
+    # deltas — and the frozen split-phase contribution.
     worker_entries: list = field(default_factory=list)
     split_entry: tuple | None = None
     split_tests: list = field(default_factory=list)
     split_covered: set = field(default_factory=set)
     # The split engine's buffered store inserts (PersistentTier payload).
     store_payload: dict | None = None
+
+    def copy(self) -> "CampaignRecord":
+        """A record whose containers are its own.  Their elements are
+        shared: entries are replaced, never mutated in place."""
+        return CampaignRecord(
+            **{f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
+        )
 
 
 def save_checkpoint(store: ReproStore, record: CampaignRecord, keep: int = 2) -> None:

@@ -65,17 +65,12 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate the evaluation figures of Kuznetsov et al., PLDI 2012.",
     )
     parser.add_argument("figure", nargs="?", default="all",
-                        choices=["all", "bench", "store-gc", *FIGURES],
+                        choices=["all", "store-gc", *FIGURES],
                         help="which figure (or maintenance command) to run")
     parser.add_argument("--scale", default="ci", choices=["ci", "paper"],
                         help="input sizes / budgets preset")
     parser.add_argument("--json", metavar="DIR", default=None,
                         help="also dump raw rows as JSON into DIR")
-    parser.add_argument("--out", metavar="FILE", default="BENCH_PR5.json",
-                        help="output path for the `bench` baseline document")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="bench: committed BENCH_PR*.json to diff against"
-                             " (>30%% micro-kernel regression fails)")
     parser.add_argument("--store", metavar="FILE", default=None,
                         help="store-gc: path of the persistent store to compact")
     parser.add_argument("--keep-runs", type=int, default=16, metavar="N",
@@ -103,21 +98,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args, parser) -> int:
-    if args.figure == "bench":
-        from .bench import diff_against, run_bench
-
-        doc = run_bench(args.out, args.scale)
-        print(f"wrote {args.out} ({doc['total_wall_s']}s)")
-        if args.baseline:
-            failures = diff_against(doc, args.baseline)
-            if failures:
-                print(f"PERF REGRESSION vs {args.baseline}:")
-                for line in failures:
-                    print(f"  {line}")
-                return 1
-            print(f"no regression vs {args.baseline}")
-        return 0
-
     if args.figure == "store-gc":
         if not args.store:
             parser.error("store-gc requires --store PATH")

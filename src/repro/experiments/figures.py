@@ -1259,14 +1259,15 @@ def parallel_scaling(
 
 
 # ---------------------------------------------------------------------------
-# Fault tolerance — crash recovery on the socket transport
+# Fault tolerance — crash recovery on the lease-tracked transport
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class FaultRow:
     program: str
-    # "<method>@<event>": kill/disconnect a worker at start/done, or
+    # "<method>@<event>": kill/disconnect a dialing (TCP) worker at
+    # start/done, "process/..." the same on a forked socketpair worker, or
     # "coord-kill@<event>" — the coordinator itself dies there and the
     # campaign is resumed from its newest checkpoint epoch.
     fault: str
@@ -1296,7 +1297,7 @@ class FaultToleranceResult:
              "restored"],
             data,
             title=(
-                f"Fault tolerance — {self.workers}-worker socket campaigns with "
+                f"Fault tolerance — {self.workers}-worker campaigns with "
                 "one injected fault (worker kill/disconnect, or coordinator "
                 "kill + checkpoint resume); every row verified identical to "
                 "the undisturbed sequential run (test multiset + coverage + "
@@ -1308,13 +1309,15 @@ class FaultToleranceResult:
 def fault_tolerance(
     scale: str = CI, programs=None, workers: int = 2
 ) -> FaultToleranceResult:
-    """Crash-recovery validation on the socket transport (§4.3 claims).
+    """Crash-recovery validation on the lease-tracked transport (§4.3 claims).
 
-    For each program, run the sequential baseline once, then three
-    socket-transport campaigns each disturbed by one injected worker
-    fault — SIGKILL at a partition start, a dropped connection (simulated
-    network partition) at a partition start, SIGKILL right after a
-    completion — via the coordinator's ``fault_injector`` chaos hook.
+    For each program, run the sequential baseline once, then four
+    campaigns each disturbed by one injected worker fault — on dialed TCP
+    workers a SIGKILL at a partition start, a dropped connection
+    (simulated network partition) at a partition start and a SIGKILL
+    right after a completion, and on forked socketpair workers
+    (``process/``) a SIGKILL at a partition start — via the coordinator's
+    ``fault_injector`` chaos hook.
     Every recovered campaign must emit the *identical* plain-mode test
     multiset and block coverage as the undisturbed run and pass
     ``check_ledger()``: the lease layer requeues revoked partitions and
@@ -1334,18 +1337,19 @@ def fault_tolerance(
 
     programs = programs or ["wc", "uniq"]
     arg_len = None if scale == CI else 3
-    faults = [("kill", "start"), ("disconnect", "start"), ("kill", "done")]
+    faults = [("socket", "kill", "start"), ("socket", "disconnect", "start"),
+              ("socket", "kill", "done"), ("process", "kill", "start")]
     rows: list[FaultRow] = []
     for program in programs:
         settings = RunSettings(program=program, mode="plain", arg_len=arg_len,
                                generate_tests=True)
         seq = run_parallel_cell(settings, workers=1)
         seq_tests = _test_multiset(seq.tests.cases)
-        for method, event in faults:
+        for backend, method, event in faults:
             spec, config = settings_to_spec_config(settings)
             coordinator = Coordinator(
                 program, spec, config,
-                ParallelConfig(workers=workers, backend="socket",
+                ParallelConfig(workers=workers, backend=backend,
                                heartbeat_timeout=3.0),
             )
             fired: list[int] = []
@@ -1360,6 +1364,8 @@ def fault_tolerance(
             par = coordinator.run()
             par.check_ledger()
             label = f"{method}@{event}"
+            if backend != "socket":
+                label = f"{backend}/{label}"
             if _test_multiset(par.tests.cases) != seq_tests:
                 raise AssertionError(
                     f"{program}/{label}: recovered campaign changed the test "

@@ -26,8 +26,8 @@ Invariants (see the module docstrings for details):
 * **determinism** — with deterministic test generation (the engine
   default), a 1-worker and an N-worker plain-mode run emit the same test
   set and cover the same paths, independent of scheduling — *including*
-  runs where workers die mid-campaign on the socket backend, thanks to
-  the lease/requeue layer (:mod:`repro.remote`).
+  runs where workers die mid-campaign, thanks to the lease/requeue layer
+  every fleet runs on (:mod:`repro.parallel.state`, :mod:`repro.remote`).
 """
 
 from .coordinator import (
@@ -39,8 +39,10 @@ from .coordinator import (
     run_parallel,
 )
 from .partition import Partition
+from .state import CampaignState
 
 __all__ = [
+    "CampaignState",
     "ConfigError",
     "Coordinator",
     "ParallelConfig",

@@ -5,7 +5,8 @@ data: snapshot bytes (:meth:`SymState.snapshot`), :class:`TestCase`
 tuples, stats dataclasses of numbers, and the config payloads below.
 Messages are tagged tuples; the tag vocabulary is:
 
-Handshake (socket transport only; queue workers are spawned configured):
+Handshake (every worker, whether it dialed the coordinator or inherited
+one end of a socketpair from it):
     (MSG_HELLO, WIRE_VERSION, meta)     — worker -> coordinator on
         connect; ``meta`` carries the worker's os pid/host so the
         coordinator can target chaos/kill injection at local workers.
@@ -37,22 +38,23 @@ Worker -> coordinator (result channel):
     (MSG_STOLEN, worker_id, stolen, retained, interim) — reply to
         CMD_STEAL.  ``stolen`` is [(snapshot_bytes, meta), ...] (may be
         empty; ``meta`` is :meth:`Partition.meta_of` of the exported
-        state).  On lease-tracking transports ``retained`` is the same
-        encoding of the *kept* frontier — a checkpoint of the victim's
-        remaining work — and ``interim`` is
-        (tests, covered, paths, engine_stats, solver_stats) for the
-        partition so far.  If the victim later dies, the coordinator
-        accepts the interim results and requeues the retained
-        checkpoint, so pre-steal paths are neither lost nor re-run.
-        Queue-backend workers ship ``None`` for both (no lease layer).
-    (MSG_HEARTBEAT, worker_id) — socket-transport liveness beacon, sent
-        by a worker-side timer thread; filtered out by the transport
-        (refreshes the lease deadline, never reaches the event loop).
+        state).  ``retained`` is the same encoding of the *kept*
+        frontier — a checkpoint of the victim's remaining work — and
+        ``interim`` is (tests, covered, paths, engine_stats,
+        solver_stats) for the partition so far.  If the victim's lease
+        is later revoked, the coordinator accepts the interim results
+        and requeues the retained checkpoint, so pre-steal paths are
+        neither lost nor re-run.
+    (MSG_HEARTBEAT, worker_id) — liveness beacon, sent by a worker-side
+        timer thread; filtered out by the transport (refreshes the lease
+        deadline, never reaches the event loop).
     (MSG_STATS, worker_id, EngineStats, SolverStats, store_payload)
         — final, pre-exit; ``store_payload`` is the worker's buffered
           persistent-store inserts (canonical constraint rows + UNSAT
           cores) or None.  Workers open the store read-only: the
           coordinator is the single writer and applies these payloads.
+          (The stats are informational: a worker's ledger entry is the
+          sum of its accepted per-partition deltas.)
     (MSG_ERROR, worker_id, traceback_text)
 """
 

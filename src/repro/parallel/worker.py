@@ -10,17 +10,15 @@ partition-boundary hook; the worker exports roughly half its frontier and
 resumes on the rest.
 
 Per-partition results (new tests, newly covered blocks, completed paths,
-and a cumulative stats snapshot) stream back as they finish; the
-engine's full stats ledger is sent once more on shutdown together with
-its buffered store inserts.  The channels are queue-shaped ducks: real
-multiprocessing queues for the fork backend, socket-fed proxies for
-remote workers (:mod:`repro.remote.client`) — ``worker_main`` is the
-single entry point for both.
+and a cumulative stats snapshot) stream back as they finish; on shutdown
+the worker ships its buffered store inserts.  ``worker_main`` is the
+single entry point: it serves one
+:class:`~repro.remote.client.WorkerSession`, whether that session's
+socket was dialed or inherited from a forking coordinator.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import queue
 import traceback
@@ -73,15 +71,11 @@ def _make_interrupt(cmd_q, pid: int):
     return check
 
 
-def _stats_copy(engine: Engine):
-    """Cumulative (EngineStats, SolverStats) snapshot at a quiescent point.
-
-    Copies, not references: multiprocessing queues pickle in a feeder
-    thread *after* ``put`` returns, so shipping the live objects would
-    race with the next partition's mutations.
-    """
+def _stats(engine: Engine):
+    """Cumulative (EngineStats, SolverStats) at a quiescent point.  The
+    live objects: the result channel pickles inside ``put``."""
     engine._sync_solver_stats()
-    return copy.deepcopy(engine.stats), copy.deepcopy(engine.solver.stats)
+    return engine.stats, engine.solver.stats
 
 
 def _export_entries(states) -> list:
@@ -96,22 +90,28 @@ def run_partition(
     result_q,
     worker_id: int,
     pid: int = -1,
-    ship_residual: bool = False,
 ):
     """Explore one partition to exhaustion, honouring steal requests.
 
     Returns (new_tests, new_coverage, paths_delta) for the done message.
 
-    With ``ship_residual`` (lease-tracking transports), every steal reply
-    also checkpoints the *retained* frontier plus the partition's interim
-    results, so the coordinator can recover the exact remaining work if
-    this worker later dies: interim results stand in for the pre-steal
-    paths, the retained snapshots requeue the rest, and nothing is lost
-    or explored twice.
+    Every steal reply also checkpoints the *retained* frontier plus the
+    partition's interim results, so the coordinator can recover the exact
+    remaining work if this worker later dies: interim results stand in
+    for the pre-steal paths, the retained snapshots requeue the rest, and
+    nothing is lost or explored twice.
     """
     tests_before = len(engine.tests.cases)
     covered_before = set(engine.coverage.covered)
     paths_before = engine.stats.paths_completed
+
+    def results():
+        return (
+            list(engine.tests.cases[tests_before:]),
+            engine.coverage.covered - covered_before,
+            engine.stats.paths_completed - paths_before,
+        )
+
     engine.seed_states([state])
     interrupt = _make_interrupt(cmd_q, pid) if cmd_q is not None else None
     # Budgets (max_steps/max_queries/time_budget) are cumulative per
@@ -131,79 +131,50 @@ def run_partition(
             stolen = _export_entries(
                 engine.export_frontier(len(engine.worklist) // 2)
             )
-            retained = interim = None
-            if ship_residual:
-                retained = _export_entries(engine.worklist)
-                interim = (
-                    list(engine.tests.cases[tests_before:]),
-                    engine.coverage.covered - covered_before,
-                    engine.stats.paths_completed - paths_before,
-                    *_stats_copy(engine),
-                )
-            result_q.put((MSG_STOLEN, worker_id, stolen, retained, interim))
-    new_tests = list(engine.tests.cases[tests_before:])
-    new_cov = engine.coverage.covered - covered_before
-    return new_tests, new_cov, engine.stats.paths_completed - paths_before
+            retained = _export_entries(engine.worklist)
+            result_q.put((MSG_STOLEN, worker_id, stolen, retained,
+                          (*results(), *_stats(engine))))
+    return results()
 
 
-def worker_main(
-    worker_id: int,
-    program: str,
-    spec_payload: dict,
-    config_payload: dict,
-    task_q,
-    result_q,
-    cmd_q,
-    ship_residual: bool = False,
-) -> None:
-    """Worker entry point: fork processes and socket clients both land here."""
+def worker_main(session) -> None:
+    """Serve one campaign over ``session``: its handshake named the
+    worker id, program, spec and config; ``task_q``/``cmd_q`` deliver
+    the coordinator's frames and ``put`` sends ours."""
+    worker_id = session.wid
     try:
-        module = get_program(program).compile()
-        spec = ArgvSpec(**spec_payload)
-        config = decode_config(config_payload)
+        module = get_program(session.program).compile()
+        spec = ArgvSpec(**session.spec_payload)
+        config = decode_config(session.config_payload)
         if config.store_path:
             # Store invariant: the coordinator is the single writer.  The
             # worker opens read-only (the coordinator created the file
             # before spawning us) and ships its buffered inserts with the
             # final stats message.
             config = dataclasses.replace(config, store_readonly=True)
-        engine = Engine(module, spec, config, program=program)
+        engine = Engine(module, spec, config, program=session.program)
         # Seeded states are transferred from the coordinator's ledger, not
         # created here; start this worker's creation counter at zero so
         # per-worker stats sum exactly to the merged ledger.
         engine.stats.states_created = 0
         while True:
-            msg = task_q.get()
+            msg = session.task_q.get()
             if msg[0] == TASK_STOP:
-                engine._sync_solver_stats()
-                result_q.put(
-                    (
-                        MSG_STATS,
-                        worker_id,
-                        engine.stats,
-                        engine.solver.stats,
-                        engine.export_store_payload(),
-                    )
+                session.put(
+                    (MSG_STATS, worker_id, *_stats(engine),
+                     engine.export_store_payload())
                 )
                 engine.close_store()
                 return
-            if msg[0] == CMD_STEAL:
-                # Stale steal request consumed while idle (its target
-                # partition already finished) — legal, ignored.
-                continue
             if msg[0] != TASK_PARTITION:
                 raise ValueError(f"unknown task {msg[0]!r}")
             pid, blob = msg[1], msg[2]
-            result_q.put((MSG_START, worker_id, pid))
+            session.put((MSG_START, worker_id, pid))
             state = SymState.from_snapshot(blob, engine._fresh_sid())
-            new_tests, new_cov, paths = run_partition(
-                engine, state, cmd_q, result_q, worker_id, pid=pid,
-                ship_residual=ship_residual,
+            results = run_partition(
+                engine, state, session.cmd_q, session, worker_id, pid=pid
             )
-            result_q.put(
-                (MSG_DONE, worker_id, pid, new_tests, new_cov, paths,
-                 *_stats_copy(engine))
-            )
+            session.put((MSG_DONE, worker_id, pid, *results, *_stats(engine)))
     except BaseException:  # noqa: BLE001 — ship the traceback, then die
-        result_q.put((MSG_ERROR, worker_id, traceback.format_exc()))
+        session.put((MSG_ERROR, worker_id, traceback.format_exc()))
         raise

@@ -1,12 +1,13 @@
-"""Remote exploration service: socket transports and fault tolerance.
+"""The worker transport: framed stream sockets, leases, fault tolerance.
 
-``repro.remote`` promotes the fork-only wire protocol of
-:mod:`repro.parallel` to a transport abstraction with two backends —
-the original multiprocessing queues (:class:`QueueTransport`) and a
-length-prefixed TCP socket transport (:class:`SocketTransport`) — so
-exploration workers can run on other hosts against the same coordinator
-event loop.  On top of the socket transport, the coordinator maintains
-a *lease* per dispatched partition (owner + heartbeat deadline); when a
+``repro.remote`` carries the coordinator/worker wire protocol of
+:mod:`repro.parallel` over one transport, :class:`SocketTransport`:
+length-prefixed frames on one duplex stream socket per worker.  The
+sockets are either socketpairs inherited by forked local workers
+(``backend="process"`` — no port is opened) or TCP connections accepted
+from dialing workers, which may run on other hosts
+(``backend="socket"``).  On top of it the coordinator maintains a
+*lease* per dispatched partition (owner + heartbeat deadline); when a
 worker misses heartbeats, drops its connection, or is killed, the lease
 is revoked, the worker fenced, and the partition's snapshot requeued
 through the :class:`~repro.sched.PartitionScheduler` — partition
@@ -28,7 +29,6 @@ its listen address) and start each worker with::
 
 from .client import WorkerSession, connect, remote_worker_main
 from .transport import (
-    QueueTransport,
     SocketTransport,
     TransportError,
     recv_frame,
@@ -36,7 +36,6 @@ from .transport import (
 )
 
 __all__ = [
-    "QueueTransport",
     "SocketTransport",
     "TransportError",
     "WorkerSession",

@@ -1,10 +1,11 @@
-"""Worker-side socket client: connect, handshake, serve a campaign.
+"""Worker side of the transport: handshake, serve a campaign.
 
-:func:`remote_worker_main` is the whole lifecycle of one remote worker:
-dial the coordinator, HELLO/WELCOME handshake (version-checked), then
-hand queue-shaped channel proxies to the very same
-:func:`repro.parallel.worker.worker_main` loop the fork backend runs —
-the worker logic is transport-blind.
+A worker is a :class:`WorkerSession` over one connected stream socket —
+dialed over TCP (:func:`connect`, :func:`remote_worker_main`) or
+inherited as one end of a socketpair by a process the coordinator forked
+(:func:`serve_inherited`).  After the version-checked HELLO/WELCOME
+handshake the session is handed to the single worker loop,
+:func:`repro.parallel.worker.worker_main`.
 
 The session runs two daemon threads next to the main loop:
 
@@ -42,14 +43,15 @@ from ..parallel.wire import (
     ProtocolMismatchError,
     check_wire_version,
 )
-from .transport import handshake_error, recv_frame, send_frame
+from .transport import handshake_error, recv_frame, send_frame, set_nodelay
 
 
 class WorkerSession:
-    """One connected worker: channel proxies over a duplex socket.
+    """One connected worker: its identity and channels over a duplex socket.
 
-    ``task_q`` / ``cmd_q`` quack like the multiprocessing queues
-    ``worker_main`` expects; the session object itself is the result
+    The handshake fills in ``wid``, ``program``, ``spec_payload`` and
+    ``config_payload``; ``task_q`` / ``cmd_q`` are the inbound channels
+    ``worker_main`` reads, and the session object itself is the result
     channel (``put`` sends a frame).
     """
 
@@ -163,6 +165,7 @@ def connect(host: str, port: int, heartbeat_interval: float = 0.5,
     while True:
         try:
             sock = socket.create_connection((host, port), timeout=10.0)
+            set_nodelay(sock)
             return WorkerSession(sock, heartbeat_interval)
         except (ConnectionError, socket.timeout, EOFError):
             attempt += 1
@@ -170,6 +173,20 @@ def connect(host: str, port: int, heartbeat_interval: float = 0.5,
                 raise
             delay = min(max_delay, retry_delay * (2 ** (attempt - 1)))
             time.sleep(delay * (0.75 + random.random() / 2))
+
+
+def _serve(session: WorkerSession) -> bool:
+    """Run the worker loop on a session; True iff the coordinator ended
+    it with a genuine TASK_STOP (not a hangup)."""
+    from ..parallel.worker import worker_main
+
+    try:
+        worker_main(session)
+    except OSError:
+        return False  # connection died mid-send; same as a hangup
+    finally:
+        session.close()
+    return session.clean_stop
 
 
 def remote_worker_main(host: str, port: int, heartbeat_interval: float = 0.5,
@@ -182,8 +199,6 @@ def remote_worker_main(host: str, port: int, heartbeat_interval: float = 0.5,
     campaign (``--resume``) comes back on the same address and the
     worker rejoins its fleet with a fresh worker id.
     """
-    from ..parallel.worker import worker_main
-
     while True:
         try:
             session = connect(host, port, heartbeat_interval, retries, retry_delay)
@@ -194,23 +209,8 @@ def remote_worker_main(host: str, port: int, heartbeat_interval: float = 0.5,
             print(f"repro.remote worker: cannot reach {host}:{port}: {exc}",
                   file=sys.stderr)
             return 1
-        try:
-            worker_main(
-                session.wid,
-                session.program,
-                session.spec_payload,
-                session.config_payload,
-                session.task_q,
-                session,  # result channel
-                session.cmd_q,
-                ship_residual=True,
-            )
-            if session.clean_stop:
-                return 0
-        except OSError:
-            pass  # connection died mid-send; same as a hangup below
-        finally:
-            session.close()
+        if _serve(session):
+            return 0
         # Connection lost mid-campaign: the lease layer already treats us
         # as dead and requeued our partition.  Re-dial — a resumed
         # coordinator may be (re)binding the address right now.
@@ -227,3 +227,15 @@ def _spawned_worker(host: str, port: int, heartbeat_interval: float) -> None:
     raise SystemExit(
         remote_worker_main(host, port, heartbeat_interval, retries=25)
     )
+
+
+def serve_inherited(sock: socket.socket, inherited: list,
+                    heartbeat_interval: float) -> None:
+    """Entry point of a coordinator-forked worker holding one end of a
+    socketpair.  ``inherited`` are the coordinator-side ends the fork
+    copied into this process; they are closed first, or the coordinator
+    hanging up (or dying) would never read as EOF here.  There is
+    nowhere to re-dial: a hangup ends the process."""
+    for other in inherited:
+        other.close()
+    raise SystemExit(0 if _serve(WorkerSession(sock, heartbeat_interval)) else 1)

@@ -1,28 +1,31 @@
-"""Coordinator-side transports over the tagged-tuple wire protocol.
+"""The coordinator-side transport over the tagged-tuple wire protocol.
 
 One campaign event loop (:meth:`repro.parallel.Coordinator._run_transport`)
-drives workers through two interchangeable backends:
+drives one transport class, :class:`SocketTransport`: every worker holds
+one duplex stream socket carrying length-prefixed frames (4-byte
+big-endian size + pickle) — tasks, commands, results and heartbeats.
+Worker ids are assigned at the HELLO/WELCOME handshake, and the
+transport tracks per-connection liveness (EOF or missed heartbeats), so
+the coordinator can revoke a dead worker's lease and requeue it.
 
-* :class:`QueueTransport` — the original fork-based process pool over
-  multiprocessing queues: a shared task queue any idle worker pulls
-  from, a shared result queue, and per-worker out-of-band command
-  queues.  Liveness is the process sentinel (``Process.is_alive``);
-  there is no lease layer — a worker death is detected promptly and
-  surfaced as a named :class:`~repro.parallel.WorkerCrashError`.
-* :class:`SocketTransport` — length-prefixed TCP (4-byte big-endian
-  size + pickle) so workers can run on other hosts against the same
-  coordinator loop.  Each worker holds one duplex connection carrying
-  tasks, commands, results, and heartbeats; the transport assigns
-  worker ids at HELLO/WELCOME handshake time and tracks per-connection
-  liveness (EOF or missed heartbeats).  This backend supports the lease
-  layer: dispatched partitions can be revoked from dead workers and
-  requeued.
+The connections come from one of two places:
 
-Both expose the same duck type: ``start()``, ``send_task(wid, msg)``
-(``wid`` ignored by the shared-queue backend), ``send_cmd(wid, msg)``,
-``recv(timeout)``, ``dead_workers()`` (newly-observed deaths since the
-last call), ``fence(wid)``, and ``close()``; plus the chaos hooks
-``kill(wid)`` / ``disconnect(wid)`` the fault-injection harness uses.
+* ``listen=False`` — fork one local process per worker, each inheriting
+  one end of a ``socket.socketpair()``.  No port is opened: a purely
+  local run is not reachable from the network.
+* ``listen=True`` — bind a TCP listener and accept dialing workers,
+  spawned locally (``spawn_workers=True``) or, with
+  ``spawn_workers=False``, started by hand on any host with
+  ``python -m repro.remote worker --connect host:port``.
+
+Everything after "I hold N connected sockets" — handshake, reader
+threads, lease liveness, fencing, chaos hooks — is the same code.
+
+The duck type the event loop relies on: ``start()``, ``worker_ids``,
+``send_task(wid, msg)``, ``send_cmd(wid, msg)``, ``recv(timeout)``,
+``dead_workers()`` (newly-observed deaths since the last call),
+``fence(wid)``, and ``close()``; plus the chaos hooks ``kill(wid)`` /
+``disconnect(wid)`` the fault-injection harness uses.
 """
 
 from __future__ import annotations
@@ -106,119 +109,18 @@ def recv_frame(sock: socket.socket):
     return pickle.loads(_recv_exact(sock, size))
 
 
-# -- queue (fork) backend --------------------------------------------------------
+def set_nodelay(sock: socket.socket) -> None:
+    """Disable Nagle on a TCP connection (AF_UNIX pairs have none).
 
-
-class QueueTransport:
-    """The original multiprocessing backend behind the transport duck type.
-
-    A shared task queue preserves PR 2's load-balancing semantics (any
-    idle worker pulls the next primed task), so fork-backend dispatch
-    behavior is byte-for-byte what it was before transports existed.
+    A worker writes ``MSG_START`` and ``MSG_DONE`` as two small frames;
+    Nagle holds the second until the first is ACKed and the peer's
+    delayed ACK takes ~40 ms — per partition.
     """
-
-    leased = False
-    directed = False
-
-    def __init__(self, workers: int, program: str, spec_payload: dict,
-                 config_payload: dict, join_timeout: float = 10.0):
-        self.workers = workers
-        self.program = program
-        self.spec_payload = spec_payload
-        self.config_payload = config_payload
-        self.join_timeout = join_timeout
-        self._procs: list = []
-        self._task_q = None
-        self._result_q = None
-        self._cmd_qs: list = []
-        self._reported: set[int] = set()
-        self._closed = False
-
-    @property
-    def worker_ids(self) -> list[int]:
-        return list(range(self.workers))
-
-    def start(self) -> None:
-        from ..parallel.worker import worker_main
-
-        ctx = _mp_context()
-        self._task_q = ctx.Queue()
-        self._result_q = ctx.Queue()
-        self._cmd_qs = [ctx.Queue() for _ in range(self.workers)]
-        self._procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(wid, self.program, self.spec_payload, self.config_payload,
-                      self._task_q, self._result_q, self._cmd_qs[wid]),
-                daemon=True,
-            )
-            for wid in range(self.workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-
-    def send_task(self, wid: int | None, msg) -> None:
-        # Shared queue: the task goes to whichever worker pulls next.
-        self._task_q.put(msg)
-
-    def send_cmd(self, wid: int, msg) -> None:
-        self._cmd_qs[wid].put(msg)
-
-    def recv(self, timeout: float):
-        try:
-            return self._result_q.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-
-    def dead_workers(self) -> list[tuple[int, str]]:
-        dead = []
-        for wid, proc in enumerate(self._procs):
-            if wid in self._reported or proc.is_alive():
-                continue
-            self._reported.add(wid)
-            dead.append((wid, f"exitcode {proc.exitcode}"))
-        return dead
-
-    def exitcode(self, wid: int):
-        return self._procs[wid].exitcode
-
-    def fence(self, wid: int) -> None:
-        proc = self._procs[wid]
-        if proc.is_alive():
-            proc.terminate()
-        self._reported.add(wid)
-
-    def kill(self, wid: int) -> None:
-        """Chaos hook: SIGKILL the worker process (no cleanup, no error)."""
-        self._procs[wid].kill()
-
-    def os_pid(self, wid: int):
-        return self._procs[wid].pid
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=self.join_timeout)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        # The fd-leak fix: multiprocessing queues keep a feeder thread and
-        # pipe fds alive until explicitly closed, so repeated campaigns in
-        # one process used to accumulate fds.
-        for q in (self._task_q, self._result_q, *self._cmd_qs):
-            if q is not None:
-                q.close()
-                q.join_thread()
-        for proc in self._procs:
-            proc.close()
+    if sock.family in (socket.AF_INET, socket.AF_INET6):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-# -- socket backend --------------------------------------------------------------
+# -- the transport ---------------------------------------------------------------
 
 
 class _Endpoint:
@@ -239,19 +141,14 @@ class _Endpoint:
 
 
 class SocketTransport:
-    """Length-prefixed TCP transport with heartbeat liveness tracking.
+    """Framed stream sockets with heartbeat liveness tracking.
 
-    ``spawn_workers=True`` (the default, and what tests/CI use) forks
-    local processes that connect back over loopback — same protocol,
-    same failure modes as genuinely remote workers, plus an os-level
-    ``kill`` hook for fault injection.  With ``spawn_workers=False`` the
-    transport only listens: point ``python -m repro.remote worker
-    --connect host:port`` at it from any machine running the same repro
-    version.
+    See the module docstring for the two ways of obtaining connections.
+    Locally started workers (forked over socketpairs, or spawned to dial
+    the listener — what tests/CI use) speak the same protocol and fail
+    the same ways as genuinely remote ones, and additionally report an
+    os pid the ``kill`` chaos hook can signal.
     """
-
-    leased = True
-    directed = True
 
     def __init__(
         self,
@@ -259,6 +156,7 @@ class SocketTransport:
         program: str,
         spec_payload: dict,
         config_payload: dict,
+        listen: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
         spawn_workers: bool = True,
@@ -271,6 +169,7 @@ class SocketTransport:
         self.program = program
         self.spec_payload = spec_payload
         self.config_payload = config_payload
+        self.listen = listen
         self.host = host
         self.port = port
         self.spawn_workers = spawn_workers
@@ -291,23 +190,52 @@ class SocketTransport:
         return [ep.wid for ep in self._endpoints]
 
     def start(self) -> None:
+        if self.listen:
+            self._accept_fleet()
+        else:
+            self._fork_fleet()
+        for ep in self._endpoints:
+            ep.thread = threading.Thread(
+                target=self._reader, args=(ep,), daemon=True
+            )
+            ep.thread.start()
+
+    def _spawn(self, target, args) -> None:
+        proc = _mp_context().Process(target=target, args=args, daemon=True)
+        proc.start()
+        self._procs.append(proc)
+
+    def _fork_fleet(self) -> None:
+        from .client import serve_inherited
+
+        ours: list[socket.socket] = []
+        for _ in range(self.workers):
+            mine, theirs = socket.socketpair()
+            ours.append(mine)
+            # The child closes every coordinator-side end it inherited
+            # (its own pair's included): while any copy stays open,
+            # neither side of that pair ever sees EOF.
+            self._spawn(serve_inherited,
+                        (theirs, list(ours), self.heartbeat_interval))
+            theirs.close()
+        for conn in ours:
+            self._handshake(conn)
+        if len(self._endpoints) < self.workers:
+            self.close()
+            raise TransportError(
+                f"only {len(self._endpoints)} of {self.workers} forked "
+                "workers completed the handshake"
+            )
+
+    def _accept_fleet(self) -> None:
         self._server = socket.create_server((self.host, self.port))
         self.address = self._server.getsockname()[:2]
         if self.spawn_workers:
-            from ..remote.client import _spawned_worker
+            from .client import _spawned_worker
 
-            ctx = _mp_context()
-            self._procs = [
-                ctx.Process(
-                    target=_spawned_worker,
-                    args=(self.address[0], self.address[1],
-                          self.heartbeat_interval),
-                    daemon=True,
-                )
-                for _ in range(self.workers)
-            ]
-            for proc in self._procs:
-                proc.start()
+            for _ in range(self.workers):
+                self._spawn(_spawned_worker,
+                            (*self.address, self.heartbeat_interval))
         deadline = time.monotonic() + self.accept_timeout
         while len(self._endpoints) < self.workers:
             remaining = deadline - time.monotonic()
@@ -324,13 +252,11 @@ class SocketTransport:
                 continue
             self._handshake(conn)
         self._server.settimeout(None)
-        for ep in self._endpoints:
-            ep.thread = threading.Thread(
-                target=self._reader, args=(ep,), daemon=True
-            )
-            ep.thread.start()
 
     def _handshake(self, conn: socket.socket) -> None:
+        """HELLO/WELCOME on one fresh connection: it becomes the next
+        endpoint, or is closed (stalled, garbled or version-skewed peer)."""
+        set_nodelay(conn)
         conn.settimeout(HANDSHAKE_TIMEOUT)
         try:
             hello = recv_frame(conn)
@@ -381,19 +307,15 @@ class SocketTransport:
                 continue
             self._inbox.put(msg)
 
-    def _send(self, wid: int, msg) -> None:
+    def send_task(self, wid: int, msg) -> None:
         ep = self._endpoints[wid]
         if ep.fenced or ep.dead is not None:
             raise OSError(f"worker {wid} is gone")
         send_frame(ep.conn, msg, ep.lock)
 
-    def send_task(self, wid: int, msg) -> None:
-        if wid is None:
-            raise TransportError("socket transport requires directed sends")
-        self._send(wid, msg)
-
-    def send_cmd(self, wid: int, msg) -> None:
-        self._send(wid, msg)
+    # Tasks and out-of-band commands share the one duplex stream; the
+    # worker's reader thread demultiplexes them by tag.
+    send_cmd = send_task
 
     def recv(self, timeout: float):
         try:
@@ -429,32 +351,29 @@ class SocketTransport:
         ep = self._endpoints[wid]
         ep.fenced = True
         self._reported.add(wid)
-        try:
-            ep.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        self.disconnect(wid)
         ep.conn.close()
 
-    def kill(self, wid: int) -> None:
-        """Chaos hook: SIGKILL a *local* worker process (no warning)."""
+    def kill(self, wid: int, sig: int = signal.SIGKILL) -> None:
+        """Chaos hook: signal a *local* worker process (default SIGKILL:
+        no warning, no cleanup)."""
         ospid = self._endpoints[wid].meta.get("pid")
         if not ospid:
             raise TransportError(f"worker {wid} sent no os pid; cannot kill")
-        os.kill(ospid, signal.SIGKILL)
+        os.kill(ospid, sig)
 
     def disconnect(self, wid: int) -> None:
-        """Chaos hook: drop the connection without touching the process —
-        simulates a network partition; the abandoned worker exits when
-        its next send fails."""
-        ep = self._endpoints[wid]
+        """Drop the connection without touching the process.  As a chaos
+        hook it simulates a network partition: the abandoned worker
+        exits when its next send fails."""
         try:
-            ep.conn.shutdown(socket.SHUT_RDWR)
+            self._endpoints[wid].conn.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
 
     def stop_worker(self, wid: int) -> None:
         try:
-            self._send(wid, (TASK_STOP,))
+            self.send_task(wid, (TASK_STOP,))
         except OSError:
             pass
 
@@ -465,10 +384,11 @@ class SocketTransport:
         if self._server is not None:
             self._server.close()
         for ep in self._endpoints:
-            try:
-                ep.conn.close()
-            except OSError:
-                pass
+            # Shut down before closing: that is what wakes the reader
+            # thread blocked in recv, so it is released here and not
+            # whenever the peer happens to exit.
+            self.disconnect(ep.wid)
+            ep.conn.close()
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()

@@ -1,13 +1,10 @@
 """Priority dispatch of path-prefix partitions (the parallel side).
 
-The coordinator used to push every partition into the workers' shared
-task queue up front, which froze dispatch order to FIFO split order.
-:class:`PartitionScheduler` replaces that with a coordinator-local
-priority heap scored over :class:`~repro.parallel.partition.Partition`
-metadata; the shared queue is kept primed with only as many tasks as
-there are workers, so the *next* task handed out is always the current
-best-scored one — including partitions that arrive late via work
-stealing.
+:class:`PartitionScheduler` is the coordinator-local priority heap over
+undispatched :class:`~repro.parallel.partition.Partition` metadata.  The
+campaign keeps one lease in flight per worker, so the *next* partition
+handed out is always the current best-scored one — including partitions
+that arrive late via work stealing or a requeue.
 
 The dispatch score (``corpus`` policy, lexicographic, lower first):
 
@@ -38,6 +35,7 @@ be aggressive here while dispatch order stays FIFO-aligned.
 
 from __future__ import annotations
 
+import copy
 import heapq
 
 from .prioritizer import _qt_bucket
@@ -163,6 +161,14 @@ class PartitionScheduler:
         records byte-stable for identical queue states.
         """
         return [item[2] for item in sorted(self._heap, key=lambda it: (it[0], it[1]))]
+
+    def fork(self) -> "PartitionScheduler":
+        """An independent queue holding the same partitions under the
+        same policy and signals — a checkpoint folds leases into one
+        without disturbing the live queue."""
+        twin = copy.copy(self)
+        twin._heap = list(self._heap)
+        return twin
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -40,7 +40,6 @@ is re-emitted as a defining equality.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict, deque
 
 from ..expr import nodes as N
@@ -56,23 +55,6 @@ UNKNOWN = "unknown"
 
 class _Empty(Exception):
     """Internal: an abstract value (or the whole env) became empty."""
-
-
-# Work-list batching knob (ablation surface).  When on, each environment
-# keeps one generation-tagged fact memo across work-list pops instead of a
-# fresh dict per pop; entries are validated against the narrow-event
-# generation counter, so served values are always identical to what a fresh
-# recomputation would produce (see ``PresolveEnv.facts``).  Both settings
-# are value-exact; the knob only moves where time is spent.
-_BATCHING = os.environ.get("REPRO_PRESOLVE_BATCH", "1") != "0"
-
-
-def set_batching(on: bool) -> bool:
-    """Toggle work-list memo batching; returns the previous setting."""
-    global _BATCHING
-    old = _BATCHING
-    _BATCHING = bool(on)
-    return old
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +198,11 @@ class PresolveEnv:
         queued: set[int] = {c.eid for c in fresh}
         budget = 16 + 6 * len(self.absorbed)
         pops = 0
-        shared = self._memo if _BATCHING else None
+        # One generation-tagged fact memo serves every work-list pop
+        # (batching): entries are validated against the narrow-event
+        # generation counter, so a served value is always what a fresh
+        # recomputation would produce (see ``facts``).
+        shared = self._memo
         try:
             while queue and pops < budget:
                 c = queue.popleft()
@@ -224,12 +210,9 @@ class PresolveEnv:
                 pops += 1
                 self._changed = set()
                 self._pop_gen = self._gen
-                if shared is None:
-                    self._assert_bool(c, True, {})
-                else:
-                    if shared:
-                        self.batch_rounds += 1
-                    self._assert_bool(c, True, shared)
+                if shared:
+                    self.batch_rounds += 1
+                self._assert_bool(c, True, shared)
                 for name in self._changed:
                     for watcher in self.watch.get(name, ()):
                         if watcher.eid not in queued and watcher is not c:
@@ -1111,6 +1094,5 @@ __all__ = [
     "group_signature",
     "one_shot_check",
     "rewrite_stats",
-    "set_batching",
     "simplify_group",
 ]

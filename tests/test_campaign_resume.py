@@ -65,9 +65,10 @@ def make_campaign_coordinator(store_path, campaign_id, **kw):
                     stdin_len=info.default_stdin)
     kw.setdefault("workers", 2)
     kw.setdefault("heartbeat_timeout", 3.0)
+    kw.setdefault("backend", "socket")
     return Coordinator(
         "wc", spec, EngineConfig(store_path=str(store_path)),
-        ParallelConfig(backend="socket", campaign_id=campaign_id, **kw),
+        ParallelConfig(campaign_id=campaign_id, **kw),
     )
 
 
@@ -90,10 +91,16 @@ def test_fault_knobs_validated_at_construction():
 
 
 def test_campaign_requires_socket_backend_and_store(tmp_path):
-    with pytest.raises(ConfigError, match="socket"):
-        ParallelConfig(campaign_id="c1", backend="process")
+    """A campaign needs a writable store — and nothing else: every
+    backend tracks the per-partition deltas a checkpoint is built from,
+    so a forked-worker campaign constructs like a socket one."""
     info = get_program("wc")
     spec = ArgvSpec(n_args=info.default_n, arg_len=info.default_l)
+    coord = Coordinator(
+        "wc", spec, EngineConfig(store_path=str(tmp_path / "p.sqlite")),
+        ParallelConfig(campaign_id="c1", backend="process"),
+    )
+    assert coord.state.rec.campaign == "c1"
     with pytest.raises(ConfigError, match="store_path"):
         Coordinator("wc", spec, EngineConfig(),
                     ParallelConfig(backend="socket", campaign_id="c1"))
@@ -228,16 +235,18 @@ def test_scheduler_pending_is_nondestructive():
 # -- the resume identity law -----------------------------------------------------
 
 
+@pytest.mark.parametrize("backend", ["process", "socket"])
 @pytest.mark.parametrize("event,nth", [("split", 1), ("done", 1), ("done", 3),
                                        ("drain", 1)])
-def test_resume_identity_after_coordinator_kill(event, nth, tmp_path,
+def test_resume_identity_after_coordinator_kill(event, nth, backend, tmp_path,
                                                 wc_sequential):
     """Kill the coordinator (in-process stand-in for SIGKILL) at a given
     campaign phase; the resumed campaign must be indistinguishable from
-    an undisturbed run."""
+    an undisturbed run — whichever way the fleet's connections are made
+    (the resume reads the backend from the record)."""
     store_path = tmp_path / "s.sqlite"
     campaign_id = new_campaign_id()
-    coord = make_campaign_coordinator(store_path, campaign_id)
+    coord = make_campaign_coordinator(store_path, campaign_id, backend=backend)
     seen = [0]
 
     def chaos(ev, wid, transport, pid=None):

@@ -1,26 +1,30 @@
-"""Fault-tolerance tests: crash recovery, fencing, and fail-fast.
+"""Fault-tolerance tests: crash recovery, fencing, poison guard.
 
 Two layers of coverage:
 
-* **Integration/chaos** — real socket campaigns with a worker SIGKILLed
-  or disconnected mid-run via the coordinator's ``fault_injector`` hook.
-  The recovered run must emit the identical plain-mode test multiset and
-  coverage as an undisturbed 1-worker run, with ``check_ledger()``
-  holding (revoked partial results discarded, never double-counted).
+* **Integration/chaos** — real campaigns on both ways of obtaining
+  worker connections (``backend="process"``: forked over socketpairs;
+  ``backend="socket"``: dialing a TCP listener) with a worker SIGKILLed,
+  terminated or disconnected mid-run via the coordinator's
+  ``fault_injector`` hook.  The recovered run must emit the identical
+  plain-mode test multiset and coverage as an undisturbed 1-worker run,
+  with ``check_ledger()`` holding (revoked partial results discarded,
+  never double-counted).
 * **Scripted transports** — deterministic fakes driving
   ``Coordinator._run_transport`` directly, pinning the lease-layer edge
   cases: a steal victim dying with the request in flight (the old code
   would wait on the reply forever), a poison partition that kills every
   owner, and the whole fleet dying.
 
-Plus the queue-backend regressions: a SIGKILLed fork worker surfaces as
-a prompt named :class:`WorkerCrashError` instead of a hang (the old
-dead-scan only fired once the result queue was empty *and* only on a
-nonzero exitcode), and pool teardown releases its queue/process fds.
+Plus the teardown regression: a fleet's socket ends, reader threads and
+processes are released by ``close()``, and a purely local run opens no
+listening socket.
 """
 
 import os
 import random
+import signal
+import socket
 from collections import Counter, deque
 
 import pytest
@@ -72,7 +76,7 @@ def make_coordinator(workers=2, backend="socket", **kw):
     )
 
 
-# -- integration: real socket campaigns with injected faults ---------------------
+# -- integration: real campaigns with injected faults ----------------------------
 
 
 def assert_recovered(result, baseline):
@@ -82,31 +86,53 @@ def assert_recovered(result, baseline):
     assert result.covered == baseline.covered
 
 
-def test_socket_worker_sigkill_recovers(wc_sequential):
-    """SIGKILL a worker right after it starts its first partition: the
-    lease is revoked, the partition requeued, and the surviving worker
-    finishes the identical campaign."""
-    coord = make_coordinator(heartbeat_timeout=3.0)
+BACKENDS = ["process", "socket"]
+
+
+def _kill_at_first_start(backend, sig, baseline):
+    coord = make_coordinator(backend=backend, heartbeat_timeout=3.0)
     killed = []
 
     def chaos(event, wid, transport, pid=None):
         if event == "start" and not killed:
             killed.append(wid)
-            transport.kill(wid)
+            transport.kill(wid, sig)
 
     coord.fault_injector = chaos
     result = coord.run()
     assert killed, "fault injector never fired"
     assert result.workers_lost == 1
     assert result.requeue_count >= 1
-    assert_recovered(result, wc_sequential)
+    assert_recovered(result, baseline)
 
 
-def test_socket_worker_disconnect_recovers(wc_sequential):
+def test_socket_worker_sigkill_recovers(wc_sequential):
+    """SIGKILL a worker right after it starts its first partition: the
+    lease is revoked, the partition requeued, and the surviving worker
+    finishes the identical campaign."""
+    _kill_at_first_start("socket", signal.SIGKILL, wc_sequential)
+
+
+def test_fork_worker_sigkill_recovers(wc_sequential):
+    """The same law for a forked worker on a socketpair.  (Before the
+    fork backend had leases this aborted the run with a named
+    WorkerCrashError — itself the fix for a hang.)"""
+    _kill_at_first_start("process", signal.SIGKILL, wc_sequential)
+
+
+def test_fork_worker_silent_death_recovers(wc_sequential):
+    """A worker that exits without an MSG_ERROR (SIGTERM stands in for
+    any silent death) is detected by its EOF while work is still
+    outstanding, and recovered like any other."""
+    _kill_at_first_start("process", signal.SIGTERM, wc_sequential)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_worker_disconnect_recovers(backend, wc_sequential):
     """Drop a worker's connection (simulated network partition) without
     touching its process: same recovery path, and the abandoned worker's
     late results are discarded at the fence, never double-counted."""
-    coord = make_coordinator(heartbeat_timeout=3.0)
+    coord = make_coordinator(backend=backend, heartbeat_timeout=3.0)
     dropped = []
 
     def chaos(event, wid, transport, pid=None):
@@ -121,8 +147,9 @@ def test_socket_worker_disconnect_recovers(wc_sequential):
     assert_recovered(result, wc_sequential)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_chaos_random_fault_point(seed, wc_sequential):
+def test_chaos_random_fault_point(seed, backend, wc_sequential):
     """The chaos harness: fault one worker at a pseudo-random protocol
     event (kill or disconnect, start or done, random event index).  The
     recovered campaign must be indistinguishable from an undisturbed
@@ -130,7 +157,7 @@ def test_chaos_random_fault_point(seed, wc_sequential):
     rng = random.Random(seed)
     fault_at = rng.randrange(0, 6)
     method = rng.choice(["kill", "disconnect"])
-    coord = make_coordinator(heartbeat_timeout=3.0)
+    coord = make_coordinator(backend=backend, heartbeat_timeout=3.0)
     events = []
     faulted = []
 
@@ -169,7 +196,7 @@ def test_poison_partition_dropped_end_to_end(wc_sequential):
             # instant (steal is off), so the pid threshold tracks the
             # whole poison lineage across requeues.
             state["target"] = pid
-            state["threshold"] = coord._next_pid
+            state["threshold"] = coord.state.rec.next_pid
         if pid == state["target"] or pid >= state["threshold"]:
             transport.kill(wid)
 
@@ -190,48 +217,6 @@ def test_poison_partition_dropped_end_to_end(wc_sequential):
     assert result.covered <= wc_sequential.covered
 
 
-# -- queue (fork) backend: prompt, named fail-fast -------------------------------
-
-
-def test_fork_worker_sigkill_fails_fast():
-    """Satellite regression: a SIGKILLed fork worker used to hang the
-    event loop (the dead-scan only ran when the result queue drained and
-    ignored the exit status until then).  Now it raises a named error,
-    promptly, identifying the worker and its in-flight partition."""
-    coord = make_coordinator(backend="process")
-    killed = []
-
-    def chaos(event, wid, transport, pid=None):
-        if event == "start" and not killed:
-            killed.append(wid)
-            transport.kill(wid)
-
-    coord.fault_injector = chaos
-    with pytest.raises(WorkerCrashError, match=r"worker \d+ died"):
-        coord.run()
-    assert killed
-
-
-def test_fork_worker_silent_death_fails_fast():
-    """A worker that exits without an MSG_ERROR (terminate here stands in
-    for any silent death — the nastiest variant of the old hang, which
-    only checked exit status once the result queue drained) is detected
-    and named while work is still outstanding."""
-    coord = make_coordinator(backend="process")
-
-    def chaos(event, wid, transport, pid=None):
-        # The multiprocessing terminate path exits without MSG_ERROR.
-        if event == "start" and not chaos.fired:
-            chaos.fired = True
-            transport._procs[wid].terminate()
-
-    chaos.fired = False
-    coord.fault_injector = chaos
-    with pytest.raises(WorkerCrashError, match="without reporting an error"):
-        coord.run()
-    assert chaos.fired
-
-
 # -- scripted transports: deterministic lease-layer edge cases -------------------
 
 
@@ -241,16 +226,13 @@ def _zero_stats():
 
 def _blob_partition(coord, tag):
     return Partition.from_blob(
-        coord._alloc_pid(), tag, "split",
+        coord.state.alloc_pid(), tag, "split",
         {"prefix_len": 1, "func": "main", "block": "entry", "depth": 1},
     )
 
 
 class ScriptedTransport:
-    """A leased, directed transport whose workers are script fragments."""
-
-    leased = True
-    directed = True
+    """A transport whose workers are script fragments."""
 
     def __init__(self, workers):
         self.worker_ids = list(range(workers))
@@ -297,8 +279,21 @@ def _scripted_coordinator(workers, **kw):
     coord = make_coordinator(
         workers=workers, poll_timeout=0.01, join_timeout=5.0, **kw
     )
-    coord._sched = PartitionScheduler(set(), qt_table=lambda: {}, policy="fifo")
+    coord.state.sched = PartitionScheduler(set(), qt_table=lambda: {}, policy="fifo")
     return coord
+
+
+def _run_scripted(coord, parts, transport):
+    """Queue ``parts``, drive the select loop over the scripted fleet,
+    and hand back the campaign record the run accumulated into."""
+    for part in parts:
+        coord.state.push(part)
+    coord._run_transport(transport)
+    return coord.state.rec
+
+
+def _requeues(rec):
+    return sum(entry["kind"] == "requeue" for entry in rec.requeue_log)
 
 
 def test_steal_victim_death_releases_bookkeeping():
@@ -324,17 +319,16 @@ def test_steal_victim_death_releases_bookkeeping():
     coord = _scripted_coordinator(workers=2)
     transport = T(2)
     parts = [_blob_partition(coord, b"p0"), _blob_partition(coord, b"p1")]
-    entries, tests, covered, streamed, payloads, results = (
-        coord._run_transport(parts, transport)
-    )
+    rec = _run_scripted(coord, parts, transport)
     assert transport.steals_sent and transport.steals_sent[0][1][0] == CMD_STEAL
     assert transport.fenced == {0}
-    assert coord.workers_lost == 1
-    assert coord.requeues == 1
-    assert streamed == 2  # both partitions completed, one after requeue
-    assert {origin for _, origin, _, _ in results} == {"split", "requeue:0"}
-    assert len(entries) == 2  # a fenced worker still gets a ledger row
-    dead_entry = entries[0]
+    assert rec.workers_lost == 1
+    assert _requeues(rec) == 1
+    assert rec.streamed_paths == 2  # both completed, one after requeue
+    assert {origin for _, origin, _, _ in rec.partition_results} == {
+        "split", "requeue:0"}
+    assert len(rec.worker_entries) == 2  # a fenced worker still gets a row
+    dead_entry = rec.worker_entries[0]
     assert dead_entry[1].paths_completed == 0  # ...with nothing accepted
 
 
@@ -354,19 +348,16 @@ def test_poison_partition_dropped_by_name():
     coord = _scripted_coordinator(workers=5, max_partition_requeues=3)
     transport = T(5)
     parts = [_blob_partition(coord, b"poison")]
-    entries, tests, covered, streamed, payloads, results = (
-        coord._run_transport(parts, transport)
-    )
+    rec = _run_scripted(coord, parts, transport)
     # 4 owners died (the original lease + 3 requeues), then the cap hit.
-    assert coord.requeues == 3
-    assert coord.workers_lost == 4
-    assert streamed == 0 and results == []
-    kinds = [entry["kind"] for entry in coord.requeue_log]
+    assert rec.workers_lost == 4
+    assert rec.streamed_paths == 0 and rec.partition_results == []
+    kinds = [entry["kind"] for entry in rec.requeue_log]
     assert kinds == ["requeue", "requeue", "requeue", "dropped"]
-    dropped = coord.requeue_log[-1]
+    dropped = rec.requeue_log[-1]
     assert dropped["revocations"] == 4
     assert "poison" in dropped["reason"]
-    assert len(entries) == 5  # the survivor drained cleanly
+    assert len(rec.worker_entries) == 5  # the survivor drained cleanly
 
 
 def test_whole_fleet_death_raises():
@@ -380,7 +371,7 @@ def test_whole_fleet_death_raises():
     transport = T(2)
     parts = [_blob_partition(coord, b"p0"), _blob_partition(coord, b"p1")]
     with pytest.raises(WorkerCrashError, match="all 2 workers lost"):
-        coord._run_transport(parts, transport)
+        _run_scripted(coord, parts, transport)
 
 
 def test_fenced_worker_messages_are_discarded():
@@ -410,17 +401,15 @@ def test_fenced_worker_messages_are_discarded():
     coord = _scripted_coordinator(workers=2)
     transport = T(2)
     parts = [_blob_partition(coord, b"p0"), _blob_partition(coord, b"p1")]
-    entries, tests, covered, streamed, payloads, results = (
-        coord._run_transport(parts, transport)
-    )
+    rec = _run_scripted(coord, parts, transport)
     # The zombie's 7-path report was discarded; its partition re-ran on a
     # healthy worker and contributed exactly once.
-    assert coord.requeues == 1
-    assert streamed == 2
-    assert sum(paths for _, _, paths, _ in results) == 2
+    assert _requeues(rec) == 1
+    assert rec.streamed_paths == 2
+    assert sum(paths for _, _, paths, _ in rec.partition_results) == 2
 
 
-# -- pool teardown fd hygiene ----------------------------------------------------
+# -- fleet teardown and the no-port promise ---------------------------------------
 
 
 def _open_fds():
@@ -430,12 +419,25 @@ def _open_fds():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs procfs fd listing")
 def test_repeated_process_campaigns_do_not_leak_fds():
-    """Satellite regression: multiprocessing queues keep feeder pipes
-    alive until close()/join_thread(), so back-to-back campaigns in one
-    process used to accumulate fds until exhaustion."""
+    """Back-to-back campaigns in one process must not accumulate fds:
+    ``close()`` releases every socketpair end, reader thread and worker
+    process (the queue pool before it had to close its feeder pipes)."""
     run_parallel("wc", workers=2)  # warm-up: imports, context, trackers
     before = _open_fds()
     for _ in range(2):
         run_parallel("wc", workers=2)
     after = _open_fds()
     assert after <= before + 1, f"fd leak: {before} -> {after}"
+
+
+def test_local_run_opens_no_listening_socket(monkeypatch, wc_sequential):
+    """``backend="process"`` means fork local workers and open no port:
+    the TCP listener is the unauthenticated pickle port, and a purely
+    local run must not be reachable through it."""
+    def no_listener(*args, **kwargs):
+        raise AssertionError("a local run tried to open a listening socket")
+
+    monkeypatch.setattr(socket, "create_server", no_listener)
+    result = run_parallel("wc", workers=2)
+    assert_recovered(result, wc_sequential)
+    assert result.workers_lost == 0 and len(result.ledger) == 3

@@ -3,10 +3,11 @@
 Covers the framing codec, the versioned config codec (the old bare
 ``TypeError`` on version skew is now a named
 :class:`ProtocolMismatchError`), the HELLO/WELCOME handshake including
-rejection of stale workers, and the end-to-end property that matters: a
-socket-transport N-worker campaign emits the identical plain-mode test
-multiset and coverage as the sequential run, with the stats ledger
-intact.
+rejection of stale workers — over TCP and over a socketpair, the two
+ways the one transport obtains its connections — and the end-to-end
+property that matters: an N-worker campaign emits the identical
+plain-mode test multiset and coverage as the sequential run, with the
+stats ledger intact.
 """
 
 import socket
@@ -29,6 +30,7 @@ from repro.parallel.wire import (
 from repro.remote import (
     SocketTransport,
     TransportError,
+    WorkerSession,
     connect,
     recv_frame,
     send_frame,
@@ -209,22 +211,55 @@ def test_handshake_rejects_version_skew():
         transport.close()
 
 
-def test_worker_session_handshake_and_stop():
-    """Client-side handshake: connect() yields a configured session, and
-    a TASK_STOP from the coordinator lands on the session task queue."""
-    config_payload = encode_config(EngineConfig())
+def test_socketpair_handshake_rejects_version_skew(monkeypatch):
+    """The forked-worker path runs the same handshake: a version-skewed
+    worker on a socketpair fails by name, exactly as on TCP."""
+    import repro.remote.client as client
+
     transport = SocketTransport(
-        workers=1, program="wc",
-        spec_payload={"n_args": 1, "arg_len": 2}, config_payload=config_payload,
-        spawn_workers=False, accept_timeout=20.0,
+        workers=1, program="wc", spec_payload={}, config_payload={},
+        listen=False,
+    )
+    ours, theirs = socket.socketpair()
+    server = threading.Thread(target=transport._handshake, args=(ours,),
+                              daemon=True)
+    server.start()
+    monkeypatch.setattr(client, "WIRE_VERSION", WIRE_VERSION + 1)
+    try:
+        with pytest.raises(ProtocolMismatchError, match="mismatch"):
+            WorkerSession(theirs)
+        server.join(timeout=10.0)
+        assert not server.is_alive()
+        assert transport.worker_ids == []
+    finally:
+        theirs.close()
+        transport.close()
+
+
+def _loopback_session(**transport_kw):
+    """A listening transport and one dialed session on it."""
+    transport = SocketTransport(
+        workers=1, program="wc", spawn_workers=False, accept_timeout=20.0,
+        **transport_kw,
     )
     server = threading.Thread(target=transport.start, daemon=True)
     server.start()
     while transport.address is None:
         pass
     session = connect(*transport.address, retries=10)
+    server.join(timeout=10.0)
+    assert not server.is_alive()
+    return transport, session
+
+
+def test_worker_session_handshake_and_stop():
+    """Client-side handshake: connect() yields a configured session, and
+    a TASK_STOP from the coordinator lands on the session task queue."""
+    transport, session = _loopback_session(
+        spec_payload={"n_args": 1, "arg_len": 2},
+        config_payload=encode_config(EngineConfig()),
+    )
     try:
-        server.join(timeout=10.0)
         assert session.wid == 0
         assert session.program == "wc"
         assert session.spec_payload == {"n_args": 1, "arg_len": 2}
@@ -232,6 +267,20 @@ def test_worker_session_handshake_and_stop():
         transport.stop_worker(0)
         msg = session.task_q.get(timeout=10.0)
         assert msg[0] == "stop"
+    finally:
+        session.close()
+        transport.close()
+
+
+def test_tcp_connections_disable_nagle():
+    """Regression: a worker writes MSG_START and MSG_DONE as two small
+    frames; with Nagle on, the second waits for the peer's delayed ACK
+    (~40 ms per partition).  Both ends of a TCP session set
+    TCP_NODELAY."""
+    transport, session = _loopback_session(spec_payload={}, config_payload={})
+    try:
+        for sock in (transport._endpoints[0].conn, session._sock):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     finally:
         session.close()
         transport.close()
