@@ -211,6 +211,31 @@ def test_store_answers_blasts_not_lookups(tmp_path, program, mode, paths, tests)
     assert w.sat_solver_runs <= c.sat_solver_runs
 
 
+@pytest.mark.parametrize("n, l, paths, queries, max_misses, max_presolve, min_exact", [
+    (2, 2, 84, 201, 60, 40, 0.5),      # whole-pc queries: 154 misses, 113 presolve decisions
+    (3, 2, 588, 1209, 120, 80, 0.6),   # 920 and 1 070 (bench/'s ``plain_wc`` cell)
+])
+def test_branch_queries_are_slices(n, l, paths, queries, max_misses, max_presolve, min_exact):
+    """Count gate (no wall time) for what a branch sends the solver.
+
+    On plain ``wc`` a branch tests one input byte and the path condition
+    is a conjunction over all of them, so the slice is the handful of
+    conjuncts on that byte: it recurs across paths (exact cache hits)
+    where the whole pc never does (a miss, then presolve).  Paths, tests
+    and the query count are those of whole-pc branch queries.
+    """
+    from repro.env.runner import run_symbolic
+
+    result = run_symbolic("wc", n_args=n, arg_len=l)
+    stats = result.solver_stats
+    assert (result.paths, len(result.tests.cases), stats.queries) == (paths, paths, queries)
+    assert stats.cache_misses <= max_misses
+    assert stats.fastpath_hits <= max_presolve
+    lookups = (stats.cache_hits_exact + stats.cache_hits_subset
+               + stats.cache_hits_model + stats.cache_misses)
+    assert stats.cache_hits_exact / lookups >= min_exact
+
+
 def test_presolve_fixpoint_deep_ite():
     """Count gate (no wall time): a 24-deep ite chain under a growing
     path condition is decided by the presolve fixpoint alone — every

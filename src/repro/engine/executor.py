@@ -7,6 +7,19 @@ meet at the same location.  Static state merging (SSM) is this algorithm
 with a topological strategy; dynamic state merging (DSM, Algorithm 2)
 wraps any driving strategy and fast-forwards states that are similar to a
 recent predecessor of another worklist state.
+
+The **satisfiable-pc invariant**: every path condition on the worklist —
+hence every pc handed to the solver's sliced feasibility entries
+(:meth:`~repro.solver.portfolio.SolverChain.check_branch`,
+``check_sliced``) — is satisfiable.  The initial pc is the preconditions,
+decided once, whole, before the state is seeded; a fork adds a condition
+its query just proved SAT; a one-sided branch, bounds check or assert
+keeps the SAT arm; ``merge_states`` builds ``prefix ∧ (s1 ∨ s2)`` from
+two SAT pcs; partition seeds are snapshots of another engine's worklist;
+an exact pc (Fig. 3) is extended only by a condition found SAT with it.
+The solver relies on this to decide a branch from the slice of the pc
+that shares variables with the condition and to skip the second arm's
+query when the first is infeasible.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from .similarity import (
 )
 from .state import ArrayBinding, Frame, Region, SymState
 from .stats import CoverageTracker, EngineStats
-from .testgen import TestSuite, build_test_case, make_test_case
+from .testgen import TestSuite, make_test_case
 
 ARGV_KEY = (0, "global", "$argv")
 
@@ -413,6 +426,11 @@ class Engine:
         state.pc = tuple(self.config.preconditions) + tuple(
             self.spec.stdin_preconditions()
         )
+        if self.config.preconditions and not self.solver.check(state.pc).is_sat:
+            # Where the satisfiable-pc invariant starts: no later query sees
+            # the whole pc, so contradictory preconditions are named here
+            # and ``seed_states`` turns the state away.
+            state.pc = (ops.FALSE,)
         if self.config.track_exact_paths:
             state.exact_pcs = (state.pc,)
         return state
@@ -461,7 +479,9 @@ class Engine:
         # (RandomStrategy reseeds its stream from the prefix here).
         self.strategy.on_seed(states)
         for state in states:
-            if state.halted:
+            if state.pc == (ops.FALSE,):
+                self.stats.states_infeasible += 1
+            elif state.halted:
                 self._finalize(state)
             else:
                 self._add_state(state, try_merge=False)
@@ -758,16 +778,12 @@ class Engine:
         if in_bounds.is_false():
             self._report_error(state, "bounds", line)
             return False
-        oob = self.solver.check(list(state.pc) + [ops.not_(in_bounds)])
+        out_of_bounds = ops.not_(in_bounds)
+        oob, ok = self.solver.check_branch(state.pc, out_of_bounds)
         if oob.is_sat:
             self._report_error(
-                state,
-                "bounds",
-                line,
-                model=oob.model,
-                error_pc=list(state.pc) + [ops.not_(in_bounds)],
+                state, "bounds", line, error_pc=list(state.pc) + [out_of_bounds]
             )
-            ok = self.solver.check(list(state.pc) + [in_bounds])
             if not ok.is_sat:
                 return False
             state.add_constraint(in_bounds)
@@ -814,16 +830,12 @@ class Engine:
         if cond.is_false():
             self._report_error(state, "assert", instr.line)
             return False
-        violated = self.solver.check(list(state.pc) + [ops.not_(cond)])
+        failing = ops.not_(cond)
+        violated, holds = self.solver.check_branch(state.pc, failing)
         if violated.is_sat:
             self._report_error(
-                state,
-                "assert",
-                instr.line,
-                model=violated.model,
-                error_pc=list(state.pc) + [ops.not_(cond)],
+                state, "assert", instr.line, error_pc=list(state.pc) + [failing]
             )
-            holds = self.solver.check(list(state.pc) + [cond])
             if not holds.is_sat:
                 return False
             state.add_constraint(cond)
@@ -867,9 +879,9 @@ class Engine:
             frame.idx = 0
             return [state]
         neg = ops.not_(cond)
-        # One batch query decides both arms: on an incremental chain the
-        # two probes share the path condition's persistent encoding, and a
-        # provably-infeasible arm lets the other's solve be elided.
+        # One batch query decides both arms on the slice of the pc that
+        # shares variables with ``cond``; an infeasible arm makes the other
+        # feasible without a solve (the pc is satisfiable).
         then_res, else_res = self.solver.check_branch(state.pc, cond)
         self.stats.branch_queries += 1
         successors: list[SymState] = []
@@ -903,7 +915,7 @@ class Engine:
             return
         kept = []
         for pc in state.exact_pcs:
-            if self.solver.check(list(pc) + [cond]).is_sat:
+            if self.solver.check_sliced(pc, cond).is_sat:
                 kept.append(pc + (cond,))
         state.exact_pcs = tuple(kept)
 
@@ -937,37 +949,25 @@ class Engine:
                 self.tests.add(case)
                 self.stats.tests_generated += 1
 
-    def _report_error(
-        self, state: SymState, kind: str, line: int, model=None, error_pc=None
-    ) -> None:
+    def _report_error(self, state: SymState, kind: str, line: int, error_pc=None) -> None:
         """Record an error; ``error_pc`` is the constraint set an erroneous
         input must satisfy (defaults to the state's pc for errors that are
-        unconditional on this path)."""
+        unconditional on this path).  The witness is a model of all of it:
+        the feasibility query that found the error saw only a slice."""
         self.stats.errors_found += 1
         if not self.config.generate_tests:
             return
-        if self.config.testgen_deterministic:
-            # Re-derive the witness from the constraints alone so the test
-            # content does not depend on exploration order (the ``model``
-            # handed to us came from the history-carrying engine chain).
-            case = make_test_case(
-                self.solver,
-                self.spec,
-                error_pc if error_pc is not None else state.pc,
-                kind,
-                line=line,
-                deterministic=True,
-                stats_sink=self.stats,
-            )
-            if case is not None:
-                self.tests.add(case)
-        elif model is not None:
-            pc = error_pc if error_pc is not None else state.pc
-            self.tests.add(build_test_case(self.spec, model, pc, kind, line=line))
-        else:
-            case = make_test_case(self.solver, self.spec, state.pc, kind, line=line)
-            if case is not None:
-                self.tests.add(case)
+        case = make_test_case(
+            self.solver,
+            self.spec,
+            error_pc if error_pc is not None else state.pc,
+            kind,
+            line=line,
+            deterministic=self.config.testgen_deterministic,
+            stats_sink=self.stats,
+        )
+        if case is not None:
+            self.tests.add(case)
 
 
 def _init_cells(size: int, width: int, init) -> tuple[Expr, ...]:

@@ -5,6 +5,14 @@ variables; each group can be solved separately and the models unioned.
 This matters enormously under state merging: a merged path condition drags
 along constraints about argv bytes that are irrelevant to the branch being
 decided.
+
+Two cuts, two callers.  :func:`split_independent` partitions a whole set:
+``SolverChain.check`` decides it group by group, test generation and the
+store's canonical keys work per group.  :func:`relevant_constraints`
+keeps the one group a query belongs to: ``SolverChain.check_branch`` and
+``check_sliced`` (:mod:`repro.solver.portfolio`) — every feasibility
+query the engine makes — send the solver that slice and nothing else,
+which is sound because the engine's path conditions are satisfiable.
 """
 
 from __future__ import annotations

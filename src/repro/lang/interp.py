@@ -45,6 +45,7 @@ class OutOfBounds(InterpError):
         super().__init__(f"index {index} out of bounds for {array}[{size}] at line {line}")
         self.array = array
         self.index = index
+        self.line = line
 
 
 class _Halt(Exception):

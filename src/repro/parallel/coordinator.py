@@ -70,7 +70,7 @@ from ..sched import PartitionScheduler, adaptive_partition_factor
 from ..solver.portfolio import SolverStats
 from .partition import Partition
 from .state import CHECKPOINT, FENCE, SEND_TASK, CampaignState
-from .wire import MSG_DONE, MSG_ERROR, MSG_START, encode_config
+from .wire import MSG_DONE, MSG_ERROR, MSG_START, TASK_PARTITION, encode_config
 from .worker import run_partition
 
 
@@ -375,10 +375,12 @@ class Coordinator:
         self._resumed_epoch = resume.epoch if resume is not None else None
         self._restored_partitions = len(self.state.rec.partition_results)
         # Chaos hook for the fault-injection harness: called as
-        # fault_injector(event, wid, transport, pid) after every
-        # processed "start"/"done" event (pid = the partition involved),
-        # after the split checkpoint ("split") and at drain entry
-        # ("drain"); may transport.kill(wid)/disconnect(wid) or raise.
+        # fault_injector(event, wid, transport, pid) before a leased
+        # partition leaves for its worker ("lease": a fault here cannot
+        # race the worker's own messages — it has nothing to run yet),
+        # after every processed "start"/"done" event (pid = the partition
+        # involved), after the split checkpoint ("split") and at drain
+        # entry ("drain"); may transport.kill(wid)/disconnect(wid) or raise.
         self.fault_injector = None
         self._ckpt = None  # CampaignCheckpointer when campaign_id active
         self._store_warning: str | None = None
@@ -744,6 +746,9 @@ class Coordinator:
                 elif verb == FENCE:
                     transport.fence(*args)
                 else:
+                    wid, msg = args
+                    if msg[0] == TASK_PARTITION:
+                        self._fault_event("lease", wid, transport, msg[1])
                     send = transport.send_task if verb == SEND_TASK else transport.send_cmd
                     try:
                         send(*args)

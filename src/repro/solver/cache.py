@@ -8,6 +8,16 @@ Three lookup tiers:
   proves the query UNSAT (adding constraints cannot restore satisfiability);
 * **model reuse** — recent SAT models are cheap to *evaluate* against the
   new query; any hit proves SAT (this subsumes superset-SAT lookups).
+
+The engine's feasibility queries are slices of a path condition
+(:meth:`repro.solver.portfolio.SolverChain.check_branch`), so a stored
+model binds one slice's variables only, and a query that joins two slices
+would find no single model to reuse.  :meth:`QueryCache.store` therefore
+folds each SAT model over the previous *composite* — the newest binding
+of every variable seen so far — and it is the composite that enters the
+model-reuse tier.  A composite is only ever a candidate, verified by
+evaluation like any other recent model, so it cannot change a verdict;
+the exact tier keeps every model as given.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ class QueryCache:
         )
         self._recent_models: OrderedDict[int, dict[str, int]] = OrderedDict()
         self._model_counter = 0
+        # Newest stored binding of every variable (see module docstring).
+        self._composite: dict[str, int] = {}
         # model id -> (evaluate()'s node memo, eids of constraints that
         # raised EvalError): path conditions grow one conjunct at a time,
         # so successive model-reuse scans evaluate almost the same DAG
@@ -95,8 +107,9 @@ class QueryCache:
         if len(self._exact) > self.max_entries:
             self._exact.popitem(last=False)
         if is_sat and model is not None:
+            self._composite = composite = {**self._composite, **model}
             self._model_counter += 1
-            self._recent_models[self._model_counter] = model
+            self._recent_models[self._model_counter] = composite
             if len(self._recent_models) > self.max_models:
                 evicted, _ = self._recent_models.popitem(last=False)
                 self._eval_cache.pop(evicted, None)
@@ -123,6 +136,7 @@ class QueryCache:
     def clear(self) -> None:
         self._exact.clear()
         self._recent_models.clear()
+        self._composite = {}
         self._unsat_sets.clear()
         self._eval_cache.clear()
 

@@ -1,4 +1,4 @@
-"""The solver chain: cache → splitting → pre-solve → rewrite-fold → store → bit-blasting.
+"""The solver chain: slice → cache → pre-solve → rewrite-fold → store → bit-blasting.
 
 :class:`SolverChain` is the engine-facing facade, mirroring KLEE's stacked
 solvers (independent-constraint splitter, counterexample cache, and STP at
@@ -9,6 +9,22 @@ abstract domains that answer queries without blasting, plus a solver-
 boundary structural simplifier that shrinks the groups that do get
 blasted.  The fastpath neutrality law: enabling or disabling the tier
 changes which tier answers (and the counters), never a verdict.
+
+Two entries.  :meth:`SolverChain.check` decides any constraint set whole
+(cache, then one pass per independence group).  A branch asks about its
+*slice*: :meth:`SolverChain.check_sliced` and :meth:`~SolverChain
+.check_branch`, the engine's feasibility queries, flatten the path
+condition, keep what is transitively connected to the condition through
+shared variables (:func:`~repro.expr.independence.relevant_constraints`)
+and hand ``check`` that slice plus the condition — one independence
+group whose cache key recurs across paths where a whole pc never does.
+They rest on the **satisfiable-pc invariant**: the caller's pc is
+satisfiable.  Then so is the rest of the pc, which shares no variable
+with the slice or the condition, hence ``pc ∧ cond`` is SAT iff
+``slice ∧ cond`` is; and when ``slice ∧ cond`` is UNSAT every model of
+the pc satisfies ``¬cond``, so the other arm is SAT with no second query
+(``branch_elisions``) and no cache evidence.  ``check`` assumes nothing
+and is the oracle of that law (``tests/test_solver_slice.py``).
 
 The optional persistent store (:mod:`repro.store`) is consulted at one
 place only — :meth:`SolverChain._check_group`, for a group every cheaper
@@ -52,7 +68,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..expr import ops
-from ..expr.independence import split_independent
+from ..expr.independence import relevant_constraints, split_independent
 from ..expr.nodes import Expr
 from ..expr.subst import conjuncts as flatten_conjuncts
 from .bitblast import BitBlaster
@@ -122,6 +138,9 @@ class SolverStats:
     clauses_forgotten: int = 0
     blasters_created: int = 0
     blasters_reset: int = 0
+    # check_branch calls, and the ``¬cond`` arms among them that were never
+    # asked: ``slice ∧ cond`` came back UNSAT and the caller's pc is
+    # satisfiable (the satisfiable-pc invariant), so ``¬cond`` holds on it.
     branch_batches: int = 0
     branch_elisions: int = 0
 
@@ -213,16 +232,31 @@ class SolverChain:
             self.stats.unsat_answers += 1
         return result
 
-    def check_branch(self, pc, cond: Expr) -> tuple[CheckResult, CheckResult]:
-        """Decide ``pc ∧ cond`` and ``pc ∧ ¬cond`` as one batch.
+    def check_sliced(self, pc, cond: Expr) -> CheckResult:
+        """Decide ``pc ∧ cond`` for a **satisfiable** ``pc`` from its slice.
 
-        This is the executor's branch-feasibility query.  The base chain
-        simply issues both checks; :class:`IncrementalChain` answers both
-        off one shared persistent encoding and can elide the second solve.
+        Only the conjuncts of ``pc`` transitively sharing variables with
+        ``cond`` are sent to :meth:`check`.  The returned model binds the
+        slice (a cache hit may bind more); it is not a model of ``pc``.
+        """
+        return self.check(self._slice(pc, cond) + [cond])
+
+    def check_branch(self, pc, cond: Expr) -> tuple[CheckResult, CheckResult]:
+        """Decide ``pc ∧ cond`` and ``pc ∧ ¬cond`` for a **satisfiable** ``pc``.
+
+        This is the executor's branch-feasibility query, and the
+        satisfiable-pc invariant is the caller's to keep: both arms are
+        decided on the slice of ``pc`` connected to ``cond``, and when the
+        ``cond`` arm is UNSAT the ``¬cond`` arm is SAT by the invariant —
+        the second query is elided and no model is materialized.
         """
         self.stats.branch_batches += 1
-        pc = list(pc)
-        return self.check(pc + [cond]), self.check(pc + [ops.not_(cond)])
+        relevant = self._slice(pc, cond)
+        then_res = self.check(relevant + [cond])
+        if not then_res.is_sat:
+            self.stats.branch_elisions += 1
+            return then_res, CheckResult(True, None)
+        return then_res, self.check(relevant + [ops.not_(cond)])
 
     # -- internals -----------------------------------------------------------
 
@@ -269,6 +303,10 @@ class SolverChain:
                 seen.add(leaf.eid)
                 flat.append(leaf)
         return flat, False
+
+    def _slice(self, pc, cond: Expr) -> list[Expr]:
+        """The conjuncts of ``pc`` that can bear on ``cond``."""
+        return relevant_constraints(self._flatten(pc)[0], cond)
 
     def _check_inner(self, constraints: list[Expr]) -> CheckResult:
         flat, const_false = self._flatten(constraints)
@@ -474,40 +512,6 @@ class IncrementalChain(SolverChain):
     _blasters: OrderedDict[frozenset[str], _PersistentBlaster] = field(
         default_factory=OrderedDict, repr=False
     )
-
-    def check_branch(self, pc, cond: Expr) -> tuple[CheckResult, CheckResult]:
-        """Batch branch query with UNSAT-side elision.
-
-        Both sides share every tier: one flattened ``pc`` encoding on the
-        persistent blaster (``cond`` and ``¬cond`` differ by one literal).
-        When ``pc ∧ cond`` is UNSAT and ``pc`` itself is known satisfiable
-        — a cache-only peek, which almost always hits because ``pc`` was
-        the previous branch query's exact constraint set — then
-        ``pc ∧ ¬cond`` is SAT by implication and the second solve is
-        elided entirely (no model is materialized).
-        """
-        self.stats.branch_batches += 1
-        pc = list(pc)
-        then_res = self.check(pc + [cond])
-        if not then_res.is_sat and self._known_sat(pc):
-            self.stats.branch_elisions += 1
-            return then_res, CheckResult(True, None)
-        return then_res, self.check(pc + [ops.not_(cond)])
-
-    def _known_sat(self, constraints: list[Expr]) -> bool:
-        """Cache-only evidence that ``constraints`` is satisfiable.
-
-        Never solves; a miss just means the elision shortcut is skipped.
-        """
-        if not self.use_cache:
-            return False
-        flat, const_false = self._flatten(constraints)
-        if const_false:
-            return False
-        if not flat:
-            return True
-        hit = self.cache.lookup(flat)
-        return hit is not None and hit[0]
 
     def reset_blasters(self) -> None:
         """Drop all persistent blasters (they rebuild lazily).

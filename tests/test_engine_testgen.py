@@ -137,3 +137,45 @@ def test_deterministic_unsat_group_short_circuits(fresh_memo):
     }
     # The satisfiable neighbours are unaffected afterwards.
     assert deterministic_model((sat_x, sat_z)) == {"arg1_b0": 5, "arg2_b0": 6}
+
+
+# -- error witnesses are models of the whole error pc -------------------------
+
+PINNED_THEN_CHECKED = """
+int main(int argc, char argv[][]) {
+    char t[4] = { 1, 2, 3, 4 };
+    char a = argv[1][0];
+    char b = argv[1][1];
+    if (a == 'k') {
+        assert(b != 'z');
+        if (b < 8) return t[b];
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_error_witness_satisfies_the_whole_error_pc(deterministic, fresh_memo):
+    """An earlier branch pins byte 0; the assert and the bounds check depend
+    on byte 1 alone, so the feasibility query that finds each error sees —
+    and its model binds — only byte 1's slice.  The emitted input must
+    still reach the error: it is solved from the whole error pc."""
+    from repro.engine.executor import Engine, EngineConfig
+    from repro.lang import compile_program
+    from repro.lang.interp import AssertionFailure, OutOfBounds, run_concrete
+
+    module = compile_program(PINNED_THEN_CHECKED, name="pinned")
+    engine = Engine(module, ArgvSpec(n_args=1, arg_len=2),
+                    EngineConfig(testgen_deterministic=deterministic))
+    engine.run()
+    errors = engine.tests.errors()
+    assert sorted(case.kind for case in errors) == ["assert", "bounds"]
+    raised = {"assert": AssertionFailure, "bounds": OutOfBounds}
+    for case in errors:
+        assert case.argv[1][:1] == b"k"
+        with pytest.raises(raised[case.kind]) as failure:
+            run_concrete(module, list(case.argv))
+        assert failure.value.line == case.line
+    for case in engine.tests.paths():
+        run_concrete(module, list(case.argv))  # and no path test trips one

@@ -151,7 +151,7 @@ def test_worker_disconnect_recovers(backend, wc_sequential):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_chaos_random_fault_point(seed, backend, wc_sequential):
     """The chaos harness: fault one worker at a pseudo-random protocol
-    event (kill or disconnect, start or done, random event index).  The
+    event (kill or disconnect; lease, start or done; random event index).  The
     recovered campaign must be indistinguishable from an undisturbed
     run — identical test multiset, identical coverage, ledger intact."""
     rng = random.Random(seed)
@@ -178,20 +178,23 @@ def test_chaos_random_fault_point(seed, backend, wc_sequential):
 
 
 def test_poison_partition_dropped_end_to_end(wc_sequential):
-    """Real socket campaign with a poison partition: whoever starts it
-    (or any of its requeued descendants) is SIGKILLed.  After the cap the
-    partition is dropped by name, the campaign terminates, and the
-    survivors' ledger is clean — the only loss is the dropped subtree's
-    own tests."""
+    """Real socket campaign with a poison partition: whoever is leased it
+    (or any of its requeued descendants) is SIGKILLed before the task
+    leaves the coordinator — at the ``start`` event the kill raced the
+    worker's own ``MSG_DONE`` on a partition that takes a millisecond, and
+    when ``DONE`` won the poison lineage ended a generation early.  After
+    the cap the partition is dropped by name, the campaign terminates, and
+    the survivors' ledger is clean — the only loss is the dropped
+    subtree's own tests."""
     coord = make_coordinator(workers=4, heartbeat_timeout=3.0, steal=False,
                              max_partition_requeues=2)
     state = {"target": None, "threshold": None}
 
     def chaos(event, wid, transport, pid=None):
-        if event != "start":
+        if event != "lease":
             return
         if state["target"] is None:
-            # Poison the first-started partition.  Its requeued
+            # Poison the first-leased partition.  Its requeued
             # descendants are the only partitions allocated after this
             # instant (steal is off), so the pid threshold tracks the
             # whole poison lineage across requeues.

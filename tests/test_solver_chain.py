@@ -204,18 +204,24 @@ def test_incremental_chain_matches_on_chain_unit_cases():
     assert not chain.may_be_true(pc, ops.ult(ops.bv(10, 8), X))
 
 
-def test_branch_elision_requires_known_sat_pc():
-    """check_branch only elides the ¬cond solve with cache evidence for pc."""
+def test_branch_elision_rests_on_the_satisfiable_pc_invariant():
+    """check_branch elides the ¬cond query on the caller's word that pc is SAT.
+
+    The satisfiable-pc invariant is the evidence — not the cache — so both
+    chains elide, with and without a cache, and ask exactly one query.
+    """
     x = ops.bv_var("bex", 8)
-    chain = IncrementalChain()
-    pc = [ops.ult(x, ops.bv(10, 8))]
-    chain.check(pc)  # prime the cache: pc is known SAT
+    pc = [ops.ult(x, ops.bv(10, 8))]  # satisfiable: the caller's invariant
     cond = ops.ult(ops.bv(20, 8), x)  # infeasible under pc
-    then_res, else_res = chain.check_branch(pc, cond)
-    assert not then_res.is_sat and else_res.is_sat
-    assert chain.stats.branch_elisions == 1
-    # Without the cache there is no evidence, so no elision happens.
-    bare = IncrementalChain(use_cache=False)
-    then_res, else_res = bare.check_branch(pc, cond)
-    assert not then_res.is_sat and else_res.is_sat
-    assert bare.stats.branch_elisions == 0
+    for chain in (IncrementalChain(), IncrementalChain(use_cache=False),
+                  SolverChain(), SolverChain(use_cache=False)):
+        then_res, else_res = chain.check_branch(pc, cond)
+        assert not then_res.is_sat and else_res.is_sat
+        assert else_res.model is None  # nothing was solved for that arm
+        assert chain.stats.branch_elisions == 1
+        assert chain.stats.queries == 1
+    # A feasible ``cond`` arm proves nothing about the other: both are asked.
+    chain = IncrementalChain()
+    then_res, else_res = chain.check_branch(pc, ops.ult(x, ops.bv(5, 8)))
+    assert then_res.is_sat and else_res.is_sat
+    assert chain.stats.branch_elisions == 0 and chain.stats.queries == 2
