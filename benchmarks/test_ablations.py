@@ -93,15 +93,14 @@ def test_ablation_qce_full_variant(benchmark):
     §5.4 predicts the full variant helps where merged symbolic values make
     later queries expensive (e.g. rev) and is neutral where merging wins
     outright (link)."""
-    from repro.experiments.harness import RunSettings, cost_of, run_cell
+    from repro.experiments.harness import cost_of, run_cell
 
     def run():
         rows = []
         for program in ("rev", "link", "echo", "dirname"):
-            plain = run_cell(RunSettings(program=program, mode="plain", max_steps=25000))
-            eq1 = run_cell(RunSettings(program=program, mode="ssm-qce", max_steps=25000))
-            eq7 = run_cell(RunSettings(program=program, mode="ssm-qce-full",
-                                       max_steps=25000))
+            plain = run_cell(program, "plain", max_steps=25000)
+            eq1 = run_cell(program, "ssm-qce", max_steps=25000)
+            eq7 = run_cell(program, "ssm-qce-full", max_steps=25000)
             rows.append([program, cost_of(plain), cost_of(eq1), cost_of(eq7)])
         return rows
 
@@ -114,25 +113,3 @@ def test_ablation_qce_full_variant(benchmark):
     assert by_tool["link"][3] <= by_tool["link"][1] / 5
     # ...and should not be worse than Eq. 1 on the ite-regression tool
     assert by_tool["rev"][3] <= by_tool["rev"][2]
-
-
-def test_ablation_incremental_solving(benchmark):
-    """Incremental assumption-based bottom tier vs. fresh blasting.
-
-    Identical path spaces (asserted inside the driver), far fewer full
-    blasts, and a measurable cost-unit drop across the mini-corpus.
-    """
-    from repro.experiments.figures import incremental_ablation
-
-    def run():
-        return incremental_ablation(programs=["echo", "test", "wc", "tr", "uniq"])
-
-    result = run_once(benchmark, run)
-    print()
-    print(result.table())
-    print(f"total cost ratio (incr/fresh):  {result.total_cost_ratio():.3f}")
-    print(f"total blast ratio (incr/fresh): {result.total_blast_ratio():.3f}")
-    assert result.total_blast_ratio() < 0.6, "incremental tier should re-blast far less"
-    assert result.total_cost_ratio() <= 1.0, "cost units should not regress"
-    for row in result.rows:
-        assert row.reuses > 0 or row.sat_runs_incremental <= row.sat_runs_fresh

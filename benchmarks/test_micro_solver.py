@@ -184,19 +184,16 @@ def test_factor_probes_keep_their_prefix_on_the_trail(benchmark):
 def test_store_answers_blasts_not_lookups(tmp_path, program, mode, paths, tests):
     """Count gate (no wall time) for where a run consults its store.
 
-    Cold then warm 2x2 against one store, the group memo dropped between
-    them as a second process would find it.  The store is told only what
+    Cold then warm 2x2 cell against one store (a cell starts from cleared
+    memos, as a second process would find them).  The store is told only what
     the bottom tier solved and asked only what it would have to solve;
     warm test generation reads every group the cold run solved.
     """
-    from repro.engine.testgen import clear_group_memo
-    from repro.env.runner import run_symbolic
-    from repro.experiments.harness import MODES
+    from repro.experiments.harness import run_cell
 
     def run():
-        clear_group_memo()
-        return run_symbolic(program, n_args=2, arg_len=2,
-                            store_path=str(tmp_path / "store.sqlite"), **MODES[mode])
+        return run_cell(program, mode, n_args=2, arg_len=2, generate_tests=True,
+                        store_path=str(tmp_path / "store.sqlite"))
 
     cold, warm = run(), run()
     for result in (cold, warm):

@@ -11,8 +11,9 @@ tools against the no-merge and merge-everything extremes.
 
 import math
 
-from repro.experiments.harness import RunSettings, cost_of, run_cell
+from repro.experiments.harness import cost_of, run_cell
 from repro.experiments.report import render_table
+from repro.qce.qce import QceParams
 
 TRAIN = ["link", "nice", "paste", "pr"]  # the paper's Fig. 7 tools
 VALIDATE = ["echo", "cut", "test", "fold"]
@@ -21,8 +22,8 @@ CAP = 20000
 
 
 def cost_at(program: str, alpha: float) -> int:
-    result = run_cell(RunSettings(program=program, mode="ssm-qce", alpha=alpha,
-                                  max_steps=CAP))
+    result = run_cell(program, "ssm-qce", qce_params=QceParams(alpha=alpha),
+                      max_steps=CAP)
     penalty = 2 if result.stats.timed_out else 1  # timeouts are lower bounds
     return cost_of(result) * penalty
 
@@ -52,11 +53,11 @@ def main() -> None:
 
     rows = []
     for program in VALIDATE:
-        plain = run_cell(RunSettings(program=program, mode="plain", max_steps=CAP))
-        tuned = run_cell(RunSettings(program=program, mode="ssm-qce",
-                                     alpha=alpha_star, max_steps=CAP))
-        merge_all = run_cell(RunSettings(program=program, mode="ssm-qce",
-                                         alpha=math.inf, max_steps=CAP))
+        plain = run_cell(program, "plain", max_steps=CAP)
+        tuned = run_cell(program, "ssm-qce", qce_params=QceParams(alpha=alpha_star),
+                         max_steps=CAP)
+        merge_all = run_cell(program, "ssm-qce", qce_params=QceParams(alpha=math.inf),
+                             max_steps=CAP)
         rows.append([
             program,
             cost_of(plain),

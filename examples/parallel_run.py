@@ -4,8 +4,8 @@ The coordinator explores sequentially until the frontier is wide enough,
 exports it as path-prefix partitions, and dispatches them to a pool of
 process-based workers (each with its own engine and incremental solver
 chain).  Results merge into one ledger; work stealing rebalances when a
-worker drains early.  With deterministic test generation (the default),
-the 2-worker run emits exactly the same test suite as the sequential one.
+worker drains early.  Test generation is a pure function of the path
+condition, so the 2-worker run emits exactly the sequential test suite.
 
     python examples/parallel_run.py [program] [workers]
 """
@@ -38,11 +38,9 @@ def main() -> int:
         print(f"  {name:12s} paths={stats.paths_completed:5d}  "
               f"queries={solver.queries:6d}  cpu={stats.cpu_time:.2f}s")
 
-    seq_suite = sorted((c.kind, c.argv, c.model) for c in seq.tests.cases)
-    par_suite = sorted((c.kind, c.argv, c.model) for c in par.tests.cases)
-    same = seq_suite == par_suite
+    same = seq.tests.multiset() == par.tests.multiset()
     print(f"\ntest suites identical: {same}  "
-          f"({len(seq_suite)} sequential vs {len(par_suite)} parallel)")
+          f"({len(seq.tests.cases)} sequential vs {len(par.tests.cases)} parallel)")
     critical = par.ledger[0][1].cpu_time + max(
         (e[1].cpu_time for e in par.ledger[1:]), default=0.0
     )

@@ -17,7 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.env.runner import run_symbolic
+from repro.experiments.harness import run_cell
 from repro.store import open_store
 
 
@@ -40,16 +40,15 @@ def main() -> int:
         store_path = str(Path(tempfile.mkdtemp(prefix="repro-store-")) / "warm.sqlite")
     print(f"store: {store_path}\n")
 
-    cold = run_symbolic(program, generate_tests=True, store_path=store_path,
-                        solver_fastpath=False)
+    # A cell starts from cleared process-wide memos, so the warm run finds
+    # what a second process would: the store, and nothing else.
+    cell = dict(generate_tests=True, store_path=store_path, solver_fastpath=False)
+    cold = run_cell(program, **cell)
     describe("cold", cold)
-    warm = run_symbolic(program, generate_tests=True, store_path=store_path,
-                        solver_fastpath=False)
+    warm = run_cell(program, **cell)
     describe("warm", warm)
 
-    same_tests = sorted(c.model for c in cold.tests.cases) == sorted(
-        c.model for c in warm.tests.cases
-    )
+    same_tests = cold.tests.multiset() == warm.tests.multiset()
     print(f"\nidentical test multiset: {same_tests}")
     print(
         "full blasts: "

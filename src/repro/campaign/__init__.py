@@ -31,7 +31,13 @@ from .checkpoint import (
     new_campaign_id,
     resume_campaign,
 )
-from .record import RECORD_VERSION, CampaignRecord, load_campaign, save_checkpoint
+from .record import (
+    RECORD_VERSION,
+    CampaignRecord,
+    RecordVersionError,
+    load_campaign,
+    save_checkpoint,
+)
 
 __all__ = [
     "RECORD_VERSION",
@@ -40,6 +46,7 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignNotFound",
     "CampaignRecord",
+    "RecordVersionError",
     "load_campaign",
     "new_campaign_id",
     "resume_campaign",

@@ -60,10 +60,9 @@ def new_campaign_id() -> str:
 class CampaignCheckpointer:
     """Owns the epoch counter of one campaign and writes its records."""
 
-    def __init__(self, store, campaign: str, keep: int = 2):
+    def __init__(self, store, campaign: str):
         self.store = store
         self.campaign = campaign
-        self.keep = keep
         # Monotonic across resumes: a resumed coordinator continues from
         # the loaded record's epoch, so epoch numbers never reuse.
         self.epoch = 0
@@ -71,7 +70,7 @@ class CampaignCheckpointer:
     def save(self, record: CampaignRecord) -> int:
         self.epoch += 1
         record.epoch = self.epoch
-        save_checkpoint(self.store, record, keep=self.keep)
+        save_checkpoint(self.store, record)
         return self.epoch
 
 

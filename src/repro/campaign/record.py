@@ -45,11 +45,22 @@ if TYPE_CHECKING:  # the record itself is store-free; only save/load touch one
     from ..store.db import ReproStore
 
 # Bumped whenever the pickled record layout changes; a resume refuses
-# records it cannot faithfully reconstruct instead of guessing.
+# records it cannot faithfully reconstruct (:class:`RecordVersionError`)
+# instead of guessing.
 #   v2 — partitions_dispatched (always == next_pid) and requeues (the
 #        count of "requeue" entries in requeue_log) dropped; pending
 #        rows always carry a pid.
-RECORD_VERSION = 2
+#   v3 — the pickled EngineStats lost its solver_* mirrors, and the
+#        config / parallel payloads the options that had one value.
+RECORD_VERSION = 3
+
+# Epochs retained per campaign (older ones are GC'd, their unreferenced
+# snapshot blobs swept).
+CHECKPOINT_KEEP = 2
+
+
+class RecordVersionError(RuntimeError):
+    """A stored checkpoint was written under another record layout."""
 
 
 @dataclass
@@ -103,7 +114,7 @@ class CampaignRecord:
         )
 
 
-def save_checkpoint(store: ReproStore, record: CampaignRecord, keep: int = 2) -> None:
+def save_checkpoint(store: ReproStore, record: CampaignRecord) -> None:
     """Persist one epoch: content-address the pending snapshots, then
     write row + blob refs + epoch GC in a single transaction."""
     with store.transaction():
@@ -118,7 +129,8 @@ def save_checkpoint(store: ReproStore, record: CampaignRecord, keep: int = 2) ->
         payload["version"] = RECORD_VERSION
         state = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         store.put_checkpoint(
-            record.campaign, record.epoch, record.phase, state, refs, keep=keep
+            record.campaign, record.epoch, record.phase, state, refs,
+            keep=CHECKPOINT_KEEP,
         )
 
 
@@ -131,8 +143,13 @@ def load_campaign(store: ReproStore, campaign: str) -> CampaignRecord | None:
     """
     for epoch, _phase, state in store.iter_checkpoints(campaign):
         payload = pickle.loads(state)
-        if payload.pop("version", None) != RECORD_VERSION:
-            continue
+        seen = payload.pop("version", None)
+        if seen != RECORD_VERSION:
+            raise RecordVersionError(
+                f"campaign {campaign!r} epoch {epoch} is a v{seen} record, "
+                f"this checkout reads v{RECORD_VERSION}: resume it with the "
+                "repro version that wrote it"
+            )
         pending = []
         complete = True
         for pid, digest, origin, meta in payload["pending"]:

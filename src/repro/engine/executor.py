@@ -49,7 +49,7 @@ from ..lang.cfg import (
 from ..lang.compile import compile_block
 from ..lang.types import Array2DType, ArrayType
 from ..qce.qce import QceAnalysis, QceParams, analyze_module
-from ..solver.portfolio import IncrementalChain, SolverChain
+from ..solver.portfolio import IncrementalChain
 from .merge import merge_states
 from .similarity import (
     LiveVarSimilarity,
@@ -83,28 +83,21 @@ class EngineConfig:
     dsm_delta: int = 8
     max_steps: int | None = None
     time_budget: float | None = None
-    max_queries: int | None = None
     track_exact_paths: bool = False
     generate_tests: bool = True
-    # Derive test inputs from a history-free solve of the pc (a pure
-    # function of the path prefix), so partitioned runs emit the same test
-    # set as sequential ones.  See repro.engine.testgen.deterministic_model.
-    testgen_deterministic: bool = True
     keep_terminal_states: bool = False
     zeta: float = 2.0  # ite cost multiplier for similarity='qce-full' (Eq. 7)
     seed: int = 0
     solver_cache: bool = True
     solver_fastpath: bool = True
-    solver_incremental: bool = True
     preconditions: tuple[Expr, ...] = ()
     # Persistent cross-run store (repro.store).  ``store_path`` names the
     # SQLite file; the engine opens it as the single writer unless
     # ``store_readonly`` (parallel workers: lookups local, inserts shipped
-    # to the coordinator).  ``warm_start`` seeds the in-memory query cache
+    # to the coordinator).  Either way the in-memory query cache is seeded
     # from the store's corpus models and UNSAT cores at construction.
     store_path: str | None = None
     store_readonly: bool = False
-    warm_start: bool = True
     # Block-lowering tier (repro.lang.compile): compile the straight-line
     # prefix of hot blocks to Python closures.  Observation-equivalent by
     # construction (compiled code bails to the interpreter at the first
@@ -129,8 +122,7 @@ class Engine:
         self.spec = spec
         self.config = config or EngineConfig()
         self.program = program or "<module>"
-        chain_cls = IncrementalChain if self.config.solver_incremental else SolverChain
-        self.solver = chain_cls(
+        self.solver = IncrementalChain(
             use_cache=self.config.solver_cache, use_fastpath=self.config.solver_fastpath
         )
         self.stats = EngineStats()
@@ -186,10 +178,10 @@ class Engine:
 
         An injected ``store`` wins over ``config.store_path``.  When a
         store is present the solver chain gains a persistent cache tier,
-        and (unless ``warm_start`` is off) the in-memory query cache is
-        seeded with the corpus' models and stored UNSAT cores — verdict-
-        neutral evidence that lets this run answer queries without
-        re-solving what earlier runs already solved.
+        and the in-memory query cache is seeded with the corpus' models
+        and stored UNSAT cores — verdict-neutral evidence that lets this
+        run answer queries without re-solving what earlier runs already
+        solved.
         """
         self.store = store
         self._store_tier = None
@@ -210,21 +202,21 @@ class Engine:
             self._owns_store = self.store is not None
         if self.store is None and not self.config.store_path:
             return
-        from ..store import PersistentTier, seed_query_cache, spec_fingerprint
+        from ..store import (
+            PersistentTier,
+            corpus_covered_blocks,
+            seed_query_cache,
+            spec_fingerprint,
+        )
 
         self._store_tier = PersistentTier(
             self.store, program=self.program, spec=spec_fingerprint(self.spec)
         )
         self.solver.persistent = self._store_tier
-        if self.store is not None and self.config.warm_start:
-            from ..store import corpus_covered_blocks
-
-            self.corpus_covered = corpus_covered_blocks(self.store, self.program)
-        if (
-            self.store is not None
-            and self.config.warm_start
-            and self.config.solver_cache
-        ):
+        if self.store is None:
+            return
+        self.corpus_covered = corpus_covered_blocks(self.store, self.program)
+        if self.config.solver_cache:
             models, cores = seed_query_cache(
                 self.store, self.solver.cache, self.program, self.spec
             )
@@ -510,26 +502,7 @@ class Engine:
                     self._add_state(succ, try_merge=self.config.merging != "none")
         self.stats.wall_time += time.perf_counter() - start
         self.stats.cpu_time += time.process_time() - cpu_start
-        self._sync_solver_stats()
         return self.stats
-
-    def _sync_solver_stats(self) -> None:
-        solver_stats = self.solver.stats
-        self.stats.solver_assumption_probes = solver_stats.assumption_probes
-        self.stats.solver_incremental_reuses = solver_stats.incremental_reuses
-        self.stats.solver_clauses_retained = solver_stats.clauses_retained
-        self.stats.solver_clauses_forgotten = solver_stats.clauses_forgotten
-        self.stats.solver_cache_hits = solver_stats.cache_hits
-        self.stats.solver_cache_misses = solver_stats.cache_misses
-        self.stats.solver_store_hits = solver_stats.store_hits
-        self.stats.solver_store_misses = solver_stats.store_misses
-        self.stats.solver_store_inserts = solver_stats.store_inserts
-        self.stats.solver_unsat_cores = solver_stats.unsat_cores
-        self.stats.solver_fastpath_hits = solver_stats.fastpath_hits
-        self.stats.solver_presolve_hits_sat = solver_stats.presolve_hits_sat
-        self.stats.solver_presolve_hits_unsat = solver_stats.presolve_hits_unsat
-        self.stats.solver_presolve_rewrites = solver_stats.presolve_rewrites
-        self.stats.solver_presolve_env_reuses = solver_stats.presolve_env_reuses
 
     def export_frontier(self, max_states: int) -> list[SymState]:
         """Remove and return up to ``max_states`` worklist states.
@@ -567,8 +540,6 @@ class Engine:
         if cfg.time_budget is not None and (
             self.stats.wall_time + time.perf_counter() - start > cfg.time_budget
         ):
-            return True
-        if cfg.max_queries is not None and self.solver.stats.queries >= cfg.max_queries:
             return True
         return False
 
@@ -942,7 +913,6 @@ class Engine:
                 state.pc,
                 "path",
                 multiplicity=state.multiplicity,
-                deterministic=self.config.testgen_deterministic,
                 stats_sink=self.stats,
             )
             if case is not None:
@@ -963,7 +933,6 @@ class Engine:
             error_pc if error_pc is not None else state.pc,
             kind,
             line=line,
-            deterministic=self.config.testgen_deterministic,
             stats_sink=self.stats,
         )
         if case is not None:

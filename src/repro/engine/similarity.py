@@ -21,9 +21,8 @@ comparison only against — or on behalf of — the others.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from ..expr.nodes import Expr
+from ..memo import BoundedMemo
 from ..qce.qce import QceAnalysis
 from .state import SymState
 
@@ -116,8 +115,7 @@ class QceSimilarity(SimilarityRelation):
 
     name = "qce"
 
-    # FIFO bound of the region-signature memo, as ``presolve._REWRITE_MEMO``:
-    # losing an entry only loses acceleration.
+    # Bound of the region-signature memo.
     CELLS_MEMO_MAX = 4096
 
     def __init__(self, qce: QceAnalysis):
@@ -128,7 +126,7 @@ class QceSimilarity(SimilarityRelation):
         # tuple of a region (clones and untouched steps share it).  An entry
         # pins its tuple, so a live key's id cannot be reused.  Kept here,
         # not on ``Region``: region equality and ``snapshot()`` never see it.
-        self._cells_memo: OrderedDict[int, tuple[tuple, tuple[int, ...]]] = OrderedDict()
+        self._cells_memo = BoundedMemo(self.CELLS_MEMO_MAX)
         # (state, its merge key) left by the latest ``state_hash``, for the
         # ``merge_key`` call that follows it on the same, unmoved state.
         self._walked: tuple | None = None
@@ -155,9 +153,7 @@ class QceSimilarity(SimilarityRelation):
         if entry is not None and entry[0] is cells:
             return entry[1]
         signature = tuple([_h(c) for c in cells])
-        memo[id(cells)] = (cells, signature)
-        if len(memo) > self.CELLS_MEMO_MAX:
-            memo.popitem(last=False)
+        memo.put(id(cells), (cells, signature))
         return signature
 
     def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:

@@ -38,10 +38,9 @@ class EngineStats:
     max_worklist: int = 0
     errors_found: int = 0
     tests_generated: int = 0
-    # Work done by deterministic test generation's history-free solves
-    # (testgen_deterministic).  Kept separate from the solver_* mirrors:
-    # those reflect the engine's own chain, whose ledger must balance on
-    # its own.  ``testgen_queries`` is one per test asked for; each of its
+    # Work done by test generation's history-free solves.  Kept out of
+    # the engine chain's ``SolverStats``, whose ledger must balance on its
+    # own.  ``testgen_queries`` is one per test asked for; each of its
     # independence groups is either solved (``testgen_group_solves``, its
     # cost in ``testgen_cost_units``) or served (``testgen_group_hits``)
     # from the process-wide memo or, the ``testgen_corpus_hits`` among
@@ -60,29 +59,6 @@ class EngineStats:
     # speedup is computed from (meaningful even on a single-core host).
     cpu_time: float = 0.0
     timed_out: bool = False
-    # Mirrors of the solver's incremental-tier counters, copied at the end
-    # of a run so one EngineStats snapshot carries the whole story (the
-    # experiment harness and figures read snapshots, not the chain).
-    solver_assumption_probes: int = 0
-    solver_incremental_reuses: int = 0
-    solver_clauses_retained: int = 0
-    solver_clauses_forgotten: int = 0
-    # Cache/store effectiveness mirrors (query-cache tiers and the
-    # persistent repro.store tier) — previously invisible outside the chain.
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    solver_store_hits: int = 0
-    solver_store_misses: int = 0
-    solver_store_inserts: int = 0
-    solver_unsat_cores: int = 0
-    # Pre-solve tier mirrors (repro.solver.presolve): queries answered by
-    # the abstract domains, boundary rewrites, and incremental environment
-    # reuses.  ``solver_fastpath_hits`` equals hits_sat + hits_unsat.
-    solver_fastpath_hits: int = 0
-    solver_presolve_hits_sat: int = 0
-    solver_presolve_hits_unsat: int = 0
-    solver_presolve_rewrites: int = 0
-    solver_presolve_env_reuses: int = 0
     # Warm-start seeding volume (0 on cold runs / without a store).
     warm_models_seeded: int = 0
     warm_cores_seeded: int = 0

@@ -16,7 +16,6 @@ exploration order (see :mod:`repro.parallel`).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,6 +23,7 @@ from ..env.argv import ArgvSpec
 from ..expr.canon import named_key
 from ..expr.evaluate import EvalError, evaluate
 from ..expr.independence import split_independent
+from ..memo import BoundedMemo
 from ..solver.portfolio import SolverChain, complete_model
 from ..solver.presolve import group_signature
 from .stats import EngineStats
@@ -71,24 +71,21 @@ class TestSuite:
     def errors(self) -> list[TestCase]:
         return [c for c in self.cases if c.kind != "path"]
 
+    def multiset(self) -> list[tuple]:
+        """The suite as an order-free value: what two explorations of the
+        same path space agree on, in whatever order they met the paths
+        (see :func:`repro.experiments.harness.same_exploration`)."""
+        return sorted((c.kind, c.argv, c.model, c.line, c.stdin) for c in self.cases)
+
 
 # History-free model per independence group, keyed by the group's *ordered*
 # eid tuple (eids are never reused in a process).  The order matters: the
 # solve is a pure function of the constraint list, not of the set, so a
 # set key would make the model depend on which ordering was seen first —
-# i.e. on exploration order.  Same shape and eviction rule as
-# ``presolve._REWRITE_MEMO``; losing an entry only loses acceleration.
-_GROUP_MEMO: OrderedDict[tuple[int, ...], dict[str, int] | None] = OrderedDict()
-_GROUP_MEMO_MAX = 65536
-
+# i.e. on exploration order.
+_GROUP_MEMO = BoundedMemo(65536, process_wide=True)
 
 _UNASKED = object()  # the corpus row of the test at hand, before the first miss
-
-
-def clear_group_memo() -> None:
-    """Drop the process-wide group-model memo (tests, and the warm-start
-    figure, which lets its warm run start as a second process would)."""
-    _GROUP_MEMO.clear()
 
 
 def deterministic_model(pc, stats_sink=None, stored=None) -> dict[str, int] | None:
@@ -144,9 +141,7 @@ def deterministic_model(pc, stats_sink=None, stored=None) -> dict[str, int] | No
                 stats_sink.testgen_group_solves += 1
                 stats_sink.testgen_cost_units += chain.stats.cost_units
                 sub = result.model if result.is_sat else None
-            _GROUP_MEMO[key] = sub
-            if len(_GROUP_MEMO) > _GROUP_MEMO_MAX:
-                _GROUP_MEMO.popitem(last=False)
+            _GROUP_MEMO.put(key, sub)
         if sub is None:
             return None
         model.update(sub)
@@ -206,26 +201,22 @@ def make_test_case(
     exit_code: int | None = None,
     line: int | None = None,
     multiplicity: int = 1,
-    deterministic: bool = False,
     stats_sink=None,
 ) -> TestCase | None:
     """Solve the path condition and decode a concrete argv; None if UNSAT.
 
-    A deterministic test generated under a solver with a persistent tier
-    first asks the corpus: the row filed under this test's own identity
+    The model is :func:`deterministic_model`'s, never ``solver``'s own
+    (order-dependent) one.  Under a solver with a persistent tier the
+    corpus is asked first: the row filed under this test's own identity
     (``kind``, ``path_id``, ``line``) answers the independence groups the
-    process-wide memo misses (see :func:`deterministic_model`).
+    process-wide memo misses.
     """
-    path_id = None
-    if deterministic:
-        tier = solver.persistent
-        stored = None
-        if tier is not None:
-            path_id = named_key(pc)
-            stored = partial(tier.test_model, kind, path_id, line)
-        model = deterministic_model(pc, stats_sink=stats_sink, stored=stored)
-    else:
-        model = solver.get_model(list(pc))
+    path_id = stored = None
+    tier = solver.persistent
+    if tier is not None:
+        path_id = named_key(pc)
+        stored = partial(tier.test_model, kind, path_id, line)
+    model = deterministic_model(pc, stats_sink=stats_sink, stored=stored)
     if model is None:
         return None
     return build_test_case(spec, model, pc, kind, exit_code, line, multiplicity, path_id)

@@ -39,6 +39,10 @@ class SymbolicRunResult:
         return self.stats.paths_completed
 
     @property
+    def covered(self) -> set:
+        return self.engine.coverage.covered
+
+    @property
     def cost_units(self) -> int:
         return self.solver_stats.cost_units
 
@@ -82,11 +86,6 @@ def run_symbolic(
     from ..programs.registry import get_program
 
     info = get_program(program)
-    spec = ArgvSpec(
-        n_args=info.default_n if n_args is None else n_args,
-        arg_len=info.default_l if arg_len is None else arg_len,
-        stdin_len=info.default_stdin,
-    )
     config = EngineConfig(
         merging=merging,
         similarity=similarity,
@@ -94,4 +93,6 @@ def run_symbolic(
         qce_params=qce_params or QceParams(),
         **engine_kwargs,
     )
-    return run_symbolic_module(info.compile(), spec, config, program_name=program)
+    return run_symbolic_module(
+        info.compile(), info.spec(n_args, arg_len), config, program_name=program
+    )

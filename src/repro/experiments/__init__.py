@@ -1,50 +1,37 @@
-"""Experiment harness reproducing the paper's evaluation (Figures 3-9)."""
+"""Experiment harness reproducing the paper's evaluation (Figures 3-9).
 
-from .figures import (
-    fig3_multiplicity,
-    fig4_path_ratio,
-    fig5_speedup_curve,
-    fig6_scatter,
-    fig7_alpha_sweep,
-    fig8_coverage,
-    fig9_dsm_vs_ssm,
-    incremental_ablation,
-    parallel_scaling,
-)
+The figure drivers are exported under their own names, read from the one
+registry (:data:`repro.experiments.figures.FIGURES`) the CLI dispatches on.
+"""
+
+from .figures import FIGURES
 from .harness import (
     BUDGETED_CORPUS,
     FAST_EXHAUSTIVE,
     MODES,
-    RunSettings,
     cost_of,
     run_cell,
-    run_parallel_cell,
+    same_exploration,
 )
 from .pathcount import PathFit, calibrate, collect_points, fit_points
 from .report import ascii_series, render_table, save_json
 
+globals().update({driver.__name__: driver for driver in FIGURES.values()})
+
 __all__ = [
     "BUDGETED_CORPUS",
     "FAST_EXHAUSTIVE",
+    "FIGURES",
     "MODES",
     "PathFit",
-    "RunSettings",
     "ascii_series",
     "calibrate",
     "collect_points",
     "cost_of",
-    "fig3_multiplicity",
-    "fig4_path_ratio",
-    "fig5_speedup_curve",
-    "fig6_scatter",
-    "fig7_alpha_sweep",
-    "fig8_coverage",
-    "fig9_dsm_vs_ssm",
     "fit_points",
-    "incremental_ablation",
-    "parallel_scaling",
     "render_table",
     "run_cell",
-    "run_parallel_cell",
+    "same_exploration",
     "save_json",
+    *(driver.__name__ for driver in FIGURES.values()),
 ]

@@ -19,38 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from .figures import (
-    cache_report,
-    fig3_multiplicity,
-    fig4_path_ratio,
-    fig5_speedup_curve,
-    fig6_scatter,
-    fault_tolerance,
-    fig7_alpha_sweep,
-    fig8_coverage,
-    fig9_dsm_vs_ssm,
-    parallel_scaling,
-    presolve_ablation,
-    sched_ablation,
-    warm_start,
-)
+from .figures import FIGURES
 from .report import save_json
-
-FIGURES = {
-    "fig3": fig3_multiplicity,
-    "fig4": fig4_path_ratio,
-    "fig5": fig5_speedup_curve,
-    "fig6": fig6_scatter,
-    "fig7": fig7_alpha_sweep,
-    "fig8": fig8_coverage,
-    "fig9": fig9_dsm_vs_ssm,
-    "parallel": parallel_scaling,
-    "warm": warm_start,
-    "cache": cache_report,
-    "presolve": presolve_ablation,
-    "sched": sched_ablation,
-    "fault": fault_tolerance,
-}
 
 
 def _jsonable(result) -> object:

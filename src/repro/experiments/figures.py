@@ -14,18 +14,16 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .harness import (
-    FAST_EXHAUSTIVE,
-    MODES,
-    RunSettings,
-    cost_of,
-    run_cell,
-    run_parallel_cell,
-    settings_to_spec_config,
-)
-from .pathcount import PathFit, calibrate, collect_points, fit_points
+from ..campaign import CampaignInterrupted, resume_campaign
+from ..engine.executor import EngineConfig
+from ..memo import clear_memos
+from ..parallel import Coordinator, ParallelConfig, run_parallel
+from ..qce.qce import QceParams
+from ..store import open_store
+from .harness import FAST_EXHAUSTIVE, MODES, cost_of, run_cell, same_exploration
+from .pathcount import PathFit, collect_points, fit_points
 from .report import render_table
 
 CI = "ci"
@@ -106,10 +104,8 @@ def fig4_path_ratio(scale: str = CI, programs=None) -> Fig4Result:
     calibration_steps = _budget(scale, 600, 4000)
     rows: list[Fig4Row] = []
     for program in programs:
-        plain = run_cell(
-            RunSettings(program=program, mode="plain-cov", max_steps=steps, seed=1)
-        )
-        dsm = run_cell(RunSettings(program=program, mode="dsm-qce", max_steps=steps, seed=1))
+        plain = run_cell(program, "plain-cov", max_steps=steps, seed=1)
+        dsm = run_cell(program, "dsm-qce", max_steps=steps, seed=1)
         fit = fit_points(
             collect_points(program, mode="dsm-qce", max_steps=calibration_steps)
         )
@@ -167,12 +163,8 @@ def fig5_speedup_curve(
     rows: list[Fig5Row] = []
     for program in programs:
         for n, l in sizes:
-            plain = run_cell(
-                RunSettings(program=program, mode="plain", n_args=n, arg_len=l, max_steps=cap)
-            )
-            ssm = run_cell(
-                RunSettings(program=program, mode="ssm-qce", n_args=n, arg_len=l, max_steps=cap)
-            )
+            plain = run_cell(program, "plain", n_args=n, arg_len=l, max_steps=cap)
+            ssm = run_cell(program, "ssm-qce", n_args=n, arg_len=l, max_steps=cap)
             cost_p, cost_s = max(1, cost_of(plain)), max(1, cost_of(ssm))
             rows.append(
                 Fig5Row(
@@ -232,12 +224,8 @@ def fig6_scatter(scale: str = CI, programs=None, sizes=((1, 2), (2, 2))) -> Fig6
     rows: list[Fig6Row] = []
     for program in programs:
         for n, l in sizes:
-            plain = run_cell(
-                RunSettings(program=program, mode="plain", n_args=n, arg_len=l, max_steps=cap)
-            )
-            ssm = run_cell(
-                RunSettings(program=program, mode="ssm-qce", n_args=n, arg_len=l, max_steps=cap)
-            )
+            plain = run_cell(program, "plain", n_args=n, arg_len=l, max_steps=cap)
+            ssm = run_cell(program, "ssm-qce", n_args=n, arg_len=l, max_steps=cap)
             rows.append(
                 Fig6Row(
                     program,
@@ -284,11 +272,11 @@ def fig7_alpha_sweep(
     curves: dict[str, list[tuple[str, int, bool]]] = {}
     for program in programs:
         curve: list[tuple[str, int, bool]] = []
-        plain = run_cell(RunSettings(program=program, mode="plain", max_steps=cap))
+        plain = run_cell(program, "plain", max_steps=cap)
         curve.append((NO_MERGE, cost_of(plain), not plain.stats.timed_out))
         for alpha in alphas:
             result = run_cell(
-                RunSettings(program=program, mode="ssm-qce", alpha=alpha, max_steps=cap)
+                program, "ssm-qce", qce_params=QceParams(alpha=alpha), max_steps=cap
             )
             label = "inf" if math.isinf(alpha) else f"{alpha:g}"
             curve.append((label, cost_of(result), not result.stats.timed_out))
@@ -348,10 +336,10 @@ def fig8_coverage(scale: str = CI, programs=None, sizes=(3, 3)) -> Fig8Result:
     steps = _budget(scale, 350, 2500)
     rows: list[Fig8Row] = []
     for program in programs:
-        settings = dict(program=program, n_args=n, arg_len=l, max_steps=steps, seed=3)
-        plain = run_cell(RunSettings(mode="plain-cov", **settings))
-        ssm = run_cell(RunSettings(mode="ssm-qce", **settings))
-        dsm = run_cell(RunSettings(mode="dsm-qce", **settings))
+        size = dict(n_args=n, arg_len=l, max_steps=steps, seed=3)
+        plain = run_cell(program, "plain-cov", **size)
+        ssm = run_cell(program, "ssm-qce", **size)
+        dsm = run_cell(program, "dsm-qce", **size)
         rows.append(
             Fig8Row(
                 program,
@@ -416,8 +404,8 @@ def fig9_dsm_vs_ssm(scale: str = CI, programs=None) -> Fig9Result:
         # (topological) heuristic, so the difference isolates DSM's
         # fast-forwarding machinery — matching the paper's §5.5 protocol
         # where SSM is the exhaustive-mode gold standard.
-        ssm = run_cell(RunSettings(program=program, mode="ssm-qce", max_steps=cap))
-        dsm = run_cell(RunSettings(program=program, mode="dsm-topo", max_steps=cap))
+        ssm = run_cell(program, "ssm-qce", max_steps=cap)
+        dsm = run_cell(program, "dsm-topo", max_steps=cap)
         # At CI scale, raw cost units are dominated by which queries happen
         # to hit the solver fast path; the query count is the stable
         # exhaustive-mode workload measure (both runs explore the same
@@ -434,99 +422,6 @@ def fig9_dsm_vs_ssm(scale: str = CI, programs=None) -> Fig9Result:
             )
         )
     return Fig9Result(rows)
-
-
-# ---------------------------------------------------------------------------
-# Incremental-solving ablation — fresh-blast vs. assumption-based bottom tier
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class IncRow:
-    program: str
-    paths: int
-    cost_fresh: int
-    cost_incremental: int
-    sat_runs_fresh: int
-    sat_runs_incremental: int
-    reuses: int
-    probes: int
-    clauses_retained: int
-
-
-@dataclass
-class IncResult:
-    rows: list[IncRow] = field(default_factory=list)
-
-    def table(self) -> str:
-        data = [
-            [
-                r.program,
-                r.paths,
-                r.cost_fresh,
-                r.cost_incremental,
-                r.sat_runs_fresh,
-                r.sat_runs_incremental,
-                r.reuses,
-                r.clauses_retained,
-            ]
-            for r in self.rows
-        ]
-        return render_table(
-            ["tool", "paths", "cost(fresh)", "cost(incr)", "blasts(fresh)",
-             "blasts(incr)", "reuses", "clauses kept"],
-            data,
-            title="Ablation — incremental assumption-based solving vs. fresh blasting",
-        )
-
-    def total_cost_ratio(self) -> float:
-        fresh = sum(r.cost_fresh for r in self.rows)
-        incr = sum(r.cost_incremental for r in self.rows)
-        return incr / fresh if fresh else 1.0
-
-    def total_blast_ratio(self) -> float:
-        fresh = sum(r.sat_runs_fresh for r in self.rows)
-        incr = sum(r.sat_runs_incremental for r in self.rows)
-        return incr / fresh if fresh else 1.0
-
-
-def incremental_ablation(
-    scale: str = CI, programs=None, mode: str = "plain"
-) -> IncResult:
-    """Run each program twice — fresh-blast vs. incremental bottom tier.
-
-    Both runs must agree on the explored path space (the chains are
-    verdict-equivalent); the incremental run should re-blast far less.
-    """
-    programs = programs or ["echo", "test", "wc", "uniq"]
-    cap = _budget(scale, 20000, 120000)
-    rows: list[IncRow] = []
-    for program in programs:
-        fresh = run_cell(
-            RunSettings(program=program, mode=mode, max_steps=cap, solver_incremental=False)
-        )
-        incr = run_cell(
-            RunSettings(program=program, mode=mode, max_steps=cap, solver_incremental=True)
-        )
-        if fresh.paths != incr.paths:
-            raise AssertionError(
-                f"{program}: incremental chain changed the path space "
-                f"({fresh.paths} vs {incr.paths})"
-            )
-        rows.append(
-            IncRow(
-                program,
-                incr.paths,
-                cost_of(fresh),
-                cost_of(incr),
-                fresh.solver_stats.sat_solver_runs,
-                incr.solver_stats.sat_solver_runs,
-                incr.solver_stats.incremental_reuses,
-                incr.solver_stats.assumption_probes,
-                incr.solver_stats.clauses_retained,
-            )
-        )
-    return IncResult(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +516,10 @@ def presolve_ablation(
     rows: list[PresolveRow] = []
     for program in programs:
         for mode in modes:
-            base = dict(program=program, mode=mode, max_steps=cap, generate_tests=True)
-            off = run_cell(RunSettings(solver_fastpath=False, **base))
-            on = run_cell(RunSettings(solver_fastpath=True, **base))
-            if _test_multiset(on.tests.cases) != _test_multiset(off.tests.cases):
-                raise AssertionError(
-                    f"{program}/{mode}: presolve tier changed the test multiset"
-                )
-            if on.engine.coverage.covered != off.engine.coverage.covered:
-                raise AssertionError(f"{program}/{mode}: presolve tier changed coverage")
-            if on.paths != off.paths:
-                raise AssertionError(
-                    f"{program}/{mode}: presolve tier changed the path space "
-                    f"({off.paths} vs {on.paths})"
-                )
+            base = dict(max_steps=cap, generate_tests=True)
+            off = run_cell(program, mode, solver_fastpath=False, **base)
+            on = run_cell(program, mode, solver_fastpath=True, **base)
+            same_exploration(off, on, f"{program}/{mode}: presolve tier")
             s_on = on.solver_stats
             rows.append(
                 PresolveRow(
@@ -723,10 +608,6 @@ class ParallelScalingResult:
         if not total:
             return 1.0
         return sum(r.speedup_critical * r.t_seq for r in self.rows) / total
-
-
-def _test_multiset(cases):
-    return sorted((c.kind, c.argv, c.model, c.line, c.stdin) for c in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -827,12 +708,10 @@ def warm_start(
       with presolve on, seeding and the abstract domains may leave the
       bottom tier nothing to ask the store about;
     * the warm run's test generation solves nothing: every independence
-      group the cold run solved is answered from the corpus (the
-      process-wide group memo is dropped between the two runs, as a
-      second process would find it).
+      group the cold run solved is answered from the corpus (every cell
+      starts from cleared process-wide memos, as a second process would
+      find them).
     """
-    from ..engine.testgen import clear_group_memo
-
     programs = programs or ["echo", "wc", "uniq"]
     if store_path is None:
         store_path = os.path.join(tempfile.mkdtemp(prefix="repro-store-"), "warm.sqlite")
@@ -840,24 +719,11 @@ def warm_start(
     rows: list[WarmRow] = []
     for program in programs:
         for chain, fastpath, path in chains:
-            settings = RunSettings(
-                program=program, mode=mode, generate_tests=True, store_path=path,
-                solver_fastpath=fastpath,
-            )
-            clear_group_memo()
-            cold = run_cell(settings)
-            clear_group_memo()
-            warm = run_cell(settings)
+            cell = dict(generate_tests=True, store_path=path, solver_fastpath=fastpath)
+            cold = run_cell(program, mode, **cell)
+            warm = run_cell(program, mode, **cell)
             label = f"{program} ({chain})"
-            if _test_multiset(warm.tests.cases) != _test_multiset(cold.tests.cases):
-                raise AssertionError(f"{label}: warm run changed the test multiset")
-            if warm.engine.coverage.covered != cold.engine.coverage.covered:
-                raise AssertionError(f"{label}: warm run changed coverage")
-            if warm.paths != cold.paths:
-                raise AssertionError(
-                    f"{label}: warm run changed the path space "
-                    f"({cold.paths} vs {warm.paths})"
-                )
+            same_exploration(cold, warm, f"{label}: warm run")
             blasts_cold = cold.solver_stats.sat_solver_runs
             blasts_warm = warm.solver_stats.sat_solver_runs
             if not fastpath and blasts_cold == 0:
@@ -895,8 +761,6 @@ def warm_start(
                     t_warm=warm.stats.wall_time,
                 )
             )
-    from ..store import open_store
-
     store = open_store(store_path, readonly=True)
     counts = store.counts() if store is not None else {}
     if store is not None:
@@ -961,11 +825,7 @@ def cache_report(
     cap = _budget(scale, 20000, 120000)
     rows: list[CacheRow] = []
     for program in programs:
-        result = run_cell(
-            RunSettings(
-                program=program, mode=mode, max_steps=cap, store_path=store_path
-            )
-        )
+        result = run_cell(program, mode, max_steps=cap, store_path=store_path)
         s = result.solver_stats
         lookups = s.cache_hits_exact + s.cache_hits_subset + s.cache_hits_model + s.cache_misses
         hits = s.cache_hits_exact + s.cache_hits_subset + s.cache_hits_model
@@ -1097,49 +957,28 @@ def sched_ablation(
         # in regions the dispatcher must *find* rather than inherit from
         # split order.
         run_cell(
-            RunSettings(
-                program=program,
-                mode="plain-rand",
-                max_steps=seed_steps,
-                generate_tests=True,
-                store_path=store_path,
-            )
+            program, "plain-rand", max_steps=seed_steps, generate_tests=True,
+            store_path=store_path,
         )
-        from ..store import open_store
-
         store = open_store(store_path, readonly=True)
         corpus_known = store.covered_blocks(program) or set()
         store.close()
 
-        full = RunSettings(
-            program=program,
-            mode="plain",
-            generate_tests=True,
-            store_path=store_path,
-            store_readonly=True,
-        )
+        full = dict(MODES["plain"], store_path=store_path, store_readonly=True)
         # (2) Sequential reference.
-        seq = run_parallel_cell(full, workers=1)
+        seq = run_parallel(program, workers=1, **full)
         # (3) The two dispatch policies, same split, same partitions.
-        fifo = run_parallel_cell(
-            full, workers=workers, backend="inline", dispatch="fifo",
-            partition_factor=4,
+        inline = dict(workers=workers, backend="inline", partition_factor=4)
+        fifo = run_parallel(
+            program, parallel=ParallelConfig(dispatch="fifo", **inline), **full
         )
-        corpus = run_parallel_cell(
-            full, workers=workers, backend="inline", dispatch="corpus",
-            partition_factor=4,
+        corpus = run_parallel(
+            program, parallel=ParallelConfig(dispatch="corpus", **inline), **full
         )
-        for result in (seq, fifo, corpus):
+        seq.check_ledger()
+        for policy, result in (("fifo", fifo), ("corpus", corpus)):
             result.check_ledger()
-        ref = _test_multiset(seq.tests.cases)
-        if _test_multiset(fifo.tests.cases) != ref or _test_multiset(
-            corpus.tests.cases
-        ) != ref:
-            raise AssertionError(
-                f"{program}: dispatch policy changed the plain-mode test multiset"
-            )
-        if fifo.covered != seq.covered or corpus.covered != seq.covered:
-            raise AssertionError(f"{program}: dispatch policy changed coverage")
+            same_exploration(seq, result, f"{program}: {policy} dispatch")
         if fifo.partitions != corpus.partitions:
             raise AssertionError(
                 f"{program}: policies saw different partition sets "
@@ -1208,36 +1047,22 @@ def parallel_scaling(
     """
     programs = programs or ["wc", "tsort", "join", "uniq"]
     arg_len = None if scale == CI else 3
-    # Test-suite/path identity only holds in plain mode: merging modes are
-    # partition-local by design, so their merge schedules (hence merged
-    # pcs, tests, and multiplicity-weighted path counts) legitimately
-    # differ — there only coverage identity is promised.
+    # Per-path identity (test multiset, path count) only holds in plain
+    # mode: merging modes are partition-local by design, so their merge
+    # schedules (hence merged pcs, tests, and multiplicity-weighted path
+    # counts) legitimately differ — there only coverage identity is promised.
     plain_mode = MODES[mode]["merging"] == "none"
     rows: list[ParRow] = []
     for program in programs:
-        settings = RunSettings(program=program, mode=mode, arg_len=arg_len,
-                               generate_tests=True)
-        seq = run_parallel_cell(settings, workers=1)
-        par = run_parallel_cell(settings, workers=workers)
-        if plain_mode:
-            seq_tests = sorted(
-                (c.kind, c.argv, c.model, c.line, c.stdin) for c in seq.tests.cases
-            )
-            par_tests = sorted(
-                (c.kind, c.argv, c.model, c.line, c.stdin) for c in par.tests.cases
-            )
-            if seq_tests != par_tests:
-                raise AssertionError(
-                    f"{program}: {workers}-worker run changed the test suite "
-                    f"({len(seq_tests)} vs {len(par_tests)} and/or contents)"
-                )
-            if seq.paths != par.paths:
-                raise AssertionError(
-                    f"{program}: partitioned run changed the path space "
-                    f"({seq.paths} vs {par.paths})"
-                )
-        if seq.covered != par.covered:
-            raise AssertionError(f"{program}: partitioned run changed coverage")
+        # Both arms start from cleared memos: forked workers would inherit
+        # what the sequential arm left behind.
+        clear_memos()
+        seq = run_parallel(program, workers=1, arg_len=arg_len, **MODES[mode])
+        clear_memos()
+        par = run_parallel(program, workers=workers, arg_len=arg_len, **MODES[mode])
+        same_exploration(
+            seq, par, f"{program}: {workers}-worker run", paths=plain_mode
+        )
         par.check_ledger()
         coord_cpu = par.ledger[0][1].cpu_time
         worker_cpus = [entry[1].cpu_time for entry in par.ledger[1:]]
@@ -1333,22 +1158,16 @@ def fault_tolerance(
     completed before the crash restored from the record, never
     re-explored (``restored_partitions``).
     """
-    from ..parallel import Coordinator, ParallelConfig  # local import: avoid cycle
-
     programs = programs or ["wc", "uniq"]
     arg_len = None if scale == CI else 3
     faults = [("socket", "kill", "start"), ("socket", "disconnect", "start"),
               ("socket", "kill", "done"), ("process", "kill", "start")]
     rows: list[FaultRow] = []
     for program in programs:
-        settings = RunSettings(program=program, mode="plain", arg_len=arg_len,
-                               generate_tests=True)
-        seq = run_parallel_cell(settings, workers=1)
-        seq_tests = _test_multiset(seq.tests.cases)
+        seq = run_parallel(program, workers=1, arg_len=arg_len, **MODES["plain"])
         for backend, method, event in faults:
-            spec, config = settings_to_spec_config(settings)
             coordinator = Coordinator(
-                program, spec, config,
+                program, seq.spec, EngineConfig(**MODES["plain"]),
                 ParallelConfig(workers=workers, backend=backend,
                                heartbeat_timeout=3.0),
             )
@@ -1366,16 +1185,7 @@ def fault_tolerance(
             label = f"{method}@{event}"
             if backend != "socket":
                 label = f"{backend}/{label}"
-            if _test_multiset(par.tests.cases) != seq_tests:
-                raise AssertionError(
-                    f"{program}/{label}: recovered campaign changed the test "
-                    f"suite ({len(seq.tests.cases)} vs {len(par.tests.cases)} "
-                    "and/or contents)"
-                )
-            if par.covered != seq.covered:
-                raise AssertionError(
-                    f"{program}/{label}: recovered campaign changed coverage"
-                )
+            same_exploration(seq, par, f"{program}/{label}: recovered campaign")
             if fired and par.workers_lost != 1:
                 raise AssertionError(
                     f"{program}/{label}: fault fired on worker {fired[0]} but "
@@ -1393,32 +1203,21 @@ def fault_tolerance(
                 )
             )
         if program == programs[0]:
-            rows.extend(
-                _coordinator_fault_rows(program, settings, seq_tests,
-                                        seq.covered, workers)
-            )
+            rows.extend(_coordinator_fault_rows(program, seq, workers))
     return FaultToleranceResult(workers=workers, rows=rows)
 
 
-def _coordinator_fault_rows(
-    program: str, settings: RunSettings, seq_tests, seq_covered, workers: int
-) -> list[FaultRow]:
-    """Kill the *coordinator* at three campaign phases, resume, verify."""
-    import tempfile
-    from pathlib import Path
-
-    from ..campaign import CampaignInterrupted, resume_campaign
-    from ..parallel import Coordinator, ParallelConfig  # local import: avoid cycle
-
+def _coordinator_fault_rows(program: str, seq, workers: int) -> list[FaultRow]:
+    """Kill the *coordinator* at three campaign phases, resume, verify
+    against ``seq``, the undisturbed sequential run."""
     rows: list[FaultRow] = []
     for event, nth in [("split", 1), ("done", 1), ("drain", 1)]:
         with tempfile.TemporaryDirectory() as tmp:
-            store_path = str(Path(tmp) / "campaign.sqlite")
+            store_path = os.path.join(tmp, "campaign.sqlite")
             campaign_id = f"fig-{event}"
-            spec, config = settings_to_spec_config(settings)
-            config = replace(config, store_path=store_path)
             coordinator = Coordinator(
-                program, spec, config,
+                program, seq.spec,
+                EngineConfig(**MODES["plain"], store_path=store_path),
                 ParallelConfig(workers=workers, backend="socket",
                                heartbeat_timeout=3.0,
                                campaign_id=campaign_id),
@@ -1443,15 +1242,7 @@ def _coordinator_fault_rows(
             par = resume_campaign(store_path, campaign_id)
             par.check_ledger()
             label = f"coord-kill@{event}"
-            if _test_multiset(par.tests.cases) != seq_tests:
-                raise AssertionError(
-                    f"{program}/{label}: resumed campaign changed the test "
-                    "multiset"
-                )
-            if par.covered != seq_covered:
-                raise AssertionError(
-                    f"{program}/{label}: resumed campaign changed coverage"
-                )
+            same_exploration(seq, par, f"{program}/{label}: resumed campaign")
             if par.resumed_epoch is None:
                 raise AssertionError(
                     f"{program}/{label}: resume did not load a checkpoint"
@@ -1475,3 +1266,25 @@ def _coordinator_fault_rows(
                 )
             )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The registry: CLI name -> driver.  ``python -m repro.experiments`` and the
+# package's exports both read this; a driver missing here is unreachable.
+# ---------------------------------------------------------------------------
+
+FIGURES = {
+    "fig3": fig3_multiplicity,
+    "fig4": fig4_path_ratio,
+    "fig5": fig5_speedup_curve,
+    "fig6": fig6_scatter,
+    "fig7": fig7_alpha_sweep,
+    "fig8": fig8_coverage,
+    "fig9": fig9_dsm_vs_ssm,
+    "parallel": parallel_scaling,
+    "warm": warm_start,
+    "cache": cache_report,
+    "presolve": presolve_ablation,
+    "sched": sched_ablation,
+    "fault": fault_tolerance,
+}

@@ -10,13 +10,8 @@ paper's C++/STP testbed — shapes and ratios are (DESIGN.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..engine.executor import EngineConfig
-from ..env.argv import ArgvSpec
-from ..env.runner import SymbolicRunResult, run_symbolic_module
-from ..programs.registry import get_program
-from ..qce.qce import QceParams
+from ..env.runner import SymbolicRunResult, run_symbolic
+from ..memo import clear_memos
 
 # The paper's evaluation modes (§5.2–§5.5).
 MODES: dict[str, dict[str, str]] = {
@@ -34,107 +29,46 @@ MODES: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    """One experiment cell: program × input size × mode × budget."""
+def run_cell(program: str, mode: str = "plain", **overrides) -> SymbolicRunResult:
+    """Execute one experiment cell: program × mode × whatever
+    :func:`~repro.env.runner.run_symbolic` takes (input size, budget,
+    ``qce_params``, store, ...).
 
-    program: str
-    mode: str = "plain"
-    n_args: int | None = None
-    arg_len: int | None = None
-    max_steps: int | None = None
-    time_budget: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    kappa: int | None = None
-    dsm_delta: int = 8
-    track_exact_paths: bool = False
-    generate_tests: bool = False
-    seed: int = 0
-    solver_incremental: bool = True
-    # Pre-solve tier (abstract domains + boundary rewriting) ahead of
-    # bit-blasting; off = the pure bit-blast-only chain of the ablation.
-    solver_fastpath: bool = True
-    # Persistent cross-run store (repro.store); None = cold, stateless run.
-    store_path: str | None = None
-    warm_start: bool = True
-    # Open the store read-only: consult and warm-start from it, commit
-    # nothing.  The sched ablation uses this so its measured runs all see
-    # the identical corpus evidence.
-    store_readonly: bool = False
-    # Block-lowering tier (repro.lang.compile); off = pure interpreter,
-    # the ablation baseline for the compiled-stepping speedup.
-    lowering_enabled: bool = True
-
-
-def settings_to_spec_config(settings: RunSettings) -> tuple[ArgvSpec, EngineConfig]:
-    """Resolve one cell's settings into the engine-facing (spec, config)."""
-    info = get_program(settings.program)
-    spec = ArgvSpec(
-        n_args=info.default_n if settings.n_args is None else settings.n_args,
-        arg_len=info.default_l if settings.arg_len is None else settings.arg_len,
-    )
-    mode = MODES[settings.mode]
-    defaults = QceParams()
-    qce_params = QceParams(
-        alpha=defaults.alpha if settings.alpha is None else settings.alpha,
-        beta=defaults.beta if settings.beta is None else settings.beta,
-        kappa=defaults.kappa if settings.kappa is None else settings.kappa,
-    )
-    config = EngineConfig(
-        merging=mode["merging"],
-        similarity=mode["similarity"],
-        strategy=mode["strategy"],
-        qce_params=qce_params,
-        dsm_delta=settings.dsm_delta,
-        max_steps=settings.max_steps,
-        time_budget=settings.time_budget,
-        track_exact_paths=settings.track_exact_paths,
-        generate_tests=settings.generate_tests,
-        seed=settings.seed,
-        solver_incremental=settings.solver_incremental,
-        solver_fastpath=settings.solver_fastpath,
-        store_path=settings.store_path,
-        store_readonly=settings.store_readonly,
-        warm_start=settings.warm_start,
-        lowering_enabled=settings.lowering_enabled,
-    )
-    return spec, config
-
-
-def run_cell(settings: RunSettings) -> SymbolicRunResult:
-    """Execute one experiment cell."""
-    spec, config = settings_to_spec_config(settings)
-    module = get_program(settings.program).compile()
-    return run_symbolic_module(module, spec, config, program_name=settings.program)
-
-
-def run_parallel_cell(
-    settings: RunSettings,
-    workers: int = 2,
-    backend: str = "process",
-    dispatch: str = "corpus",
-    partition_factor: int | None = None,
-):
-    """Execute one cell through the parallel coordinator.
-
-    ``workers=1`` is the sequential special case (same code path, no
-    pool); the returned :class:`~repro.parallel.ParallelResult` carries
-    the per-participant stats ledger the scaling figure reads.
-    ``dispatch`` picks the partition-dispatch policy ('corpus' priority
-    scheduling vs the 'fifo' ablation baseline) and ``partition_factor``
-    overrides the adaptive split fan-out.
+    Two things make a cell a cell.  Tests are off unless asked for — the
+    figures' cost columns are the exploration's solver cost, not the test
+    generator's.  And it starts from cleared process-wide memos, so the
+    second arm of an in-process comparison costs what it would in a
+    process of its own.
     """
-    from ..parallel import Coordinator, ParallelConfig  # local import: avoid cycle
+    overrides.setdefault("generate_tests", False)
+    clear_memos()
+    return run_symbolic(program, **MODES[mode], **overrides)
 
-    spec, config = settings_to_spec_config(settings)
-    parallel = ParallelConfig(
-        workers=workers,
-        backend=backend,
-        dispatch=dispatch,
-        partition_factor=partition_factor,
-    )
-    return Coordinator(settings.program, spec, config, parallel).run()
+
+def same_exploration(ref, other, label: str, *, paths: bool = True) -> None:
+    """The law every differential figure enforces: ``other`` explored what
+    ``ref`` explored — same test multiset, same covered blocks, same path
+    count.  Raises :class:`AssertionError` naming ``label`` and what changed.
+
+    Both arguments are run results (:class:`SymbolicRunResult` or
+    :class:`~repro.parallel.ParallelResult`; anything with ``tests``,
+    ``covered`` and ``paths``).  ``paths=False`` drops what is *per path* —
+    the tests (one per completed path) and the path count — and holds the
+    two runs to coverage alone: merging is partition-local, so a
+    partitioned merging run legitimately completes other merged paths
+    than the sequential one.
+    """
+    if paths and other.tests.multiset() != ref.tests.multiset():
+        raise AssertionError(
+            f"{label} changed the test multiset ({len(ref.tests.cases)} vs "
+            f"{len(other.tests.cases)} tests and/or contents)"
+        )
+    if other.covered != ref.covered:
+        raise AssertionError(f"{label} changed coverage")
+    if paths and other.paths != ref.paths:
+        raise AssertionError(
+            f"{label} changed the path space ({ref.paths} vs {other.paths})"
+        )
 
 
 def cost_of(result: SymbolicRunResult) -> int:

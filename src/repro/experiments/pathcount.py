@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .harness import RunSettings, run_cell
+from .harness import run_cell
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,12 @@ def collect_points(
 ) -> list[tuple[int, int]]:
     """Run with exact-path instrumentation; sample (m, p) per terminal state."""
     result = run_cell(
-        RunSettings(
-            program=program,
-            mode=mode,
-            n_args=n_args,
-            arg_len=arg_len,
-            max_steps=max_steps,
-            track_exact_paths=True,
-        )
+        program,
+        mode,
+        n_args=n_args,
+        arg_len=arg_len,
+        max_steps=max_steps,
+        track_exact_paths=True,
     )
     points: list[tuple[int, int]] = []
     running_m = 0

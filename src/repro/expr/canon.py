@@ -41,10 +41,10 @@ keys are stable across processes and runs.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..memo import BoundedMemo
 from .independence import split_independent
 from .nodes import (
     ADD,
@@ -80,15 +80,13 @@ _skeleton_cache: dict[int, bytes] = {}
 # what :func:`named_key` needs of each conjunct.  A pure function of the
 # interned constraint, so valid process-wide; bounded, first-in first-out
 # — an evicted entry is recomputed, never answered differently.
-_named_cache: OrderedDict[int, tuple[bytes, int]] = OrderedDict()
-_NAMED_CACHE_MAX = 65536
+_named_cache = BoundedMemo(65536, process_wide=True)
 
 # α-canonical form of one independence component, by the component's
 # sorted eid tuple: path conditions grow by a conjunct at a time, so a
 # query's components are mostly ones an earlier query already had.  Pure
 # and bounded like ``_named_cache``.
-_component_cache: OrderedDict[tuple[int, ...], "CanonResult"] = OrderedDict()
-_COMPONENT_CACHE_MAX = 4096
+_component_cache = BoundedMemo(4096, process_wide=True)
 
 
 def _sort_code(e: Expr) -> int:
@@ -268,15 +266,8 @@ def _component(group) -> CanonResult:
     result = _component_cache.get(memo_key)
     if result is None:
         result = _canonicalize_component(group)
-        _component_cache[memo_key] = result
-        if len(_component_cache) > _COMPONENT_CACHE_MAX:
-            _component_cache.popitem(last=False)
+        _component_cache.put(memo_key, result)
     return result
-
-
-def clear_component_cache() -> None:
-    """Drop the per-component memo behind :func:`canonicalize` (tests only)."""
-    _component_cache.clear()
 
 
 def _canonicalize_component(cons) -> CanonResult:
@@ -397,18 +388,11 @@ def named_key(constraints) -> str:
         part = _named_cache.get(c.eid)
         if part is None:
             part = _constraint_digest(c, lambda node: node.name)
-            _named_cache[c.eid] = part
-            if len(_named_cache) > _NAMED_CACHE_MAX:
-                _named_cache.popitem(last=False)
+            _named_cache.put(c.eid, part)
         parts.append(part)
     digest, node_count = _multiset_digest(parts)
     n_vars = len({n for c in cons for n in c.variables})
     return f"{len(cons)}:{n_vars}:{node_count}:{digest}"
-
-
-def clear_named_cache() -> None:
-    """Drop the per-constraint memo behind :func:`named_key` (tests only)."""
-    _named_cache.clear()
 
 
 def structural_prefix(key: str) -> tuple[int, int, int]:

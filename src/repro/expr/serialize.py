@@ -16,13 +16,15 @@ positive width for ``BV(width)``.
 Node encoding is memoized per process: sibling snapshots and store writes
 share most of their DAGs (common pc prefixes, merged stores), so each
 node's encoded tuple is built once and reused — only the child-index
-remapping is per-call work.  The memo is keyed by ``eid``, which is never
-reused (even across ``clear_intern_table``), and :func:`serialize_stats`
+remapping is per-call work.  The memo (bounded, see :mod:`repro.memo`) is
+keyed by ``eid``, which is never reused (even across
+``clear_intern_table``), and :func:`serialize_stats`
 exposes fresh-encode vs memo-hit counters so tests can verify the sharing.
 """
 
 from __future__ import annotations
 
+from ..memo import BoundedMemo
 from .nodes import Expr
 from .sorts import BOOL, BVSort
 
@@ -33,7 +35,7 @@ _BOOL_CODE = 0
 
 # eid -> (kind, sort_code, child_eids, value, name, params); the per-call
 # encoding only remaps child_eids to positions in that call's node list.
-_node_memo: dict[int, tuple] = {}
+_node_memo = BoundedMemo(65536, process_wide=True)
 _stats = {"fresh_encodes": 0, "memo_hits": 0}
 
 
@@ -89,7 +91,7 @@ def _encode_into(root: Expr, index: dict[int, int], nodes: list[EncodedNode]) ->
                     node.name,
                     node.params,
                 )
-                _node_memo[node.eid] = memo
+                _node_memo.put(node.eid, memo)
                 _stats["fresh_encodes"] += 1
             else:
                 _stats["memo_hits"] += 1

@@ -23,9 +23,9 @@ Invariants (see the module docstrings for details):
 * **stats-merge ledger** — additive fields of the merged stats equal the
   sum over the per-participant entries exactly
   (:meth:`ParallelResult.check_ledger`);
-* **determinism** — with deterministic test generation (the engine
-  default), a 1-worker and an N-worker plain-mode run emit the same test
-  set and cover the same paths, independent of scheduling — *including*
+* **determinism** — a generated test is a pure function of its path
+  condition, so a 1-worker and an N-worker plain-mode run emit the same
+  test set and cover the same paths, independent of scheduling — *including*
   runs where workers die mid-campaign, thanks to the lease/requeue layer
   every fleet runs on (:mod:`repro.parallel.state`, :mod:`repro.remote`).
 """

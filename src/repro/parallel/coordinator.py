@@ -74,6 +74,11 @@ from .wire import MSG_DONE, MSG_ERROR, MSG_START, TASK_PARTITION, encode_config
 from .worker import run_partition
 
 
+# Give up splitting after this many blocks even if the frontier is
+# small — skinny trees fork rarely and may never reach the target.
+SPLIT_MAX_STEPS = 512
+
+
 class ConfigError(ValueError):
     """A :class:`ParallelConfig` (or campaign setup) that cannot work.
 
@@ -114,9 +119,6 @@ class ParallelConfig:
     # novelty / QCE load / prefix depth (repro.sched.PartitionScheduler);
     # 'fifo' preserves split order (the ablation baseline).
     dispatch: str = "corpus"
-    # Give up splitting after this many blocks even if the frontier is
-    # small — skinny trees fork rarely and may never reach the target.
-    split_max_steps: int = 512
     # Where the fleet's connections come from — the framed, lease-tracked
     # protocol on them is the same: 'process' forks local workers, each
     # on one end of a socketpair (no port is opened); 'socket' listens on
@@ -161,9 +163,6 @@ class ParallelConfig:
     # steal and drain checkpoints always fire).  Higher = less write
     # overhead, more re-exploration after a crash — never wrong results.
     checkpoint_every: int = 1
-    # Epochs retained per campaign (older ones are GC'd, their
-    # unreferenced snapshot blobs swept).
-    checkpoint_keep: int = 2
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -174,8 +173,6 @@ class ParallelConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.partition_factor is not None and self.partition_factor < 1:
             raise ConfigError("partition_factor must be >= 1 (or None = adaptive)")
-        if self.split_max_steps < 1:
-            raise ConfigError("split_max_steps must be >= 1")
         if self.poll_timeout <= 0 or self.join_timeout <= 0:
             raise ConfigError("poll_timeout and join_timeout must be > 0")
         if self.heartbeat_interval <= 0:
@@ -191,8 +188,6 @@ class ParallelConfig:
             raise ConfigError("max_partition_requeues must be >= 0")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        if self.checkpoint_keep < 1:
-            raise ConfigError("checkpoint_keep must be >= 1")
 
 
 # One ledger participant: (name, engine stats, solver stats).
@@ -468,13 +463,12 @@ class Coordinator:
             target = par.workers * state.rec.factor
             engine.explore(
                 interrupt=lambda eng: len(eng.worklist) >= target
-                or eng.stats.blocks_executed >= par.split_max_steps
+                or eng.stats.blocks_executed >= SPLIT_MAX_STEPS
             )
             frontier = engine.export_frontier(len(engine.worklist))
         # Nothing mutates the split engine past this point, so this one
         # snapshot serves every checkpoint record *and* the final
         # assembly — they can never disagree.
-        engine._sync_solver_stats()
         rec = state.rec
         rec.split_entry = (
             "coordinator",
@@ -541,7 +535,7 @@ class Coordinator:
                 f"campaign {par.campaign_id!r} needs a writable store at "
                 f"{self.config.store_path!r}"
             )
-        ckpt = CampaignCheckpointer(store, par.campaign_id, keep=par.checkpoint_keep)
+        ckpt = CampaignCheckpointer(store, par.campaign_id)
         # Monotonic across resumes: epoch numbers never reuse.
         ckpt.epoch = self.state.rec.epoch
         return ckpt
@@ -719,7 +713,6 @@ class Coordinator:
             state.accept(part, *run_partition(engine, restored, None, None, 0))
         payloads: list = []
         for i, engine in enumerate(engines):
-            engine._sync_solver_stats()
             state.rec.worker_entries.append(
                 (f"worker-{i}", engine.stats, engine.solver.stats)
             )
@@ -839,19 +832,14 @@ def run_parallel(
     identical code path sequentially (no pool, no partitioning).  When a
     full :class:`ParallelConfig` is passed, its ``workers`` field wins.
 
-    Engine budgets (``max_steps``/``max_queries``/``time_budget``) apply
+    Engine budgets (``max_steps``/``time_budget``) apply
     *per participant* — the coordinator's split phase and each worker
     enforce them independently, so an N-worker run may spend up to N+1
     times the sequential budget.  A tripped budget sets ``timed_out`` in
     the merged stats; the affected worker finishes cleanly but leaves its
     remaining frontier unexplored, exactly like a sequential run.
     """
-    info = get_program(program)
-    spec = ArgvSpec(
-        n_args=info.default_n if n_args is None else n_args,
-        arg_len=info.default_l if arg_len is None else arg_len,
-        stdin_len=info.default_stdin,
-    )
+    spec = get_program(program).spec(n_args, arg_len)
     config = EngineConfig(
         merging=merging, similarity=similarity, strategy=strategy, **engine_kwargs
     )

@@ -73,7 +73,10 @@ from ..qce.qce import QceParams
 #   v1 — PR 2's fork-only protocol (implicit, unstamped)
 #   v2 — HELLO/WELCOME/HEARTBEAT, stats snapshots in MSG_DONE, steal
 #        replies carrying retained checkpoints + interim results
-WIRE_VERSION = 2
+#   v3 — EngineStats without its solver_* mirrors; config payload without
+#        solver_incremental / testgen_deterministic / warm_start /
+#        max_queries
+WIRE_VERSION = 3
 
 TASK_PARTITION = "part"
 TASK_STOP = "stop"

@@ -74,7 +74,6 @@ def _make_interrupt(cmd_q, pid: int):
 def _stats(engine: Engine):
     """Cumulative (EngineStats, SolverStats) at a quiescent point.  The
     live objects: the result channel pickles inside ``put``."""
-    engine._sync_solver_stats()
     return engine.stats, engine.solver.stats
 
 
@@ -114,7 +113,7 @@ def run_partition(
 
     engine.seed_states([state])
     interrupt = _make_interrupt(cmd_q, pid) if cmd_q is not None else None
-    # Budgets (max_steps/max_queries/time_budget) are cumulative per
+    # Budgets (max_steps/time_budget) are cumulative per
     # worker: once tripped — on this partition or an earlier one — the
     # worker stops exploring, mirroring what a sequential run does when
     # its budget dies mid-worklist.  The merged stats carry timed_out.

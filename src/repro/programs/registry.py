@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..env.argv import ArgvSpec
 from ..lang import Module, compile_program
 from . import (
     basename,
@@ -93,6 +94,15 @@ class ProgramInfo:
 
     def compile(self) -> Module:
         return _compile_cached(self.name)
+
+    def spec(self, n_args: int | None = None, arg_len: int | None = None) -> ArgvSpec:
+        """The symbolic input this program is explored with: its default
+        dimensions unless overridden, and always its stdin length."""
+        return ArgvSpec(
+            n_args=self.default_n if n_args is None else n_args,
+            arg_len=self.default_l if arg_len is None else arg_len,
+            stdin_len=self.default_stdin,
+        )
 
 
 PROGRAMS: dict[str, ProgramInfo] = {

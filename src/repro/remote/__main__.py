@@ -152,12 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.resume:
-        from ..campaign import CampaignNotFound, resume_campaign
+        from ..campaign import CampaignNotFound, RecordVersionError, resume_campaign
 
         try:
             result = resume_campaign(args.store, args.resume,
                                      overrides=overrides)
-        except CampaignNotFound as exc:
+        except (CampaignNotFound, RecordVersionError) as exc:
             print(f"repro.remote campaign: {exc}", file=sys.stderr)
             return 1
         result.check_ledger()
@@ -165,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     from ..engine.executor import EngineConfig
-    from ..env.argv import ArgvSpec
     from ..parallel import Coordinator, ParallelConfig
     from ..programs.registry import get_program
 
@@ -182,9 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     parallel = ParallelConfig(
         backend="socket", campaign_id=campaign_id, **overrides
     )
-    info = get_program(args.program)
-    spec = ArgvSpec(n_args=info.default_n, arg_len=info.default_l,
-                    stdin_len=info.default_stdin)
+    spec = get_program(args.program).spec()
     config = EngineConfig(store_path=args.store)
     coordinator = Coordinator(args.program, spec, config, parallel)
     if args.chaos_kill:

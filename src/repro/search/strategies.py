@@ -129,8 +129,9 @@ class RandomStrategy(Strategy):
     ``named_key`` digests — stable across processes).  Exploration *within*
     a partition is therefore a pure function of (seed, prefix), not of
     which worker ran it or in what order partitions arrived, which is the
-    same mechanism (and guarantee) ``testgen_deterministic`` uses for
-    test content.
+    same mechanism (and guarantee) test generation's history-free solve
+    (:func:`repro.engine.testgen.deterministic_model`) uses for test
+    content.
     """
 
     name = "random"

@@ -8,7 +8,6 @@ CNF, and a from-scratch CDCL SAT solver.
 from ..expr.independence import relevant_constraints, split_independent
 from .bitblast import BitBlaster, check_sat
 from .cache import QueryCache
-from .domains import quick_check
 from .presolve import PresolveEnv, PresolveManager, simplify_group
 from .portfolio import (
     CheckResult,
@@ -35,7 +34,6 @@ __all__ = [
     "check_sat",
     "complete_model",
     "luby",
-    "quick_check",
     "relevant_constraints",
     "simplify_group",
     "split_independent",

@@ -66,6 +66,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..expr import ops
 from ..expr.independence import relevant_constraints, split_independent
@@ -507,8 +508,8 @@ class IncrementalChain(SolverChain):
     blaster is always reset — see the module docstring invariants.
     """
 
-    max_blasters: int = 32
-    max_blaster_clauses: int = 500_000
+    max_blasters: ClassVar[int] = 32
+    max_blaster_clauses: ClassVar[int] = 500_000
     _blasters: OrderedDict[frozenset[str], _PersistentBlaster] = field(
         default_factory=OrderedDict, repr=False
     )

@@ -2,9 +2,8 @@
 
 Cheap, *incomplete* reasoning answers a large fraction of branch-feasibility
 queries outright (KLEE's constraint simplification, ESBMC's pre-SAT interval
-pass).  This module generalizes the old one-shot ``domains.quick_check`` into
-a stateful engine that maintains abstract facts **incrementally along each
-path** instead of re-deriving them per query:
+pass).  This module is a stateful engine that maintains abstract facts
+**incrementally along each path** instead of re-deriving them per query:
 
 * **Interval domain** — unsigned ranges per variable, refined by a work-list
   fixpoint over the constraint graph: narrowing one variable re-processes
@@ -47,6 +46,7 @@ from ..expr import ops
 from ..expr.evaluate import EvalError, evaluate
 from ..expr.nodes import Expr
 from ..expr.subst import substitute
+from ..memo import BoundedMemo
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -965,8 +965,7 @@ class PresolveManager:
 # Solver-boundary structural simplifier (process-wide memo).
 # ---------------------------------------------------------------------------
 
-_REWRITE_MEMO: OrderedDict[tuple[int, ...], tuple[Expr, ...] | None] = OrderedDict()
-_REWRITE_MEMO_MAX = 65536
+_REWRITE_MEMO = BoundedMemo(65536, process_wide=True)
 
 
 def _binding_target(e: Expr) -> Expr | None:
@@ -1047,41 +1046,8 @@ def simplify_group(group: list[Expr]) -> tuple[Expr, ...] | None:
     if key in _REWRITE_MEMO:
         return _REWRITE_MEMO[key]
     out = _simplify_uncached(group)
-    _REWRITE_MEMO[key] = out
-    if len(_REWRITE_MEMO) > _REWRITE_MEMO_MAX:
-        _REWRITE_MEMO.popitem(last=False)
+    _REWRITE_MEMO.put(key, out)
     return out
-
-
-def rewrite_stats() -> dict[str, int]:
-    """Process-wide memo size (diagnostics)."""
-    return {"memo_entries": len(_REWRITE_MEMO)}
-
-
-def clear_rewrite_memo() -> None:
-    """Drop the process-wide rewrite memo (tests only)."""
-    _REWRITE_MEMO.clear()
-
-
-def one_shot_check(conjuncts: list[Expr]) -> tuple[str, dict[str, int] | None]:
-    """Stateless decision over a conjunction (the old ``quick_check`` API).
-
-    Builds a fresh environment, absorbs every conjunct, and decides — a
-    pure function of the constraint set, which is what the deterministic
-    test-generation chain requires.
-    """
-    pending: list[Expr] = []
-    for c in conjuncts:
-        if c.is_false():
-            return UNSAT, None
-        if not c.is_true():
-            pending.append(c)
-    if not pending:
-        return SAT, {}
-    env = PresolveEnv()
-    if not env.absorb(pending):
-        return UNSAT, None
-    return env.decide(pending)
 
 
 __all__ = [
@@ -1090,9 +1056,6 @@ __all__ = [
     "SAT",
     "UNSAT",
     "UNKNOWN",
-    "clear_rewrite_memo",
     "group_signature",
-    "one_shot_check",
-    "rewrite_stats",
     "simplify_group",
 ]

@@ -333,7 +333,7 @@ class ReproStore:
         phase: str,
         state: bytes,
         blob_hashes,
-        keep: int = 2,
+        keep: int,
     ) -> None:
         """Write one campaign-checkpoint epoch atomically.
 

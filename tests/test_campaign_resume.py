@@ -150,6 +150,23 @@ def test_checkpoint_roundtrip(tmp_path):
     store.close()
 
 
+def test_record_of_another_version_is_refused_by_name(monkeypatch, tmp_path):
+    """A checkpoint another checkout wrote is neither guessed at nor
+    skipped as if absent: loading it, and resuming from it, name the skew."""
+    from repro.campaign import RecordVersionError, record, resume_campaign
+
+    path = tmp_path / "s.sqlite"
+    store = open_store(path)
+    with monkeypatch.context() as older:
+        older.setattr(record, "RECORD_VERSION", record.RECORD_VERSION - 1)
+        save_checkpoint(store, _record("c1", epoch=1))
+    with pytest.raises(RecordVersionError, match=r"v2 record.*reads v3"):
+        load_campaign(store, "c1")
+    store.close()
+    with pytest.raises(RecordVersionError):
+        resume_campaign(path, "c1")
+
+
 def test_checkpoint_epoch_gc_and_blob_sharing(tmp_path):
     store = open_store(tmp_path / "s.sqlite")
     baseline_blobs = store.counts()["blobs"]
@@ -158,7 +175,7 @@ def test_checkpoint_epoch_gc_and_blob_sharing(tmp_path):
         rec = _record("c1", epoch=epoch,
                       pending=[(1, b"shared", "split", {}),
                                (2, f"only-{epoch}".encode(), "split", {})])
-        save_checkpoint(store, rec, keep=2)
+        save_checkpoint(store, rec)
     assert store.checkpoint_epochs("c1") == [3, 4]
     assert store.campaign_ids() == ["c1"]
     # GC swept the per-epoch blobs of epochs 1-2 but kept the shared one.

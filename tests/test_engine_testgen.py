@@ -10,6 +10,7 @@ from repro.expr import nodes as N
 from repro.expr import ops
 from repro.expr.nodes import Expr
 from repro.expr.sorts import BOOL
+from repro.memo import clear_memos
 from repro.solver.portfolio import SolverChain
 
 
@@ -53,9 +54,9 @@ def test_suite_partitions_kinds():
 
 @pytest.fixture
 def fresh_memo():
-    testgen.clear_group_memo()
+    clear_memos()
     yield
-    testgen.clear_group_memo()
+    clear_memos()
 
 
 def test_deterministic_constant_false_pc_is_none(fresh_memo):
@@ -72,7 +73,7 @@ def test_deterministic_constant_false_pc_is_none(fresh_memo):
 def test_deterministic_empty_pc_completes_to_zeros(fresh_memo):
     spec = ArgvSpec(n_args=1, arg_len=2)
     assert deterministic_model(()) == {}
-    case = make_test_case(SolverChain(), spec, (ops.TRUE,), "path", deterministic=True)
+    case = make_test_case(SolverChain(), spec, (ops.TRUE,), "path")
     assert case.argv == (b"prog", b"")
     assert set(case.model_dict().values()) == {0}
 
@@ -155,19 +156,17 @@ int main(int argc, char argv[][]) {
 """
 
 
-@pytest.mark.parametrize("deterministic", [False, True])
-def test_error_witness_satisfies_the_whole_error_pc(deterministic, fresh_memo):
+def test_error_witness_satisfies_the_whole_error_pc(fresh_memo):
     """An earlier branch pins byte 0; the assert and the bounds check depend
     on byte 1 alone, so the feasibility query that finds each error sees —
     and its model binds — only byte 1's slice.  The emitted input must
     still reach the error: it is solved from the whole error pc."""
-    from repro.engine.executor import Engine, EngineConfig
+    from repro.engine.executor import Engine
     from repro.lang import compile_program
     from repro.lang.interp import AssertionFailure, OutOfBounds, run_concrete
 
     module = compile_program(PINNED_THEN_CHECKED, name="pinned")
-    engine = Engine(module, ArgvSpec(n_args=1, arg_len=2),
-                    EngineConfig(testgen_deterministic=deterministic))
+    engine = Engine(module, ArgvSpec(n_args=1, arg_len=2))
     engine.run()
     errors = engine.tests.errors()
     assert sorted(case.kind for case in errors) == ["assert", "bounds"]

@@ -19,9 +19,9 @@ from repro.engine import executor, testgen
 from repro.engine.stats import EngineStats
 from repro.env.runner import run_symbolic
 from repro.experiments.harness import MODES
-from repro.expr import canon
 from repro.expr.evaluate import evaluate
 from repro.expr.independence import split_independent
+from repro.memo import clear_memos
 from repro.parallel import ParallelConfig, run_parallel
 from repro.solver.portfolio import SolverChain
 from repro.solver.presolve import group_signature
@@ -31,8 +31,7 @@ from test_engine_testgen_memo import CORPUS, case_key, oracle_test_case, suite
 
 @pytest.fixture
 def cold_memos():
-    testgen.clear_group_memo()
-    canon.clear_named_cache()
+    clear_memos()
 
 
 def lookups(stats) -> int:
@@ -69,8 +68,7 @@ def test_warm_suite_equals_cold_suite_equals_oracle(
     assert cold.tests.cases and suite(cold.tests.cases) == expected
     assert cold.stats.testgen_corpus_hits == 0
 
-    testgen.clear_group_memo()
-    canon.clear_named_cache()
+    clear_memos()
     warm = run_symbolic(program, store_path=path, **MODES[mode])
     assert suite(warm.tests.cases) == expected
     # Every group the cold run solved, the warm run read.
@@ -85,7 +83,7 @@ def test_warm_suite_equals_cold_suite_equals_oracle(
 def test_warm_suite_independent_of_exploration_order(cold_memos, tmp_path, program):
     path = str(tmp_path / "store.sqlite")
     dfs = run_symbolic(program, strategy="dfs", store_path=path)
-    testgen.clear_group_memo()
+    clear_memos()
     bfs = run_symbolic(program, strategy="bfs", store_path=path)
     assert suite(bfs.tests.cases) == suite(dfs.tests.cases)
     assert bfs.stats.testgen_group_solves == 0 < bfs.stats.testgen_corpus_hits
@@ -97,7 +95,7 @@ def test_warm_suite_independent_of_worker_count(cold_memos, tmp_path, backend):
     path = str(tmp_path / "store.sqlite")
     seq = run_parallel("wc", workers=1, store_path=path)
     assert seq.stats.testgen_group_solves > 0
-    testgen.clear_group_memo()
+    clear_memos()
     par = run_parallel("wc", parallel=ParallelConfig(workers=2, backend=backend),
                        store_path=path)
     par.check_ledger()
@@ -118,8 +116,8 @@ def test_warm_suite_independent_of_worker_count(cold_memos, tmp_path, backend):
 def test_memo_eviction_is_neutral_on_a_warm_store(monkeypatch, cold_memos, tmp_path, mode):
     path = str(tmp_path / "store.sqlite")
     cold = run_symbolic("uniq", store_path=path, **MODES[mode])
-    testgen.clear_group_memo()
-    monkeypatch.setattr(testgen, "_GROUP_MEMO_MAX", 1)
+    clear_memos()
+    monkeypatch.setattr(testgen._GROUP_MEMO, "bound", 1)
     tight = run_symbolic("uniq", store_path=path, **MODES[mode])
     assert suite(tight.tests.cases) == suite(cold.tests.cases)
     assert len(testgen._GROUP_MEMO) <= 1
@@ -186,12 +184,12 @@ def test_tampered_row_is_rejected_and_resolved(monkeypatch, cold_memos, tmp_path
              line if line is not None else -1),
         )
         store.conn.commit()
-        testgen.clear_group_memo()
+        clear_memos()
         stats = EngineStats()
         chain = SolverChain(persistent=PersistentTier(store, "echo", spec=spec_fp))
         case = testgen.make_test_case(
             chain, spec, pc, kind, line=line, multiplicity=multiplicity,
-            deterministic=True, stats_sink=stats,
+            stats_sink=stats,
         )
         assert case_key(case) == case_key(oracle)
         assert stats.testgen_corpus_hits == 0
@@ -225,12 +223,11 @@ def test_row_of_another_generator_is_used_only_verified(monkeypatch, cold_memos,
             (pickle.dumps(tuple(sorted(other.items()))), spec_fp, kind, oracle.path_id),
         )
         store.conn.commit()
-        testgen.clear_group_memo()
+        clear_memos()
         stats = EngineStats()
         chain = SolverChain(persistent=PersistentTier(store, "echo", spec=spec_fp))
         case = testgen.make_test_case(chain, spec, pc, kind, line=line,
-                                      multiplicity=multiplicity, deterministic=True,
-                                      stats_sink=stats)
+                                      multiplicity=multiplicity, stats_sink=stats)
         assert case.model_dict() == other and case.path_id == oracle.path_id
         assert all(evaluate(c, case.model_dict()) for c in pc)
         assert stats.testgen_corpus_hits == len(groups) and stats.testgen_group_solves == 0
@@ -251,7 +248,7 @@ def test_corpus_is_asked_at_most_once_per_test_and_only_on_a_miss(cold_memos, tm
 
     from repro import store as store_pkg
 
-    testgen.clear_group_memo()
+    clear_memos()
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(store_pkg, "PersistentTier", CountingTier)
         warm = run_symbolic("wc", store_path=path)

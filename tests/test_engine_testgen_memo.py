@@ -14,7 +14,9 @@ from collections import Counter
 
 import pytest
 
+from repro import memo
 from repro.engine import executor, testgen
+from repro.engine.similarity import QceSimilarity
 from repro.env.runner import run_symbolic
 from repro.experiments.harness import MODES
 from repro.expr import canon
@@ -43,7 +45,7 @@ def oracle_test_case(spec, pc, kind, line=None, multiplicity=1):
     items = tuple(
         sorted((k, v) for k, v in full.items() if k.startswith(("arg", "stdin")))
     )
-    canon.clear_named_cache()
+    canon._named_cache.clear()
     return testgen.TestCase(
         kind=kind,
         argv=tuple(spec.decode(full)),
@@ -57,8 +59,7 @@ def oracle_test_case(spec, pc, kind, line=None, multiplicity=1):
 
 @pytest.fixture
 def cold_memos():
-    testgen.clear_group_memo()
-    canon.clear_named_cache()
+    memo.clear_memos()
 
 
 @pytest.mark.parametrize("mode", ["plain", "dsm-qce"])
@@ -68,9 +69,8 @@ def test_memoised_suite_equals_fresh_chain_oracle(monkeypatch, cold_memos, progr
     real = executor.make_test_case
 
     def with_oracle(solver, spec, pc, kind, line=None, multiplicity=1, **kwargs):
-        assert kwargs.pop("deterministic")
         case = real(solver, spec, pc, kind, line=line, multiplicity=multiplicity,
-                    deterministic=True, **kwargs)
+                    **kwargs)
         oracle = oracle_test_case(spec, pc, kind, line, multiplicity)
         assert (case is None) == (oracle is None)
         if oracle is not None:
@@ -103,7 +103,7 @@ def test_suite_independent_of_exploration_order(cold_memos, program):
 @pytest.mark.parametrize("backend", ["inline", "process"])
 def test_suite_independent_of_worker_count(cold_memos, backend):
     seq = run_parallel("wc", workers=1)
-    testgen.clear_group_memo()
+    memo.clear_memos()
     par = run_parallel("wc", parallel=ParallelConfig(workers=2, backend=backend))
     par.check_ledger()
     assert par.partitions > 0
@@ -119,13 +119,13 @@ def test_suite_independent_of_worker_count(cold_memos, backend):
 @pytest.mark.parametrize("mode", ["plain", "dsm-qce"])
 def test_eviction_is_neutral(monkeypatch, cold_memos, mode):
     roomy = run_symbolic("uniq", **MODES[mode])
-    testgen.clear_group_memo()
-    canon.clear_named_cache()
-    monkeypatch.setattr(testgen, "_GROUP_MEMO_MAX", 1)
-    monkeypatch.setattr(canon, "_NAMED_CACHE_MAX", 1)
+    memo.clear_memos()
+    for shared in memo._PROCESS_WIDE:
+        monkeypatch.setattr(shared, "bound", 1)
+    monkeypatch.setattr(QceSimilarity, "CELLS_MEMO_MAX", 1)
     tight = run_symbolic("uniq", **MODES[mode])
     assert suite(tight.tests.cases) == suite(roomy.tests.cases)
-    assert len(testgen._GROUP_MEMO) <= 1 and len(canon._named_cache) <= 1
+    assert all(len(shared) <= 1 for shared in memo._PROCESS_WIDE)
     # Eviction costs re-solves, never answers.
     assert tight.stats.testgen_group_solves >= roomy.stats.testgen_group_solves
     assert tight.stats.testgen_queries == roomy.stats.testgen_queries

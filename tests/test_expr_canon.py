@@ -34,12 +34,11 @@ from repro.expr.canon import (
     _multiset_digest,
     canonical_key,
     canonicalize,
-    clear_component_cache,
-    clear_named_cache,
     named_key,
     structural_prefix,
 )
 from repro.expr.evaluate import evaluate
+from repro.memo import clear_memos
 
 # -- template AST: instantiable with arbitrary variable names ----------------
 
@@ -192,11 +191,11 @@ def test_named_key_memo_is_unobservable(template, data):
     α-equivalent sets over different variables apart."""
     constraints = _instantiate(template, _fresh_names())
     reference = _unmemoised_named_key(constraints)
-    clear_named_cache()
+    clear_memos()
     assert named_key(constraints) == reference  # all misses
     shuffled = list(data.draw(st.permutations(constraints)))
     assert named_key(shuffled) == reference  # all hits, another order
-    clear_named_cache()
+    clear_memos()
     assert named_key(shuffled) == reference
     renamed = _instantiate(template, _fresh_names())
     assert canonical_key(renamed) == canonical_key(constraints)
@@ -331,13 +330,13 @@ def test_component_memo_is_unobservable(t1, t2):
     """Cold, warm, evicting (bound 1) and cleared memo: one key, one
     renaming."""
     constraints = _instantiate(t1, _fresh_names()) + _instantiate(t2, _fresh_names())
-    clear_component_cache()
+    clear_memos()
     results = [canonicalize(constraints), canonicalize(constraints)]
-    with mock.patch.object(canon_module, "_COMPONENT_CACHE_MAX", 1):
-        clear_component_cache()
+    with mock.patch.object(canon_module._component_cache, "bound", 1):
+        clear_memos()
         results += [canonicalize(constraints), canonicalize(constraints)]
         assert len(canon_module._component_cache) <= 1
-    clear_component_cache()
+    clear_memos()
     results.append(canonicalize(constraints))
     assert len({r.key for r in results}) == 1
     assert all(r.rename == results[0].rename for r in results)

@@ -173,8 +173,8 @@ def test_call_first_block_compiles_to_none():
 # -- deterministic test generation interaction --------------------------------
 
 def test_testgen_deterministic_unaffected_by_lowering():
-    on = run_symbolic("wc", testgen_deterministic=True, **LOWER_NOW)
-    off = run_symbolic("wc", testgen_deterministic=True, lowering_enabled=False)
+    on = run_symbolic("wc", **LOWER_NOW)
+    off = run_symbolic("wc", lowering_enabled=False)
     assert suite_multiset(on) == suite_multiset(off)
     assert on.paths == off.paths
     assert on.coverage_blocks == off.coverage_blocks

@@ -23,6 +23,7 @@ from repro.engine import Engine, EngineConfig
 from repro.engine.state import Frame, SymState
 from repro.env import ArgvSpec
 from repro.env.runner import run_symbolic
+from repro.experiments.harness import same_exploration
 from repro.lang import compile_program
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
 from repro.parallel.partition import Partition
@@ -418,9 +419,7 @@ def test_random_mode_parallel_determinism():
     par = run_parallel("wc", strategy="random",
                        parallel=ParallelConfig(workers=2, backend="inline"))
     par.check_ledger()
-    key = lambda c: (c.kind, c.argv, c.model, c.line, c.stdin)  # noqa: E731
-    assert sorted(map(key, par.tests.cases)) == sorted(map(key, seq.tests.cases))
-    assert par.covered == seq.covered
+    same_exploration(seq, par, "random-mode 2-worker run")
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +743,7 @@ def test_dispatch_policies_preserve_plain_mode_determinism(dispatch):
         "wc", parallel=ParallelConfig(workers=2, backend="inline", dispatch=dispatch)
     )
     par.check_ledger()
-    key = lambda c: (c.kind, c.argv, c.model, c.line, c.stdin)  # noqa: E731
-    assert sorted(map(key, par.tests.cases)) == sorted(map(key, seq.tests.cases))
-    assert par.covered == seq.covered
-    assert par.paths == seq.paths
+    same_exploration(seq, par, f"{dispatch} dispatch")
     # Completion log covers every dispatched partition exactly once.
     assert len(par.partition_results) == par.partitions
     assert sum(r[2] for r in par.partition_results) == par.streamed_paths

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.engine import executor
 from repro.env.runner import run_symbolic
 from repro.expr import ops
 from repro.expr.evaluate import evaluate
@@ -138,22 +139,47 @@ def test_differential_model_reuse_across_growing_pc():
     assert chain.stats.incremental_reuses == 9
 
 
-@pytest.mark.parametrize("program", ["echo", "test"])
-def test_engine_differential_incremental_vs_fresh(program):
-    """Whole-engine differential: identical path space and test counts."""
+ENGINE_PROGRAMS = ["echo", "test", "wc", "tr", "uniq"]
+
+
+@pytest.fixture(scope="module")
+def fresh_and_incremental():
+    """program -> (fresh-blast run, incremental run), each program once."""
     # The presolve tier answers most of these small programs' queries
     # outright; disable it so the differential actually exercises the
     # incremental bottom tier this test is about.
-    results = {}
-    for inc in (False, True):
-        results[inc] = run_symbolic(
-            program, merging="none", similarity="never", strategy="dfs",
-            generate_tests=True, solver_incremental=inc, solver_fastpath=False,
-        )
-    fresh, incr = results[False], results[True]
+    runs = {}
+    for program in ENGINE_PROGRAMS:
+        pair = []
+        for chain_cls in (SolverChain, IncrementalChain):
+            with pytest.MonkeyPatch.context() as patched:
+                # The engine builds executor.IncrementalChain.
+                patched.setattr(executor, "IncrementalChain", chain_cls)
+                pair.append(run_symbolic(program, solver_fastpath=False))
+        runs[program] = tuple(pair)
+    return runs
+
+
+@pytest.mark.parametrize("program", ENGINE_PROGRAMS)
+def test_engine_differential_incremental_vs_fresh(fresh_and_incremental, program):
+    """Whole-engine differential: identical path space and test counts —
+    and, over the five programs, the incremental tier's reason to exist:
+    far fewer full blasts at no more cost units."""
+    fresh, incr = fresh_and_incremental[program]
+    assert type(fresh.engine.solver) is SolverChain
     assert incr.paths == fresh.paths
     assert incr.stats.forks == fresh.stats.forks
     assert incr.engine.stats.errors_found == fresh.engine.stats.errors_found
     assert len(incr.tests.cases) == len(fresh.tests.cases)
     assert incr.solver_stats.sat_solver_runs <= fresh.solver_stats.sat_solver_runs
-    assert incr.stats.solver_assumption_probes > 0
+    assert incr.solver_stats.assumption_probes > 0
+    assert incr.solver_stats.incremental_reuses > 0
+
+    def total(runs, counter):
+        return sum(getattr(run.solver_stats, counter) for run in runs)
+
+    all_fresh, all_incr = zip(*fresh_and_incremental.values())
+    blast_ratio = total(all_incr, "sat_solver_runs") / total(all_fresh, "sat_solver_runs")
+    cost_ratio = total(all_incr, "cost_units") / total(all_fresh, "cost_units")
+    assert blast_ratio < 0.6, "incremental tier should re-blast far less"
+    assert cost_ratio <= 1.0, "cost units should not regress"

@@ -29,12 +29,19 @@ from repro.solver.presolve import (
     UNSAT,
     PresolveEnv,
     PresolveManager,
-    one_shot_check,
+    group_signature,
     simplify_group,
 )
 
 WIDTH = 8
 VAR_NAMES = ("pva", "pvb", "pvc")
+
+
+def decide(group):
+    """One group, decided from scratch: ``SolverChain._check_group``'s call."""
+    return PresolveManager().check_group(group, group_signature(group))
+
+
 VARS = [ops.bv_var(name, WIDTH) for name in VAR_NAMES]
 
 _BINOPS = [ops.add, ops.sub, ops.mul, ops.bvand, ops.bvor, ops.bvxor, ops.shl, ops.lshr]
@@ -93,7 +100,7 @@ def test_presolve_differential_random_groups(seed):
     group = gen_group(rng)
     if not group:
         return
-    verdict, model = one_shot_check(group)
+    verdict, model = decide(group)
     if verdict == SAT:
         full = complete_model(model, VAR_NAMES)
         for c in group:
@@ -134,20 +141,20 @@ def test_presolve_decides_ite_heavy_merged_shapes():
     cond = ops.ult(x, ops.bv(4, WIDTH))
     merged = ops.ite(cond, ops.bv(2, WIDTH), ops.bv(200, WIDTH))
     # Both arms below 201, so == 255 is refutable without blasting.
-    verdict, _ = one_shot_check([ops.eq(merged, ops.bv(255, WIDTH))])
+    verdict, _ = decide([ops.eq(merged, ops.bv(255, WIDTH))])
     assert verdict == UNSAT
     # Interval join of the arms: value is always >= 2.
-    verdict, _ = one_shot_check([ops.ult(merged, ops.bv(2, WIDTH))])
+    verdict, _ = decide([ops.ult(merged, ops.bv(2, WIDTH))])
     assert verdict == UNSAT
     # Requiring the value to be in the else-arm's range decides the cond:
     # env learns cond == False, so x >= 4 — contradiction with x == 0.
-    verdict, _ = one_shot_check(
+    verdict, _ = decide(
         [ops.eq(merged, ops.bv(200, WIDTH)), ops.eq(x, ops.bv(0, WIDTH))]
     )
     assert verdict == UNSAT
     # Known bits flow through ite: both arms are even, so & 1 == 1 fails.
     even = ops.ite(cond, ops.mul(y, ops.bv(2, WIDTH)), ops.bv(6, WIDTH))
-    verdict, _ = one_shot_check(
+    verdict, _ = decide(
         [ops.eq(ops.bvand(even, ops.bv(1, WIDTH)), ops.bv(1, WIDTH))]
     )
     assert verdict == UNSAT
@@ -156,13 +163,13 @@ def test_presolve_decides_ite_heavy_merged_shapes():
 def test_known_bits_through_structure():
     x = VARS[0]
     # zext pins the high bits; extract slices them back out.
-    verdict, _ = one_shot_check(
+    verdict, _ = decide(
         [ops.eq(ops.bvand(x, ops.bv(0x0F, WIDTH)), ops.bv(5, WIDTH)),
          ops.eq(ops.bvand(x, ops.bv(0x01, WIDTH)), ops.bv(0, WIDTH))]
     )
     assert verdict == UNSAT  # bit 0 cannot be both 1 (from 5) and 0
     # Shifted values keep their low zero bits.
-    verdict, _ = one_shot_check(
+    verdict, _ = decide(
         [ops.eq(ops.shl(x, ops.bv(2, WIDTH)), ops.bv(3, WIDTH))]
     )
     assert verdict == UNSAT
@@ -305,16 +312,17 @@ def test_timeout_resets_presolve_envs_with_blaster():
 
 
 def test_quick_check_legacy_contract():
-    """The folded quick_check keeps its historical behavior."""
-    from repro.solver.domains import quick_check
-
+    """What the retired one-shot facade promised, from the production
+    entry: a from-scratch group decision, and constants folded by the chain."""
     x = VARS[0]
-    verdict, model = quick_check([ops.eq(x, ops.bv(7, WIDTH))])
+    verdict, model = decide([ops.eq(x, ops.bv(7, WIDTH))])
     assert verdict == SAT and model[x.name] == 7
-    assert quick_check([ops.TRUE])[0] == SAT
-    assert quick_check([ops.FALSE])[0] == UNSAT
-    verdict, _ = quick_check([ops.ult(x, ops.bv(5, WIDTH)),
-                              ops.ult(ops.bv(10, WIDTH), x)])
+    chain = SolverChain()
+    assert chain.check([ops.TRUE]).is_sat
+    assert not chain.check([ops.FALSE]).is_sat
+    assert chain.stats.const_answers == 2
+    verdict, _ = decide([ops.ult(x, ops.bv(5, WIDTH)),
+                                 ops.ult(ops.bv(10, WIDTH), x)])
     assert verdict == UNSAT
 
 
@@ -330,6 +338,7 @@ def test_quick_check_legacy_contract():
 def test_engine_neutrality_presolve_on_off(mode_kwargs):
     """Identical tests, coverage and paths; only which tier answers moves."""
     from repro.env.runner import run_symbolic
+    from repro.experiments.harness import same_exploration
 
     results = {}
     for fastpath in (False, True):
@@ -338,9 +347,6 @@ def test_engine_neutrality_presolve_on_off(mode_kwargs):
             solver_fastpath=fastpath, **mode_kwargs,
         )
     off, on = results[False], results[True]
-    assert on.paths == off.paths
-    key = lambda c: (c.kind, c.argv, c.model, c.line, c.stdin)
-    assert sorted(map(key, on.tests.cases)) == sorted(map(key, off.tests.cases))
-    assert on.engine.coverage.covered == off.engine.coverage.covered
+    same_exploration(off, on, "presolve tier")
     assert on.solver_stats.fastpath_hits > 0
     assert on.solver_stats.sat_solver_runs <= off.solver_stats.sat_solver_runs

@@ -7,6 +7,7 @@ from repro.env.runner import run_symbolic
 from repro.expr import canon as canon_module
 from repro.expr import ops
 from repro.expr.canon import canonicalize
+from repro.memo import clear_memos
 from repro.solver.cache import QueryCache
 from repro.store import (
     PersistentTier,
@@ -138,7 +139,7 @@ def test_tier_canonicalizes_per_component_once(store, monkeypatch):
         return real(cons)
 
     monkeypatch.setattr(canon_module, "_canonicalize_component", counted)
-    canon_module.clear_component_cache()
+    clear_memos()
     by_eid = lambda *cons: sorted(cons, key=lambda c: c.eid)
     tier = PersistentTier(store, program="prog")
     flat = [A, C, B]  # components {A, B} over st_x and {C} over st_y

@@ -13,10 +13,11 @@ presolve verdicts) stays usable.
 
 import pytest
 
-from repro.engine import testgen
+from repro.engine import executor
 from repro.env.runner import run_symbolic
 from repro.experiments.harness import MODES
 from repro.expr import ops
+from repro.memo import clear_memos
 from repro.solver.portfolio import IncrementalChain, SolverChain
 from repro.store import PersistentTier, open_store
 from test_engine_testgen_memo import suite
@@ -56,7 +57,7 @@ def test_tier_order_ledger_cold_warm_readonly(monkeypatch, tmp_path, program, mo
     path = str(tmp_path / "store.sqlite")
     runs = {}
     for phase, readonly in (("cold", False), ("warm", False), ("worker", True)):
-        testgen.clear_group_memo()
+        clear_memos()
         run = run_symbolic(program, generate_tests=True, store_path=path,
                            store_readonly=readonly, **MODES[mode])
         stats = run.solver_stats
@@ -164,9 +165,9 @@ def test_parent_layout_store_still_warms(monkeypatch, tmp_path, mode):
     assert store.constraint_count() > old.solver_stats.store_misses  # whole-query rows
     store.close()
 
-    testgen.clear_group_memo()
+    clear_memos()
     reference = run_symbolic("uniq", generate_tests=True, **MODES[mode])
-    testgen.clear_group_memo()
+    clear_memos()
     warm = run_symbolic("uniq", generate_tests=True, store_path=path, **MODES[mode])
     assert warm.stats.warm_models_seeded > 0
     assert warm.paths == reference.paths
@@ -178,17 +179,18 @@ def test_parent_layout_store_still_warms(monkeypatch, tmp_path, mode):
 
 
 @pytest.mark.parametrize("incremental", [True, False])
-def test_fastpath_neutrality_with_a_store(tmp_path, incremental):
+def test_fastpath_neutrality_with_a_store(monkeypatch, tmp_path, incremental):
     """``use_fastpath`` off ≡ on with a store attached, cold and warm: the
     same paths, tests and coverage; only which tier answers moves."""
+    if not incremental:  # the engine builds executor.IncrementalChain
+        monkeypatch.setattr(executor, "IncrementalChain", SolverChain)
     results = {}
     for fastpath in (False, True):
         path = str(tmp_path / f"fast{fastpath}.sqlite")
         for phase in ("cold", "warm"):
-            testgen.clear_group_memo()
+            clear_memos()
             run = run_symbolic(
-                "wc", generate_tests=True, store_path=path,
-                solver_fastpath=fastpath, solver_incremental=incremental,
+                "wc", generate_tests=True, store_path=path, solver_fastpath=fastpath,
             )
             check_tier_order_ledger(run.solver_stats, incremental)
             results[fastpath, phase] = run

@@ -8,18 +8,15 @@ and a parallel run sharing one store still balances its stats ledger.
 
 import pytest
 
-from repro.engine import testgen
 from repro.env.runner import run_symbolic
-from repro.experiments.harness import RunSettings, run_parallel_cell
+from repro.experiments.harness import same_exploration
+from repro.memo import clear_memos
+from repro.parallel import ParallelConfig, run_parallel
 from repro.store import open_store
 from test_store_tier_order import check_tier_order_ledger
 
 # Small corpus programs that still exercise the SAT solver bottom tier.
 WARM_PROGRAMS = ["echo", "sleep", "cut"]
-
-
-def _multiset(cases):
-    return sorted((c.kind, c.argv, c.model, c.line, c.stdin) for c in cases)
 
 
 @pytest.mark.parametrize("program", WARM_PROGRAMS)
@@ -35,9 +32,7 @@ def test_warm_start_differential(program, tmp_path):
 
     # Identity: store hits are verdict-neutral, so the explored path
     # space, the (deterministically generated) tests, and coverage match.
-    assert warm.paths == cold.paths
-    assert _multiset(warm.tests.cases) == _multiset(cold.tests.cases)
-    assert warm.engine.coverage.covered == cold.engine.coverage.covered
+    same_exploration(cold, warm, f"{program}: warm run")
 
     # Savings: strictly fewer full blasts (the acceptance criterion).
     assert cold.solver_stats.sat_solver_runs > 0
@@ -60,7 +55,7 @@ def test_warm_start_third_run_stable(tmp_path):
     second = run_symbolic("echo", generate_tests=True, store_path=path)
     third = run_symbolic("echo", generate_tests=True, store_path=path)
     assert third.solver_stats.sat_solver_runs <= second.solver_stats.sat_solver_runs
-    assert _multiset(third.tests.cases) == _multiset(second.tests.cases)
+    assert third.tests.multiset() == second.tests.multiset()
     store = open_store(path, readonly=True)
     assert store.test_count("echo") == len(third.tests.cases)  # deduplicated
     store.close()
@@ -69,17 +64,14 @@ def test_warm_start_third_run_stable(tmp_path):
 def test_parallel_shared_store_ledger(tmp_path):
     """2-worker run with a shared store: single-writer commit + exact ledger."""
     path = str(tmp_path / "store.sqlite")
-    settings = RunSettings(
-        program="wc", mode="plain", generate_tests=True, store_path=path
-    )
-    cold = run_parallel_cell(settings, workers=2, backend="inline")
+    inline = ParallelConfig(workers=2, backend="inline")
+    cold = run_parallel("wc", parallel=inline, store_path=path)
     cold.check_ledger()
-    testgen.clear_group_memo()  # what the warm run does not solve, the corpus answered
-    warm = run_parallel_cell(settings, workers=2, backend="inline")
+    clear_memos()  # what the warm run does not solve, the corpus answered
+    warm = run_parallel("wc", parallel=inline, store_path=path)
     warm.check_ledger()
 
-    assert _multiset(warm.tests.cases) == _multiset(cold.tests.cases)
-    assert warm.covered == cold.covered
+    same_exploration(cold, warm, "warm run")
     assert warm.solver_stats.sat_solver_runs < cold.solver_stats.sat_solver_runs
     # Seeding and presolve answer everything here before the store is
     # asked; what the ledgers owe is the tier-order law, workers summed.
@@ -101,14 +93,13 @@ def test_sequential_and_parallel_share_one_store(tmp_path):
     """A store written by a sequential run warms a parallel one, and back."""
     path = str(tmp_path / "store.sqlite")
     seq = run_symbolic("wc", generate_tests=True, store_path=path)
-    settings = RunSettings(
-        program="wc", mode="plain", generate_tests=True, store_path=path
+    par = run_parallel(
+        "wc", parallel=ParallelConfig(workers=2, backend="inline"), store_path=path
     )
-    par = run_parallel_cell(settings, workers=2, backend="inline")
     par.check_ledger()
     check_tier_order_ledger(par.solver_stats)
     assert par.solver_stats.sat_solver_runs < seq.solver_stats.sat_solver_runs
-    assert _multiset(par.tests.cases) == _multiset(seq.tests.cases)
+    assert par.tests.multiset() == seq.tests.multiset()
     seq2 = run_symbolic("wc", generate_tests=True, store_path=path)
     assert seq2.solver_stats.sat_solver_runs < seq.solver_stats.sat_solver_runs
 
