@@ -8,10 +8,10 @@ state again.  One record describes a partitioned exploration at a
 quiescent point of the select loop:
 
 * the **pending frontier** — every partition not yet accepted (queued,
-  leased, or retained by a steal checkpoint), as content-addressed
-  snapshot blobs plus the scheduling metadata
-  (:meth:`repro.parallel.partition.Partition.sched_meta`) needed to
-  rebuild the :class:`~repro.sched.PartitionScheduler` queue without
+  leased, or retained by a steal checkpoint), one
+  :class:`~repro.parallel.partition.Partition` row each (its fields in
+  order; the snapshot content-addressed on disk), so the
+  :class:`~repro.sched.PartitionScheduler` queue is rebuilt without
   decoding a single snapshot;
 * the **completed results** — accepted tests, coverage, streamed path
   counts and the per-partition completion log (these partitions are
@@ -52,7 +52,9 @@ if TYPE_CHECKING:  # the record itself is store-free; only save/load touch one
 #        rows always carry a pid.
 #   v3 — the pickled EngineStats lost its solver_* mirrors, and the
 #        config / parallel payloads the options that had one value.
-RECORD_VERSION = 3
+#   v4 — pending rows are Partition rows (the fields in order) instead
+#        of (pid, snapshot, origin, meta dict).
+RECORD_VERSION = 4
 
 # Epochs retained per campaign (older ones are GC'd, their unreferenced
 # snapshot blobs swept).
@@ -87,7 +89,7 @@ class CampaignRecord:
     workers_lost: int = 0
     requeue_log: list = field(default_factory=list)
     requeue_counts: dict = field(default_factory=dict)
-    # Pending frontier: (pid, snapshot bytes, origin, sched meta).  Empty
+    # Pending frontier: Partition rows (pid, snapshot bytes, ...).  Empty
     # while a fleet runs (the scheduler queue and the lease table hold
     # it); filled by CampaignState.to_record, drained by begin().
     pending: list = field(default_factory=list)
@@ -120,10 +122,10 @@ def save_checkpoint(store: ReproStore, record: CampaignRecord) -> None:
     with store.transaction():
         refs: list[str] = []
         pending_refs = []
-        for pid, snapshot, origin, meta in record.pending:
+        for pid, snapshot, *rest in record.pending:
             digest = store.put_blob(snapshot)
             refs.append(digest)
-            pending_refs.append((pid, digest, origin, meta))
+            pending_refs.append((pid, digest, *rest))
         payload = {f.name: getattr(record, f.name) for f in fields(CampaignRecord)}
         payload["pending"] = pending_refs
         payload["version"] = RECORD_VERSION
@@ -152,12 +154,12 @@ def load_campaign(store: ReproStore, campaign: str) -> CampaignRecord | None:
             )
         pending = []
         complete = True
-        for pid, digest, origin, meta in payload["pending"]:
+        for pid, digest, *rest in payload["pending"]:
             snapshot = store.get_blob(digest)
             if snapshot is None:
                 complete = False
                 break
-            pending.append((pid, snapshot, origin, meta))
+            pending.append((pid, snapshot, *rest))
         if not complete:
             continue
         payload["pending"] = pending

@@ -223,13 +223,32 @@ class Engine:
             self.stats.warm_models_seeded = models
             self.stats.warm_cores_seeded = cores
 
-    def commit_to_store(self) -> int | None:
+    def commit_to_store(
+        self,
+        stats: EngineStats | None = None,
+        solver_stats=None,
+        tests: TestSuite | None = None,
+        payloads=(),
+        workers: int | None = None,
+        in_transaction=None,
+    ) -> int | None:
         """Single-writer commit of this run's artifacts; returns the run id.
 
         No-op unless this engine owns a writable store.  Writes the run
         metadata row, flushes the solver tier's buffered constraint
         inserts and UNSAT cores, and records the generated tests (with
         replayed coverage bitmaps) into the corpus.  Idempotent per run.
+
+        A partitioned run commits through its split engine — the one
+        that opened the store writable — and passes what differs: the
+        merged ``stats`` / ``solver_stats`` / ``tests`` of the whole
+        ledger (default: this engine's own), the read-only workers'
+        exported ``payloads`` (applied after this engine's own buffer),
+        the ``workers`` count (suffixes the run row's mode string, which
+        :meth:`ReproStore.last_parallel_imbalance` filters on), and
+        ``in_transaction(store)``, run inside the commit transaction
+        after everything else — a finished campaign deletes its
+        checkpoint rows atomically with its results becoming durable.
 
         The commit is one store transaction, retried with bounded
         backoff when another process holds the SQLite write lock.  If
@@ -256,36 +275,41 @@ class Engine:
         )
 
         self._store_committed = True
-        solver_stats = self.solver.stats
+        stats = self.stats if stats is None else stats
+        solver_stats = self.solver.stats if solver_stats is None else solver_stats
+        cases = (self.tests if tests is None else tests).cases
+        cfg = self.config
+        mode = f"{cfg.merging}/{cfg.similarity}/{cfg.strategy}"
+        if workers is not None:
+            mode += f"/workers={workers}"
         store = self.store
         # Drain the tier buffer once, outside the retried closure: a
         # rolled-back attempt must not lose it, a retry not re-drain it.
-        payload = self._store_tier.export_pending()
+        payloads = [self._store_tier.export_pending(), *payloads]
 
         def commit() -> int:
             with store.transaction():
                 run_id = store.record_run(
                     self.program,
                     spec_fingerprint(self.spec),
-                    mode=(
-                        f"{self.config.merging}/{self.config.similarity}/"
-                        f"{self.config.strategy}"
-                    ),
-                    wall_time=self.stats.wall_time,
+                    mode=mode,
+                    wall_time=stats.wall_time,
                     queries=solver_stats.queries,
                     sat_solver_runs=solver_stats.sat_solver_runs,
                     store_hits=solver_stats.store_hits,
                     cost_units=solver_stats.cost_units,
-                    paths=self.stats.paths_completed,
-                    tests=self.stats.tests_generated,
-                    stats=self.stats.snapshot(),
+                    paths=stats.paths_completed,
+                    tests=stats.tests_generated,
+                    stats=stats.snapshot(),
                 )
-                if payload:
-                    apply_payload(store, payload, run_id=run_id)
+                for payload in payloads:
+                    if payload:
+                        apply_payload(store, payload, run_id=run_id)
                 record_tests(
-                    store, self.module, self.program, self.spec,
-                    self.tests.cases, run_id,
+                    store, self.module, self.program, self.spec, cases, run_id
                 )
+                if in_transaction is not None:
+                    in_transaction(store)
                 return run_id
 
         try:
@@ -318,16 +342,18 @@ class Engine:
             self._store_tier.store = None
             self._store_tier.writable = False
 
-    def export_store_payload(self) -> dict | None:
+    def export_store_payload(self, drain: bool = True) -> dict | None:
         """This engine's buffered store inserts, for a remote single writer.
 
         The worker side of the parallel wire protocol: a read-only engine
         cannot commit, so its tier's pending constraint rows and cores are
-        exported (and cleared) for the coordinator to apply.
+        exported (and cleared) for the coordinator to apply.  ``drain=False``
+        reads without clearing — the split checkpoint persists the buffer
+        the split engine will still commit itself.
         """
         if self._store_tier is None:
             return None
-        return self._store_tier.export_pending()
+        return self._store_tier.export_pending(drain)
 
     def _make_similarity(self):
         kind = self.config.similarity
@@ -460,6 +486,11 @@ class Engine:
         stats = self.explore()
         self.commit_to_store()
         return stats
+
+    def seed_snapshot(self, snapshot: bytes) -> None:
+        """Seed a state another engine serialized (a partition root),
+        restored under a state id of this engine's own."""
+        self.seed_states([SymState.from_snapshot(snapshot, self._fresh_sid())])
 
     def seed_states(self, states: list[SymState]) -> None:
         """Add externally produced states (initial or restored partitions).

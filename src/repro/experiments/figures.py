@@ -502,7 +502,7 @@ def presolve_ablation(
     """Run each merge-heavy cell twice — presolve tier off, then on.
 
     The differential this figure *enforces* (it raises on violation — the
-    CI presolve smoke job runs it as an assertion):
+    CI `figures` job runs it as an assertion):
 
     * **neutrality** — the tier-on run emits the byte-identical test
       multiset, coverage, and path space as the bit-blast-only run; only
@@ -683,11 +683,6 @@ class WarmStartResult:
         warm = sum(r.sat_runs_warm for r in self.rows)
         return warm / cold if cold else 1.0
 
-    def cost_reduction(self) -> float:
-        cold = sum(r.cost_cold for r in self.rows)
-        warm = sum(r.cost_warm for r in self.rows)
-        return warm / cold if cold else 1.0
-
 
 def warm_start(
     scale: str = CI, programs=None, mode: str = "plain", store_path: str | None = None
@@ -697,7 +692,7 @@ def warm_start(
     Each program gets a *blast-only* row (presolve off, the chain that
     leans on the store hardest) and a *default* row (the chain as
     shipped, its own store file).  The differential this figure
-    *enforces* (it raises on violation — the CI warm-start smoke job runs
+    *enforces* (it raises on violation — the CI `figures` job runs
     it as an assertion):
 
     * the warm run emits the identical test multiset and coverage — store
@@ -808,13 +803,6 @@ class CacheReportResult:
                 "so 0 on a default chain means nothing was left to ask)"
             ),
         )
-
-    def overall_hit_rate(self) -> float:
-        lookups = sum(
-            r.hits_exact + r.hits_subset + r.hits_model + r.misses for r in self.rows
-        )
-        hits = sum(r.hits_exact + r.hits_subset + r.hits_model for r in self.rows)
-        return hits / lookups if lookups else 0.0
 
 
 def cache_report(
@@ -930,7 +918,7 @@ def sched_ablation(
     is a pure function of the policy.
 
     The differentials this figure *enforces* (it raises on violation —
-    the CI sched smoke job runs it as an assertion):
+    the CI `figures` job runs it as an assertion):
 
     * **determinism** — all three full runs emit the identical test
       multiset and coverage (plain mode), and every ledger balances

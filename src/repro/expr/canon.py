@@ -72,10 +72,6 @@ _REFINE_ROUNDS = 2
 # α-renamed builds of the same structure.
 _COMMUTATIVE = frozenset({ADD, MUL, BVAND, BVOR, BVXOR, EQ, AND, OR, XOR})
 
-# Name-blind structural hash per node, memoized by eid (valid process-wide:
-# an eid's structure never changes, and the hash ignores variable names).
-_skeleton_cache: dict[int, bytes] = {}
-
 # Name-*sensitive* (Merkle digest, DAG node count) per constraint, by eid:
 # what :func:`named_key` needs of each conjunct.  A pure function of the
 # interned constraint, so valid process-wide; bounded, first-in first-out
@@ -147,17 +143,9 @@ def _digest_nodes(nodes, memo: dict[int, bytes], var_digest) -> None:
 
 def _hash_bottom_up(root: Expr, memo: dict[int, bytes], var_digest) -> bytes:
     """Structural hash over the DAG; ``memo`` doubles as the done-set (it is
-    consulted by membership, never copied — it may be the process-global
-    skeleton cache)."""
+    consulted by membership, never copied)."""
     _digest_nodes(_postorder([root], memo), memo, var_digest)
     return memo[root.eid]
-
-
-def skeleton_hash(root: Expr) -> bytes:
-    """Name-blind structural hash of one expression (DAG-linear, cached)."""
-    return _hash_bottom_up(
-        root, _skeleton_cache, lambda node: _h("V", _sort_code(node))
-    )
 
 
 def _context_sigs(cons, topo, ccolors, memo) -> dict[str, list[bytes]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import nodes as N
 from .nodes import Expr
-from .sorts import to_signed, to_unsigned
+from .sorts import ashr_int, sdiv_int, srem_int, to_signed, to_unsigned
 
 
 class EvalError(Exception):
@@ -97,21 +97,9 @@ def _eval_node(e: Expr, ev, assignment: dict[str, int]) -> int:
         a, b = ev(c[0]), ev(c[1])
         return a if b == 0 else a % b
     if kind == N.SDIV:
-        a, b = to_signed(ev(c[0]), w), to_signed(ev(c[1]), w)
-        if b == 0:
-            return (1 << w) - 1 if a >= 0 else 1
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return to_unsigned(q, w)
+        return sdiv_int(ev(c[0]), ev(c[1]), w)
     if kind == N.SREM:
-        a, b = to_signed(ev(c[0]), w), to_signed(ev(c[1]), w)
-        if b == 0:
-            return to_unsigned(a, w)
-        r = abs(a) % abs(b)
-        if a < 0:
-            r = -r
-        return to_unsigned(r, w)
+        return srem_int(ev(c[0]), ev(c[1]), w)
     if kind == N.BVAND:
         return ev(c[0]) & ev(c[1])
     if kind == N.BVOR:
@@ -127,8 +115,7 @@ def _eval_node(e: Expr, ev, assignment: dict[str, int]) -> int:
         amount = ev(c[1])
         return 0 if amount >= w else ev(c[0]) >> amount
     if kind == N.ASHR:
-        amount = min(ev(c[1]), w - 1)
-        return to_unsigned(to_signed(ev(c[0]), c[0].width) >> amount, w)
+        return ashr_int(ev(c[0]), ev(c[1]), w)
     if kind == N.ZEXT:
         return ev(c[0])
     if kind == N.SEXT:

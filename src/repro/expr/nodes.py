@@ -219,9 +219,6 @@ class Expr:
     def is_const(self) -> bool:
         return self.kind == CONST
 
-    def is_var(self) -> bool:
-        return self.kind == VAR
-
     def is_true(self) -> bool:
         return self.kind == CONST and self.sort is BOOL and self.value == 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import nodes as N
 from .nodes import Expr
-from .sorts import BOOL, BVSort, to_signed, to_unsigned
+from .sorts import BOOL, BVSort, ashr_int, sdiv_int, srem_int, to_signed, to_unsigned
 
 # ---------------------------------------------------------------------------
 # Leaves
@@ -141,13 +141,7 @@ def urem(a: Expr, b: Expr) -> Expr:
 def sdiv(a: Expr, b: Expr) -> Expr:
     w = _require_same_width(a, b, "sdiv")
     if a.is_const() and b.is_const():
-        sa, sb = to_signed(a.value, w), to_signed(b.value, w)
-        if sb == 0:
-            return bv((1 << w) - 1 if sa >= 0 else 1, w)
-        q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return bv(q, w)
+        return bv(sdiv_int(a.value, b.value, w), w)
     if b.is_const() and to_signed(b.value, w) == 1:
         return a
     return Expr._make(N.SDIV, a.sort, (a, b))
@@ -156,13 +150,7 @@ def sdiv(a: Expr, b: Expr) -> Expr:
 def srem(a: Expr, b: Expr) -> Expr:
     w = _require_same_width(a, b, "srem")
     if a.is_const() and b.is_const():
-        sa, sb = to_signed(a.value, w), to_signed(b.value, w)
-        if sb == 0:
-            return a
-        r = abs(sa) % abs(sb)
-        if sa < 0:
-            r = -r
-        return bv(r, w)
+        return bv(srem_int(a.value, b.value, w), w)
     return Expr._make(N.SREM, a.sort, (a, b))
 
 
@@ -276,7 +264,7 @@ def ashr(a: Expr, b: Expr) -> Expr:
         if amount == 0:
             return a
         if a.is_const():
-            return bv(to_signed(a.value, w) >> min(amount, w - 1), w)
+            return bv(ashr_int(a.value, amount, w), w)
         if amount >= w:
             amount = w - 1
             b = bv(amount, w)

@@ -44,11 +44,6 @@ def serialize_stats() -> dict[str, int]:
     return dict(_stats)
 
 
-def reset_serialize_stats() -> None:
-    _stats["fresh_encodes"] = 0
-    _stats["memo_hits"] = 0
-
-
 def _sort_code(expr: Expr) -> int:
     return _BOOL_CODE if expr.sort is BOOL else expr.sort.width
 

@@ -83,3 +83,32 @@ def to_signed(value: int, width: int) -> int:
 def to_unsigned(value: int, width: int) -> int:
     """Normalize a Python int to an unsigned ``width``-bit value."""
     return value & ((1 << width) - 1)
+
+
+# Signed division, remainder and arithmetic shift on unsigned ``width``-bit
+# values — the one definition behind the evaluator, the constant folds in
+# :mod:`repro.expr.ops` and the block compiler's generated code (the
+# bit-blaster is held to it by the differential tests).
+
+
+def sdiv_int(a: int, b: int, width: int) -> int:
+    """Truncating signed quotient; SMT-LIB: x sdiv 0 = -1 if x >= 0 else 1."""
+    sa, sb = to_signed(a, width), to_signed(b, width)
+    if sb == 0:
+        return (1 << width) - 1 if sa >= 0 else 1
+    q = abs(sa) // abs(sb)
+    return to_unsigned(-q if (sa < 0) != (sb < 0) else q, width)
+
+
+def srem_int(a: int, b: int, width: int) -> int:
+    """Signed remainder, sign follows the dividend; x srem 0 = x."""
+    sa, sb = to_signed(a, width), to_signed(b, width)
+    if sb == 0:
+        return a
+    r = abs(sa) % abs(sb)
+    return to_unsigned(-r if sa < 0 else r, width)
+
+
+def ashr_int(a: int, amount: int, width: int) -> int:
+    """Sign-filling right shift; amounts >= width saturate at width - 1."""
+    return to_unsigned(to_signed(a, width) >> min(amount, width - 1), width)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from ..expr import nodes as N
 from ..expr import ops
+from ..expr.sorts import ashr_int, sdiv_int, srem_int
 from .cfg import Block, IAssert, IAssign, ILoad, IPutc, IStore
 from .lower import straightline_prefix
 
@@ -49,42 +50,6 @@ _GLOBAL_KEY_DEPTH = 0  # matches engine.state.GLOBAL_DEPTH
 
 class _Unsupported(Exception):
     """Raised during codegen when an instruction cannot be compiled."""
-
-
-# -- concrete helpers referenced from generated code --------------------------
-# These mirror repro.expr.evaluate._eval_node bit for bit (which the ops
-# constructors' constant folds also match).
-
-
-def _sdiv(a: int, b: int, w: int) -> int:
-    half, full = 1 << (w - 1), 1 << w
-    sa = a - full if a >= half else a
-    sb = b - full if b >= half else b
-    if sb == 0:
-        return full - 1 if sa >= 0 else 1
-    q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
-    return q & (full - 1)
-
-
-def _srem(a: int, b: int, w: int) -> int:
-    half, full = 1 << (w - 1), 1 << w
-    sa = a - full if a >= half else a
-    sb = b - full if b >= half else b
-    if sb == 0:
-        return a
-    r = abs(sa) % abs(sb)
-    if sa < 0:
-        r = -r
-    return r & (full - 1)
-
-
-def _ashr(a: int, amt: int, w: int) -> int:
-    amt = min(amt, w - 1)
-    half = 1 << (w - 1)
-    sa = a - (1 << w) if a >= half else a
-    return (sa >> amt) & ((1 << w) - 1)
 
 
 @dataclass(frozen=True)
@@ -414,9 +379,10 @@ def compile_block(block: Block) -> CompiledBlock | None:
         "_bv": ops.bv,
         "_TRUE": ops.TRUE,
         "_FALSE": ops.FALSE,
-        "_sdiv": _sdiv,
-        "_srem": _srem,
-        "_ashr": _ashr,
+        # The evaluator's own signed semantics (repro.expr.sorts).
+        "_sdiv": sdiv_int,
+        "_srem": srem_int,
+        "_ashr": ashr_int,
     }
     exec(compile(source, f"<compiled block {block.label}>", "exec"), namespace)
     return CompiledBlock(run=namespace["_run"], prefix_len=prefix_len, source=source)

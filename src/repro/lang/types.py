@@ -53,10 +53,3 @@ class Array2DType:
         rows = "" if self.rows is None else self.rows
         cols = "" if self.cols is None else self.cols
         return f"{self.element}[{rows}][{cols}]"
-
-
-def common_type(a: ScalarType, b: ScalarType) -> ScalarType:
-    """C-style usual arithmetic conversions, restricted to our three types."""
-    if a.width == b.width:
-        return a if not a.signed else (b if not b.signed else a)
-    return a if a.width > b.width else b

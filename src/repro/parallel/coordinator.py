@@ -71,7 +71,7 @@ from ..solver.portfolio import SolverStats
 from .partition import Partition
 from .state import CHECKPOINT, FENCE, SEND_TASK, CampaignState
 from .wire import MSG_DONE, MSG_ERROR, MSG_START, TASK_PARTITION, encode_config
-from .worker import run_partition
+from .worker import make_worker_engine, run_partition
 
 
 # Give up splitting after this many blocks even if the frontier is
@@ -359,7 +359,7 @@ class Coordinator:
                 CampaignRecord(
                     campaign=par.campaign_id,
                     program=program,
-                    spec_payload=self._spec_payload(),
+                    spec_payload=dataclasses.asdict(spec),
                     config_payload=encode_config(config),
                     parallel_payload=dataclasses.asdict(par),
                 ),
@@ -378,7 +378,6 @@ class Coordinator:
         # entry ("drain"); may transport.kill(wid)/disconnect(wid) or raise.
         self.fault_injector = None
         self._ckpt = None  # CampaignCheckpointer when campaign_id active
-        self._store_warning: str | None = None
 
     # -- public entry -----------------------------------------------------------
 
@@ -477,21 +476,10 @@ class Coordinator:
         )
         rec.split_tests = list(engine.tests.cases)
         rec.split_covered = set(engine.coverage.covered)
-        if engine._store_tier is not None:
-            rec.store_payload = engine._store_tier.peek_pending()
+        rec.store_payload = engine.export_store_payload(drain=False)
         return [
             Partition.from_state(state.alloc_pid(), s, "split") for s in frontier
         ]
-
-    def _spec_payload(self) -> dict:
-        """The input spec as a picklable dict (wire + campaign records)."""
-        return {
-            "n_args": self.spec.n_args,
-            "arg_len": self.spec.arg_len,
-            "prog_name": self.spec.prog_name,
-            "concrete_args": self.spec.concrete_args,
-            "stdin_len": self.spec.stdin_len,
-        }
 
     def _make_transport(self):
         """Resolve ParallelConfig.backend to a fleet: the same transport
@@ -569,7 +557,19 @@ class Coordinator:
             # the crash took with it (a fresh run's engine still holds
             # them and commits them itself).
             payloads.insert(0, rec.store_payload)
-        self._commit_store(engine, payloads, tests, merged_stats, merged_solver)
+        # The single store writer is the split engine's own commit; the
+        # campaign's checkpoint rows go in the same transaction, so a
+        # completed campaign is unresumable atomically with its results
+        # becoming durable.
+        ckpt = self._ckpt
+        engine.commit_to_store(
+            stats=merged_stats,
+            solver_stats=merged_solver,
+            tests=tests,
+            payloads=payloads,
+            workers=self.parallel.workers,
+            in_transaction=ckpt and (lambda store: store.delete_campaign(ckpt.campaign)),
+        )
         return ParallelResult(
             program=self.program,
             spec=self.spec,
@@ -593,92 +593,8 @@ class Coordinator:
             checkpoint_epoch=self._ckpt.epoch if self._ckpt is not None else 0,
             resumed_epoch=self._resumed_epoch,
             restored_partitions=self._restored_partitions,
-            store_warning=self._store_warning,
+            store_warning=engine.store_warning,
         )
-
-    def _commit_store(
-        self,
-        split_engine: Engine,
-        store_payloads: list,
-        tests: TestSuite,
-        merged_engine: EngineStats,
-        merged_solver: SolverStats,
-    ) -> None:
-        """Single-writer store commit for a partitioned run.
-
-        The coordinator's split engine owns the writable store; workers
-        (process or inline) ran read-only and shipped their buffered
-        inserts, which are applied here together with the coordinator's
-        own buffer, the merged run metadata (including the observed
-        ``sched_imbalance``), and the full merged test suite.
-
-        The whole commit is one store transaction retried with bounded
-        backoff on SQLite lock contention (another process holding the
-        WAL write lock).  If the store stays locked past the retry
-        budget, the run *degrades* instead of failing: results are
-        returned complete, ``ParallelResult.store_warning`` names what
-        was lost (only the cross-run cache/corpus update).  On success
-        the campaign's checkpoint rows ride along in the same
-        transaction — a completed campaign is unresumable atomically
-        with its results becoming durable.
-        """
-        store = getattr(split_engine, "store", None)
-        if store is None or store.readonly or split_engine._store_tier is None:
-            return
-        import sqlite3
-
-        from ..store import (
-            apply_payload,
-            is_locked_error,
-            record_tests,
-            retry_locked,
-            spec_fingerprint,
-        )
-
-        # Drain the tier buffer exactly once, outside the retried
-        # closure: a rollback must not lose it, a retry not re-drain it.
-        own_payload = split_engine._store_tier.export_pending()
-
-        def commit() -> None:
-            with store.transaction():
-                run_id = store.record_run(
-                    self.program,
-                    spec_fingerprint(self.spec),
-                    mode=(
-                        f"{self.config.merging}/{self.config.similarity}/"
-                        f"{self.config.strategy}/workers={self.parallel.workers}"
-                    ),
-                    wall_time=merged_engine.wall_time,
-                    queries=merged_solver.queries,
-                    sat_solver_runs=merged_solver.sat_solver_runs,
-                    store_hits=merged_solver.store_hits,
-                    cost_units=merged_solver.cost_units,
-                    paths=merged_engine.paths_completed,
-                    tests=merged_engine.tests_generated,
-                    stats=merged_engine.snapshot(),
-                )
-                for payload in [own_payload, *store_payloads]:
-                    if payload:
-                        apply_payload(store, payload, run_id=run_id)
-                record_tests(
-                    store, split_engine.module, self.program, self.spec,
-                    tests.cases, run_id,
-                )
-                if self._ckpt is not None:
-                    store.delete_campaign(self._ckpt.campaign)
-
-        try:
-            retry_locked(commit)
-        except sqlite3.OperationalError as exc:
-            if not is_locked_error(exc):
-                raise
-            self._store_warning = (
-                f"store commit skipped: {self.config.store_path!r} stayed "
-                f"locked past the retry budget ({exc}); results are "
-                "complete, only the cross-run cache/corpus update was lost"
-            )
-        split_engine._store_committed = True
-        split_engine.close_store()
 
     # -- inline backend -----------------------------------------------------------
 
@@ -695,22 +611,13 @@ class Coordinator:
         """
         state = self.state
         state.begin(())  # no fleet; rejoins what a loaded record held pending
-        config = self.config
-        if config.store_path:
-            # Same protocol as worker processes: read-only store views,
-            # inserts buffered and applied by the coordinator (the single
-            # writer) at assembly time.
-            config = dataclasses.replace(config, store_readonly=True)
         engines = [
-            Engine(module, self.spec, config, program=self.program)
+            make_worker_engine(self.program, module, self.spec, self.config)
             for _ in range(self.parallel.workers)
         ]
-        for engine in engines:
-            engine.stats.states_created = 0
         for i, part in enumerate(state.sched.order(())):
             engine = engines[i % len(engines)]
-            restored = part.restore(engine._fresh_sid())
-            state.accept(part, *run_partition(engine, restored, None, None, 0))
+            state.accept(part, *run_partition(engine, part.pid, part.snapshot))
         payloads: list = []
         for i, engine in enumerate(engines):
             state.rec.worker_entries.append(

@@ -29,28 +29,29 @@ from ..engine.state import SymState
 class Partition:
     """One shippable subtree of the path space.
 
-    Besides the snapshot it carries the *scheduling metadata* the
-    dispatcher scores (:mod:`repro.sched`): the root state's current
-    location, call-stack depth, and path-prefix length.  Metadata is
-    extracted where the live state exists — at split time on the
-    coordinator, or on the worker before a stolen state is serialized
-    (:meth:`meta_of` rides the ``MSG_STOLEN`` message) — so the snapshot
-    blob itself is never decoded just to rank it.
+    The fields, in this order, *are* the partition's row — what a
+    ``MSG_STOLEN`` entry and a ``CampaignRecord.pending`` entry hold:
+    ``dataclasses.astuple(part)`` writes one, ``Partition(*row)`` reads
+    it back.  Besides the snapshot the row carries the *scheduling
+    metadata* the dispatcher scores (:mod:`repro.sched`): the root
+    state's location, call-stack depth and path-prefix length, taken by
+    :meth:`from_state` where the live state exists — at split time on
+    the coordinator, or on the worker before a stolen state is
+    serialized — so the snapshot is never decoded just to rank it.
     """
 
+    # Assigned by the coordinator.  A row a worker exports carries the
+    # pid of the partition it was split off, until it gets its own.
     pid: int
     snapshot: bytes
     # Provenance: "split" for the coordinator's initial frontier,
-    # "steal:<worker_id>" for states exported by a busy worker.
+    # "steal:<worker_id>" for states a busy worker exported,
+    # "requeue:<worker_id>" for work recovered from a revoked lease.
     origin: str
-    # |pc| of the serialized state — the path-prefix depth.  -1 when
-    # wrapped from raw bytes with no metadata (old-protocol blobs).
-    prefix_len: int
-    # Scheduling metadata: the root state's location and stack depth.
-    # None/-1 when unknown — the scheduler scores those neutrally.
-    func: str | None = None
-    block: str | None = None
-    depth: int = -1
+    prefix_len: int  # |pc| of the serialized state: the path-prefix depth
+    func: str
+    block: str
+    depth: int  # call-stack depth
 
     @classmethod
     def from_state(cls, pid: int, state: SymState, origin: str) -> "Partition":
@@ -64,51 +65,3 @@ class Partition:
             block=frame.block,
             depth=len(state.frames),
         )
-
-    @classmethod
-    def from_blob(
-        cls, pid: int, snapshot: bytes, origin: str, meta: dict | None = None
-    ) -> "Partition":
-        """Wrap already-serialized state bytes (a stolen frontier entry).
-
-        The blob is forwarded verbatim — never decoded on the coordinator;
-        ``meta`` is the :meth:`meta_of` payload the worker shipped with it.
-        """
-        meta = meta or {}
-        return cls(
-            pid=pid,
-            snapshot=snapshot,
-            origin=origin,
-            prefix_len=meta.get("prefix_len", -1),
-            func=meta.get("func"),
-            block=meta.get("block"),
-            depth=meta.get("depth", -1),
-        )
-
-    def sched_meta(self) -> dict:
-        """This partition's metadata in :meth:`meta_of` wire form.
-
-        ``Partition.from_blob(pid, snapshot, origin, part.sched_meta())``
-        round-trips a partition without ever decoding its snapshot —
-        campaign checkpoints persist pending partitions this way.
-        """
-        return {
-            "prefix_len": self.prefix_len,
-            "func": self.func,
-            "block": self.block,
-            "depth": self.depth,
-        }
-
-    @staticmethod
-    def meta_of(state: SymState) -> dict:
-        """Scheduling metadata of a live state, for the wire protocol."""
-        frame = state.top
-        return {
-            "prefix_len": len(state.pc),
-            "func": frame.func,
-            "block": frame.block,
-            "depth": len(state.frames),
-        }
-
-    def restore(self, sid: int) -> SymState:
-        return SymState.from_snapshot(self.snapshot, sid)

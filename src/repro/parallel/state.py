@@ -195,7 +195,7 @@ class CampaignState:
         never has anything accepted still shows up, at zero)."""
         rec = self.rec
         for row in rec.pending:
-            self.push(Partition.from_blob(*row))
+            self.push(Partition(*row))
         rec.pending = []
         self.workers = sorted(worker_ids)
         for wid in self.workers:
@@ -238,10 +238,8 @@ class CampaignState:
             if lease is None:
                 return None
             lease.residual = (retained, interim)
-            for blob, meta in stolen:
-                self.push(
-                    Partition.from_blob(self.alloc_pid(), blob, f"steal:{wid}", meta)
-                )
+            for row in stolen:
+                self.push(dataclasses.replace(Partition(*row), pid=self.alloc_pid()))
             if stolen:
                 self.rec.steals += 1
                 actions.append((CHECKPOINT, "steal"))
@@ -310,8 +308,8 @@ class CampaignState:
             return
         if lease.residual is not None:
             rest = [
-                Partition.from_blob(self.alloc_pid(), blob, f"requeue:{wid}", meta)
-                for blob, meta in retained
+                dataclasses.replace(Partition(*row), pid=self.alloc_pid())
+                for row in retained
             ]
         elif charge:
             rest = [dataclasses.replace(
@@ -346,10 +344,7 @@ class CampaignState:
             snap.revoke(wid, charge=False)
         rec = snap.rec
         rec.phase = phase
-        rec.pending += [
-            (p.pid, p.snapshot, p.origin, p.sched_meta())
-            for p in snap.sched.pending()
-        ]
+        rec.pending += [dataclasses.astuple(p) for p in snap.sched.pending()]
         return rec
 
     # -- decisions -------------------------------------------------------------

@@ -36,15 +36,17 @@ Worker -> coordinator (result channel):
           worker, so a revoked partition's partial counters are
           discarded rather than double-counted.
     (MSG_STOLEN, worker_id, stolen, retained, interim) — reply to
-        CMD_STEAL.  ``stolen`` is [(snapshot_bytes, meta), ...] (may be
-        empty; ``meta`` is :meth:`Partition.meta_of` of the exported
-        state).  ``retained`` is the same encoding of the *kept*
-        frontier — a checkpoint of the victim's remaining work — and
-        ``interim`` is (tests, covered, paths, engine_stats,
-        solver_stats) for the partition so far.  If the victim's lease
-        is later revoked, the coordinator accepts the interim results
-        and requeues the retained checkpoint, so pre-steal paths are
-        neither lost nor re-run.
+        CMD_STEAL.  ``stolen`` is a list (may be empty) of
+        :class:`~repro.parallel.partition.Partition` rows — the fields
+        in order, ``Partition(*row)`` — filed under the pid of the
+        partition they were split off; the coordinator gives each its
+        own.  ``retained`` is the same encoding of the *kept* frontier —
+        a checkpoint of the victim's remaining work — and ``interim`` is
+        (tests, covered, paths, engine_stats, solver_stats) for the
+        partition so far.  If the victim's lease is later revoked, the
+        coordinator accepts the interim results and requeues the
+        retained checkpoint, so pre-steal paths are neither lost nor
+        re-run.
     (MSG_HEARTBEAT, worker_id) — liveness beacon, sent by a worker-side
         timer thread; filtered out by the transport (refreshes the lease
         deadline, never reaches the event loop).
@@ -52,7 +54,7 @@ Worker -> coordinator (result channel):
         — final, pre-exit; ``store_payload`` is the worker's buffered
           persistent-store inserts (canonical constraint rows + UNSAT
           cores) or None.  Workers open the store read-only: the
-          coordinator is the single writer and applies these payloads.
+          split engine's commit applies these payloads.
           (The stats are informational: a worker's ledger entry is the
           sum of its accepted per-partition deltas.)
     (MSG_ERROR, worker_id, traceback_text)
@@ -76,7 +78,9 @@ from ..qce.qce import QceParams
 #   v3 — EngineStats without its solver_* mirrors; config payload without
 #        solver_incremental / testgen_deterministic / warm_start /
 #        max_queries
-WIRE_VERSION = 3
+#   v4 — MSG_STOLEN entries are Partition rows instead of
+#        (snapshot, meta dict) pairs
+WIRE_VERSION = 4
 
 TASK_PARTITION = "part"
 TASK_STOP = "stop"

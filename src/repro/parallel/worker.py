@@ -24,7 +24,6 @@ import queue
 import traceback
 
 from ..engine.executor import Engine
-from ..engine.state import SymState
 from ..env.argv import ArgvSpec
 from ..programs.registry import get_program
 from .partition import Partition
@@ -77,20 +76,40 @@ def _stats(engine: Engine):
     return engine.stats, engine.solver.stats
 
 
-def _export_entries(states) -> list:
-    """Serialize frontier states with their scheduling metadata."""
-    return [(s.snapshot(), Partition.meta_of(s)) for s in states]
+def _export_rows(states, pid: int, origin: str) -> list:
+    """Serialize frontier states as :class:`Partition` rows, filed under
+    the partition they were split off."""
+    return [
+        dataclasses.astuple(Partition.from_state(pid, s, origin)) for s in states
+    ]
+
+
+def make_worker_engine(program: str, module, spec: ArgvSpec, config) -> Engine:
+    """The engine every partition runner owns — forked, dialed or inline."""
+    if config.store_path:
+        # Store invariant: the split engine is the single writer.  The
+        # worker opens read-only (the coordinator created the file
+        # before spawning us) and ships its buffered inserts with the
+        # final stats message.
+        config = dataclasses.replace(config, store_readonly=True)
+    engine = Engine(module, spec, config, program=program)
+    # Seeded states are transferred from the coordinator's ledger, not
+    # created here; start this worker's creation counter at zero so
+    # per-worker stats sum exactly to the merged ledger.
+    engine.stats.states_created = 0
+    return engine
 
 
 def run_partition(
     engine: Engine,
-    state: SymState,
-    cmd_q,
-    result_q,
-    worker_id: int,
-    pid: int = -1,
+    pid: int,
+    snapshot: bytes,
+    cmd_q=None,
+    result_q=None,
+    worker_id: int = 0,
 ):
-    """Explore one partition to exhaustion, honouring steal requests.
+    """Explore one partition to exhaustion, honouring steal requests
+    (none without a ``cmd_q``: the inline backend).
 
     Returns (new_tests, new_coverage, paths_delta) for the done message.
 
@@ -111,7 +130,7 @@ def run_partition(
             engine.stats.paths_completed - paths_before,
         )
 
-    engine.seed_states([state])
+    engine.seed_snapshot(snapshot)
     interrupt = _make_interrupt(cmd_q, pid) if cmd_q is not None else None
     # Budgets (max_steps/time_budget) are cumulative per
     # worker: once tripped — on this partition or an earlier one — the
@@ -124,13 +143,14 @@ def run_partition(
             # nothing), so the coordinator's accounting stays exact.
             # Keep at least one state locally: the thief gets the far
             # frontier, we keep making progress on the near one.  Each
-            # exported state ships with its scheduling metadata — the
+            # exported state ships as a full partition row — the
             # coordinator re-queues stolen work through the same priority
-            # scheduler as split partitions, without decoding blobs.
-            stolen = _export_entries(
-                engine.export_frontier(len(engine.worklist) // 2)
+            # scheduler as split partitions, without decoding snapshots.
+            stolen = _export_rows(
+                engine.export_frontier(len(engine.worklist) // 2),
+                pid, f"steal:{worker_id}",
             )
-            retained = _export_entries(engine.worklist)
+            retained = _export_rows(engine.worklist, pid, f"requeue:{worker_id}")
             result_q.put((MSG_STOLEN, worker_id, stolen, retained,
                           (*results(), *_stats(engine))))
     return results()
@@ -142,20 +162,12 @@ def worker_main(session) -> None:
     the coordinator's frames and ``put`` sends ours."""
     worker_id = session.wid
     try:
-        module = get_program(session.program).compile()
-        spec = ArgvSpec(**session.spec_payload)
-        config = decode_config(session.config_payload)
-        if config.store_path:
-            # Store invariant: the coordinator is the single writer.  The
-            # worker opens read-only (the coordinator created the file
-            # before spawning us) and ships its buffered inserts with the
-            # final stats message.
-            config = dataclasses.replace(config, store_readonly=True)
-        engine = Engine(module, spec, config, program=session.program)
-        # Seeded states are transferred from the coordinator's ledger, not
-        # created here; start this worker's creation counter at zero so
-        # per-worker stats sum exactly to the merged ledger.
-        engine.stats.states_created = 0
+        engine = make_worker_engine(
+            session.program,
+            get_program(session.program).compile(),
+            ArgvSpec(**session.spec_payload),
+            decode_config(session.config_payload),
+        )
         while True:
             msg = session.task_q.get()
             if msg[0] == TASK_STOP:
@@ -167,11 +179,10 @@ def worker_main(session) -> None:
                 return
             if msg[0] != TASK_PARTITION:
                 raise ValueError(f"unknown task {msg[0]!r}")
-            pid, blob = msg[1], msg[2]
+            pid, snapshot = msg[1], msg[2]
             session.put((MSG_START, worker_id, pid))
-            state = SymState.from_snapshot(blob, engine._fresh_sid())
             results = run_partition(
-                engine, state, session.cmd_q, session, worker_id, pid=pid
+                engine, pid, snapshot, session.cmd_q, session, worker_id
             )
             session.put((MSG_DONE, worker_id, pid, *results, *_stats(engine)))
     except BaseException:  # noqa: BLE001 — ship the traceback, then die

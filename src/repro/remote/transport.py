@@ -37,6 +37,7 @@ import queue as queue_mod
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -256,17 +257,27 @@ class SocketTransport:
     def _handshake(self, conn: socket.socket) -> None:
         """HELLO/WELCOME on one fresh connection: it becomes the next
         endpoint, or is closed (stalled, garbled or version-skewed peer)."""
+        try:
+            ep = self._greet(conn)
+        except Exception as exc:  # noqa: BLE001 — whatever the first frame
+            # was, it was not a worker's (a port scan, an oversized header,
+            # bytes that do not unpickle, a peer gone before our reply):
+            # drop this connection, keep accepting.
+            print(f"repro.remote: dropped a connection at the handshake: {exc!r}",
+                  file=sys.stderr)
+            ep = None
+        if ep is None:
+            conn.close()
+        else:
+            self._endpoints.append(ep)
+
+    def _greet(self, conn: socket.socket) -> _Endpoint | None:
         set_nodelay(conn)
         conn.settimeout(HANDSHAKE_TIMEOUT)
-        try:
-            hello = recv_frame(conn)
-        except (EOFError, OSError, socket.timeout):
-            conn.close()
-            return
+        hello = recv_frame(conn)
         if not (isinstance(hello, tuple) and hello and hello[0] == MSG_HELLO):
             send_frame(conn, (MSG_REJECT, "expected HELLO"))
-            conn.close()
-            return
+            return None
         version = hello[1] if len(hello) > 1 else 1
         if version != WIRE_VERSION:
             # The worker raises ProtocolMismatchError on its side too;
@@ -278,8 +289,7 @@ class SocketTransport:
                  f"wire protocol mismatch: worker {version!r}, "
                  f"coordinator {WIRE_VERSION}"),
             )
-            conn.close()
-            return
+            return None
         meta = hello[2] if len(hello) > 2 else {}
         wid = len(self._endpoints)
         send_frame(
@@ -288,24 +298,29 @@ class SocketTransport:
              self.spec_payload, self.config_payload),
         )
         conn.settimeout(None)
-        self._endpoints.append(_Endpoint(wid, conn, dict(meta or {})))
+        return _Endpoint(wid, conn, dict(meta or {}))
 
     def _reader(self, ep: _Endpoint) -> None:
         while True:
             try:
                 msg = recv_frame(ep.conn)
-            except (EOFError, OSError, TransportError):
+            except (EOFError, OSError):
+                dead = "disconnect"
+            except Exception:  # noqa: BLE001 — oversized header, unpicklable bytes
+                dead = "garbled frame"
+            else:
+                # Every worker message is a tuple tagged with its sender.
+                ok = isinstance(msg, tuple) and len(msg) > 1 and msg[1] == ep.wid
+                dead = None if ok else "garbled frame"
+            if dead is not None:
+                # Dead on the spot: the next death sweep revokes the
+                # lease, no heartbeat deadline to wait out.
                 if ep.dead is None:
-                    ep.dead = "disconnect"
-                return
-            except Exception:  # unpicklable garbage = dead peer
-                if ep.dead is None:
-                    ep.dead = "protocol corruption"
+                    ep.dead = dead
                 return
             ep.last_seen = time.monotonic()
-            if isinstance(msg, tuple) and msg and msg[0] == MSG_HEARTBEAT:
-                continue
-            self._inbox.put(msg)
+            if msg[0] != MSG_HEARTBEAT:
+                self._inbox.put(msg)
 
     def send_task(self, wid: int, msg) -> None:
         ep = self._endpoints[wid]

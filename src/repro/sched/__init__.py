@@ -25,8 +25,7 @@ available today:
 * global coverage frontier (is the item's block uncovered *this run*?);
 * stored corpus evidence (does any stored test cover the block? —
   :meth:`repro.store.db.ReproStore.covered_blocks`, indexed);
-* QCE query-count estimates (:meth:`repro.qce.qce.QceAnalysis.qt_table`);
-* path-prefix depth, pick counts, and CFG-topological order.
+* pick counts and CFG-topological order.
 
 Scheduling invariants (enforced by ``tests/test_sched.py`` and the
 ``sched`` ablation figure):
@@ -45,10 +44,8 @@ Scheduling invariants (enforced by ``tests/test_sched.py`` and the
 from .prioritizer import (
     CorpusNoveltySignal,
     CoverageFrontierSignal,
-    DepthSignal,
     PickCountSignal,
     Prioritizer,
-    QceLoadSignal,
     Signal,
     TopologicalSignal,
 )
@@ -61,11 +58,9 @@ from .partition_sched import (
 __all__ = [
     "CorpusNoveltySignal",
     "CoverageFrontierSignal",
-    "DepthSignal",
     "PartitionScheduler",
     "PickCountSignal",
     "Prioritizer",
-    "QceLoadSignal",
     "Signal",
     "TopologicalSignal",
     "adaptive_partition_factor",

@@ -1,7 +1,9 @@
 """Priority dispatch of path-prefix partitions (the parallel side).
 
 :class:`PartitionScheduler` is the coordinator-local priority heap over
-undispatched :class:`~repro.parallel.partition.Partition` metadata.  The
+undispatched :class:`~repro.parallel.partition.Partition` rows; it reads
+their scheduling fields (``func``, ``block``, ``prefix_len``, ``pid``),
+never the snapshot.  The
 campaign keeps one lease in flight per worker, so the *next* partition
 handed out is always the current best-scored one — including partitions
 that arrive late via work stealing or a requeue.
@@ -52,17 +54,11 @@ def partition_score(part, corpus_covered: frozenset, policy: str = "corpus") -> 
     """Comparable dispatch score for one partition (lower runs sooner)."""
     if policy == "fifo":
         return (part.pid,)
-    if part.func is None:
-        # Metadata-less partition (a stolen blob from an old-protocol
-        # worker): neutral novelty, dispatch order falls to depth/pid.
-        novelty = 1
-    else:
-        loc = (part.func, part.block)
-        # Novel only when the store has evidence at all: an empty corpus
-        # makes every root "novel", which must mean FIFO, not a shuffle.
-        novelty = 0 if corpus_covered and loc not in corpus_covered else 1
-    depth = part.prefix_len if part.prefix_len >= 0 else 0
-    return (novelty, depth, part.pid)
+    # Novel only when the store has evidence at all: an empty corpus
+    # makes every root "novel", which must mean FIFO, not a shuffle.
+    loc = (part.func, part.block)
+    novelty = 0 if corpus_covered and loc not in corpus_covered else 1
+    return (novelty, part.prefix_len, part.pid)
 
 
 class PartitionScheduler:
@@ -128,8 +124,7 @@ class PartitionScheduler:
         if self.policy == "fifo":
             return (part.pid,)
         dispatch = partition_score(part, self.corpus_covered, self.policy)
-        loc = (part.func, part.block) if part.func is not None else None
-        load = _qt_bucket(self.qt_table.get(loc, 0.0)) if loc else 0
+        load = _qt_bucket(self.qt_table.get((part.func, part.block), 0.0))
         return (dispatch[0], -load, *dispatch[1:])
 
     def pick_victim(self, running: dict[int, object]) -> int:

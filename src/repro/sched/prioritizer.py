@@ -108,31 +108,6 @@ class PickCountSignal(Signal):
         return self.counts[(frame.func, frame.block)]
 
 
-class QceLoadSignal(Signal):
-    """Bucketed QCE query-count estimate Qt at the state's location.
-
-    ``prefer='light'`` runs cheap states first (few estimated remaining
-    queries — complete paths quickly); ``prefer='heavy'`` runs expensive
-    subtrees first (longest-processing-time order, which is what the
-    partition scheduler wants to minimize makespan).  The raw Qt is
-    log-bucketed so the signal only discriminates order-of-magnitude
-    differences and leaves finer ties to later signals.
-    """
-
-    name = "qce-load"
-    location_scoped = True
-
-    def __init__(self, qt_table: dict[tuple[str, str], float], prefer: str = "light"):
-        self.qt_table = qt_table
-        if prefer not in ("light", "heavy"):
-            raise ValueError(f"prefer must be 'light' or 'heavy', not {prefer!r}")
-        self.sign = 1 if prefer == "light" else -1
-
-    def score(self, state, engine):
-        frame = state.top
-        return self.sign * _qt_bucket(self.qt_table.get((frame.func, frame.block), 0.0))
-
-
 def _qt_bucket(qt: float) -> int:
     """Log2 bucket of a Qt estimate (0 for <=1 expected queries)."""
     bucket = 0
@@ -141,20 +116,6 @@ def _qt_bucket(qt: float) -> int:
         value /= 2.0
         bucket += 1
     return bucket
-
-
-class DepthSignal(Signal):
-    """Path-prefix depth (|pc|); ``prefer='deep'`` explores deepest first."""
-
-    name = "depth"
-
-    def __init__(self, prefer: str = "deep"):
-        if prefer not in ("deep", "shallow"):
-            raise ValueError(f"prefer must be 'deep' or 'shallow', not {prefer!r}")
-        self.sign = -1 if prefer == "deep" else 1
-
-    def score(self, state, engine):
-        return self.sign * len(state.pc)
 
 
 class TopologicalSignal(Signal):

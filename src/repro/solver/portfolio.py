@@ -448,9 +448,6 @@ class SolverChain:
 
     # -- convenience API used by the engine ------------------------------------
 
-    def is_satisfiable(self, constraints) -> bool:
-        return self.check(constraints).is_sat
-
     def get_model(self, constraints) -> dict[str, int] | None:
         result = self.check(constraints)
         return result.model if result.is_sat else None

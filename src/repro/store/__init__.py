@@ -21,10 +21,11 @@ it) holds three kinds of cross-run state:
 Invariants (enforced across :mod:`repro.store`, the engine, and the
 parallel coordinator; see also ROADMAP.md):
 
-* **single writer** — exactly one process writes a store file: the
-  sequential engine at end of run, or the parallel coordinator applying
-  its own and its workers' buffered inserts.  Workers open read-only and
-  ship inserts over the wire protocol.
+* **single writer** — exactly one process writes a store file, through
+  one method: ``Engine.commit_to_store`` of the engine that opened it
+  writable (a partitioned run's split engine applies its own and its
+  workers' buffered inserts).  Workers open read-only and ship inserts
+  over the wire protocol.
 * **canonical-key soundness** — a cached answer is valid only because the
   canonical key digests the *complete* renamed constraint set of every
   independence component (the set's key is the sorted multiset of

@@ -23,8 +23,9 @@ bit-blast for, and nothing else:
   deduplicated onto; the caller verifies it by evaluation too.
 
 Writes never happen inline.  Every tier buffers its inserts (deduplicated
-by canonical key) and the **single writer** — the sequential engine at
-end of run, or the parallel coordinator after workers ship their buffers
+by canonical key) and the **single writer** —
+:meth:`~repro.engine.executor.Engine.commit_to_store` of the one engine
+that opened the store writable, handed the buffers its workers shipped
 over the wire — applies them in one batch.  This keeps workers read-only
 and makes the store immune to mid-run crashes.
 """
@@ -135,8 +136,12 @@ class PersistentTier:
             (len(core), pickle.dumps((nodes, roots), protocol=pickle.HIGHEST_PROTOCOL))
         )
 
-    def export_pending(self) -> dict:
-        """Picklable insert buffer for the wire (worker -> coordinator)."""
+    def export_pending(self, drain: bool = True) -> dict:
+        """Picklable insert buffer for the wire (worker -> coordinator).
+
+        ``drain=False`` leaves the buffer in place: campaign checkpoints
+        persist the split engine's buffer without disturbing the
+        eventual flush."""
         payload = {
             "constraints": [
                 (key, is_sat, model) for key, (is_sat, model) in self._pending.items()
@@ -144,21 +149,10 @@ class PersistentTier:
             "cores": list(self._pending_cores),
             "program": self.program,
         }
-        self._pending.clear()
-        self._pending_cores.clear()
+        if drain:
+            self._pending.clear()
+            self._pending_cores.clear()
         return payload
-
-    def peek_pending(self) -> dict:
-        """Non-destructive copy of the insert buffer, same shape as
-        :meth:`export_pending` — campaign checkpoints persist the split
-        engine's buffer without disturbing the eventual flush."""
-        return {
-            "constraints": [
-                (key, is_sat, model) for key, (is_sat, model) in self._pending.items()
-            ],
-            "cores": list(self._pending_cores),
-            "program": self.program,
-        }
 
     def flush(self, store: ReproStore | None = None, run_id: int | None = None) -> int:
         """Apply the buffer through ``store`` (default: our own, if writable)."""

@@ -37,6 +37,7 @@ from repro.campaign import (
 )
 from repro.engine.executor import EngineConfig
 from repro.env.argv import ArgvSpec
+from repro.env.runner import run_symbolic
 from repro.parallel import ConfigError, Coordinator, ParallelConfig, run_parallel
 from repro.programs.registry import get_program
 from repro.store import open_store, retry_locked
@@ -132,9 +133,7 @@ def _record(campaign, epoch=0, pending=()):
 def test_checkpoint_roundtrip(tmp_path):
     store = open_store(tmp_path / "s.sqlite")
     rec = _record("c1", epoch=1,
-                  pending=[(7, b"snapshot-bytes", "split",
-                            {"prefix_len": 3, "func": "main",
-                             "block": "b0", "depth": 1})])
+                  pending=[(7, b"snapshot-bytes", "split", 3, "main", "b0", 1)])
     rec.tests = ["t1", "t2"]
     rec.covered = {("main", "b0")}
     rec.streamed_paths = 5
@@ -160,7 +159,8 @@ def test_record_of_another_version_is_refused_by_name(monkeypatch, tmp_path):
     with monkeypatch.context() as older:
         older.setattr(record, "RECORD_VERSION", record.RECORD_VERSION - 1)
         save_checkpoint(store, _record("c1", epoch=1))
-    with pytest.raises(RecordVersionError, match=r"v2 record.*reads v3"):
+    skew = rf"v{record.RECORD_VERSION - 1} record.*reads v{record.RECORD_VERSION}"
+    with pytest.raises(RecordVersionError, match=skew):
         load_campaign(store, "c1")
     store.close()
     with pytest.raises(RecordVersionError):
@@ -173,8 +173,8 @@ def test_checkpoint_epoch_gc_and_blob_sharing(tmp_path):
     for epoch in range(1, 5):
         # The shared snapshot is content-addressed: four epochs, one blob.
         rec = _record("c1", epoch=epoch,
-                      pending=[(1, b"shared", "split", {}),
-                               (2, f"only-{epoch}".encode(), "split", {})])
+                      pending=[(1, b"shared", "split", 1, "main", "b0", 1),
+                               (2, f"only-{epoch}".encode(), "split", 1, "main", "b0", 1)])
         save_checkpoint(store, rec)
     assert store.checkpoint_epochs("c1") == [3, 4]
     assert store.campaign_ids() == ["c1"]
@@ -218,18 +218,48 @@ def test_retry_locked_propagates_other_errors():
         retry_locked(broken, attempts=5, base_delay=0.001)
 
 
-def test_locked_store_degrades_with_warning(tmp_path, monkeypatch):
-    """A store that stays locked past the retry budget must not fail the
-    run: results come back complete with a named store_warning."""
-    def always_locked(self, *a, **kw):
-        raise sqlite3.OperationalError("database is locked")
+def _two_workers(backend):
+    return lambda **kw: run_parallel(
+        "wc", parallel=ParallelConfig(workers=2, backend=backend), **kw)
 
-    monkeypatch.setattr(ReproStore, "record_run", always_locked)
-    result = run_parallel("wc", workers=1,
-                          store_path=str(tmp_path / "s.sqlite"))
-    assert result.store_warning is not None
-    assert "locked" in result.store_warning
-    assert result.paths > 0 and len(result.tests.cases) > 0
+
+# Every way a run reaches the end-of-run store commit: the sequential
+# engine, the degenerate 1-worker split, and a partitioned run in-process
+# and over forked workers.  All four go through Engine.commit_to_store.
+COMMITTERS = {
+    "sequential": lambda **kw: run_symbolic("wc", **kw),
+    "workers1": lambda **kw: run_parallel("wc", workers=1, **kw),
+    "inline": _two_workers("inline"),
+    "process": _two_workers("process"),
+}
+
+
+@pytest.mark.parametrize("runner", COMMITTERS)
+def test_locked_store_degrades_with_warning(runner, tmp_path, monkeypatch,
+                                            wc_sequential):
+    """A store that stays locked past the retry budget must not fail the
+    run: results come back complete with a named store_warning.  Any
+    other store error is not swallowed."""
+    def failing(message):
+        def record_run(self, *a, **kw):
+            raise sqlite3.OperationalError(message)
+        return record_run
+
+    path = str(tmp_path / "s.sqlite")
+    monkeypatch.setattr(ReproStore, "record_run", failing("database is locked"))
+    result = COMMITTERS[runner](store_path=path)
+    warning = (result.engine if runner == "sequential" else result).store_warning
+    assert warning == (
+        f"store commit skipped: {path!r} stayed locked past the retry budget "
+        "(database is locked); run results are complete, only the cross-run "
+        "cache/corpus update was lost"
+    )
+    assert result.paths == wc_sequential.paths
+    assert suite_multiset(result) == suite_multiset(wc_sequential)
+
+    monkeypatch.setattr(ReproStore, "record_run", failing("no such table: runs"))
+    with pytest.raises(sqlite3.OperationalError, match="no such table"):
+        COMMITTERS[runner](store_path=path)
 
 
 # -- scheduler: non-draining pending() -------------------------------------------
@@ -240,7 +270,7 @@ def test_scheduler_pending_is_nondestructive():
     from repro.sched import PartitionScheduler
 
     sched = PartitionScheduler(policy="fifo")
-    parts = [Partition.from_blob(pid, b"x", "split", {}) for pid in (2, 0, 1)]
+    parts = [Partition(pid, b"x", "split", 1, "main", "entry", 1) for pid in (2, 0, 1)]
     for part in parts:
         sched.push(part)
     pend = sched.pending()

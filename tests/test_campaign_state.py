@@ -74,7 +74,9 @@ from repro.parallel.wire import (
 from repro.sched import PartitionScheduler
 from repro.solver.portfolio import SolverStats
 
-META = {"prefix_len": 1, "func": "main", "block": "entry", "depth": 1}
+def row(pid: int, snapshot: bytes, origin: str) -> tuple:
+    """One Partition row (its fields in order) rooted at main/entry."""
+    return (pid, snapshot, origin, 1, "main", "entry", 1)
 
 
 def blob(ids) -> bytes:
@@ -202,8 +204,8 @@ class Campaign(RuleBasedStateMachine):
                                    **self.knobs)
         self.oracle = Oracle(max_requeues)
         for ids in chunks(self.all_ids, pieces):
-            self.state.push(Partition.from_blob(
-                self.state.alloc_pid(), blob(ids), "split", META))
+            self.state.push(Partition(
+                *row(self.state.alloc_pid(), blob(ids), "split")))
             self.oracle.pool[frozenset(ids)] = 0
         self.epoch = 0
         self.begin(workers)
@@ -326,8 +328,8 @@ class Campaign(RuleBasedStateMachine):
 
         actions = self.deliver((
             MSG_STOLEN, wid,
-            [(blob(ids), META) for ids in stolen],
-            [(blob(ids), META) for ids in retained],
+            [row(request, blob(ids), f"steal:{wid}") for ids in stolen],
+            [row(request, blob(ids), f"requeue:{wid}") for ids in retained],
             (done, coverage(done), len(done), *proc.stats()),
         ), accepted)
         if actions is not None:
@@ -443,7 +445,7 @@ class Campaign(RuleBasedStateMachine):
         """A record stands alone: accepted ids plus pending bags conserve
         the id space, and its ledger sums to its accepted paths."""
         view = Counter(rec.tests)
-        for _pid, snapshot, _origin, _meta in rec.pending:
+        for _pid, snapshot, *_meta in rec.pending:
             view.update(bag(snapshot))
         self.check_conserved(view)
         assert rec.streamed_paths == len(rec.tests)
@@ -465,7 +467,7 @@ class Campaign(RuleBasedStateMachine):
             else:
                 retained, interim = lease.residual
                 view.update(interim[0])
-                for snapshot, _meta in retained:
+                for _pid, snapshot, *_meta in retained:
                     view.update(bag(snapshot))
         self.check_conserved(view)
         assert Counter(rec.tests) == oracle.accepted
@@ -599,7 +601,7 @@ def _fenced_done_accepted(monkeypatch):
 
     def mutant(self, msg):
         if msg[0] == MSG_DONE and msg[1] in self.fenced:
-            part = Partition.from_blob(msg[2], b"[]", "zombie", META)
+            part = Partition(*row(msg[2], b"[]", "zombie"))
             self.accept(part, *msg[3:6])
             return None
         return on_message(self, msg)

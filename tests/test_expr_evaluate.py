@@ -72,6 +72,28 @@ def test_shift_semantics(a, s):
     assert evaluate(ops.ashr(X, Y), {"evx": a, "evy": s}) == expected_ashr
 
 
+@given(st.sampled_from([1, 8, 32]), st.data(),
+       st.sampled_from([ops.sdiv, ops.srem, ops.ashr]))
+@settings(max_examples=300, deadline=None)
+def test_signed_folds_match_the_unfolded_node(width, data, op):
+    """sdiv / srem / ashr have one definition (``repro.expr.sorts``): the
+    constant fold and the evaluation of the unfolded node agree at every
+    width, on divisor 0, on the most negative value and on shift
+    amounts >= width."""
+    top = (1 << width) - 1
+    operand = st.one_of(
+        st.sampled_from(sorted({0, 1, top, 1 << (width - 1), min(width, top)})),
+        st.integers(0, top),
+    )
+    a, b = data.draw(operand), data.draw(operand)
+    x, y = ops.bv_var(f"sg{width}x", width), ops.bv_var(f"sg{width}y", width)
+    node = op(x, y)
+    assert not node.is_const()
+    folded = op(ops.bv(a, width), ops.bv(b, width))
+    assert folded.is_const()
+    assert evaluate(node, {x.name: a, y.name: b}) == folded.value
+
+
 def test_bool_ops_evaluate():
     c = ops.and_(ops.ult(X, ops.bv(5, 8)), ops.ult(ops.bv(1, 8), X))
     assert evaluate(c, {"evx": 3}) == 1

@@ -93,6 +93,34 @@ def test_two_worker_plain_run_never_runs_the_qce_analysis(monkeypatch):
     assert analysed == []
 
 
+def test_two_worker_run_row_is_what_the_adaptive_split_reads(tmp_path):
+    """The run row a partitioned run commits (through the split engine's
+    ``commit_to_store``) carries the *merged* ledger and the mode suffix
+    ``ReproStore.last_parallel_imbalance`` filters on — that query is the
+    only reader of the mode string."""
+    import json
+
+    from repro.store import open_store
+
+    path = str(tmp_path / "row.sqlite")
+    par = run_parallel(
+        "wc", store_path=path, parallel=ParallelConfig(workers=2, backend="inline"))
+    assert par.store_warning is None
+    store = open_store(path, readonly=True)
+    try:
+        (row,) = store.run_rows("wc")
+        recorded = store.last_parallel_imbalance("wc")
+    finally:
+        store.close()
+    (_id, program, _spec, mode, _started, _wall, queries, _runs, _hits, cost,
+     paths, tests, stats_json) = row
+    assert (program, mode) == ("wc", "none/never/dfs/workers=2")
+    assert (paths, tests) == (par.paths, par.stats.tests_generated)
+    assert (queries, cost) == (par.solver_stats.queries, par.solver_stats.cost_units)
+    assert paths > par.ledger[0][1].paths_completed  # merged, not the split engine's
+    assert json.loads(stats_json)["sched_imbalance"] == par.imbalance == recorded
+
+
 def test_testgen_deterministic_across_exploration_orders():
     """The satellite regression: tests are a function of the path prefix,
     not of global exploration order — so DFS and BFS (which reach the

@@ -10,6 +10,8 @@ real use) is exercised by the process-backend tests in
 ``test_parallel_run.py``.
 """
 
+import dataclasses
+import functools
 import pickle
 
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.engine.state import SymState
 from repro.env.argv import ArgvSpec
 from repro.expr import ops
 from repro.expr.serialize import decode_exprs, encode_exprs
+from repro.parallel.partition import Partition
 from repro.programs.registry import get_program
 from repro.expr.independence import split_independent
 
@@ -144,6 +147,38 @@ def test_resume_from_snapshot_explores_identically():
         return eng.tests.multiset()
 
     assert finish(blobs) == finish(blobs)
+
+
+# -- the partition row -------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _frontier(program: str, steps: int) -> tuple:
+    return tuple(frontier_states(program, steps)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["echo", "wc", "uniq", "tsort"]),
+    st.sampled_from([8, 30, 60]),
+    st.integers(0, 2**31),
+    st.sampled_from(["split", "steal:0", "requeue:3"]),
+    st.data(),
+)
+def test_partition_row_roundtrip(program, steps, pid, origin, data):
+    """A Partition's fields in order are its wire and record row:
+    ``astuple`` writes it, ``Partition(*row)`` reads it, the snapshot
+    stays bytes at index 1 and restores to the state it was taken from."""
+    state = data.draw(st.sampled_from(_frontier(program, steps)))
+    part = Partition.from_state(pid, state, origin)
+    # What crosses the socket and what a checkpoint pickles.
+    row = pickle.loads(pickle.dumps(dataclasses.astuple(part)))
+    assert isinstance(row[1], bytes) and row[:3] == (pid, part.snapshot, origin)
+    assert row[3:] == (
+        len(state.pc), state.top.func, state.top.block, len(state.frames))
+    back = Partition(*row)
+    assert back == part
+    assert_states_equal(state, SymState.from_snapshot(back.snapshot, state.sid))
 
 
 # -- expression codec properties ------------------------------------------------

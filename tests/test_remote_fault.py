@@ -228,10 +228,7 @@ def _zero_stats():
 
 
 def _blob_partition(coord, tag):
-    return Partition.from_blob(
-        coord.state.alloc_pid(), tag, "split",
-        {"prefix_len": 1, "func": "main", "block": "entry", "depth": 1},
-    )
+    return Partition(coord.state.alloc_pid(), tag, "split", 1, "main", "entry", 1)
 
 
 class ScriptedTransport:

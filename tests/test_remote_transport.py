@@ -11,14 +11,16 @@ stats ledger intact.
 """
 
 import socket
+import struct
 import threading
 from collections import Counter
 
 import pytest
 
 from repro.engine.executor import EngineConfig
-from repro.parallel import ParallelConfig, run_parallel
+from repro.parallel import Coordinator, ParallelConfig, run_parallel
 from repro.parallel.wire import (
+    MSG_DONE,
     MSG_HELLO,
     MSG_REJECT,
     MSG_WELCOME,
@@ -35,7 +37,11 @@ from repro.remote import (
     recv_frame,
     send_frame,
 )
+from repro.programs.registry import get_program
+from repro.remote import transport as transport_mod
 from repro.remote.transport import _HEADER, MAX_FRAME, handshake_error
+
+JUNK_FRAME = struct.pack(">I", 5) + b"junk!"  # a header, then bytes no pickle is
 
 
 def case_key(case):
@@ -304,3 +310,67 @@ def test_socket_two_workers_matches_sequential():
     # Both socket workers actually did path work.
     worker_paths = [entry[1].paths_completed for entry in par.ledger[1:]]
     assert sum(worker_paths) > 0
+
+
+# -- garbled frames ----------------------------------------------------------------
+
+
+def test_garbled_first_frames_do_not_abort_the_campaign(monkeypatch):
+    """Regression: one port scan killed a listening campaign before it
+    started — a first frame that does not unpickle raised out of
+    ``transport.start()``, an oversized header likewise.  Each such
+    connection is dropped and the accept loop goes on to the workers."""
+    scans = [JUNK_FRAME, _HEADER.pack(MAX_FRAME + 1), b"\x00\x00"]
+    held = []
+    spawn = SocketTransport._spawn
+
+    def scan_then_spawn(self, target, args):
+        # The listener is up and no worker has dialed yet: these land in
+        # the backlog ahead of the fleet.  The half-sent header keeps its
+        # connection open and stalls until the handshake timeout.
+        while scans:
+            conn = socket.create_connection(self.address, timeout=5.0)
+            conn.sendall(scans.pop())
+            held.append(conn)
+        spawn(self, target, args)
+
+    monkeypatch.setattr(SocketTransport, "_spawn", scan_then_spawn)
+    monkeypatch.setattr(transport_mod, "HANDSHAKE_TIMEOUT", 1.0)
+    try:
+        par = run_parallel("wc", parallel=ParallelConfig(workers=2, backend="socket"))
+    finally:
+        for conn in held:
+            conn.close()
+    assert len(held) == 3
+    par.check_ledger()
+    assert par.workers_lost == 0 and len(par.ledger) == 3
+    assert suite_multiset(par) == suite_multiset(run_parallel("wc", workers=1))
+
+
+@pytest.mark.parametrize("backend", ["process", "socket"])
+def test_garbled_frame_mid_campaign_fences_its_sender(backend, monkeypatch):
+    """A worker whose stream stops decoding is dead on the spot — fenced
+    and its lease requeued at the next sweep, not after the heartbeat
+    deadline — and nothing it sent after the junk is ever read."""
+    put = WorkerSession.put
+
+    def garbling_put(self, msg):
+        # Inherited by the forked workers: worker 0 corrupts its stream
+        # right before its first completion.
+        if self.wid == 0 and msg[0] == MSG_DONE:
+            self._sock.sendall(JUNK_FRAME)
+        put(self, msg)
+
+    monkeypatch.setattr(WorkerSession, "put", garbling_put)
+    coord = Coordinator(
+        "wc", get_program("wc").spec(), EngineConfig(),
+        ParallelConfig(workers=2, backend=backend, heartbeat_timeout=60.0),
+    )
+    result = coord.run()
+    assert coord.state.fenced == {0: "garbled frame"}
+    assert result.wall_time < 60.0
+    assert result.workers_lost == 1 and result.requeue_count >= 1
+    result.check_ledger()
+    baseline = run_parallel("wc", workers=1)
+    assert result.paths == baseline.paths
+    assert suite_multiset(result) == suite_multiset(baseline)

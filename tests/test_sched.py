@@ -15,6 +15,7 @@ Covers the four layers the subsystem owns:
   rides with.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -35,7 +36,6 @@ from repro.sched import (
     Prioritizer,
     TopologicalSignal,
     adaptive_partition_factor,
-    partition_score,
 )
 from repro.search.dsm import DsmStrategy
 from repro.search.strategies import (
@@ -449,15 +449,6 @@ def test_empty_corpus_degrades_to_fifo():
     assert [p.pid for p in fifo.order(shuffled)] == [0, 1, 2, 3, 4]
 
 
-def test_metadata_less_partition_scores_neutral():
-    bare = Partition.from_blob(9, b"", "steal:0")
-    corpus = frozenset({("main", "entry0")})
-    score = partition_score(bare, corpus)
-    assert score[0] == 1  # neutral novelty: never jumps the queue
-    novel = fake_partition(7, block="then1", prefix_len=3)
-    assert partition_score(novel, corpus) < score
-
-
 def test_pick_victim_prefers_best_scored_running_partition():
     corpus = frozenset({("main", "entry0")})
     sched = PartitionScheduler(corpus, policy="corpus")
@@ -539,8 +530,9 @@ def test_bad_dispatch_policy_rejected():
 
 def test_stolen_partition_metadata_round_trip():
     state = mk_states(["entry0"])[0]
-    meta = Partition.meta_of(state)
-    part = Partition.from_blob(4, b"xx", "steal:1", meta)
+    row = dataclasses.astuple(Partition.from_state(4, state, "steal:1"))
+    part = Partition(*row)
+    assert (part.pid, part.origin) == (4, "steal:1")
     assert (part.func, part.block) == ("main", "entry0")
     assert part.prefix_len == len(state.pc)
     assert part.depth == 1
