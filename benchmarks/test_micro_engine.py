@@ -4,7 +4,7 @@ from repro.engine import Engine, EngineConfig
 from repro.env import ArgvSpec
 from repro.lang import compile_program
 from repro.programs.registry import get_program
-from repro.qce import QceAnalysis, QceParams
+from repro.qce import QceAnalysis, QceParams, qce
 
 
 def test_engine_step_throughput(benchmark):
@@ -21,14 +21,42 @@ def test_engine_step_throughput(benchmark):
     assert benchmark(run) > 0
 
 
-def test_qce_analysis_cost(benchmark):
+def test_qce_analysis_cost(monkeypatch):
+    """Count gate (no wall time) for QCE on bench/'s ``merge_search``
+    program: each function's unrolled graph is built once, its successor
+    keys are derived once per node (the recursion derived them 198 654
+    times for these 3 872 edges), and a block's taint transfer runs once
+    per distinct (block, taint-in) pair across all (start, var) fixpoints."""
     module = get_program("tsort").compile()
+    graphs, succ_keys, transfers = [], [], []
+    analyzer = qce._FunctionAnalyzer
+    unrolled_graph, succ_key, site_taint = (
+        qce._UnrolledGraph, analyzer._succ_key, analyzer._block_site_taint
+    )
 
-    def run():
-        return QceAnalysis(module, QceParams())
+    def counted_graph(*args):
+        graphs.append(unrolled_graph(*args))
+        return graphs[-1]
 
-    analysis = benchmark(run)
+    def counted_succ_key(self, *args):
+        succ_keys.append(1)
+        return succ_key(self, *args)
+
+    def counted_site_taint(self, label, tainted_in):
+        transfers.append((self.fn.name, label, tainted_in))
+        return site_taint(self, label, tainted_in)
+
+    monkeypatch.setattr(qce, "_UnrolledGraph", counted_graph)
+    monkeypatch.setattr(analyzer, "_succ_key", counted_succ_key)
+    monkeypatch.setattr(analyzer, "_block_site_taint", counted_site_taint)
+    analysis = QceAnalysis(module, QceParams())
+
     assert analysis.functions["main"].qt
+    assert len(graphs) == len(module.functions)  # one build per function
+    edges = sum(len(deps) for graph in graphs for deps in graph.deps)
+    assert edges == 3872
+    assert len(succ_keys) <= 2 * edges
+    assert len(transfers) == len(set(transfers))
 
 
 def test_merging_run_end_to_end(benchmark):

@@ -1,8 +1,9 @@
 """The one bounded memo, and the one way to drop the process-wide ones.
 
 Every memo in this package caches a pure function of interned
-expressions (or of an immutable tuple of them), so losing an entry only
-loses acceleration: it is recomputed, never answered differently.  That
+expressions (or of an immutable tuple of them, or of a compiled module),
+so losing an entry only loses acceleration: it is recomputed, never
+answered differently.  That
 makes first-in first-out eviction at a fixed bound sufficient, and makes
 clearing always safe.
 

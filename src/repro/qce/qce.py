@@ -10,10 +10,15 @@ pass precomputes:
 
 The recursion of Eq. 3/6 descends the CFG, multiplying every followed
 branch by ``beta`` and bounding loops by their static trip count (or
-``kappa``).  Loops are handled by *virtual unrolling*: the recursion
-carries a per-active-loop remaining-iteration budget, so the memoized
-computation is exact w.r.t. the unrolled CFG the paper describes, without
-materializing it.
+``kappa``).  Loops are handled by *unrolling*: each function's CFG is
+built once as a graph of ``(block, remaining budget per active loop)``
+nodes in dependency-first order — the unrolled CFG the paper describes —
+and Qt and every Qadd are one linear pass over it, each node computing
+``contrib + sum(weight * successor)`` in successor order.  That is the
+recursion's own arithmetic in the recursion's own order, so the tables
+equal (``==``, not approximately) those of a memoized recursion that
+re-derives the budgets on every visit; ``tests/test_qce.py`` holds the two
+to each other.
 
 Query sites are conditional branches plus — per the paper's footnote 1 —
 assertions and memory accesses with (potentially) variable offsets.
@@ -28,9 +33,9 @@ the call stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..analysis.callgraph import bottom_up_order
-from ..analysis.depend import DependenceInfo
 from ..analysis.liveness import live_in_sets
 from ..analysis.tripcount import trip_counts
 from ..lang.cfg import (
@@ -39,13 +44,13 @@ from ..lang.cfg import (
     IAssign,
     ICall,
     ILoad,
-    IPutc,
     IStore,
     MemRef,
     Module,
     TBr,
     TJmp,
 )
+from ..memo import BoundedMemo
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,9 @@ class FunctionQce:
         return self.qt.get(entry, 0.0)
 
 
+_NO_TAINT: frozenset[str] = frozenset()
+
+
 def _ref_vars(ref: MemRef) -> frozenset[str]:
     return ref.row.variables if ref.row is not None else frozenset()
 
@@ -123,8 +131,22 @@ def _summarize_block(fn: Function, label: str, module: Module) -> _BlockSummary:
     return summary
 
 
+@dataclass
+class _UnrolledGraph:
+    """The loop-budget-decorated CFG of one function, dependencies first.
+
+    Node ``i`` is a ``(label, ctx)`` key: ``labels[i]`` is its block and
+    ``deps[i]`` its ``(weight, node index)`` successors in the order the
+    terminator names them; ``start[label]`` indexes the block's start key.
+    """
+
+    labels: list[str]
+    deps: list[tuple[tuple[float, int], ...]]
+    start: dict[str, int]
+
+
 class _FunctionAnalyzer:
-    """Computes the virtually-unrolled q recursion for one function."""
+    """Qt and Qadd of one function, as linear passes over its unrolled graph."""
 
     def __init__(
         self,
@@ -143,7 +165,6 @@ class _FunctionAnalyzer:
             header: min(count, max(params.kappa, 8))
             for header, count in trip_counts(fn, params.kappa).items()
         }
-        self.depend = DependenceInfo(fn, module)
         self.live_in = live_in_sets(fn)
         self.summaries = {label: _summarize_block(fn, label, module) for label in fn.blocks}
         # block -> headers of loops containing it
@@ -151,81 +172,94 @@ class _FunctionAnalyzer:
         for loop in fn.natural_loops():
             for label in loop.body:
                 self.enclosing[label] = self.enclosing[label] | {loop.header}
+        self.successors = {label: block.successors() for label, block in fn.blocks.items()}
+        self._transfers: dict[tuple[str, frozenset[str]], tuple[frozenset[str], float]] = {}
 
-    # -- generic recursion ------------------------------------------------------
+    # -- the unrolled graph -----------------------------------------------------
 
-    def q_values(self, block_contrib, starts=None) -> dict[str, float]:
-        """Value of q at the start of the given blocks (default: all).
+    @cached_property
+    def graph(self) -> _UnrolledGraph:
+        """Every ``(label, ctx)`` key reachable from a block's start key,
+        dependencies first.
 
-        ``block_contrib(label) -> float`` is the folded contribution of all
-        query sites in the block (sites within one block are summed with no
-        ``beta`` in between, so folding them is exact).
+        One iterative DFS per block, in block order, over a shared visited
+        map.  The budget-decorated graph is acyclic (budgets strictly
+        decrease along back edges); for an irreducible CFG the dependency
+        on a node still on the DFS path (gray) is cut, i.e. counts 0.
         """
         beta = self.params.beta
-        memo: dict[tuple, float] = {}
-
-        def deps_of(key: tuple) -> list[tuple[float, tuple] | None]:
-            """(weight, successor-key) pairs after loop-budget accounting."""
-            label, ctx = key
-            term = self.fn.blocks[label].term
-            out: list[tuple[float, tuple]] = []
-            if isinstance(term, TBr):
-                for succ in (term.then_label, term.else_label):
-                    succ_key = self._succ_key(label, succ, ctx)
-                    if succ_key is not None:
-                        out.append((beta, succ_key))
-            elif isinstance(term, TJmp):
-                succ_key = self._succ_key(label, term.label, ctx)
-                if succ_key is not None:
-                    out.append((1.0, succ_key))
-            # TRet/THalt terminate the local count.
-            return out
-
-        def evaluate(start_key: tuple) -> float:
-            # Iterative DFS; the budget-decorated graph is acyclic (budgets
-            # strictly decrease along back edges), but gray deps are cut to
-            # 0 defensively for irreducible CFGs.
+        index: dict[tuple, int] = {}
+        succs: dict[tuple, list[tuple[float, tuple]]] = {}
+        graph = _UnrolledGraph([], [], {})
+        for label in self.fn.blocks:
+            start = (label, tuple(
+                sorted((h, max(0, self.trips.get(h, self.params.kappa) - 1))
+                       for h in self.enclosing[label])
+            ))
             gray: set[tuple] = set()
-            stack: list[tuple[tuple, bool]] = [(start_key, False)]
+            stack: list[tuple[tuple, bool]] = [(start, False)]
             while stack:
                 key, expanded = stack.pop()
-                if key in memo:
+                if key in index:
                     continue
                 if expanded:
-                    total = block_contrib(key[0])
-                    for weight, dep in deps_of(key):
-                        total += weight * memo.get(dep, 0.0)
-                    memo[key] = total
+                    index[key] = len(graph.labels)
+                    graph.labels.append(key[0])
+                    graph.deps.append(tuple(
+                        (weight, index[dep]) for weight, dep in succs.pop(key) if dep in index
+                    ))
                     gray.discard(key)
                     continue
                 gray.add(key)
                 stack.append((key, True))
-                for _, dep in deps_of(key):
-                    if dep not in memo and dep not in gray:
-                        stack.append((dep, False))
-            return memo[start_key]
+                succs[key] = out = []
+                term = self.fn.blocks[key[0]].term
+                if isinstance(term, TBr):
+                    edges = ((beta, term.then_label), (beta, term.else_label))
+                elif isinstance(term, TJmp):
+                    edges = ((1.0, term.label),)
+                else:
+                    edges = ()  # TRet/THalt terminate the local count.
+                for weight, succ in edges:
+                    dep = self._succ_key(key[0], succ, key[1])
+                    if dep is not None:
+                        out.append((weight, dep))
+                        if dep not in index and dep not in gray:
+                            stack.append((dep, False))
+            graph.start[label] = index[start]
+        return graph
 
-        result: dict[str, float] = {}
-        for label in starts if starts is not None else self.fn.blocks:
-            ctx = tuple(
-                sorted((h, max(0, self.trips.get(h, self.params.kappa) - 1))
-                       for h in self.enclosing[label])
-            )
-            result[label] = evaluate((label, ctx))
-        return result
+    def q_values(self, block_contrib: dict[str, float], starts=None) -> dict[str, float]:
+        """Value of q at the start of the given blocks (default: all).
+
+        ``block_contrib[label]`` is the folded contribution of all query
+        sites in the block (sites within one block are summed with no
+        ``beta`` in between, so folding them is exact).  Each node is
+        ``contrib + sum(weight * dep)`` over its deps in successor order.
+        """
+        values: list[float] = []
+        append = values.append
+        for label, deps in zip(self.graph.labels, self.graph.deps):
+            total = block_contrib[label]
+            for weight, dep in deps:
+                total += weight * values[dep]
+            append(total)
+        start = self.graph.start
+        return {
+            label: values[start[label]]
+            for label in (starts if starts is not None else self.fn.blocks)
+        }
 
     def _succ_key(self, src: str, dst: str, ctx: tuple) -> tuple | None:
         """Successor (label, ctx) after loop-budget accounting; None = cut."""
-        ctx_map = dict(ctx)
+        # Leaving loops: drop budgets for loops not containing dst (a
+        # header is in its own loop, so dst's budget survives this).
         dst_loops = self.enclosing[dst]
-        # Leaving loops: drop budgets for loops not containing dst.
-        for header in list(ctx_map):
-            if header not in dst_loops:
-                del ctx_map[header]
+        ctx_map = {header: budget for header, budget in ctx if header in dst_loops}
         if dst in self.trips:  # dst is a loop header
-            if dst in dict(ctx) and dst in self.enclosing[src]:
+            if dst in ctx_map and dst in self.enclosing[src]:
                 # Back edge (or continue): consume one iteration.
-                remaining = dict(ctx)[dst]
+                remaining = ctx_map[dst]
                 if remaining <= 0:
                     return None  # unroll budget exhausted: branch not followed
                 ctx_map[dst] = remaining - 1
@@ -237,62 +271,52 @@ class _FunctionAnalyzer:
     # -- instantiations of c ----------------------------------------------------------
 
     def compute_qt(self) -> dict[str, float]:
-        def block_contrib(label: str) -> float:
-            summary = self.summaries[label]
+        contrib: dict[str, float] = {}
+        for label, summary in self.summaries.items():
             total = float(len(summary.site_vars))
             for site in summary.calls:
                 callee = self.callee_results.get(site.callee)
                 if callee is not None:  # None = recursion cut (bounded)
                     total += callee.entry_qt(self.module.function(site.callee).entry)
-            return total
+            contrib[label] = total
+        return self.q_values(contrib)
 
-        return self.q_values(block_contrib)
+    def _qadd_contrib(self, start: str, var: str) -> dict[str, float]:
+        """Per-block folded Qadd contribution for taint seeded at (start, var).
 
-    def _taint_flags(
-        self, start: str, var: str
-    ) -> tuple[dict[str, list[bool]], dict[str, list[dict[str, bool]]]]:
-        """Flow-sensitive forward taint from ``(start, var)`` with kills.
-
+        Flow-sensitive forward taint from ``(start, var)`` with kills.
         This realizes the paper's dependence relation ``(l, v) C (l', e)``:
         ``v``'s *value at l* flows into the expression at ``l'``.  A plain
         reassignment (``i = 0``) kills the taint — crucial for the echo
         example, where the inner counter ``i`` is dead across outer-loop
         iterations and therefore cheap to merge.
-
-        Returns per-block flags aligned with ``_summarize_block``'s site
-        list (branch site last) and per-call parameter taint.
         """
-        fn = self.fn
-        taint_in: dict[str, set[str]] = {label: set() for label in fn.blocks}
-        taint_in[start] = {var}
+        taint_in = dict.fromkeys(self.fn.blocks, _NO_TAINT)
+        taint_in[start] = frozenset((var,))
         worklist = [start]
-        preds_seeded = {start}
         while worklist:
             label = worklist.pop()
-            out = self._block_taint_out(label, taint_in[label])
-            for succ in fn.blocks[label].successors():
+            out = self._block_taint(label, taint_in[label])[0]
+            for succ in self.successors[label]:
                 current = taint_in[succ]
-                merged = current | out
-                if succ == start:
-                    merged = merged | {var}
-                if merged != current or succ not in preds_seeded:
-                    preds_seeded.add(succ)
-                    if merged != current:
-                        taint_in[succ] = set(merged)
-                        worklist.append(succ)
-        site_flags: dict[str, list[bool]] = {}
-        call_flags: dict[str, list[dict[str, bool]]] = {}
-        for label in fn.blocks:
-            flags, cflags = self._block_site_taint(label, taint_in[label])
-            site_flags[label] = flags
-            call_flags[label] = cflags
-        return site_flags, call_flags
+                if not out <= current:
+                    taint_in[succ] = current | out
+                    worklist.append(succ)
+        # An untainted block contributes nothing.
+        return {
+            label: self._block_taint(label, tin)[1] if tin else 0.0
+            for label, tin in taint_in.items()
+        }
 
-    def _block_taint_out(self, label: str, tainted_in: set[str]) -> set[str]:
-        tainted = set(tainted_in)
-        for instr in self.fn.blocks[label].instrs:
-            self._step_taint(instr, tainted)
-        return tainted
+    def _block_taint(self, label: str, tainted_in: frozenset[str]) -> tuple[frozenset[str], float]:
+        """``_block_site_taint``, memoised per analyzer: the (start, var)
+        fixpoints of one function revisit the same few (block, taint-in)
+        pairs."""
+        key = (label, tainted_in)
+        hit = self._transfers.get(key)
+        if hit is None:
+            hit = self._transfers[key] = self._block_site_taint(label, tainted_in)
+        return hit
 
     @staticmethod
     def _step_taint(instr, tainted: set[str]) -> None:
@@ -331,57 +355,47 @@ class _FunctionAnalyzer:
                 tainted.update(array_args)
 
     def _block_site_taint(
-        self, label: str, tainted_in: set[str]
-    ) -> tuple[list[bool], list[dict[str, bool]]]:
-        """Per-site taint flags, ordered exactly like ``_summarize_block``."""
-        fn = self.fn
+        self, label: str, tainted_in: frozenset[str]
+    ) -> tuple[frozenset[str], float]:
+        """Taint out of one block, and its folded Qadd contribution.
+
+        The contribution counts the tainted query sites of
+        ``_summarize_block`` (branch site last), then adds, call by call
+        and parameter by parameter, the callee's entry ``Qadd`` of every
+        tainted parameter.
+        """
         tainted = set(tainted_in)
-        flags: list[bool] = []
-        call_flags: list[dict[str, bool]] = []
-        block = fn.blocks[label]
+        sites = 0
+        call_terms: list[float] = []
+        block = self.fn.blocks[label]
         for instr in block.instrs:
             if isinstance(instr, IAssert):
-                flags.append(bool(instr.cond.variables & tainted))
+                sites += bool(instr.cond.variables & tainted)
             elif isinstance(instr, ILoad):
                 index_vars = instr.index.variables | _ref_vars(instr.ref)
                 if index_vars:
-                    flags.append(bool((index_vars | {instr.ref.array}) & tainted))
+                    sites += bool((index_vars | {instr.ref.array}) & tainted)
             elif isinstance(instr, IStore):
                 index_vars = instr.index.variables | _ref_vars(instr.ref)
                 if index_vars:
-                    flags.append(bool(index_vars & tainted or instr.ref.array in tainted))
+                    sites += bool(index_vars & tainted or instr.ref.array in tainted)
             elif isinstance(instr, ICall) and instr.func in self.module.functions:
                 callee = self.module.function(instr.func)
-                per_param: dict[str, bool] = {}
+                result = self.callee_results.get(instr.func)
                 for (pname, _), arg in zip(callee.params, instr.args):
                     if isinstance(arg, MemRef):
                         arg_vars = frozenset((arg.array,)) | _ref_vars(arg)
                     else:
                         arg_vars = arg.variables
-                    per_param[pname] = bool(arg_vars & tainted)
-                call_flags.append(per_param)
+                    if result is not None and arg_vars & tainted:
+                        call_terms.append(result.qadd.get(callee.entry, {}).get(pname, 0.0))
             self._step_taint(instr, tainted)
         if isinstance(block.term, TBr):
-            flags.append(bool(block.term.cond.variables & tainted))
-        return flags, call_flags
-
-    def _qadd_contrib(self, start: str, var: str) -> dict[str, float]:
-        """Per-block folded Qadd contribution for taint seeded at (start, var)."""
-        site_flags, call_flags = self._taint_flags(start, var)
-        contrib: dict[str, float] = {}
-        for label in self.fn.blocks:
-            total = float(sum(site_flags[label]))
-            for idx, site in enumerate(self.summaries[label].calls):
-                callee = self.callee_results.get(site.callee)
-                if callee is None:
-                    continue
-                entry = self.module.function(site.callee).entry
-                per_param = call_flags[label][idx] if idx < len(call_flags[label]) else {}
-                for pname, hit in per_param.items():
-                    if hit:
-                        total += callee.qadd.get(entry, {}).get(pname, 0.0)
-            contrib[label] = total
-        return contrib
+            sites += bool(block.term.cond.variables & tainted)
+        total = float(sites)
+        for term in call_terms:
+            total += term
+        return frozenset(tainted), total
 
     def _is_trackable_at(self, start: str, var: str) -> bool:
         """Scalars dead at ``start`` cannot add queries; arrays always can."""
@@ -405,14 +419,15 @@ class _FunctionAnalyzer:
                 if not self._is_trackable_at(start, var):
                     continue
                 contrib = self._qadd_contrib(start, var)
-                if not any(contrib.values()):
+                # Every map has the keys of fn.blocks in block order.
+                fingerprint = tuple(contrib.values())
+                if not any(fingerprint):
                     continue
-                fingerprint = tuple(sorted(contrib.items()))
                 groups.setdefault(fingerprint, []).append(start)
                 contribs[fingerprint] = contrib
             for fingerprint, starts in groups.items():
                 contrib = contribs[fingerprint]
-                values = self.q_values(contrib.__getitem__, starts=starts)
+                values = self.q_values(contrib, starts=starts)
                 for start in starts:
                     if values[start] > 0.0:
                         result[start][var] = values[start]
@@ -480,15 +495,17 @@ class QceAnalysis:
         )
 
 
-_ANALYSIS_CACHE: dict[tuple[int, QceParams], QceAnalysis] = {}
+# (id(module), params) -> (module, analysis).  An entry holds its module,
+# so the id cannot be reused while it is keyed.
+_ANALYSIS_CACHE = BoundedMemo(64, process_wide=True)
 
 
 def analyze_module(module: Module, params: QceParams | None = None) -> QceAnalysis:
     """Memoized QCE for a module (the pass is pure in module + params)."""
     params = params or QceParams()
     key = (id(module), params)
-    cached = _ANALYSIS_CACHE.get(key)
-    if cached is None:
-        cached = QceAnalysis(module, params)
-        _ANALYSIS_CACHE[key] = cached
-    return cached
+    entry = _ANALYSIS_CACHE.get(key)
+    if entry is None:
+        entry = (module, QceAnalysis(module, params))
+        _ANALYSIS_CACHE.put(key, entry)
+    return entry[1]

@@ -141,12 +141,7 @@ class PartitionScheduler:
             # Nothing to rank — and ranking would resolve the lazy Qt
             # table, i.e. run the whole QCE analysis on the coordinator.
             return next(iter(running))
-        return min(
-            running,
-            key=lambda wid: (self.victim_score(running[wid]), wid)
-            if running[wid] is not None
-            else ((), wid),
-        )
+        return min(running, key=lambda wid: (self.victim_score(running[wid]), wid))
 
     def pending(self) -> list:
         """Undispatched partitions in dispatch order, without draining.

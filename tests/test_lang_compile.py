@@ -11,7 +11,6 @@ bailout boundaries, deterministic test generation, and a 2-worker run.
 from collections import Counter
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine.executor import EngineConfig
 from repro.env.argv import ArgvSpec
@@ -21,6 +20,8 @@ from repro.lang.cfg import ICall
 from repro.lang.compile import compile_block
 from repro.lang.lower import straightline_prefix
 from repro.parallel import ParallelConfig, run_parallel
+
+from minic_gen import minic_programs
 
 # Force compilation on the first visit: the production default (threshold 8)
 # is a heat heuristic, not a semantics knob, and tests want the compiled
@@ -59,33 +60,8 @@ def concrete_output(result) -> list[tuple[int, ...]]:
 
 # -- hypothesis: compiled-vs-interpreted on straight-line arithmetic ----------
 
-_BINOPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<", "==")
-
-
-@st.composite
-def _straightline_program(draw):
-    n = draw(st.integers(min_value=2, max_value=7))
-    stmts = []
-    names = []
-    for i in range(n):
-        lit = st.integers(min_value=0, max_value=9999).map(str)
-        operand = st.sampled_from(names) | lit if names else lit
-        a, b, c = draw(operand), draw(operand), draw(operand)
-        op1, op2 = draw(st.sampled_from(_BINOPS)), draw(st.sampled_from(_BINOPS))
-        stmts.append(f"  int v{i} = ({a} {op1} {b}) {op2} ({c});")
-        names.append(f"v{i}")
-    prints = "\n".join(f"  print_int({v}); putchar(' ');" for v in names)
-    return (
-        "int main(int argc, char argv[][]) {\n"
-        + "\n".join(stmts)
-        + "\n"
-        + prints
-        + "\n  return 0;\n}\n"
-    )
-
-
 @settings(max_examples=30, deadline=None)
-@given(_straightline_program())
+@given(minic_programs())
 def test_compiled_matches_interpreted_on_straightline(source):
     lowered = run_module(source, lowered=True)
     interp = run_module(source, lowered=False)

@@ -1,9 +1,21 @@
-"""QCE unit tests: query counts, hot sets, loops, interprocedural flow."""
+"""QCE unit tests: query counts, hot sets, loops, interprocedural flow,
+and the exactness law of the build-once unrolled graph."""
 
 import math
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lang import compile_program
+from repro.lang.cfg import TBr, TJmp
+from repro.memo import clear_memos
+from repro.programs.registry import all_programs, get_program
 from repro.qce import QceAnalysis, QceParams, analyze_module
+from repro.qce import qce
+
+from minic_gen import minic_programs
 
 MAIN = "int main(int argc, char argv[][]) { %s }"
 
@@ -142,10 +154,13 @@ def test_recursion_bounded():
 
 
 def test_analyze_module_memoized():
-    module = compile_program(MAIN % "return 0;", include_stdlib=False)
-    params = QceParams()
-    assert analyze_module(module, params) is analyze_module(module, params)
-    assert analyze_module(module, QceParams(alpha=0.9)) is not analyze_module(module, params)
+    """One analysis per (module, params), dropped by ``clear_memos()``."""
+    module = compile_program(MAIN % "if (argc > 1) return 1; return 0;", include_stdlib=False)
+    first = analyze_module(module, QceParams())
+    assert analyze_module(module, QceParams()) is first
+    assert analyze_module(module, QceParams(alpha=0.9)) is not first
+    clear_memos()
+    assert analyze_module(module, QceParams()) is not first
 
 
 def test_qadd_never_exceeds_site_budget():
@@ -157,3 +172,112 @@ def test_qadd_never_exceeds_site_budget():
         qt = qce.qt_local("main", label)
         for var, qadd in qce.qadd_map("main", label).items():
             assert qadd <= qt + 1e-9, (label, var, qadd, qt)
+
+
+# -- exactness law: the build-once graph equals the recursion, bit for bit ----
+
+
+def _recursive_q_values(self, block_contrib, starts=None):
+    """Oracle: the memoized recursion over the virtually-unrolled CFG,
+    re-deriving every successor key on every visit (memo per call)."""
+    beta = self.params.beta
+    memo = {}
+
+    def succ_key(src, dst, ctx):
+        ctx_map = dict(ctx)
+        dst_loops = self.enclosing[dst]
+        for header in list(ctx_map):
+            if header not in dst_loops:
+                del ctx_map[header]
+        if dst in self.trips:
+            if dst in dict(ctx) and dst in self.enclosing[src]:
+                remaining = dict(ctx)[dst]
+                if remaining <= 0:
+                    return None
+                ctx_map[dst] = remaining - 1
+            else:
+                ctx_map[dst] = max(0, self.trips[dst] - 1)
+        return (dst, tuple(sorted(ctx_map.items())))
+
+    def deps_of(key):
+        label, ctx = key
+        term = self.fn.blocks[label].term
+        out = []
+        if isinstance(term, TBr):
+            for succ in (term.then_label, term.else_label):
+                dep = succ_key(label, succ, ctx)
+                if dep is not None:
+                    out.append((beta, dep))
+        elif isinstance(term, TJmp):
+            dep = succ_key(label, term.label, ctx)
+            if dep is not None:
+                out.append((1.0, dep))
+        return out
+
+    def evaluate(start_key):
+        gray = set()
+        stack = [(start_key, False)]
+        while stack:
+            key, expanded = stack.pop()
+            if key in memo:
+                continue
+            if expanded:
+                total = block_contrib[key[0]]
+                for weight, dep in deps_of(key):
+                    total += weight * memo.get(dep, 0.0)
+                memo[key] = total
+                gray.discard(key)
+                continue
+            gray.add(key)
+            stack.append((key, True))
+            for _, dep in deps_of(key):
+                if dep not in memo and dep not in gray:
+                    stack.append((dep, False))
+        return memo[start_key]
+
+    result = {}
+    for label in starts if starts is not None else self.fn.blocks:
+        ctx = tuple(sorted((h, max(0, self.trips.get(h, self.params.kappa) - 1))
+                           for h in self.enclosing[label]))
+        result[label] = evaluate((label, ctx))
+    return result
+
+
+class _OracleAnalyzer(qce._FunctionAnalyzer):
+    q_values = _recursive_q_values
+
+    def _block_taint(self, label, tainted_in):
+        return self._block_site_taint(label, tainted_in)  # no memo
+
+
+def _tables(analysis):
+    return {name: (f.qt, f.qadd, f.variables) for name, f in analysis.functions.items()}
+
+
+def _oracle_tables(module, params):
+    with mock.patch.object(qce, "_FunctionAnalyzer", _OracleAnalyzer):
+        return _tables(QceAnalysis(module, params))
+
+
+LAW_GRID = [QceParams(), QceParams(beta=0.5, kappa=3), QceParams(beta=0.9, kappa=20)]
+# The oracle is slow at kappa 20 (tr alone takes about 6 s), so that grid
+# point runs on the deepest unrolling that stays cheap (factor), bench/'s
+# QCE program (tsort) and wc's nested loops; the generated programs below
+# cover it on nested loops and argc bounds.
+_KAPPA20_CORPUS = ("factor", "tsort", "wc")
+
+
+@pytest.mark.parametrize("params", LAW_GRID, ids=lambda p: f"beta{p.beta}-kappa{p.kappa}")
+def test_tables_equal_the_recursion_on_the_corpus(params):
+    programs = (map(get_program, _KAPPA20_CORPUS) if params.kappa == 20
+                else all_programs())
+    for info in programs:
+        module = info.compile()
+        assert _tables(QceAnalysis(module, params)) == _oracle_tables(module, params), info.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(minic_programs(control=True), st.sampled_from(LAW_GRID))
+def test_tables_equal_the_recursion_on_generated_programs(source, params):
+    module = compile_program(source)
+    assert _tables(QceAnalysis(module, params)) == _oracle_tables(module, params)

@@ -457,9 +457,6 @@ def test_pick_victim_prefers_best_scored_running_partition():
         1: fake_partition(1, block="then1", prefix_len=8),    # novel root
     }
     assert sched.pick_victim(running) == 1
-    # Unknown running partition (metadata lost) never blocks the choice.
-    running[2] = None
-    assert sched.pick_victim(running) == 2 or sched.pick_victim(running) == 1
 
 
 def test_pick_victim_load_breaks_novelty_ties():
@@ -484,7 +481,6 @@ def test_pick_victim_single_candidate_never_resolves_qt():
 
     sched = PartitionScheduler(frozenset({("f", "g")}), qt_table=supplier, policy="corpus")
     assert sched.pick_victim({3: fake_partition(0, block="then1", prefix_len=3)}) == 3
-    assert sched.pick_victim({5: None}) == 5
     with pytest.raises(ValueError):
         sched.pick_victim({})
     # Two candidates are ranked exactly as before, load signal included.
@@ -502,17 +498,12 @@ def test_pick_victim_scores_two_or_more_candidates_by_victim_score():
         4: fake_partition(0, block="then1", prefix_len=3),
         2: fake_partition(1, block="entry0", prefix_len=9),
         7: fake_partition(2, block="else2", prefix_len=1),
-        1: None,
     }
-    for size in (2, 3, 4):
+    for size in (2, 3):
         subset = dict(list(running.items())[:size])
-        expected = min(
-            subset,
-            key=lambda wid: (sched.victim_score(subset[wid]), wid)
-            if subset[wid] is not None else ((), wid),
-        )
+        expected = min(subset, key=lambda wid: (sched.victim_score(subset[wid]), wid))
         assert sched.pick_victim(subset) == expected
-    assert sched.pick_victim(dict(list(running.items())[:3])) == 2  # novel and heaviest
+    assert sched.pick_victim(running) == 2  # novel and heaviest
 
 
 def test_paths_to_cover_empty_target_is_zero():
