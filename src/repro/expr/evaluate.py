@@ -31,20 +31,22 @@ def evaluate(expr: Expr, assignment: dict[str, int], memo: dict[int, int] | None
     expression, where a lazy ``ite`` or connective can still step around
     the unbound variable.
     """
-    cache: dict[int, int] = {} if memo is None else memo
-
-    def ev(e: Expr) -> int:
-        val = cache.get(e.eid)
-        if val is not None:
-            return val
-        val = _eval_node(e, ev, assignment)
-        cache[e.eid] = val
-        return val
-
-    return ev(expr)
+    return _ev(expr, {} if memo is None else memo, assignment)
 
 
-def _eval_node(e: Expr, ev, assignment: dict[str, int]) -> int:
+# The walk is two module-level functions passing their state down: a
+# nested recursive closure would make a function <-> cell cycle per call,
+# garbage only the cyclic collector frees.
+
+
+def _ev(e: Expr, cache: dict[int, int], assignment: dict[str, int]) -> int:
+    val = cache.get(e.eid)
+    if val is None:
+        val = cache[e.eid] = _eval_node(e, cache, assignment)
+    return val
+
+
+def _eval_node(e: Expr, cache: dict[int, int], assignment: dict[str, int]) -> int:
     kind = e.kind
     if kind == N.CONST:
         return e.value
@@ -56,74 +58,74 @@ def _eval_node(e: Expr, ev, assignment: dict[str, int]) -> int:
         return to_unsigned(raw, e.width) if e.is_bv() else (1 if raw else 0)
 
     c = e.children
+    # Lazy kinds first: an ite arm, the right operand of and/or and a
+    # shifted operand are evaluated only when the result needs them.
     if kind == N.ITE:
-        return ev(c[1]) if ev(c[0]) else ev(c[2])
-
-    if kind == N.NOT:
-        return 0 if ev(c[0]) else 1
+        return _ev(c[1] if _ev(c[0], cache, assignment) else c[2], cache, assignment)
     if kind == N.AND:
-        return 1 if (ev(c[0]) and ev(c[1])) else 0
+        return 1 if (_ev(c[0], cache, assignment) and _ev(c[1], cache, assignment)) else 0
     if kind == N.OR:
-        return 1 if (ev(c[0]) or ev(c[1])) else 0
-    if kind == N.XOR:
-        return 1 if (ev(c[0]) != ev(c[1])) else 0
-
-    if kind == N.EQ:
-        return 1 if ev(c[0]) == ev(c[1]) else 0
-    if kind == N.ULT:
-        return 1 if ev(c[0]) < ev(c[1]) else 0
-    if kind == N.ULE:
-        return 1 if ev(c[0]) <= ev(c[1]) else 0
-    if kind in (N.SLT, N.SLE):
-        w = c[0].width
-        a, b = to_signed(ev(c[0]), w), to_signed(ev(c[1]), w)
-        if kind == N.SLT:
-            return 1 if a < b else 0
-        return 1 if a <= b else 0
-
+        return 1 if (_ev(c[0], cache, assignment) or _ev(c[1], cache, assignment)) else 0
     w = e.width if e.is_bv() else 0
-    if kind == N.ADD:
-        return to_unsigned(ev(c[0]) + ev(c[1]), w)
-    if kind == N.SUB:
-        return to_unsigned(ev(c[0]) - ev(c[1]), w)
-    if kind == N.MUL:
-        return to_unsigned(ev(c[0]) * ev(c[1]), w)
-    if kind == N.NEG:
-        return to_unsigned(-ev(c[0]), w)
-    if kind == N.UDIV:
-        a, b = ev(c[0]), ev(c[1])
-        return (1 << w) - 1 if b == 0 else a // b
-    if kind == N.UREM:
-        a, b = ev(c[0]), ev(c[1])
-        return a if b == 0 else a % b
-    if kind == N.SDIV:
-        return sdiv_int(ev(c[0]), ev(c[1]), w)
-    if kind == N.SREM:
-        return srem_int(ev(c[0]), ev(c[1]), w)
-    if kind == N.BVAND:
-        return ev(c[0]) & ev(c[1])
-    if kind == N.BVOR:
-        return ev(c[0]) | ev(c[1])
-    if kind == N.BVXOR:
-        return ev(c[0]) ^ ev(c[1])
-    if kind == N.BVNOT:
-        return to_unsigned(~ev(c[0]), w)
-    if kind == N.SHL:
-        amount = ev(c[1])
-        return 0 if amount >= w else to_unsigned(ev(c[0]) << amount, w)
-    if kind == N.LSHR:
-        amount = ev(c[1])
-        return 0 if amount >= w else ev(c[0]) >> amount
-    if kind == N.ASHR:
-        return ashr_int(ev(c[0]), ev(c[1]), w)
+    if kind == N.SHL or kind == N.LSHR:
+        amount = _ev(c[1], cache, assignment)
+        if amount >= w:
+            return 0
+        a = _ev(c[0], cache, assignment)
+        return to_unsigned(a << amount, w) if kind == N.SHL else a >> amount
+
+    # Every other kind is strict: operands left to right.
+    a = _ev(c[0], cache, assignment)
+    if kind == N.NOT:
+        return 0 if a else 1
     if kind == N.ZEXT:
-        return ev(c[0])
+        return a
     if kind == N.SEXT:
-        return to_unsigned(to_signed(ev(c[0]), c[0].width), w)
+        return to_unsigned(to_signed(a, c[0].width), w)
     if kind == N.EXTRACT:
         hi, lo = e.params
-        return (ev(c[0]) >> lo) & ((1 << (hi - lo + 1)) - 1)
+        return (a >> lo) & ((1 << (hi - lo + 1)) - 1)
+    if kind == N.NEG:
+        return to_unsigned(-a, w)
+    if kind == N.BVNOT:
+        return to_unsigned(~a, w)
+
+    b = _ev(c[1], cache, assignment)
+    if kind == N.XOR:
+        return 1 if a != b else 0
+    if kind == N.EQ:
+        return 1 if a == b else 0
+    if kind == N.ULT:
+        return 1 if a < b else 0
+    if kind == N.ULE:
+        return 1 if a <= b else 0
+    if kind in (N.SLT, N.SLE):
+        sw = c[0].width
+        a, b = to_signed(a, sw), to_signed(b, sw)
+        return 1 if (a < b if kind == N.SLT else a <= b) else 0
+    if kind == N.ADD:
+        return to_unsigned(a + b, w)
+    if kind == N.SUB:
+        return to_unsigned(a - b, w)
+    if kind == N.MUL:
+        return to_unsigned(a * b, w)
+    if kind == N.UDIV:
+        return (1 << w) - 1 if b == 0 else a // b
+    if kind == N.UREM:
+        return a if b == 0 else a % b
+    if kind == N.SDIV:
+        return sdiv_int(a, b, w)
+    if kind == N.SREM:
+        return srem_int(a, b, w)
+    if kind == N.BVAND:
+        return a & b
+    if kind == N.BVOR:
+        return a | b
+    if kind == N.BVXOR:
+        return a ^ b
+    if kind == N.ASHR:
+        return ashr_int(a, b, w)
     if kind == N.CONCAT:
-        return (ev(c[0]) << c[1].width) | ev(c[1])
+        return (a << c[1].width) | b
 
     raise AssertionError(f"unhandled expression kind {kind!r}")

@@ -337,28 +337,30 @@ def _push_cmp_into_ite(kind: str, a: Expr, b: Expr) -> Expr | None:
     states whose differing variables were concrete.  Bounded depth keeps the
     rewrite linear.
     """
-
-    def rewrite(x: Expr, other: Expr, swapped: bool, depth: int) -> Expr | None:
-        if depth > 8:
-            return None
-        if x.kind == N.ITE:
-            cond, then_e, else_e = x.children
-            t = rewrite(then_e, other, swapped, depth + 1)
-            if t is None:
-                return None
-            e = rewrite(else_e, other, swapped, depth + 1)
-            if e is None:
-                return None
-            return ite(cond, t, e)
-        if x.is_const() and other.is_const():
-            lhs, rhs = (other, x) if swapped else (x, other)
-            return _fold_cmp(kind, lhs, rhs)
-        return None
-
     if b.is_const() and a.kind == N.ITE:
-        return rewrite(a, b, swapped=False, depth=0)
+        return _cmp_leaves(kind, a, b, False, 0)
     if a.is_const() and b.kind == N.ITE:
-        return rewrite(b, a, swapped=True, depth=0)
+        return _cmp_leaves(kind, b, a, True, 0)
+    return None
+
+
+def _cmp_leaves(kind: str, x: Expr, other: Expr, swapped: bool, depth: int) -> Expr | None:
+    """``_push_cmp_into_ite``'s walk (module-level: a nested recursive
+    closure would leave a reference cycle per comparison built)."""
+    if depth > 8:
+        return None
+    if x.kind == N.ITE:
+        cond, then_e, else_e = x.children
+        t = _cmp_leaves(kind, then_e, other, swapped, depth + 1)
+        if t is None:
+            return None
+        e = _cmp_leaves(kind, else_e, other, swapped, depth + 1)
+        if e is None:
+            return None
+        return ite(cond, t, e)
+    if x.is_const() and other.is_const():
+        lhs, rhs = (other, x) if swapped else (x, other)
+        return _fold_cmp(kind, lhs, rhs)
     return None
 
 

@@ -63,31 +63,32 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     if not mapping or not (expr.variables & mapping.keys()):
         return expr
 
-    cache: dict[int, Expr] = {}
+    return _walk(expr, mapping, {})
 
-    def walk(e: Expr) -> Expr:
-        if not (e.variables & mapping.keys()):
-            return e
-        hit = cache.get(e.eid)
-        if hit is not None:
-            return hit
-        if e.kind == N.VAR:
-            replacement = mapping.get(e.name, e)
-            if replacement is not e and replacement.sort is not e.sort:
-                raise TypeError(
-                    f"substitute: {e.name} has sort {e.sort!r}, replacement {replacement.sort!r}"
-                )
-            result = replacement
+
+def _walk(e: Expr, mapping: dict[str, Expr], cache: dict[int, Expr]) -> Expr:
+    # Module-level, state passed down: a nested recursive closure would
+    # leave a function <-> cell cycle per substitute() call.
+    if not (e.variables & mapping.keys()):
+        return e
+    hit = cache.get(e.eid)
+    if hit is not None:
+        return hit
+    if e.kind == N.VAR:
+        replacement = mapping.get(e.name, e)
+        if replacement is not e and replacement.sort is not e.sort:
+            raise TypeError(
+                f"substitute: {e.name} has sort {e.sort!r}, replacement {replacement.sort!r}"
+            )
+        result = replacement
+    else:
+        new_children = tuple(_walk(c, mapping, cache) for c in e.children)
+        if all(nc is oc for nc, oc in zip(new_children, e.children)):
+            result = e
         else:
-            new_children = tuple(walk(c) for c in e.children)
-            if all(nc is oc for nc, oc in zip(new_children, e.children)):
-                result = e
-            else:
-                result = rebuild(e.kind, new_children, e.params)
-        cache[e.eid] = result
-        return result
-
-    return walk(expr)
+            result = rebuild(e.kind, new_children, e.params)
+    cache[e.eid] = result
+    return result
 
 
 def conjuncts(expr: Expr) -> list[Expr]:

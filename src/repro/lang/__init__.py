@@ -8,7 +8,16 @@ Public API::
 
 from .ast_nodes import Program
 from .cfg import Block, Function, MemRef, Module
-from .interp import AssertionFailure, InterpError, Interpreter, OutOfBounds, RunResult, run_concrete
+from .interp import (
+    AssertionFailure,
+    InterpError,
+    Interpreter,
+    OutOfBounds,
+    Replay,
+    RunResult,
+    replay,
+    run_concrete,
+)
 from .lexer import LexError, tokenize
 from .lower import LowerError, lower_program
 from .parser import ParseError, parse
@@ -39,6 +48,7 @@ __all__ = [
     "OutOfBounds",
     "ParseError",
     "Program",
+    "Replay",
     "RunResult",
     "STDLIB_SOURCE",
     "ScalarType",
@@ -46,6 +56,7 @@ __all__ = [
     "compile_program",
     "lower_program",
     "parse",
+    "replay",
     "run_concrete",
     "tokenize",
 ]

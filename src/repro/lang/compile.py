@@ -1,14 +1,21 @@
-"""Lowering tier: compile hot straight-line CFG prefixes to Python closures.
+"""Generated-code tiers over the CFG IR: the one IR→int emitter, and the
+lowering tier that compiles hot straight-line prefixes for the engine.
 
-The interpreter in ``repro.engine.executor`` dispatches every instruction
-through ``isinstance`` chains and evaluates every expression by building a
-substitution dict and re-interning each node.  On concrete-dominated blocks
-(string scanning loops, counters) almost all of that work collapses to a few
-integer operations.  This module compiles the longest *straight-line prefix*
-of a block — ``IAssign``/``ILoad``/``IStore``/``IPutc``/``IAssert``, stopping
-at the first ``ICall`` or unsupported expression — into one generated Python
-function that executes the prefix with native ints while every touched
-operand is concrete.
+:class:`_Codegen` turns an IR expression into Python expression text that
+computes its int value.  Two tiers emit through it and differ only in its
+VAR leaf (:meth:`_Codegen.var_int`): this module's lowering tier reads the
+engine's Expr store and bails when an operand is not concrete, and the
+concrete interpreter (``repro.lang.interp``) reads a frame's ints.
+
+The lowering tier.  The interpreter in ``repro.engine.executor`` dispatches
+every instruction through ``isinstance`` chains and evaluates every
+expression by building a substitution dict and re-interning each node.  On
+concrete-dominated blocks (string scanning loops, counters) almost all of
+that work collapses to a few integer operations.  This module compiles the
+longest *straight-line prefix* of a block — ``IAssign``/``ILoad``/
+``IStore``/``IPutc``/``IAssert``, stopping at the first ``ICall`` or
+unsupported expression — into one generated Python function that executes
+the prefix with native ints while every touched operand is concrete.
 
 Exactness contract (the only law that matters here):
 
@@ -52,6 +59,32 @@ class _Unsupported(Exception):
     """Raised during codegen when an instruction cannot be compiled."""
 
 
+def _udiv(a: int, b: int, mask: int) -> int:
+    return mask if b == 0 else a // b
+
+
+def _urem(a: int, b: int) -> int:
+    return a if b == 0 else a % b
+
+
+# Names the emitted expression text calls; every generated namespace has them.
+INT_HELPERS = {
+    # The evaluator's own signed semantics (repro.expr.sorts).
+    "_sdiv": sdiv_int,
+    "_srem": srem_int,
+    "_ashr": ashr_int,
+    # Unsigned division by a non-constant divisor, whose operands must both
+    # be computed, left to right, before the zero test.
+    "_udiv": _udiv,
+    "_urem": _urem,
+}
+
+_COMPARE = {N.XOR: "!=", N.EQ: "==", N.ULT: "<", N.ULE: "<="}
+_ARITH = {N.ADD: "+", N.SUB: "-", N.MUL: "*"}
+_BITWISE = {N.BVAND: "&", N.BVOR: "|", N.BVXOR: "^"}
+_SIGNED = {N.SDIV: "_sdiv", N.SREM: "_srem", N.ASHR: "_ashr"}
+
+
 @dataclass(frozen=True)
 class CompiledBlock:
     """A compiled straight-line prefix of one CFG block."""
@@ -62,18 +95,15 @@ class CompiledBlock:
 
 
 class _Codegen:
-    """Emits the body of one compiled-prefix function."""
+    """The IR→int emitter: statement lines plus expression text.
+
+    Subclasses supply the VAR leaf, :meth:`var_int`, which may emit
+    statements of its own (they run before the expression that uses it).
+    """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.consts: list[object] = []  # Expr objects referenced as K[j]
         self._tmp = 0
-        # Program-var name -> python local holding its concrete int value.
-        self.known_int: dict[str, str] = {}
-        # Program-var name -> python local holding its Expr object (maybe
-        # symbolic).  Invalidation mirrors the store: reassignment replaces.
-        self.known_expr: dict[str, str] = {}
-        self.bail = 0  # current instruction index; bails return this
 
     def tmp(self) -> str:
         self._tmp += 1
@@ -81,6 +111,94 @@ class _Codegen:
 
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
+
+    def var_int(self, e) -> str:
+        """Python expression for the int value of the VAR node ``e``."""
+        raise NotImplementedError
+
+    def expr_int(self, e) -> str:
+        """Python expression text computing ``e``'s int value.
+
+        Matches ``repro.expr.evaluate`` node for node, and in its order:
+        operands left to right; an ``ite`` arm, the right operand of
+        ``and``/``or`` and the shifted operand of ``shl``/``lshr`` only
+        when the evaluator reaches them (Python's own lazy conditionals).
+        So the only reads a VAR leaf can fail on happen exactly where the
+        evaluator's would.  Booleans are 0/1; bitvectors unsigned.
+        """
+        kind = e.kind
+        if kind == N.CONST:
+            return str(e.value)
+        if kind == N.VAR:
+            return self.var_int(e)
+        c = e.children
+        a = [self.expr_int(child) for child in c]
+        if kind == N.ITE:
+            return f"({a[1]} if {a[0]} else {a[2]})"
+        if kind == N.NOT:
+            return f"(0 if {a[0]} else 1)"
+        if kind == N.AND:
+            return f"(1 if {a[0]} and {a[1]} else 0)"
+        if kind == N.OR:
+            return f"(1 if {a[0]} or {a[1]} else 0)"
+        if kind in _COMPARE:
+            return f"(1 if {a[0]} {_COMPARE[kind]} {a[1]} else 0)"
+        if kind in (N.SLT, N.SLE):
+            # Flipping the sign bit maps two's-complement order to unsigned.
+            h = 1 << (c[0].width - 1)
+            op = "<" if kind == N.SLT else "<="
+            return f"(1 if ({a[0]} ^ {h}) {op} ({a[1]} ^ {h}) else 0)"
+        if kind == N.ZEXT:
+            return a[0]
+        w = e.width
+        mask = (1 << w) - 1
+        if kind == N.SEXT:
+            h = 1 << (c[0].width - 1)
+            return f"((({a[0]} ^ {h}) - {h}) & {mask})"
+        if kind == N.EXTRACT:
+            hi, lo = e.params
+            return f"(({a[0]} >> {lo}) & {(1 << (hi - lo + 1)) - 1})"
+        if kind == N.CONCAT:
+            return f"(({a[0]} << {c[1].width}) | {a[1]})"
+        if kind in _ARITH:
+            return f"(({a[0]} {_ARITH[kind]} {a[1]}) & {mask})"
+        if kind == N.NEG:
+            return f"(-{a[0]} & {mask})"
+        if kind == N.BVNOT:
+            return f"(~{a[0]} & {mask})"
+        if kind in _BITWISE:
+            return f"({a[0]} {_BITWISE[kind]} {a[1]})"
+        if kind in (N.UDIV, N.UREM):
+            if c[1].kind == N.CONST and c[1].value:
+                return f"({a[0]} {'//' if kind == N.UDIV else '%'} {a[1]})"
+            if kind == N.UDIV:
+                return f"_udiv({a[0]}, {a[1]}, {mask})"
+            return f"_urem({a[0]}, {a[1]})"
+        if kind in _SIGNED:
+            return f"{_SIGNED[kind]}({a[0]}, {a[1]}, {w})"
+        if kind in (N.SHL, N.LSHR):
+            # The amount is computed once, first; the operand only below w.
+            amount = self.tmp()
+            if kind == N.SHL:
+                shifted = f"(({a[0]} << {amount}) & {mask})"
+            else:
+                shifted = f"({a[0]} >> {amount})"
+            return f"(0 if ({amount} := {a[1]}) >= {w} else {shifted})"
+        raise _Unsupported(kind)
+
+
+class _PrefixCodegen(_Codegen):
+    """Emits the body of one compiled-prefix function (the lowering tier)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.consts: list[object] = []  # Expr objects referenced as K[j]
+        # Program-var name -> python local holding its concrete int value.
+        self.known_int: dict[str, str] = {}
+        # Program-var name -> python local holding its Expr object (maybe
+        # symbolic).  Invalidation mirrors the store: reassignment replaces.
+        self.known_expr: dict[str, str] = {}
+        self.bail = 0  # current instruction index; bails return this
 
     def const_ref(self, obj: object) -> str:
         self.consts.append(obj)
@@ -100,8 +218,9 @@ class _Codegen:
         self.known_expr[name] = loc
         return loc
 
-    def var_int(self, name: str) -> str:
-        """Local holding the concrete int value of ``name`` (bails if symbolic)."""
+    def var_int(self, e) -> str:
+        """Local holding the concrete int value of ``e`` (bails if symbolic)."""
+        name = e.name
         loc = self.known_int.get(name)
         if loc is not None:
             return loc
@@ -120,116 +239,10 @@ class _Codegen:
         else:
             self.known_int.pop(name, None)
 
-    # -- expression compilation ------------------------------------------------
-
-    def expr_int(self, e, cache: dict[int, str]) -> str:
-        """Compile ``e`` to a python expression/local yielding its int value.
-
-        Matches evaluate._eval_node; every VAR leaf is guarded concrete.
-        ``cache`` dedupes DAG-shared nodes within one instruction.
-        """
-        kind = e.kind
-        if kind == N.CONST:
-            return str(e.value)
-        if kind == N.VAR:
-            return self.var_int(e.name)
-        hit = cache.get(e.eid)
-        if hit is not None:
-            return hit
-        c = e.children
-        if kind == N.ITE:
-            # Both branches are side-effect-free int expressions, so the
-            # non-short-circuit evaluate() semantics are preserved.
-            cond = self.expr_int(c[0], cache)
-            tv = self.expr_int(c[1], cache)
-            fv = self.expr_int(c[2], cache)
-            s = f"({tv} if {cond} else {fv})"
-        elif kind == N.NOT:
-            s = f"(0 if {self.expr_int(c[0], cache)} else 1)"
-        elif kind in (N.AND, N.OR, N.XOR, N.EQ, N.ULT, N.ULE):
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            if kind == N.AND:
-                s = f"(1 if ({a} and {b}) else 0)"
-            elif kind == N.OR:
-                s = f"(1 if ({a} or {b}) else 0)"
-            elif kind == N.XOR:
-                s = f"(1 if {a} != {b} else 0)"
-            elif kind == N.EQ:
-                s = f"(1 if {a} == {b} else 0)"
-            elif kind == N.ULT:
-                s = f"(1 if {a} < {b} else 0)"
-            else:
-                s = f"(1 if {a} <= {b} else 0)"
-        elif kind in (N.SLT, N.SLE):
-            w = c[0].width
-            half, full = 1 << (w - 1), 1 << w
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            sa, sb = self.tmp(), self.tmp()
-            self.emit(f"{sa} = {a} - {full} if {a} >= {half} else {a}")
-            self.emit(f"{sb} = {b} - {full} if {b} >= {half} else {b}")
-            op = "<" if kind == N.SLT else "<="
-            s = f"(1 if {sa} {op} {sb} else 0)"
-        elif kind == N.ZEXT:
-            s = self.expr_int(c[0], cache)
-        elif kind == N.SEXT:
-            cw, w = c[0].width, e.width
-            a = self.expr_int(c[0], cache)
-            s = f"({a} + {(1 << w) - (1 << cw)} if {a} >= {1 << (cw - 1)} else {a})"
-        elif kind == N.EXTRACT:
-            hi, lo = e.params
-            a = self.expr_int(c[0], cache)
-            s = f"(({a} >> {lo}) & {(1 << (hi - lo + 1)) - 1})"
-        elif kind == N.CONCAT:
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            s = f"(({a} << {c[1].width}) | {b})"
-        elif kind == N.NEG:
-            s = f"((-{self.expr_int(c[0], cache)}) & {(1 << e.width) - 1})"
-        elif kind == N.BVNOT:
-            s = f"((~{self.expr_int(c[0], cache)}) & {(1 << e.width) - 1})"
-        elif kind in (N.ADD, N.SUB, N.MUL, N.BVAND, N.BVOR, N.BVXOR):
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            mask = (1 << e.width) - 1
-            if kind == N.ADD:
-                s = f"(({a} + {b}) & {mask})"
-            elif kind == N.SUB:
-                s = f"(({a} - {b}) & {mask})"
-            elif kind == N.MUL:
-                s = f"(({a} * {b}) & {mask})"
-            elif kind == N.BVAND:
-                s = f"({a} & {b})"
-            elif kind == N.BVOR:
-                s = f"({a} | {b})"
-            else:
-                s = f"({a} ^ {b})"
-        elif kind in (N.UDIV, N.UREM):
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            if kind == N.UDIV:
-                s = f"({(1 << e.width) - 1} if {b} == 0 else {a} // {b})"
-            else:
-                s = f"({a} if {b} == 0 else {a} % {b})"
-        elif kind in (N.SDIV, N.SREM, N.ASHR):
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            fn = {N.SDIV: "_sdiv", N.SREM: "_srem", N.ASHR: "_ashr"}[kind]
-            s = f"{fn}({a}, {b}, {e.width})"
-        elif kind in (N.SHL, N.LSHR):
-            w = e.width
-            a = self.expr_int(c[0], cache)
-            b = self.expr_int(c[1], cache)
-            if kind == N.SHL:
-                s = f"(0 if {b} >= {w} else ({a} << {b}) & {(1 << w) - 1})"
-            else:
-                s = f"(0 if {b} >= {w} else {a} >> {b})"
-        else:
-            raise _Unsupported(kind)
+    def int_local(self, e) -> str:
+        """A local holding ``e``'s int value, computed once."""
         loc = self.tmp()
-        self.emit(f"{loc} = {s}")
-        cache[e.eid] = loc
+        self.emit(f"{loc} = {self.expr_int(e)}")
         return loc
 
     def value_expr(self, e) -> tuple[str, str | None]:
@@ -245,7 +258,7 @@ class _Codegen:
         if e.kind == N.VAR:
             eloc = self.fetch_expr(e.name)
             return eloc, self.known_int.get(e.name)
-        val = self.expr_int(e, {})
+        val = self.int_local(e)
         loc = self.tmp()
         if e.is_bv():
             self.emit(f"{loc} = _bv({val}, {e.width})")
@@ -264,7 +277,6 @@ class _Codegen:
         row term with ``ops.bv(cols, 32)``, so any other width raises in the
         interpreter — we refuse to compile those).
         """
-        cache: dict[int, str] = {}
         if ref.array.startswith("g$"):
             key_src = self.const_ref((_GLOBAL_KEY_DEPTH, "global", ref.array))
             binding_row = None  # global bindings never carry a row view
@@ -277,12 +289,12 @@ class _Codegen:
         rg = self.tmp()
         self.emit(f"{rg} = regions.get({key_src})")
         self.emit(f"if {rg} is None: return {self.bail}")
-        idx = self.expr_int(index_expr, cache)
+        idx = self.int_local(index_expr)
         if ref.row is not None:
             # Instruction-level row wins over any binding row (flat_index).
             if ref.row.width != 32 or index_expr.width != 32:
                 raise _Unsupported("row math needs width-32 operands")
-            row = self.expr_int(ref.row, cache)
+            row = self.expr_int(ref.row)
             self.emit(f"if {rg}.cols is None: return {self.bail}")
             flat = self.tmp()
             self.emit(f"{flat} = ({row} * {rg}.cols + {idx}) & 4294967295")
@@ -327,8 +339,7 @@ class _Codegen:
                 if not cond.value:
                     self.emit(f"return {self.bail}")
                 return
-            val = self.expr_int(cond, {})
-            self.emit(f"if not {val}: return {self.bail}")
+            self.emit(f"if not {self.expr_int(cond)}: return {self.bail}")
         elif isinstance(instr, ILoad):
             _, rg, flat = self.region_and_flat(instr.ref, instr.index)
             cell = self.tmp()
@@ -348,7 +359,7 @@ class _Codegen:
 def compile_block(block: Block) -> CompiledBlock | None:
     """Compile ``block``'s straight-line prefix; None when nothing compiles."""
     limit = straightline_prefix(block)
-    gen = _Codegen()
+    gen = _PrefixCodegen()
     prefix_len = 0
     for i in range(limit):
         gen.bail = i
@@ -379,10 +390,7 @@ def compile_block(block: Block) -> CompiledBlock | None:
         "_bv": ops.bv,
         "_TRUE": ops.TRUE,
         "_FALSE": ops.FALSE,
-        # The evaluator's own signed semantics (repro.expr.sorts).
-        "_sdiv": sdiv_int,
-        "_srem": srem_int,
-        "_ashr": ashr_int,
+        **INT_HELPERS,
     }
     exec(compile(source, f"<compiled block {block.label}>", "exec"), namespace)
     return CompiledBlock(run=namespace["_run"], prefix_len=prefix_len, source=source)

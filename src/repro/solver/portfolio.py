@@ -27,7 +27,7 @@ the pc satisfies ``¬cond``, so the other arm is SAT with no second query
 and is the oracle of that law (``tests/test_solver_slice.py``).
 
 The optional persistent store (:mod:`repro.store`) is consulted at one
-place only — :meth:`SolverChain._check_group`, for a group every cheaper
+place only — :meth:`SolverChain._solve_group`, for a group every cheaper
 tier has failed to decide, i.e. where the next step would be a SAT solve
 — and is told one thing only: the verdict of the solve that follows a
 miss (plus the UNSAT core extracted from it).  The tier-order ledger law,
@@ -325,9 +325,12 @@ class SolverChain:
                 return CheckResult(hit[0], dict(hit[1]) if hit[1] is not None else None)
 
         groups = split_independent(flat) if self.use_independence else [flat]
+        # A lone group is the whole set, just looked up above and stored
+        # below: the group tier would only repeat both.
+        cache_groups = self.use_cache and len(groups) > 1
         model: dict[str, int] = {}
         for group in groups:
-            sub = self._check_group(group)
+            sub = self._check_group(group, cache_groups and len(group) > 1)
             if not sub.is_sat:
                 if self.use_cache:
                     self.cache.store(flat, False, None)
@@ -345,12 +348,20 @@ class SolverChain:
             self.cache.store(flat, True, model)
         return CheckResult(True, model)
 
-    def _check_group(self, group: list[Expr]) -> CheckResult:
-        if self.use_cache and len(group) > 1:
+    def _check_group(self, group: list[Expr], cached: bool) -> CheckResult:
+        """Decide one independence group; ``cached``: look it up in, and
+        store its verdict to, the query cache."""
+        if cached:
             hit = self.cache.lookup(group)
             if hit is not None:
                 self.stats.cache_hits += 1
                 return CheckResult(hit[0], dict(hit[1]) if hit[1] is not None else None)
+        result = self._solve_group(group)
+        if cached:
+            self.cache.store(group, result.is_sat, result.model)
+        return result
+
+    def _solve_group(self, group: list[Expr]) -> CheckResult:
         sig = None
         if self.use_fastpath:
             sig = group_signature(group)
@@ -358,12 +369,10 @@ class SolverChain:
             if verdict == SAT:
                 self.stats.fastpath_hits += 1
                 self.stats.presolve_hits_sat += 1
-                self._store_group(group, True, model)
                 return CheckResult(True, model)
             if verdict == UNSAT:
                 self.stats.fastpath_hits += 1
                 self.stats.presolve_hits_unsat += 1
-                self._store_group(group, False, None)
                 return CheckResult(False)
         blast, early = self._blast_set(group)
         if early is not None:
@@ -374,15 +383,14 @@ class SolverChain:
         if self.persistent is not None:
             hit = self.persistent.lookup(group)
             if hit is not None:
+                # Promoted into the in-memory cache by the caller: repeats
+                # of the group (and its SAT model / UNSAT subset power)
+                # stay local.
                 self.stats.store_hits += 1
                 is_sat, model = hit
-                # Promoted into the in-memory cache: repeats of the group
-                # (and its SAT model / UNSAT subset power) stay local.
-                self._store_group(group, is_sat, model)
                 return CheckResult(is_sat, dict(model) if model is not None else None)
             self.stats.store_misses += 1
         result = self._check_sat(group, blast, sig)
-        self._store_group(group, result.is_sat, result.model)
         self._persist(group, result.is_sat, result.model)
         return result
 
@@ -406,7 +414,6 @@ class SolverChain:
             if c.is_false():
                 self.stats.fastpath_hits += 1
                 self.stats.presolve_hits_unsat += 1
-                self._store_group(group, False, None)
                 return group, CheckResult(False)
             if not c.is_true():
                 blast.append(c)
@@ -415,10 +422,6 @@ class SolverChain:
         # defining equality survives folding.  An empty list would still
         # be handled correctly downstream (a clause-free blaster is SAT).
         return blast, None
-
-    def _store_group(self, group: list[Expr], is_sat: bool, model) -> None:
-        if self.use_cache and len(group) > 1:
-            self.cache.store(group, is_sat, model)
 
     def _check_sat(
         self, group: list[Expr], blast: list[Expr], sig: frozenset[str] | None

@@ -24,21 +24,19 @@ verdict — warm runs explore the exact same path space as cold runs.
 
 from __future__ import annotations
 
-from ..lang.interp import InterpError, Interpreter
+from ..lang.interp import replay
 from .db import ReproStore, spec_fingerprint
 from .tier import decode_core
 
 
 def replay_coverage(module, case, max_steps: int = 2_000_000):
-    """Concrete coverage of one test case; ``None`` if replay fails."""
-    interp = Interpreter(module, max_steps=max_steps)
+    """Concrete coverage of one test case; ``None`` if replay fails.
+
+    Error-kind tests (assert/bounds) legitimately stop mid-path; the
+    blocks touched before the stop are still the test's coverage.
+    """
     try:
-        result = interp.run_main(list(case.argv), stdin=case.stdin)
-        return set(result.coverage)
-    except InterpError:
-        # Error-kind tests (assert/bounds) legitimately stop mid-path; the
-        # blocks touched before the stop are still the test's coverage.
-        return set(interp.coverage)
+        return set(replay(module, case, max_steps).coverage)
     except Exception:
         return None
 

@@ -3,7 +3,7 @@
 :class:`PersistentTier` answers the two questions a run would otherwise
 bit-blast for, and nothing else:
 
-* **the solver chain's bottom tier** — :meth:`SolverChain._check_group`
+* **the solver chain's bottom tier** — :meth:`SolverChain._solve_group`
   consults :meth:`lookup` for an independence group only after the cache,
   presolve and the boundary rewrite have all failed to decide it, i.e.
   exactly where the next step is a SAT solve; the solve that follows a

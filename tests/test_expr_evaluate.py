@@ -1,5 +1,7 @@
 """Concrete evaluation, incl. hypothesis agreement with constant folding."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,3 +190,17 @@ def test_failed_constraint_as_child_of_a_later_one():
     with pytest.raises(EvalError):
         evaluate(ops.not_(failed), {"evx": 3}, memo)
     assert evaluate(holds, {"evx": 3}, memo) == 1 and memo[holds.eid] == 1
+
+
+def test_evaluate_leaves_no_cyclic_garbage():
+    """Nothing a call allocates outlives it by refcount: no closure cycle
+    is left for the cyclic collector."""
+    e = ops.ite(ops.ult(X, Y), ops.add(X, ops.bv(1, 8)), ops.shl(Y, X))
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(1000):
+            evaluate(e, {"evx": i, "evy": 7})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
 """Substitution: memoization, folding, flattening helpers."""
 
+import gc
+
 import pytest
 
 from repro.expr import ops
@@ -62,3 +64,17 @@ def test_substitute_rebuilds_extract_zext():
     e = ops.zext(ops.extract(ops.bv_var("sw", 16), 7, 0), 32)
     out = substitute(e, {"sw": ops.bv(0x1234, 16)})
     assert out is ops.bv(0x34, 32)
+
+
+def test_substitute_leaves_no_cyclic_garbage():
+    """Nothing a call allocates outlives it by refcount — comparisons it
+    rebuilds included: no closure cycle is left for the cyclic collector."""
+    e = ops.ult(ops.ite(ops.eq(X, Y), ops.add(X, ops.bv(1, 8)), ops.bv(3, 8)), ops.bv(9, 8))
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(1000):
+            substitute(e, {"sx": ops.bv(i, 8)})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

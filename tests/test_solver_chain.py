@@ -225,3 +225,31 @@ def test_branch_elision_rests_on_the_satisfiable_pc_invariant():
     then_res, else_res = chain.check_branch(pc, ops.ult(x, ops.bv(5, 8)))
     assert then_res.is_sat and else_res.is_sat
     assert chain.stats.branch_elisions == 0 and chain.stats.queries == 2
+
+
+@pytest.mark.parametrize("chain_cls", [SolverChain, IncrementalChain])
+def test_one_group_query_is_looked_up_and_stored_once(chain_cls, monkeypatch):
+    """The cache is asked about, and told, a query's constraint set once
+    when the set is one independence group; a split set also files each
+    group of more than one constraint."""
+    calls = []
+    chain = chain_cls()
+
+    def counted(name):
+        real = getattr(chain.cache, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("lookup", "store"):
+        monkeypatch.setattr(chain.cache, name, counted(name))
+    one_group = [ops.ult(X, Y), ops.ult(Y, ops.bv(9, 8)), ops.eq(ops.bvand(X, Y), ops.bv(1, 8))]
+    assert chain.check(one_group).is_sat
+    assert calls == ["lookup", "store"]
+    calls.clear()
+    z = ops.bv_var("pz8", 8)
+    w = ops.bv_var("pw8", 8)
+    assert chain.check([ops.ult(z, w), ops.ult(w, ops.bv(5, 8)), ops.eq(X, ops.bv(2, 8))]).is_sat
+    assert calls == ["lookup", "lookup", "store", "store"]

@@ -10,7 +10,7 @@ Y = ops.bv_var("dy", 8)
 
 
 def decide(group):
-    """One group, decided from scratch: ``SolverChain._check_group``'s call."""
+    """One group, decided from scratch: ``SolverChain._solve_group``'s call."""
     return PresolveManager().check_group(group, group_signature(group))
 
 

@@ -38,7 +38,7 @@ VAR_NAMES = ("pva", "pvb", "pvc")
 
 
 def decide(group):
-    """One group, decided from scratch: ``SolverChain._check_group``'s call."""
+    """One group, decided from scratch: ``SolverChain._solve_group``'s call."""
     return PresolveManager().check_group(group, group_signature(group))
 
 
