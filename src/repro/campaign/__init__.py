@@ -32,20 +32,20 @@ from .checkpoint import (
     resume_campaign,
 )
 from .record import (
-    RECORD_VERSION,
     CampaignRecord,
+    RecordError,
     RecordVersionError,
     load_campaign,
     save_checkpoint,
 )
 
 __all__ = [
-    "RECORD_VERSION",
     "CampaignCheckpointer",
     "CampaignError",
     "CampaignInterrupted",
     "CampaignNotFound",
     "CampaignRecord",
+    "RecordError",
     "RecordVersionError",
     "load_campaign",
     "new_campaign_id",

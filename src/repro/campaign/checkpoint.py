@@ -83,9 +83,7 @@ def resume_campaign(store_path, campaign_id: str, overrides: dict | None = None)
     :class:`~repro.parallel.coordinator.ParallelConfig` (e.g. a
     different ``socket_port`` or worker count for the resume fleet).
     """
-    from ..env.argv import ArgvSpec
-    from ..parallel.coordinator import Coordinator, ParallelConfig
-    from ..parallel.wire import decode_config, encode_config
+    from ..parallel.coordinator import Coordinator
     from ..store import open_store
 
     store = open_store(store_path)
@@ -97,21 +95,16 @@ def resume_campaign(store_path, campaign_id: str, overrides: dict | None = None)
         raise CampaignNotFound(
             f"no checkpoint for campaign {campaign_id!r} in {str(store_path)!r}"
         )
-    spec = ArgvSpec(**record.spec_payload)
-    config = decode_config(record.config_payload)
     # The store may have moved since the original run; the resume's path
-    # is authoritative (it is where the record was just read from).
-    config = dataclasses.replace(
-        config, store_path=str(store_path), store_readonly=False
+    # is authoritative (it is where the record was just read from).  Later
+    # epochs replay from what this run actually uses.
+    record.config = dataclasses.replace(
+        record.config, store_path=str(store_path), store_readonly=False
     )
-    payload = dict(record.parallel_payload)
-    payload.update(overrides or {})
-    payload["campaign_id"] = campaign_id
-    parallel = ParallelConfig(**payload)
-    # Later epochs replay from what this run actually uses.
-    record.config_payload = encode_config(config)
-    record.parallel_payload = dataclasses.asdict(parallel)
+    record.parallel = dataclasses.replace(
+        record.parallel, **{**(overrides or {}), "campaign_id": campaign_id}
+    )
     coordinator = Coordinator(
-        record.program, spec, config, parallel, resume=record
+        record.program, record.spec, record.config, record.parallel, resume=record
     )
     return coordinator.run()

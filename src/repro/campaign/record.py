@@ -19,16 +19,18 @@ quiescent point of the select loop:
 * the **stats ledger** — the frozen split-phase entry plus the merged
   accepted per-worker deltas, so ``check_ledger()`` holds across a
   crash/resume boundary exactly as it does across a worker death;
-* the **replay context** — program name, input spec, engine config
-  (:func:`repro.parallel.wire.encode_config` — the same codec the worker
-  handshake ships), parallel knobs, and the campaign counters (next
-  pid, steals, requeue log) so telemetry continues instead of resetting;
+* the **replay context** — program name, input spec, engine config and
+  parallel knobs (the objects themselves, as the worker handshake ships
+  them), and the campaign counters (next pid, steals, requeue log) so
+  telemetry continues instead of resetting;
 * the split engine's **buffered store inserts**, applied at the resumed
   run's final commit in place of the tier the crash took with it.
 
-Records are pickled into the store's ``checkpoints`` table; partition
-snapshots go through :meth:`ReproStore.put_blob` (SHA-256
-content-addressing — consecutive epochs share unchanged partitions).
+A record is one :mod:`repro.codec` payload in the store's
+``checkpoints`` table, its pending rows carrying blob digests in place
+of snapshots; the snapshots go through :meth:`ReproStore.put_blob`
+(SHA-256 content-addressing — consecutive epochs share unchanged
+partitions).
 Row + blob refs + epoch GC commit in one transaction, so the newest
 epoch in the file is always consistent: "find the newest consistent
 epoch" is simply ``ORDER BY epoch DESC LIMIT 1``.
@@ -37,32 +39,32 @@ epoch" is simply ``ORDER BY epoch DESC LIMIT 1``.
 from __future__ import annotations
 
 import copy
-import pickle
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # the record itself is store-free; only save/load touch one
-    from ..store.db import ReproStore
+from .. import codec
 
-# Bumped whenever the pickled record layout changes; a resume refuses
-# records it cannot faithfully reconstruct (:class:`RecordVersionError`)
-# instead of guessing.
-#   v2 — partitions_dispatched (always == next_pid) and requeues (the
-#        count of "requeue" entries in requeue_log) dropped; pending
-#        rows always carry a pid.
-#   v3 — the pickled EngineStats lost its solver_* mirrors, and the
-#        config / parallel payloads the options that had one value.
-#   v4 — pending rows are Partition rows (the fields in order) instead
-#        of (pid, snapshot, origin, meta dict).
-RECORD_VERSION = 4
+if TYPE_CHECKING:  # the record holds these; only save/load touch a store
+    from ..engine.executor import EngineConfig
+    from ..engine.stats import EngineStats
+    from ..engine.testgen import TestCase
+    from ..env.argv import ArgvSpec
+    from ..parallel.coordinator import ParallelConfig
+    from ..solver.portfolio import SolverStats
+    from ..store.db import ReproStore
+    from ..store.tier import StorePayload
 
 # Epochs retained per campaign (older ones are GC'd, their unreferenced
 # snapshot blobs swept).
 CHECKPOINT_KEEP = 2
 
 
-class RecordVersionError(RuntimeError):
-    """A stored checkpoint was written under another record layout."""
+class RecordError(RuntimeError):
+    """A campaign has stored checkpoints, and none of them can be read."""
+
+
+class RecordVersionError(RecordError):
+    """A stored checkpoint was written in another codec format version."""
 
 
 @dataclass
@@ -72,9 +74,9 @@ class CampaignRecord:
     campaign: str | None  # None: a run without an identity, never saved
     program: str
     # Replay context.
-    spec_payload: dict
-    config_payload: dict
-    parallel_payload: dict
+    spec: ArgvSpec
+    config: EngineConfig
+    parallel: ParallelConfig
     # Assigned by the checkpointer at save time; the epoch a resume loaded.
     epoch: int = 0
     phase: str = "dispatch"  # split | dispatch | steal | requeue | drain
@@ -87,26 +89,31 @@ class CampaignRecord:
     next_pid: int = 0
     steals: int = 0
     workers_lost: int = 0
-    requeue_log: list = field(default_factory=list)
-    requeue_counts: dict = field(default_factory=dict)
-    # Pending frontier: Partition rows (pid, snapshot bytes, ...).  Empty
-    # while a fleet runs (the scheduler queue and the lease table hold
-    # it); filled by CampaignState.to_record, drained by begin().
-    pending: list = field(default_factory=list)
+    requeue_log: list[dict[str, int | str]] = field(default_factory=list)
+    requeue_counts: dict[int, int] = field(default_factory=dict)
+    # Pending frontier: Partition rows (pid, snapshot bytes, ...; a saved
+    # record holds the snapshot's blob digest instead).  Empty while a
+    # fleet runs (the scheduler queue and the lease table hold it);
+    # filled by CampaignState.to_record, drained by begin().
+    pending: list[tuple[int, bytes | str, str, int, str, str, int]] = field(
+        default_factory=list)
     # Accepted results (completed partitions — not re-explored).
-    tests: list = field(default_factory=list)
-    covered: set = field(default_factory=set)
+    tests: list[TestCase] = field(default_factory=list)
+    covered: set[tuple[str, str]] = field(default_factory=set)
     streamed_paths: int = 0
-    partition_results: list = field(default_factory=list)
+    # (pid, origin, paths, covered) per accepted completion
+    partition_results: list[tuple[int, str, int, set[tuple[str, str]]]] = field(
+        default_factory=list)
     # Ledger: one (name, EngineStats, SolverStats) entry per worker of
     # every fleet generation — the sum of its accepted per-partition
     # deltas — and the frozen split-phase contribution.
-    worker_entries: list = field(default_factory=list)
-    split_entry: tuple | None = None
-    split_tests: list = field(default_factory=list)
-    split_covered: set = field(default_factory=set)
-    # The split engine's buffered store inserts (PersistentTier payload).
-    store_payload: dict | None = None
+    worker_entries: list[tuple[str, EngineStats, SolverStats]] = field(
+        default_factory=list)
+    split_entry: tuple[str, EngineStats, SolverStats] | None = None
+    split_tests: list[TestCase] = field(default_factory=list)
+    split_covered: set[tuple[str, str]] = field(default_factory=set)
+    # The split engine's buffered store inserts.
+    store_payload: StorePayload | None = None
 
     def copy(self) -> "CampaignRecord":
         """A record whose containers are its own.  Their elements are
@@ -126,10 +133,7 @@ def save_checkpoint(store: ReproStore, record: CampaignRecord) -> None:
             digest = store.put_blob(snapshot)
             refs.append(digest)
             pending_refs.append((pid, digest, *rest))
-        payload = {f.name: getattr(record, f.name) for f in fields(CampaignRecord)}
-        payload["pending"] = pending_refs
-        payload["version"] = RECORD_VERSION
-        state = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        state = codec.dumps(replace(record, pending=pending_refs))
         store.put_checkpoint(
             record.campaign, record.epoch, record.phase, state, refs,
             keep=CHECKPOINT_KEEP,
@@ -141,27 +145,34 @@ def load_campaign(store: ReproStore, campaign: str) -> CampaignRecord | None:
 
     Epochs are written transactionally, so the newest row *is*
     consistent; the walk over older epochs is belt-and-braces against a
-    record whose blobs were swept by an over-eager external GC.
+    record that does not decode (a rejected row) or whose blobs were
+    swept by an over-eager external GC.  A record of another format
+    version is refused by name (:class:`RecordVersionError`), and so is a
+    campaign none of whose epochs loads while one of them does not decode
+    (:class:`RecordError`); ``None`` means no checkpoint.
     """
+    unreadable = None
     for epoch, _phase, state in store.iter_checkpoints(campaign):
-        payload = pickle.loads(state)
-        seen = payload.pop("version", None)
-        if seen != RECORD_VERSION:
+        try:
+            record = codec.loads(state, CampaignRecord)
+        except codec.VersionError as exc:
             raise RecordVersionError(
-                f"campaign {campaign!r} epoch {epoch} is a v{seen} record, "
-                f"this checkout reads v{RECORD_VERSION}: resume it with the "
-                "repro version that wrote it"
-            )
+                f"campaign {campaign!r} epoch {epoch}: {exc} — resume it with "
+                "the repro version that wrote it"
+            ) from exc
+        except codec.DecodeError as exc:
+            unreadable = unreadable or f"epoch {epoch}: {exc}"
+            continue
         pending = []
-        complete = True
-        for pid, digest, *rest in payload["pending"]:
-            snapshot = store.get_blob(digest)
+        for pid, digest, *rest in record.pending:
+            snapshot = store.get_blob(digest) if type(digest) is str else None
             if snapshot is None:
-                complete = False
                 break
             pending.append((pid, snapshot, *rest))
-        if not complete:
-            continue
-        payload["pending"] = pending
-        return CampaignRecord(**payload)
+        else:
+            record.pending = pending
+            return record
+    if unreadable is not None:
+        raise RecordError(
+            f"campaign {campaign!r} has checkpoints and none loads ({unreadable})")
     return None

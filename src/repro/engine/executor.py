@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..analysis.liveness import live_at, live_in_sets
 from ..env.argv import ArgvSpec
@@ -61,6 +62,9 @@ from .similarity import (
 from .state import ArrayBinding, Frame, Region, SymState
 from .stats import CoverageTracker, EngineStats
 from .testgen import TestSuite, make_test_case
+
+if TYPE_CHECKING:
+    from ..store.tier import StorePayload
 
 ARGV_KEY = (0, "global", "$argv")
 
@@ -303,7 +307,7 @@ class Engine:
                     stats=stats.snapshot(),
                 )
                 for payload in payloads:
-                    if payload:
+                    if payload is not None:
                         apply_payload(store, payload, run_id=run_id)
                 record_tests(
                     store, self.module, self.program, self.spec, cases, run_id
@@ -342,7 +346,7 @@ class Engine:
             self._store_tier.store = None
             self._store_tier.writable = False
 
-    def export_store_payload(self, drain: bool = True) -> dict | None:
+    def export_store_payload(self, drain: bool = True) -> StorePayload | None:
         """This engine's buffered store inserts, for a remote single writer.
 
         The worker side of the parallel wire protocol: a read-only engine

@@ -10,15 +10,14 @@ region, so cloning a state is a few shallow dict copies.
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .. import codec
 from ..expr import ops
 from ..expr.nodes import Expr
-from ..expr.serialize import decode_exprs, encode_exprs
 from ..expr.subst import substitute
 
-RegionKey = tuple
+RegionKey = tuple[int, str, str]  # (frame depth, function, array name)
 
 GLOBAL_DEPTH = 0
 
@@ -282,118 +281,88 @@ class SymState:
         for k in dead:
             del self.regions[k]
 
-    # -- snapshot wire format ----------------------------------------------------
+    # -- snapshots ------------------------------------------------------------------
     #
     # A snapshot is a restartable *path prefix*: everything another process
     # needs to resume exploring this state's subtree — frames, stores,
-    # regions, path condition, output — flattened to plain picklable data
-    # through the expression codec (:mod:`repro.expr.serialize`).  Process-
-    # local fields are deliberately dropped: ``sid`` is reassigned by the
-    # restoring engine and the DSM ``history`` is cleared, because its
-    # similarity hashes embed interned-expression ids that mean nothing in
-    # another process (merging restarts cleanly within the new partition).
-
-    SNAPSHOT_VERSION = 1
+    # regions, path condition, output — as one :mod:`repro.codec` payload of
+    # the shape ``SNAPSHOT``.  Process-local fields are deliberately dropped:
+    # ``sid`` is reassigned by the restoring engine and the DSM ``history``
+    # is cleared, because its similarity hashes embed interned-expression
+    # ids that mean nothing in another process (merging restarts cleanly
+    # within the new partition).
 
     def snapshot(self) -> bytes:
         """Serialize into bytes that :meth:`from_snapshot` can resume from."""
-        roots: list[Expr] = []
-
-        def ref(expr: Expr) -> int:
-            roots.append(expr)
-            return len(roots) - 1
-
-        frames = [
-            (
-                f.func,
-                f.block,
-                f.idx,
-                f.ret_dst,
-                f.depth,
-                {name: ref(v) for name, v in f.store.items()},
-                {
-                    name: (b.key, ref(b.row) if b.row is not None else None)
-                    for name, b in f.arrays.items()
-                },
-            )
-            for f in self.frames
-        ]
-        regions = [
-            (key, r.cols, r.width, tuple(ref(c) for c in r.cells))
-            for key, r in self.regions.items()
-        ]
-        payload = {
-            "version": self.SNAPSHOT_VERSION,
-            "frames": frames,
-            "globals": {name: ref(v) for name, v in self.globals_store.items()},
-            "regions": regions,
-            "pc": tuple(ref(c) for c in self.pc),
-            "output": tuple(ref(o) for o in self.output),
-            "exact_pcs": None
-            if self.exact_pcs is None
-            else tuple(tuple(ref(c) for c in pc) for pc in self.exact_pcs),
-            "multiplicity": self.multiplicity,
-            "steps": self.steps,
-            "halted": self.halted,
-            "exit_code": ref(self.exit_code) if self.exit_code is not None else None,
-            "error": self.error,
-            "generation": self.generation,
-        }
-        nodes, root_indices = encode_exprs(roots)
-        payload["nodes"] = nodes
-        payload["roots"] = root_indices
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return codec.dumps((
+            [
+                (f.func, f.block, f.idx, f.ret_dst, f.depth, f.store,
+                 {name: (b.key, b.row) for name, b in f.arrays.items()})
+                for f in self.frames
+            ],
+            self.globals_store,
+            [(key, r.cols, r.width, r.cells) for key, r in self.regions.items()],
+            self.pc,
+            self.output,
+            self.exact_pcs,
+            self.multiplicity,
+            self.steps,
+            self.halted,
+            self.exit_code,
+            self.error,
+            self.generation,
+        ))
 
     @classmethod
     def from_snapshot(cls, data: bytes, sid: int) -> "SymState":
-        """Rebuild a state from :meth:`snapshot` bytes under a fresh sid."""
-        payload = pickle.loads(data)
-        if payload["version"] != cls.SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {payload['version']}")
-        decoded = decode_exprs(payload["nodes"])
-        root_indices = payload["roots"]
-
-        def deref(i: int) -> Expr:
-            return decoded[root_indices[i]]
-
+        """Rebuild a state from :meth:`snapshot` bytes under a fresh sid;
+        :class:`repro.codec.DecodeError` if they are not one."""
+        (frames, globals_store, regions, pc, output, exact_pcs, multiplicity,
+         steps, halted, exit_code, error, generation) = codec.loads(data, SNAPSHOT)
         state = cls(sid)
         state.frames = [
-            Frame(
-                func,
-                block,
-                idx,
-                {name: deref(i) for name, i in store.items()},
-                {
-                    name: ArrayBinding(
-                        tuple(key), deref(row_i) if row_i is not None else None
-                    )
-                    for name, (key, row_i) in arrays.items()
-                },
-                ret_dst,
-                depth,
-            )
-            for func, block, idx, ret_dst, depth, store, arrays in payload["frames"]
+            Frame(func, block, idx, store,
+                  {name: ArrayBinding(key, row) for name, (key, row) in arrays.items()},
+                  ret_dst, depth)
+            for func, block, idx, ret_dst, depth, store, arrays in frames
         ]
-        state.globals_store = {name: deref(i) for name, i in payload["globals"].items()}
+        state.globals_store = globals_store
         state.regions = {
-            tuple(key): Region(tuple(deref(i) for i in cells), cols, width)
-            for key, cols, width, cells in payload["regions"]
+            key: Region(cells, cols, width) for key, cols, width, cells in regions
         }
-        state.pc = tuple(deref(i) for i in payload["pc"])
-        state.output = tuple(deref(i) for i in payload["output"])
-        if payload["exact_pcs"] is not None:
-            state.exact_pcs = tuple(
-                tuple(deref(i) for i in pc) for pc in payload["exact_pcs"]
-            )
-        state.multiplicity = payload["multiplicity"]
-        state.steps = payload["steps"]
-        state.halted = payload["halted"]
-        if payload["exit_code"] is not None:
-            state.exit_code = deref(payload["exit_code"])
-        state.error = payload["error"]
-        state.generation = payload["generation"]
+        state.pc = pc
+        state.output = output
+        state.exact_pcs = exact_pcs
+        state.multiplicity = multiplicity
+        state.steps = steps
+        state.halted = halted
+        state.exit_code = exit_code
+        state.error = error
+        state.generation = generation
         return state
 
     def __repr__(self) -> str:
         loc = ",".join(f"{f.func}:{f.block}:{f.idx}" for f in self.frames) or "<done>"
         return f"SymState(#{self.sid} at {loc}, |pc|={len(self.pc)}, m={self.multiplicity})"
+
+
+# The payload of a snapshot: frames (function, block, instruction index,
+# return destination, depth, scalar store, array bindings as (region key,
+# row)), the global store, regions (key, columns, element width, cells),
+# pc, output, exact pcs, multiplicity, steps, halted, exit code, error,
+# generation.
+SNAPSHOT = tuple[
+    list[tuple[str, str, int, str | None, int, dict[str, Expr],
+               dict[str, tuple[RegionKey, Expr | None]]]],
+    dict[str, Expr],
+    list[tuple[RegionKey, int | None, int, tuple[Expr, ...]]],
+    tuple[Expr, ...],
+    tuple[Expr, ...],
+    tuple[tuple[Expr, ...], ...] | None,
+    int,
+    int,
+    bool,
+    Expr | None,
+    str | None,
+    int,
+]

@@ -949,7 +949,7 @@ def sched_ablation(
             store_path=store_path,
         )
         store = open_store(store_path, readonly=True)
-        corpus_known = store.covered_blocks(program) or set()
+        corpus_known = store.covered_blocks(program)
         store.close()
 
         full = dict(MODES["plain"], store_path=store_path, store_readonly=True)

@@ -9,6 +9,7 @@ simplifications before interning.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from typing import Iterator
 
@@ -67,7 +68,10 @@ _CMP_KINDS = frozenset({EQ, ULT, ULE, SLT, SLE})
 _BOOL_KINDS = frozenset({NOT, AND, OR, XOR, IMPLIES})
 
 _intern_table: dict[tuple, "Expr"] = {}
-_next_id = 0
+# eids in interning order.  ``next`` on the counter and ``setdefault`` on the
+# table are single C calls, so a frame decoded on a transport reader thread
+# interns safely beside the thread that explores.
+_eids = itertools.count()
 
 # Deterministic structural keys (``Expr.skey``): a 64-bit FNV-style hash of
 # kind/sort/payload/children computed bottom-up at interning time.  Unlike
@@ -121,16 +125,6 @@ def interned_count() -> int:
     return len(_intern_table)
 
 
-def clear_intern_table() -> None:
-    """Drop the intern table.
-
-    Only for tests that measure memory behaviour; existing Expr objects stay
-    valid but new structurally-equal nodes will no longer be identical to
-    them, so never call this mid-analysis.
-    """
-    _intern_table.clear()
-
-
 class Expr:
     """An immutable, interned expression node.
 
@@ -176,7 +170,6 @@ class Expr:
         node = _intern_table.get(key)
         if node is not None:
             return node
-        global _next_id
         node = object.__new__(Expr)
         node.kind = kind
         node.sort = sort
@@ -184,8 +177,7 @@ class Expr:
         node.value = value
         node.name = name
         node.params = params
-        node.eid = _next_id
-        _next_id += 1
+        node.eid = next(_eids)
         node.skey = _structural_key(kind, sort, children, value, name, params)
         # Equality is identity, so any per-object constant is a valid hash;
         # reusing the structural key skips building a second key tuple on
@@ -193,8 +185,7 @@ class Expr:
         node._hash = node.skey
         node._vars = None
         node._depth = None
-        _intern_table[key] = node
-        return node
+        return _intern_table.setdefault(key, node)
 
     # -- identity-based equality (valid because nodes are interned) --------
 

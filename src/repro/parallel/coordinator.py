@@ -70,7 +70,7 @@ from ..sched import PartitionScheduler, adaptive_partition_factor
 from ..solver.portfolio import SolverStats
 from .partition import Partition
 from .state import CHECKPOINT, FENCE, SEND_TASK, CampaignState
-from .wire import MSG_DONE, MSG_ERROR, MSG_START, TASK_PARTITION, encode_config
+from .wire import MSG_DONE, MSG_ERROR, MSG_START, TASK_PARTITION
 from .worker import make_worker_engine, run_partition
 
 
@@ -359,9 +359,9 @@ class Coordinator:
                 CampaignRecord(
                     campaign=par.campaign_id,
                     program=program,
-                    spec_payload=dataclasses.asdict(spec),
-                    config_payload=encode_config(config),
-                    parallel_payload=dataclasses.asdict(par),
+                    spec=spec,
+                    config=config,
+                    parallel=par,
                 ),
                 **knobs,
             )
@@ -487,19 +487,16 @@ class Coordinator:
         ('process') or by listening ('socket')."""
         from ..remote.transport import SocketTransport
 
-        par, rec = self.parallel, self.state.rec
-        config_payload = rec.config_payload
+        par, config = self.parallel, self.config
         listen = par.backend == "socket"
-        if listen and not par.spawn_workers and self.config.store_path:
+        if listen and not par.spawn_workers and config.store_path:
             # External workers cannot reach the coordinator's store file;
             # strip the path so they run storeless instead of creating an
             # empty store at a bogus path.  (Local workers keep it and
             # open read-only.)
-            config_payload = encode_config(
-                dataclasses.replace(self.config, store_path=None)
-            )
+            config = dataclasses.replace(config, store_path=None)
         return SocketTransport(
-            par.workers, self.program, rec.spec_payload, config_payload,
+            par.workers, self.program, self.spec, config,
             listen=listen, host=par.socket_host, port=par.socket_port,
             spawn_workers=par.spawn_workers,
             heartbeat_interval=par.heartbeat_interval,

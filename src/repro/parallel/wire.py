@@ -1,20 +1,23 @@
 """Wire protocol between the coordinator and its workers.
 
-Everything crossing a process (or host) boundary is plain picklable
-data: snapshot bytes (:meth:`SymState.snapshot`), :class:`TestCase`
-tuples, stats dataclasses of numbers, and the config payloads below.
-Messages are tagged tuples; the tag vocabulary is:
+Every frame is one :mod:`repro.codec` payload; the codec's format
+version is the protocol's, so a worker of another build fails the
+handshake by name.  Messages are tagged tuples, and each direction's
+vocabulary is one schema below — a frame that decodes to anything else
+is a :class:`~repro.codec.DecodeError`, and its sender is fenced:
 
 Handshake (every worker, whether it dialed the coordinator or inherited
 one end of a socketpair from it):
-    (MSG_HELLO, WIRE_VERSION, meta)     — worker -> coordinator on
+    (MSG_HELLO, meta)                   — worker -> coordinator on
         connect; ``meta`` carries the worker's os pid/host so the
         coordinator can target chaos/kill injection at local workers.
-    (MSG_WELCOME, worker_id, WIRE_VERSION, program, spec_payload,
-        config_payload)                 — coordinator's accept reply;
-        assigns the worker id and ships the campaign description.
-    (MSG_REJECT, reason)                — handshake refusal (version
-        skew, campaign full); the connection closes after it.
+    (MSG_WELCOME, worker_id, program, spec, config)
+                                        — coordinator's accept reply;
+        assigns the worker id and ships the campaign's
+        :class:`ArgvSpec` and :class:`EngineConfig`.
+    (MSG_REJECT, reason)                — handshake refusal (a frame of
+        another format version, not a HELLO); the connection closes
+        after it.
 
 Coordinator -> worker (task channel):
     (TASK_PARTITION, partition_id, snapshot_bytes)
@@ -62,25 +65,13 @@ Worker -> coordinator (result channel):
 
 from __future__ import annotations
 
-import dataclasses
+from typing import Literal, Optional
 
 from ..engine.executor import EngineConfig
-from ..expr.serialize import decode_exprs, encode_exprs
-from ..qce.qce import QceParams
-
-# Protocol generation.  Bumped whenever a message shape or the config
-# payload changes incompatibly; both handshake and config decoding check
-# it, so a stale remote worker fails with a named error instead of a
-# bare TypeError deep inside EngineConfig(**payload).
-#   v1 — PR 2's fork-only protocol (implicit, unstamped)
-#   v2 — HELLO/WELCOME/HEARTBEAT, stats snapshots in MSG_DONE, steal
-#        replies carrying retained checkpoints + interim results
-#   v3 — EngineStats without its solver_* mirrors; config payload without
-#        solver_incremental / testgen_deterministic / warm_start /
-#        max_queries
-#   v4 — MSG_STOLEN entries are Partition rows instead of
-#        (snapshot, meta dict) pairs
-WIRE_VERSION = 4
+from ..engine.stats import EngineStats
+from ..engine.testgen import TestCase
+from ..env.argv import ArgvSpec
+from ..solver.portfolio import SolverStats
 
 TASK_PARTITION = "part"
 TASK_STOP = "stop"
@@ -98,56 +89,40 @@ MSG_STOLEN = "stolen"
 MSG_STATS = "stats"
 MSG_ERROR = "error"
 
+# A Partition row: pid, snapshot, origin, prefix length, func, block, depth.
+ROW = tuple[int, bytes, str, int, str, str, int]
+# A worker's buffered store inserts, if it has a store: named, so that a
+# storeless coordinator does not import the store (and SQLite) for it.
+STORE_PAYLOAD = Optional["repro.store.tier.StorePayload"]
+# New tests, newly covered blocks, completed paths, cumulative stats.
+RESULTS = tuple[list[TestCase], set[tuple[str, str]], int, EngineStats, SolverStats]
+
+HELLO = tuple[Literal[MSG_HELLO], dict[str, int | str]]
+HANDSHAKE_REPLY = (
+    tuple[Literal[MSG_WELCOME], int, str, ArgvSpec, EngineConfig]
+    | tuple[Literal[MSG_REJECT], str]
+)
+TO_WORKER = (
+    tuple[Literal[TASK_PARTITION], int, bytes]
+    | tuple[Literal[TASK_STOP]]
+    | tuple[Literal[CMD_STEAL], int]
+)
+FROM_WORKER = (
+    tuple[Literal[MSG_START], int, int]
+    | tuple[Literal[MSG_DONE], int, int, list[TestCase], set[tuple[str, str]], int,
+            EngineStats, SolverStats]
+    | tuple[Literal[MSG_STOLEN], int, list[ROW], list[ROW], RESULTS]
+    | tuple[Literal[MSG_HEARTBEAT], int]
+    | tuple[Literal[MSG_STATS], int, EngineStats, SolverStats, STORE_PAYLOAD]
+    | tuple[Literal[MSG_ERROR], int, str]
+)
+
 
 class ProtocolMismatchError(RuntimeError):
     """Coordinator and worker speak different wire-protocol versions.
 
-    Raised instead of the bare ``TypeError`` that version-skewed config
-    payloads used to die with: once workers run on other hosts (and
-    other checkouts), a clear handshake failure is the difference
-    between a fixable deployment error and a cryptic crash.
+    Raised instead of whatever a version-skewed frame would break deep
+    inside a worker: once workers run on other hosts (and other
+    checkouts), a clear handshake failure is the difference between a
+    fixable deployment error and a cryptic crash.
     """
-
-
-def check_wire_version(seen: object, context: str) -> None:
-    """Raise :class:`ProtocolMismatchError` unless ``seen`` matches."""
-    if seen != WIRE_VERSION:
-        raise ProtocolMismatchError(
-            f"wire protocol mismatch in {context}: peer speaks "
-            f"{seen!r}, this side speaks {WIRE_VERSION} — "
-            "coordinator and workers must run the same repro version"
-        )
-
-
-def encode_config(config: EngineConfig) -> dict:
-    """Flatten an :class:`EngineConfig` to picklable data.
-
-    The payload is stamped with :data:`WIRE_VERSION` so the decoding
-    side can reject version skew by name.  The ``preconditions`` tuple
-    holds interned expressions, which cannot cross process boundaries
-    directly; they ride the expression codec.
-    """
-    payload = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-    payload["qce_params"] = dataclasses.asdict(config.qce_params)
-    nodes, roots = encode_exprs(list(payload.pop("preconditions")))
-    payload["preconditions_encoded"] = (nodes, roots)
-    payload["wire_version"] = WIRE_VERSION
-    return payload
-
-
-def decode_config(payload: dict) -> EngineConfig:
-    fields = dict(payload)
-    check_wire_version(fields.pop("wire_version", 1), "config payload")
-    fields["qce_params"] = QceParams(**fields["qce_params"])
-    nodes, roots = fields.pop("preconditions_encoded")
-    decoded = decode_exprs(nodes)
-    fields["preconditions"] = tuple(decoded[i] for i in roots)
-    try:
-        return EngineConfig(**fields)
-    except TypeError as exc:
-        # Same stamp but skewed fields (e.g. a dirty checkout): still a
-        # protocol problem, still named.
-        raise ProtocolMismatchError(
-            f"config payload does not match this EngineConfig ({exc}); "
-            "coordinator and workers must run the same repro version"
-        ) from exc

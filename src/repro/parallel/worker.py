@@ -36,7 +36,6 @@ from .wire import (
     MSG_STOLEN,
     TASK_PARTITION,
     TASK_STOP,
-    decode_config,
 )
 
 # How many engine steps pass between polls of the command queue.  Polling
@@ -72,7 +71,7 @@ def _make_interrupt(cmd_q, pid: int):
 
 def _stats(engine: Engine):
     """Cumulative (EngineStats, SolverStats) at a quiescent point.  The
-    live objects: the result channel pickles inside ``put``."""
+    live objects: the result channel encodes inside ``put``."""
     return engine.stats, engine.solver.stats
 
 
@@ -165,8 +164,8 @@ def worker_main(session) -> None:
         engine = make_worker_engine(
             session.program,
             get_program(session.program).compile(),
-            ArgvSpec(**session.spec_payload),
-            decode_config(session.config_payload),
+            session.spec,
+            session.config,
         )
         while True:
             msg = session.task_q.get()

@@ -152,12 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.resume:
-        from ..campaign import CampaignNotFound, RecordVersionError, resume_campaign
+        from ..campaign import CampaignNotFound, RecordError, resume_campaign
 
         try:
             result = resume_campaign(args.store, args.resume,
                                      overrides=overrides)
-        except (CampaignNotFound, RecordVersionError) as exc:
+        except (CampaignNotFound, RecordError) as exc:
             print(f"repro.remote campaign: {exc}", file=sys.stderr)
             return 1
         result.check_ledger()

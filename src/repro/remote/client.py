@@ -3,8 +3,9 @@
 A worker is a :class:`WorkerSession` over one connected stream socket —
 dialed over TCP (:func:`connect`, :func:`remote_worker_main`) or
 inherited as one end of a socketpair by a process the coordinator forked
-(:func:`serve_inherited`).  After the version-checked HELLO/WELCOME
-handshake the session is handed to the single worker loop,
+(:func:`serve_inherited`).  After the HELLO/WELCOME handshake (whose
+frames carry the codec's format version) the session is handed to the
+single worker loop,
 :func:`repro.parallel.worker.worker_main`.
 
 The session runs two daemon threads next to the main loop:
@@ -31,17 +32,17 @@ import sys
 import threading
 import time
 
+from ..codec import DecodeError
 from ..parallel.wire import (
     CMD_STEAL,
+    HANDSHAKE_REPLY,
     MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_REJECT,
-    MSG_WELCOME,
     TASK_PARTITION,
     TASK_STOP,
-    WIRE_VERSION,
+    TO_WORKER,
     ProtocolMismatchError,
-    check_wire_version,
 )
 from .transport import handshake_error, recv_frame, send_frame, set_nodelay
 
@@ -49,8 +50,8 @@ from .transport import handshake_error, recv_frame, send_frame, set_nodelay
 class WorkerSession:
     """One connected worker: its identity and channels over a duplex socket.
 
-    The handshake fills in ``wid``, ``program``, ``spec_payload`` and
-    ``config_payload``; ``task_q`` / ``cmd_q`` are the inbound channels
+    The handshake fills in ``wid``, ``program``, ``spec`` and
+    ``config``; ``task_q`` / ``cmd_q`` are the inbound channels
     ``worker_main`` reads, and the session object itself is the result
     channel (``put`` sends a frame).
     """
@@ -71,15 +72,17 @@ class WorkerSession:
         # accept loop (mid-campaign) would otherwise park us in
         # recv_frame forever.  Timing out turns that into one more
         # retryable dial attempt.
-        send_frame(sock, (MSG_HELLO, WIRE_VERSION, meta), self._send_lock)
-        reply = recv_frame(sock)
+        send_frame(sock, (MSG_HELLO, meta), self._send_lock)
+        try:
+            reply = recv_frame(sock, HANDSHAKE_REPLY)
+        except DecodeError as exc:
+            raise ProtocolMismatchError(
+                f"wire protocol mismatch in the WELCOME handshake: {exc} — "
+                "coordinator and workers must run the same repro version"
+            ) from exc
         if reply[0] == MSG_REJECT:
             raise handshake_error(reply)
-        if reply[0] != MSG_WELCOME:
-            raise ProtocolMismatchError(f"expected WELCOME, got {reply[0]!r}")
-        _, self.wid, version, self.program, self.spec_payload, \
-            self.config_payload = reply
-        check_wire_version(version, "WELCOME handshake")
+        _, self.wid, self.program, self.spec, self.config = reply
         sock.settimeout(None)
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
@@ -107,8 +110,8 @@ class WorkerSession:
     def _read_loop(self) -> None:
         while True:
             try:
-                msg = recv_frame(self._sock)
-            except Exception:
+                msg = recv_frame(self._sock, TO_WORKER)
+            except Exception:  # noqa: BLE001 — EOF, or a frame that is not ours
                 self._hangup()
                 return
             tag = msg[0]
@@ -120,8 +123,6 @@ class WorkerSession:
                     return
             elif tag == CMD_STEAL:
                 self.cmd_q.put(msg)
-            # Unknown tags from a newer coordinator: ignored, the
-            # handshake already pinned the version.
 
     def _heartbeat_loop(self, interval: float) -> None:
         while not self._closed.wait(interval):

@@ -3,7 +3,8 @@
 One campaign event loop (:meth:`repro.parallel.Coordinator._run_transport`)
 drives one transport class, :class:`SocketTransport`: every worker holds
 one duplex stream socket carrying length-prefixed frames (4-byte
-big-endian size + pickle) — tasks, commands, results and heartbeats.
+big-endian size + one :mod:`repro.codec` payload) — tasks, commands,
+results and heartbeats.
 Worker ids are assigned at the HELLO/WELCOME handshake, and the
 transport tracks per-connection liveness (EOF or missed heartbeats), so
 the coordinator can revoke a dead worker's lease and requeue it.
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import queue as queue_mod
 import signal
 import socket
@@ -41,20 +41,25 @@ import sys
 import threading
 import time
 
+from .. import codec
+from ..codec import MAX_FRAME
+from ..engine.executor import EngineConfig
+from ..env.argv import ArgvSpec
 from ..parallel.wire import (
+    FROM_WORKER,
+    HELLO,
     MSG_HEARTBEAT,
-    MSG_HELLO,
     MSG_REJECT,
     MSG_WELCOME,
     TASK_STOP,
-    WIRE_VERSION,
     ProtocolMismatchError,
 )
 
 _HEADER = struct.Struct(">I")
-# Frames above this are protocol corruption, not data (a partition
-# snapshot is kilobytes; a full stats ledger far less).
-MAX_FRAME = 1 << 30
+
+# The first frame of a connection is read under this cap: a HELLO is a
+# few dozen bytes, and until it decodes the peer is anyone at all.
+HELLO_MAX = 1 << 12
 
 # Handshake must complete promptly once a connection lands — a client
 # that connects and stalls must not block the accept loop forever.
@@ -75,15 +80,13 @@ def _mp_context():
 
 
 def send_frame(sock: socket.socket, msg, lock: threading.Lock | None = None) -> None:
-    """Pickle ``msg`` and write it as one length-prefixed frame.
+    """Encode ``msg`` and write it as one length-prefixed frame.
 
     The lock (one per connection) keeps concurrently sending threads —
     the worker's main loop and its heartbeat timer — from interleaving
     frame bytes.
     """
-    payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME:
-        raise TransportError(f"frame too large: {len(payload)} bytes")
+    payload = codec.dumps(msg)
     data = _HEADER.pack(len(payload)) + payload
     if lock is not None:
         with lock:
@@ -102,12 +105,15 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def recv_frame(sock: socket.socket):
-    """Read one length-prefixed frame; raises EOFError on a closed peer."""
+def recv_frame(sock: socket.socket, schema=object, limit: int = MAX_FRAME):
+    """Read one length-prefixed frame of at most ``limit`` bytes holding a
+    ``schema`` value; raises EOFError on a closed peer,
+    :class:`TransportError` on a longer frame and
+    :class:`~repro.codec.DecodeError` on a frame that is not one."""
     (size,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if size > MAX_FRAME:
+    if size > limit:
         raise TransportError(f"oversized frame header: {size} bytes")
-    return pickle.loads(_recv_exact(sock, size))
+    return codec.loads(_recv_exact(sock, size), schema)
 
 
 def set_nodelay(sock: socket.socket) -> None:
@@ -155,8 +161,8 @@ class SocketTransport:
         self,
         workers: int,
         program: str,
-        spec_payload: dict,
-        config_payload: dict,
+        spec: ArgvSpec,
+        config: EngineConfig,
         listen: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -168,8 +174,8 @@ class SocketTransport:
     ):
         self.workers = workers
         self.program = program
-        self.spec_payload = spec_payload
-        self.config_payload = config_payload
+        self.spec = spec
+        self.config = config
         self.listen = listen
         self.host = host
         self.port = port
@@ -261,8 +267,8 @@ class SocketTransport:
             ep = self._greet(conn)
         except Exception as exc:  # noqa: BLE001 — whatever the first frame
             # was, it was not a worker's (a port scan, an oversized header,
-            # bytes that do not unpickle, a peer gone before our reply):
-            # drop this connection, keep accepting.
+            # a stalled half header, a peer gone before our reply): drop
+            # this connection, keep accepting.
             print(f"repro.remote: dropped a connection at the handshake: {exc!r}",
                   file=sys.stderr)
             ep = None
@@ -274,44 +280,33 @@ class SocketTransport:
     def _greet(self, conn: socket.socket) -> _Endpoint | None:
         set_nodelay(conn)
         conn.settimeout(HANDSHAKE_TIMEOUT)
-        hello = recv_frame(conn)
-        if not (isinstance(hello, tuple) and hello and hello[0] == MSG_HELLO):
-            send_frame(conn, (MSG_REJECT, "expected HELLO"))
-            return None
-        version = hello[1] if len(hello) > 1 else 1
-        if version != WIRE_VERSION:
+        try:
+            _, meta = recv_frame(conn, HELLO, HELLO_MAX)
+        except codec.VersionError as exc:
             # The worker raises ProtocolMismatchError on its side too;
             # rejecting (instead of hanging) is what makes version skew a
             # deployment error rather than a stuck campaign.
-            send_frame(
-                conn,
-                (MSG_REJECT,
-                 f"wire protocol mismatch: worker {version!r}, "
-                 f"coordinator {WIRE_VERSION}"),
-            )
+            send_frame(conn, (MSG_REJECT, f"format version mismatch: {exc}"))
             return None
-        meta = hello[2] if len(hello) > 2 else {}
+        except codec.DecodeError as exc:
+            send_frame(conn, (MSG_REJECT, f"expected HELLO: {exc}"))
+            return None
         wid = len(self._endpoints)
-        send_frame(
-            conn,
-            (MSG_WELCOME, wid, WIRE_VERSION, self.program,
-             self.spec_payload, self.config_payload),
-        )
+        send_frame(conn, (MSG_WELCOME, wid, self.program, self.spec, self.config))
         conn.settimeout(None)
-        return _Endpoint(wid, conn, dict(meta or {}))
+        return _Endpoint(wid, conn, meta)
 
     def _reader(self, ep: _Endpoint) -> None:
         while True:
             try:
-                msg = recv_frame(ep.conn)
+                msg = recv_frame(ep.conn, FROM_WORKER)
             except (EOFError, OSError):
                 dead = "disconnect"
-            except Exception:  # noqa: BLE001 — oversized header, unpicklable bytes
+            except Exception:  # noqa: BLE001 — oversized header, DecodeError
                 dead = "garbled frame"
             else:
-                # Every worker message is a tuple tagged with its sender.
-                ok = isinstance(msg, tuple) and len(msg) > 1 and msg[1] == ep.wid
-                dead = None if ok else "garbled frame"
+                # Every worker message is tagged with its sender.
+                dead = None if msg[1] == ep.wid else "garbled frame"
             if dead is not None:
                 # Dead on the spot: the next death sweep revokes the
                 # lease, no heartbeat deadline to wait out.

@@ -24,6 +24,7 @@ verdict — warm runs explore the exact same path space as cold runs.
 
 from __future__ import annotations
 
+from ..codec import DecodeError
 from ..lang.interp import replay
 from .db import ReproStore, spec_fingerprint
 from .tier import decode_core
@@ -52,10 +53,10 @@ def record_tests(
 ) -> int:
     """Write a run's generated tests into the corpus (deduplicated).
 
-    Rows the corpus already holds are not replayed: ``put_tests`` ignores
-    everything about a duplicate but its key, whose ``created_run`` it
-    refreshes.  The known keys are read on the caller's connection, so
-    inside the caller's transaction they cannot go stale.
+    Rows the corpus already holds are neither replayed nor encoded:
+    ``put_tests`` ignores everything about a duplicate but its key, whose
+    ``created_run`` it refreshes.  The known keys are read on the caller's
+    connection, so inside the caller's transaction they cannot go stale.
     """
     spec_fp = spec_fingerprint(spec)
     known = store.test_keys(program, spec_fp)
@@ -75,7 +76,7 @@ def record_tests(
                 coverage,
             )
         )
-    return store.put_tests(program, spec_fp, rows, run_id=run_id)
+    return store.put_tests(program, spec_fp, rows, run_id=run_id, held=known)
 
 
 def seed_query_cache(
@@ -96,8 +97,8 @@ def seed_query_cache(
     for payload in store.iter_cores(program, limit=max_cores):
         try:
             core = decode_core(payload)
-        except Exception:
-            continue  # forward-compat: skip cores this build cannot decode
+        except DecodeError:
+            continue  # a rejected row
         if core:
             cache.store(core, False, None)
             cores += 1
@@ -115,12 +116,6 @@ def corpus_coverage(store: ReproStore, program: str, spec=None) -> set:
 
 
 def corpus_covered_blocks(store: ReproStore, program: str) -> frozenset:
-    """Blocks with any stored test evidence — the scheduler's novelty set.
-
-    Served from the ``test_coverage`` index (one query, no blob decoding);
-    stores predating the index fall back to the full corpus scan.
-    """
-    blocks = store.covered_blocks(program)
-    if blocks is None:
-        blocks = corpus_coverage(store, program)
-    return frozenset(blocks)
+    """Blocks with any stored test evidence — the scheduler's novelty set,
+    served from the ``test_coverage`` index (one query, no blob decoding)."""
+    return frozenset(store.covered_blocks(program))

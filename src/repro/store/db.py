@@ -13,6 +13,12 @@ subsystem overview and invariants):
   coverage and path-prefix id, deduplicated across runs) and per-run
   metadata for cross-run statistics.
 
+Every value column and blob is a :mod:`repro.codec` payload of the row
+kind's schema below, and the file records the codec's
+``FORMAT_VERSION``: a store of another format (every pre-codec store is
+v1) is refused by name at open.  A row that does not
+decode is *rejected* — read as absent — never half-used.
+
 Concurrency model: **one writer** (the sequential engine, or the parallel
 coordinator), any number of read-only connections (workers).  Readers
 open with SQLite's ``mode=ro`` and never see partial schemas because the
@@ -23,13 +29,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import sqlite3
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+from .. import codec
+
+# Row kinds: a constraint row's model (canonical names), a test's argv, its
+# model, and the coverage blob it points at.
+MODEL = dict[str, int]
+ARGV = tuple[bytes, ...]
+MODEL_ITEMS = tuple[tuple[str, int], ...]
+COVERAGE = tuple[tuple[str, str], ...]
+
+
+def _row(blob: bytes, schema):
+    """A stored value, or None for a row that does not decode (rejected)."""
+    try:
+        return codec.loads(blob, schema)
+    except codec.DecodeError:
+        return None
 
 # How long a connection spins inside SQLite on a held write lock before
 # surfacing "database is locked" (satellite of the durable-campaign work:
@@ -189,27 +209,26 @@ class ReproStore:
             self.conn.executescript(_SCHEMA)
             self.conn.execute(
                 "INSERT OR IGNORE INTO meta(key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
+                (str(codec.FORMAT_VERSION),),
             )
             self.conn.commit()
         row = self.conn.execute(
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
-        if row is not None and int(row[0]) != SCHEMA_VERSION:
+        if row is not None and row[0] != str(codec.FORMAT_VERSION):
+            self.conn.close()
+            era = " (a pre-codec store)" if row[0] == "1" else ""
             raise StoreError(
-                f"store {self.path!r} has schema v{row[0]}, expected v{SCHEMA_VERSION}"
+                f"store {self.path!r} has format v{row[0]}{era}, this build reads "
+                f"v{codec.FORMAT_VERSION}"
             )
         if not readonly:
             self._backfill_coverage_index()
 
     def _backfill_coverage_index(self) -> None:
-        """Populate ``test_coverage`` for stores created before the index.
-
-        The table is additive (``CREATE TABLE IF NOT EXISTS`` — no schema
-        version bump), so a pre-index store opened by a writer gets the
-        table empty while its ``tests`` rows carry coverage blobs.  One
-        full scan here rebuilds the index; subsequent opens are no-ops.
-        """
+        """Rebuild ``test_coverage`` when it is empty while ``tests`` rows
+        carry coverage blobs (after :meth:`gc`, or a wiped table): one full
+        scan; a store whose index is in place costs two counts."""
         indexed = self.conn.execute("SELECT COUNT(*) FROM test_coverage").fetchone()[0]
         covered_tests = self.conn.execute(
             "SELECT COUNT(*) FROM tests WHERE coverage_hash IS NOT NULL"
@@ -222,7 +241,7 @@ class ReproStore:
         ).fetchall()
         counts: dict[tuple[str, str, str], int] = {}
         for program, blob in rows:
-            for func, block in pickle.loads(blob):
+            for func, block in _row(blob, COVERAGE) or ():
                 key = (program, func, block)
                 counts[key] = counts.get(key, 0) + 1
         self.conn.executemany(
@@ -280,8 +299,10 @@ class ReproStore:
         if row is None:
             return None
         is_sat, model_blob = row
-        model = pickle.loads(model_blob) if model_blob is not None else None
-        return bool(is_sat), model
+        if model_blob is None:
+            return bool(is_sat), None
+        model = _row(model_blob, MODEL)
+        return None if model is None else (bool(is_sat), model)
 
     def put_constraints(self, rows, run_id: int | None = None) -> int:
         """Insert ``(key, is_sat, canonical_model | None)`` rows.
@@ -297,7 +318,7 @@ class ReproStore:
             "INSERT OR IGNORE INTO constraint_cache(key, is_sat, model, created_run)"
             " VALUES (?, ?, ?, ?)",
             [
-                (key, int(is_sat), None if model is None else pickle.dumps(model), run_id)
+                (key, int(is_sat), None if model is None else codec.dumps(model), run_id)
                 for key, is_sat, model in rows
             ],
         )
@@ -363,27 +384,20 @@ class ReproStore:
 
     def iter_checkpoints(self, campaign: str) -> list[tuple[int, str, bytes]]:
         """``(epoch, phase, state)`` rows for a campaign, newest first."""
-        try:
-            return self.conn.execute(
-                "SELECT epoch, phase, state FROM checkpoints"
-                " WHERE campaign = ? ORDER BY epoch DESC",
-                (campaign,),
-            ).fetchall()
-        except sqlite3.OperationalError:
-            # Read-only open of a store that predates the table.
-            return []
+        return self.conn.execute(
+            "SELECT epoch, phase, state FROM checkpoints"
+            " WHERE campaign = ? ORDER BY epoch DESC",
+            (campaign,),
+        ).fetchall()
 
     def checkpoint_epochs(self, campaign: str) -> list[int]:
         return [epoch for epoch, _, _ in reversed(self.iter_checkpoints(campaign))]
 
     def campaign_ids(self) -> list[str]:
         """Campaigns with at least one live checkpoint (i.e. resumable)."""
-        try:
-            rows = self.conn.execute(
-                "SELECT DISTINCT campaign FROM checkpoints ORDER BY campaign"
-            ).fetchall()
-        except sqlite3.OperationalError:
-            return []
+        rows = self.conn.execute(
+            "SELECT DISTINCT campaign FROM checkpoints ORDER BY campaign"
+        ).fetchall()
         return [row[0] for row in rows]
 
     def delete_campaign(self, campaign: str) -> None:
@@ -508,40 +522,53 @@ class ReproStore:
 
     # -- test corpus ----------------------------------------------------------
 
-    def put_tests(self, program: str, spec: str, rows, run_id: int | None = None) -> int:
+    def put_tests(
+        self, program: str, spec: str, rows, run_id: int | None = None, held=frozenset()
+    ) -> int:
         """Insert corpus rows; duplicates (same program/spec/kind/path/line)
         from later runs are ignored, keeping the corpus a *set* of paths.
 
         Each row: ``(kind, path_id, line, argv, model_items, stdin,
         multiplicity, coverage | None)`` where ``coverage`` is an iterable
-        of ``(func, block)`` pairs.
+        of ``(func, block)`` pairs.  ``held`` is a set of :meth:`test_keys`
+        the caller read in this transaction: those rows are known
+        duplicates, and are not encoded.
         """
         if self.readonly:
             raise StoreError("read-only store cannot accept tests")
         inserted = 0
+        # Coverage blobs are content-addressed and few tests cover a set of
+        # blocks of their own (17 bitmaps for wc's 588): each is encoded once.
+        cov_hashes: dict[tuple, str] = {}
         for kind, path_id, line, argv, model_items, stdin, multiplicity, coverage in rows:
-            cov_hash = None
-            if coverage is not None:
-                cov_hash = self.put_blob(pickle.dumps(tuple(sorted(coverage))))
-            cur = self.conn.execute(
-                "INSERT OR IGNORE INTO tests(program, spec, kind, path_id, line,"
-                " argv, model, stdin, multiplicity, coverage_hash, created_run)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    program,
-                    spec,
-                    kind,
-                    path_id,
-                    line if line is not None else -1,
-                    pickle.dumps(tuple(argv)),
-                    pickle.dumps(tuple(model_items)),
-                    bytes(stdin),
-                    multiplicity,
-                    cov_hash,
-                    run_id,
-                ),
-            )
-            if cur.rowcount:
+            stored_line = line if line is not None else -1
+            new = False
+            if (kind, path_id, line) not in held:
+                cov_hash = None
+                if coverage is not None:
+                    blocks = tuple(sorted(coverage))
+                    cov_hash = cov_hashes.get(blocks)
+                    if cov_hash is None:
+                        cov_hash = cov_hashes[blocks] = self.put_blob(codec.dumps(blocks))
+                new = self.conn.execute(
+                    "INSERT OR IGNORE INTO tests(program, spec, kind, path_id, line,"
+                    " argv, model, stdin, multiplicity, coverage_hash, created_run)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        program,
+                        spec,
+                        kind,
+                        path_id,
+                        stored_line,
+                        codec.dumps(tuple(argv)),
+                        codec.dumps(tuple(model_items)),
+                        bytes(stdin),
+                        multiplicity,
+                        cov_hash,
+                        run_id,
+                    ),
+                ).rowcount > 0
+            if new:
                 inserted += 1
                 if coverage:
                     # Maintain the (program, covered-block) index only for
@@ -563,8 +590,7 @@ class ReproStore:
                 self.conn.execute(
                     "UPDATE tests SET created_run = ? WHERE program = ?"
                     " AND spec = ? AND kind = ? AND path_id = ? AND line = ?",
-                    (run_id, program, spec, kind, path_id,
-                     line if line is not None else -1),
+                    (run_id, program, spec, kind, path_id, stored_line),
                 )
         self._commit()
         return inserted
@@ -590,10 +616,13 @@ class ReproStore:
             " AND path_id = ? AND line = ?",
             (program, spec, kind, path_id, line if line is not None else -1),
         ).fetchone()
-        return None if row is None else dict(pickle.loads(row[0]))
+        items = None if row is None else _row(row[0], MODEL_ITEMS)
+        return None if items is None else dict(items)
 
     def iter_tests(self, program: str, spec: str | None = None) -> list[dict]:
-        """Corpus rows for a program (optionally one spec), oldest first."""
+        """Corpus rows for a program (optionally one spec), oldest first;
+        a row whose argv or model does not decode is left out, one whose
+        coverage blob does not reads ``coverage: None``."""
         query = (
             "SELECT kind, path_id, line, argv, model, stdin, multiplicity,"
             " coverage_hash FROM tests WHERE program = ?"
@@ -607,20 +636,21 @@ class ReproStore:
         for kind, path_id, line, argv, model, stdin, mult, cov_hash in self.conn.execute(
             query, params
         ):
-            coverage = None
-            if cov_hash is not None:
-                blob = self.get_blob(cov_hash)
-                coverage = set(pickle.loads(blob)) if blob is not None else None
+            argv, model = _row(argv, ARGV), _row(model, MODEL_ITEMS)
+            if argv is None or model is None:
+                continue
+            blob = self.get_blob(cov_hash) if cov_hash is not None else None
+            coverage = _row(blob, COVERAGE) if blob is not None else None
             out.append(
                 {
                     "kind": kind,
                     "path_id": path_id,
                     "line": None if line == -1 else line,
-                    "argv": pickle.loads(argv),
-                    "model": dict(pickle.loads(model)),
+                    "argv": argv,
+                    "model": dict(model),
                     "stdin": stdin,
                     "multiplicity": mult,
-                    "coverage": coverage,
+                    "coverage": None if coverage is None else set(coverage),
                 }
             )
         return out
@@ -634,24 +664,20 @@ class ReproStore:
             " ORDER BY id DESC LIMIT ?",
             (program, spec, limit),
         ).fetchall()
-        return [dict(pickle.loads(row[0])) for row in reversed(rows)]
+        models = (_row(row[0], MODEL_ITEMS) for row in reversed(rows))
+        return [dict(items) for items in models if items is not None]
 
-    def covered_blocks(self, program: str) -> set[tuple[str, str]] | None:
+    def covered_blocks(self, program: str) -> set[tuple[str, str]]:
         """Blocks any stored test covers, from the (program, block) index.
 
         One indexed query instead of decoding every coverage blob — the
         scheduler's uncovered-prefix lookup (:mod:`repro.sched`) calls
-        this at engine construction.  Returns ``None`` when the store
-        predates the index (read-only open of an old file); callers fall
-        back to the full corpus scan.
+        this at engine construction.
         """
-        try:
-            rows = self.conn.execute(
-                "SELECT func, block FROM test_coverage WHERE program = ?",
-                (program,),
-            ).fetchall()
-        except sqlite3.OperationalError:
-            return None
+        rows = self.conn.execute(
+            "SELECT func, block FROM test_coverage WHERE program = ?",
+            (program,),
+        ).fetchall()
         return {(func, block) for func, block in rows}
 
     def last_parallel_imbalance(self, program: str) -> float | None:
@@ -662,18 +688,15 @@ class ReproStore:
         ``partition_factor`` policy (:func:`repro.sched
         .adaptive_partition_factor`) scales the next split with it.
         """
-        try:
-            # workers=1 runs are the sequential special case and always
-            # record the neutral 1.0 — they carry no balance signal and
-            # must not mask a real multi-worker observation.
-            rows = self.conn.execute(
-                "SELECT stats_json FROM runs WHERE program = ?"
-                " AND mode LIKE '%workers=%' AND mode NOT LIKE '%workers=1'"
-                " AND stats_json IS NOT NULL ORDER BY id DESC LIMIT 5",
-                (program,),
-            ).fetchall()
-        except sqlite3.OperationalError:
-            return None
+        # workers=1 runs are the sequential special case and always
+        # record the neutral 1.0 — they carry no balance signal and must
+        # not mask a real multi-worker observation.
+        rows = self.conn.execute(
+            "SELECT stats_json FROM runs WHERE program = ?"
+            " AND mode LIKE '%workers=%' AND mode NOT LIKE '%workers=1'"
+            " AND stats_json IS NOT NULL ORDER BY id DESC LIMIT 5",
+            (program,),
+        ).fetchall()
         for (stats_json,) in rows:
             try:
                 value = json.loads(stats_json).get("sched_imbalance")

@@ -33,11 +33,27 @@ and makes the store immune to mid-run crashes.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
+from .. import codec
 from ..expr.canon import canonicalize
 from ..expr.evaluate import EvalError, evaluate
-from ..expr.serialize import encode_exprs
+from ..expr.nodes import Expr
 from .db import ReproStore
+
+# An UNSAT core blob: its constraints (original names).
+CORE = tuple[Expr, ...]
+
+
+@dataclass
+class StorePayload:
+    """A tier's buffered inserts, as a worker ships them to the writer."""
+
+    program: str | None
+    # (canonical key, is_sat, canonical model | None)
+    constraints: list[tuple[str, bool, dict[str, int] | None]]
+    # (core size, CORE blob)
+    cores: list[tuple[int, bytes]]
 
 
 class PersistentTier:
@@ -60,7 +76,7 @@ class PersistentTier:
         self._pending: OrderedDict[str, tuple[bool, dict[str, int] | None]] = (
             OrderedDict()
         )
-        # (size, serialized exprs) payloads of extracted UNSAT cores.
+        # (size, CORE blob) of extracted UNSAT cores.
         self._pending_cores: list[tuple[int, bytes]] = []
         self.rejects = 0  # SAT hits whose model failed verification
         # Corpus identities held for (program, spec), read on first use.
@@ -128,27 +144,20 @@ class PersistentTier:
 
     def record_core(self, core) -> None:
         """Buffer an UNSAT core (original names) for cross-run cache seeding."""
-        import pickle
+        core = tuple(core)
+        self._pending_cores.append((len(core), codec.dumps(core)))
 
-        core = list(core)
-        nodes, roots = encode_exprs(core)
-        self._pending_cores.append(
-            (len(core), pickle.dumps((nodes, roots), protocol=pickle.HIGHEST_PROTOCOL))
-        )
-
-    def export_pending(self, drain: bool = True) -> dict:
-        """Picklable insert buffer for the wire (worker -> coordinator).
+    def export_pending(self, drain: bool = True) -> StorePayload:
+        """The insert buffer, for the writer (worker -> coordinator).
 
         ``drain=False`` leaves the buffer in place: campaign checkpoints
         persist the split engine's buffer without disturbing the
         eventual flush."""
-        payload = {
-            "constraints": [
-                (key, is_sat, model) for key, (is_sat, model) in self._pending.items()
-            ],
-            "cores": list(self._pending_cores),
-            "program": self.program,
-        }
+        payload = StorePayload(
+            self.program,
+            [(key, is_sat, model) for key, (is_sat, model) in self._pending.items()],
+            list(self._pending_cores),
+        )
         if drain:
             self._pending.clear()
             self._pending_cores.clear()
@@ -168,20 +177,15 @@ class PersistentTier:
         return len(self._pending)
 
 
-def apply_payload(store: ReproStore, payload: dict, run_id: int | None = None) -> int:
+def apply_payload(store: ReproStore, payload: StorePayload, run_id: int | None = None) -> int:
     """Single-writer application of an exported insert buffer."""
-    inserted = store.put_constraints(payload["constraints"], run_id=run_id)
-    if payload["cores"]:
-        store.put_cores(payload.get("program"), payload["cores"], run_id=run_id)
+    inserted = store.put_constraints(payload.constraints, run_id=run_id)
+    if payload.cores:
+        store.put_cores(payload.program, payload.cores, run_id=run_id)
     return inserted
 
 
-def decode_core(payload: bytes):
-    """Rebuild a stored UNSAT core into this process's interned expressions."""
-    import pickle
-
-    from ..expr.serialize import decode_exprs
-
-    nodes, roots = pickle.loads(payload)
-    decoded = decode_exprs(nodes)
-    return [decoded[i] for i in roots]
+def decode_core(payload: bytes) -> list:
+    """Rebuild a stored UNSAT core into this process's interned expressions
+    (:class:`repro.codec.DecodeError` if the blob is not one)."""
+    return list(codec.loads(payload, CORE))

@@ -36,6 +36,7 @@ from repro.campaign import (
     save_checkpoint,
 )
 from repro.engine.executor import EngineConfig
+from repro.engine.testgen import TestCase
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic
 from repro.parallel import ConfigError, Coordinator, ParallelConfig, run_parallel
@@ -121,10 +122,9 @@ def _record(campaign, epoch=0, pending=()):
     return CampaignRecord(
         campaign=campaign,
         program="wc",
-        spec_payload={"n_args": 1, "arg_len": 2, "prog_name": b"wc",
-                      "concrete_args": (), "stdin_len": 0},
-        config_payload={"v": 1},
-        parallel_payload={"workers": 2},
+        spec=ArgvSpec(n_args=1, arg_len=2, prog_name=b"wc"),
+        config=EngineConfig(),
+        parallel=ParallelConfig(workers=2),
         epoch=epoch,
         pending=list(pending),
     )
@@ -134,7 +134,9 @@ def test_checkpoint_roundtrip(tmp_path):
     store = open_store(tmp_path / "s.sqlite")
     rec = _record("c1", epoch=1,
                   pending=[(7, b"snapshot-bytes", "split", 3, "main", "b0", 1)])
-    rec.tests = ["t1", "t2"]
+    tests = [TestCase("path", (b"a",), (("arg1_b0", 97),), path_id="t1"),
+             TestCase("assert", (b"",), (), line=3, path_id="t2")]
+    rec.tests = list(tests)
     rec.covered = {("main", "b0")}
     rec.streamed_paths = 5
     save_checkpoint(store, rec)
@@ -142,7 +144,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded is not None
     assert loaded.epoch == 1
     assert loaded.pending == rec.pending
-    assert loaded.tests == ["t1", "t2"]
+    assert loaded.tests == tests
+    assert (loaded.spec, loaded.config, loaded.parallel) == (rec.spec, rec.config, rec.parallel)
     assert loaded.covered == {("main", "b0")}
     assert loaded.streamed_paths == 5
     assert load_campaign(store, "nope") is None
@@ -152,19 +155,45 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_record_of_another_version_is_refused_by_name(monkeypatch, tmp_path):
     """A checkpoint another checkout wrote is neither guessed at nor
     skipped as if absent: loading it, and resuming from it, name the skew."""
-    from repro.campaign import RecordVersionError, record, resume_campaign
+    from repro import codec
+    from repro.campaign import RecordVersionError, resume_campaign
 
     path = tmp_path / "s.sqlite"
     store = open_store(path)
     with monkeypatch.context() as older:
-        older.setattr(record, "RECORD_VERSION", record.RECORD_VERSION - 1)
+        older.setattr(codec, "FORMAT_VERSION", codec.FORMAT_VERSION - 1)
         save_checkpoint(store, _record("c1", epoch=1))
-    skew = rf"v{record.RECORD_VERSION - 1} record.*reads v{record.RECORD_VERSION}"
+    skew = rf"format v{codec.FORMAT_VERSION - 1}, this build reads v{codec.FORMAT_VERSION}"
     with pytest.raises(RecordVersionError, match=skew):
         load_campaign(store, "c1")
     store.close()
     with pytest.raises(RecordVersionError):
         resume_campaign(path, "c1")
+
+
+def test_a_campaign_none_of_whose_epochs_loads_is_refused_by_name(tmp_path):
+    """A damaged newest epoch gives way to the one before it; a campaign
+    whose checkpoints all fail to load is named, never reported absent."""
+    from repro.campaign import RecordError
+
+    store = open_store(tmp_path / "s.sqlite")
+    for epoch in (1, 2):
+        save_checkpoint(store, _record("c1", epoch=epoch))
+
+    def damage(epoch):
+        where = " WHERE campaign = 'c1' AND epoch = ?"
+        (state,) = store.conn.execute(
+            "SELECT state FROM checkpoints" + where, (epoch,)).fetchone()
+        store.conn.execute("UPDATE checkpoints SET state = ?" + where,
+                           (state[:-1] + bytes([state[-1] ^ 0x40]), epoch))
+        store.conn.commit()
+
+    damage(2)
+    assert load_campaign(store, "c1").epoch == 1
+    damage(1)
+    with pytest.raises(RecordError, match="'c1' has checkpoints and none loads .epoch 2"):
+        load_campaign(store, "c1")
+    store.close()
 
 
 def test_checkpoint_epoch_gc_and_blob_sharing(tmp_path):
@@ -375,7 +404,7 @@ def test_checkpointer_epochs_monotonic_across_resume(tmp_path):
 def test_worker_connect_retries_until_listener_appears():
     """Workers may start before the coordinator: connect() must keep
     re-dialing with backoff until the listener binds."""
-    from repro.parallel.wire import MSG_HELLO, MSG_WELCOME, WIRE_VERSION
+    from repro.parallel.wire import MSG_HELLO, MSG_WELCOME
     from repro.remote import connect, recv_frame, send_frame
 
     probe = socket_mod.create_server(("127.0.0.1", 0))
@@ -388,7 +417,7 @@ def test_worker_connect_retries_until_listener_appears():
         conn, _ = server.accept()
         hello = recv_frame(conn)
         assert hello[0] == MSG_HELLO
-        send_frame(conn, (MSG_WELCOME, 0, WIRE_VERSION, "wc", {}, {}))
+        send_frame(conn, (MSG_WELCOME, 0, "wc", get_program("wc").spec(), EngineConfig()))
         time.sleep(0.2)
         conn.close()
         server.close()

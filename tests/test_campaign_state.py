@@ -35,9 +35,9 @@ The mutants at the bottom are the law's own regression test: each breaks
 one line of the state machine and must be caught.
 """
 
+import copy
 import dataclasses
 import json
-import pickle
 from collections import Counter
 
 import pytest
@@ -198,8 +198,8 @@ class Campaign(RuleBasedStateMachine):
         self.all_ids = frozenset(range(n_paths))
         self.faults_left = faults
         self.knobs = dict(max_requeues=max_requeues, checkpoint_every=every)
-        rec = CampaignRecord(campaign="c", program="p", spec_payload={},
-                             config_payload={}, parallel_payload={})
+        rec = CampaignRecord(campaign="c", program="p", spec=None, config=None,
+                             parallel=None)
         self.state = CampaignState(rec, sched=PartitionScheduler(policy="fifo"),
                                    **self.knobs)
         self.oracle = Oracle(max_requeues)
@@ -407,7 +407,7 @@ class Campaign(RuleBasedStateMachine):
     def resume(self, rec, workers: int) -> None:
         self.epoch += 1
         rec.epoch = self.epoch  # the checkpointer's job
-        rec = pickle.loads(pickle.dumps(rec))
+        rec = copy.deepcopy(rec)  # the resumed state shares nothing with the old
         self.oracle.resume(self.epoch)
         self.state = CampaignState.from_record(
             rec, sched=PartitionScheduler(policy="fifo"), **self.knobs)

@@ -11,10 +11,9 @@ that is not a model of the group — corrupted, truncated, foreign — is
 rejected by evaluation and the group is solved as if the store were empty.
 """
 
-import pickle
-
 import pytest
 
+from repro import codec
 from repro.engine import executor, testgen
 from repro.engine.stats import EngineStats
 from repro.env.runner import run_symbolic
@@ -180,7 +179,7 @@ def test_tampered_row_is_rejected_and_resolved(monkeypatch, cold_memos, tmp_path
         store.conn.execute(
             "UPDATE tests SET model = ? WHERE program = 'echo' AND spec = ? AND kind = ?"
             " AND path_id = ? AND line = ?",
-            (pickle.dumps(tuple(sorted(bad.items()))), spec_fp, kind, oracle.path_id,
+            (codec.dumps(tuple(sorted(bad.items()))), spec_fp, kind, oracle.path_id,
              line if line is not None else -1),
         )
         store.conn.commit()
@@ -220,7 +219,7 @@ def test_row_of_another_generator_is_used_only_verified(monkeypatch, cold_memos,
         seen += 1
         store.conn.execute(
             "UPDATE tests SET model = ? WHERE spec = ? AND kind = ? AND path_id = ?",
-            (pickle.dumps(tuple(sorted(other.items()))), spec_fp, kind, oracle.path_id),
+            (codec.dumps(tuple(sorted(other.items()))), spec_fp, kind, oracle.path_id),
         )
         store.conn.commit()
         clear_memos()

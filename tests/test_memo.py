@@ -1,9 +1,9 @@
 """The one bounded memo (``repro.memo``) and the one way to clear the
 process-wide ones."""
 
-from repro import memo
+from repro import codec, memo
 from repro.engine import testgen
-from repro.expr import canon, serialize
+from repro.expr import canon
 from repro.qce import qce
 from repro.solver import presolve
 
@@ -20,7 +20,8 @@ def test_bounded_memo_forgets_its_oldest_entry():
 
 def test_clear_memos_reaches_every_process_wide_memo():
     shared = [testgen._GROUP_MEMO, presolve._REWRITE_MEMO, canon._named_cache,
-              canon._component_cache, serialize._node_memo, qce._ANALYSIS_CACHE]
+              canon._component_cache, codec._node_memo, codec._record_memo,
+              qce._ANALYSIS_CACHE]
     assert all(any(m is s for m in memo._PROCESS_WIDE) for s in shared)
     for m in shared:
         m.put(("probe",), None)

@@ -16,13 +16,13 @@ from collections import Counter
 
 import pytest
 
+from repro import codec
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.state import SymState
 from repro.engine.stats import EngineStats
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
-from repro.parallel.wire import decode_config, encode_config
 from repro.programs.registry import get_program
 from repro.solver.portfolio import SolverStats
 
@@ -216,7 +216,7 @@ def test_engine_config_wire_roundtrip():
     pre = (ops.ult(ops.bv_var("arg1_b0", 8), ops.bv(64, 8)),)
     config = EngineConfig(merging="dynamic", similarity="qce", strategy="coverage",
                           dsm_delta=5, seed=9, preconditions=pre)
-    decoded = decode_config(encode_config(config))
+    decoded = codec.loads(codec.dumps(config), EngineConfig)
     assert decoded.merging == "dynamic"
     assert decoded.dsm_delta == 5
     assert decoded.seed == 9

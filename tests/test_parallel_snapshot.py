@@ -12,17 +12,17 @@ real use) is exercised by the process-backend tests in
 
 import dataclasses
 import functools
-import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import codec
 from repro.engine.executor import Engine, EngineConfig
-from repro.engine.state import SymState
+from repro.engine.state import SNAPSHOT, SymState
 from repro.env.argv import ArgvSpec
 from repro.expr import ops
-from repro.expr.serialize import decode_exprs, encode_exprs
 from repro.parallel.partition import Partition
+from repro.parallel.wire import ROW
 from repro.programs.registry import get_program
 from repro.expr.independence import split_independent
 
@@ -122,12 +122,13 @@ def test_roundtrip_halted_state():
 
 def test_snapshot_is_plain_bytes():
     engine, _ = frontier_states("echo", steps=0)
-    blob = engine.make_initial_state().snapshot()
+    state = engine.make_initial_state()
+    blob = state.snapshot()
     assert isinstance(blob, bytes)
-    # The payload must contain no Expr objects — only plain picklable data.
-    payload = pickle.loads(blob)
-    assert isinstance(payload["nodes"], tuple)
-    assert all(isinstance(n, tuple) for n in payload["nodes"])
+    # One codec payload of the snapshot's shape; its expressions decode to
+    # this process's interned nodes.
+    payload = codec.loads(blob, SNAPSHOT)
+    assert payload[3] == state.pc and all(a is b for a, b in zip(payload[3], state.pc))
 
 
 def test_resume_from_snapshot_explores_identically():
@@ -171,8 +172,8 @@ def test_partition_row_roundtrip(program, steps, pid, origin, data):
     stays bytes at index 1 and restores to the state it was taken from."""
     state = data.draw(st.sampled_from(_frontier(program, steps)))
     part = Partition.from_state(pid, state, origin)
-    # What crosses the socket and what a checkpoint pickles.
-    row = pickle.loads(pickle.dumps(dataclasses.astuple(part)))
+    # What crosses the socket and what a checkpoint record holds.
+    row = codec.loads(codec.dumps(dataclasses.astuple(part)), ROW)
     assert isinstance(row[1], bytes) and row[:3] == (pid, part.snapshot, origin)
     assert row[3:] == (
         len(state.pc), state.top.func, state.top.block, len(state.frames))
@@ -202,42 +203,34 @@ def small_expr(draw, depth=0):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_expr(), min_size=1, max_size=6))
 def test_expr_codec_roundtrip_identity(exprs):
-    nodes, roots = encode_exprs(exprs)
-    decoded = decode_exprs(nodes)
-    for expr, idx in zip(exprs, roots):
-        assert decoded[idx] is expr  # interning: decode rebuilds the same node
-    # The payload survives pickling (what actually crosses the IPC pipe).
-    nodes2 = pickle.loads(pickle.dumps(nodes))
-    decoded2 = decode_exprs(nodes2)
-    for expr, idx in zip(exprs, roots):
-        assert decoded2[idx] is expr
+    decoded = codec.loads(codec.dumps(exprs))
+    # Interning: decode rebuilds the same nodes.
+    assert len(decoded) == len(exprs)
+    assert all(d is e for d, e in zip(decoded, exprs))
 
 
 # -- encoding memoization (shared subgraphs encode once per process) -----------
 
 
 def test_node_encoding_memoized_across_calls():
-    from repro.expr.serialize import serialize_stats
-
     x = ops.bv_var("memo_x", 8)
     expr = ops.ult(ops.add(ops.mul(x, ops.bv(3, 8)), ops.bv(1, 8)), ops.bv(40, 8))
-    encode_exprs([expr])  # first encode: whatever was fresh is now memoized
-    before = serialize_stats()
-    nodes1, roots1 = encode_exprs([expr])
-    after = serialize_stats()
+    first = codec.dumps(expr)  # whatever was fresh is now memoized
+    before = codec.codec_stats()
+    again = codec.dumps(expr)
+    after = codec.codec_stats()
     assert after["fresh_encodes"] == before["fresh_encodes"], (
         "re-encoding an already-encoded DAG must not re-serialize any node"
     )
-    assert after["memo_hits"] >= before["memo_hits"] + len(nodes1)
+    assert after["memo_hits"] >= before["memo_hits"] + expr.node_count()
     # Memoization must not change the payload.
-    decoded = decode_exprs(nodes1)
-    assert decoded[roots1[0]] is expr
+    assert again == first and codec.loads(again) is expr
 
 
 def test_snapshot_reuses_sibling_encodings():
     """Two sibling frontier states share pc prefixes and store DAGs; the
     second snapshot should encode almost nothing fresh."""
-    from repro.expr.serialize import serialize_stats
+    serialize_stats = codec.codec_stats
 
     _, states = frontier_states("wc", steps=40)
     assert len(states) >= 2

@@ -432,7 +432,7 @@ def test_repeated_process_campaigns_do_not_leak_fds():
 
 def test_local_run_opens_no_listening_socket(monkeypatch, wc_sequential):
     """``backend="process"`` means fork local workers and open no port:
-    the TCP listener is the unauthenticated pickle port, and a purely
+    the TCP listener is an unauthenticated port, and a purely
     local run must not be reachable through it."""
     def no_listener(*args, **kwargs):
         raise AssertionError("a local run tried to open a listening socket")

@@ -1,8 +1,8 @@
 """Tests of the repro.remote transport layer.
 
-Covers the framing codec, the versioned config codec (the old bare
-``TypeError`` on version skew is now a named
-:class:`ProtocolMismatchError`), the HELLO/WELCOME handshake including
+Covers the framing, the engine config as a codec record (a frame of
+another format version, a pre-codec payload and a record of another
+layout are each refused by name), the HELLO/WELCOME handshake including
 rejection of stale workers — over TCP and over a socketpair, the two
 ways the one transport obtains its connections — and the end-to-end
 property that matters: an N-worker campaign emits the identical
@@ -10,6 +10,8 @@ plain-mode test multiset and coverage as the sequential run, with the
 stats ledger intact.
 """
 
+import dataclasses
+import pickle
 import socket
 import struct
 import threading
@@ -17,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from repro import codec
 from repro.engine.executor import EngineConfig
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
 from repro.parallel.wire import (
@@ -24,10 +27,7 @@ from repro.parallel.wire import (
     MSG_HELLO,
     MSG_REJECT,
     MSG_WELCOME,
-    WIRE_VERSION,
     ProtocolMismatchError,
-    decode_config,
-    encode_config,
 )
 from repro.remote import (
     SocketTransport,
@@ -41,7 +41,18 @@ from repro.programs.registry import get_program
 from repro.remote import transport as transport_mod
 from repro.remote.transport import _HEADER, MAX_FRAME, handshake_error
 
-JUNK_FRAME = struct.pack(">I", 5) + b"junk!"  # a header, then bytes no pickle is
+JUNK_FRAME = struct.pack(">I", 5) + b"junk!"  # a header, then no codec payload
+SPEC = get_program("wc").spec()
+
+
+def skewed(payload: bytes) -> bytes:
+    """The payload as a build one format version ahead would write it."""
+    return payload[:3] + bytes([payload[3] + 1]) + payload[4:]
+
+
+def send_skewed(sock, msg, lock=None) -> None:
+    data = skewed(codec.dumps(msg))
+    sock.sendall(_HEADER.pack(len(data)) + data)
 
 
 def case_key(case):
@@ -127,41 +138,49 @@ def test_concurrent_senders_do_not_interleave_frames():
         b.close()
 
 
-# -- config codec versioning -----------------------------------------------------
+# -- the config as a codec record ----------------------------------------------------
 
 
 def test_config_codec_roundtrip_is_stamped():
-    payload = encode_config(EngineConfig(merging="static", dsm_delta=3))
-    assert payload["wire_version"] == WIRE_VERSION
-    decoded = decode_config(payload)
-    assert decoded.merging == "static"
-    assert decoded.dsm_delta == 3
+    payload = codec.dumps(EngineConfig(merging="static", dsm_delta=3))
+    assert payload[:4] == b"RPC" + bytes([codec.FORMAT_VERSION])
+    decoded = codec.loads(payload, EngineConfig)
+    assert decoded == EngineConfig(merging="static", dsm_delta=3)
 
 
-def test_decode_config_rejects_stale_stamp():
-    payload = encode_config(EngineConfig())
-    payload["wire_version"] = 1
-    with pytest.raises(ProtocolMismatchError, match="wire protocol mismatch"):
-        decode_config(payload)
+def test_a_config_of_another_format_version_is_refused_by_name():
+    payload = skewed(codec.dumps(EngineConfig()))
+    with pytest.raises(codec.VersionError, match=(
+            f"format v{codec.FORMAT_VERSION + 1}, this build reads v{codec.FORMAT_VERSION}")):
+        codec.loads(payload, EngineConfig)
 
 
-def test_decode_config_rejects_unstamped_legacy_payload():
-    # A v1 (PR 2 era) payload carries no stamp at all; it must fail by
-    # name, not with whatever KeyError/TypeError it happens to hit first.
-    payload = encode_config(EngineConfig())
-    del payload["wire_version"]
-    with pytest.raises(ProtocolMismatchError):
-        decode_config(payload)
+def test_a_pre_codec_config_is_refused_by_name():
+    # What the transport carried before the codec: never loaded, named.
+    payload = pickle.dumps(dataclasses.asdict(EngineConfig()))
+    with pytest.raises(codec.VersionError, match="pre-codec payload"):
+        codec.loads(payload, EngineConfig)
 
 
-def test_decode_config_names_field_skew():
-    # Same stamp but a field this EngineConfig doesn't know (a worker on
-    # a dirty checkout): previously a bare TypeError from
-    # EngineConfig(**fields), now a named protocol error.
-    payload = encode_config(EngineConfig())
-    payload["field_from_the_future"] = 7
-    with pytest.raises(ProtocolMismatchError, match="same repro version"):
-        decode_config(payload)
+def test_a_config_record_with_skewed_fields_is_refused_by_name(monkeypatch):
+    # A field of the wrong type, and a layout with one field more than
+    # this build's (a worker on a dirty checkout): each a named error
+    # instead of a TypeError deep inside EngineConfig(...).  This build
+    # does not write the first: it is refused by name when encoded.
+    wrong = dataclasses.replace(EngineConfig(), dsm_delta="8")
+    with pytest.raises(TypeError, match="EngineConfig.dsm_delta is not"):
+        codec.dumps(wrong)
+    monkeypatch.setattr(codec, "_check_fields", lambda *args: None)
+    wrong_type = codec.dumps(wrong)
+    monkeypatch.undo()
+    with pytest.raises(codec.DecodeError, match="EngineConfig.dsm_delta is not"):
+        codec.loads(wrong_type, EngineConfig)
+    index, names, frozen = codec._layout(EngineConfig)
+    monkeypatch.setitem(codec._LAYOUT, EngineConfig, (index, names + ("seed",), frozen))
+    longer = codec.dumps(EngineConfig())
+    monkeypatch.undo()
+    with pytest.raises(codec.DecodeError, match=f"EngineConfig has {len(names)} fields"):
+        codec.loads(longer, EngineConfig)
 
 
 # -- handshake -------------------------------------------------------------------
@@ -172,7 +191,7 @@ def test_handshake_rejects_version_skew():
     raises ProtocolMismatchError client-side); the campaign keeps waiting
     and accepts the correctly-versioned worker that connects next."""
     transport = SocketTransport(
-        workers=1, program="wc", spec_payload={}, config_payload={},
+        workers=1, program="wc", spec=SPEC, config=EngineConfig(),
         spawn_workers=False, accept_timeout=20.0,
     )
     results: dict = {}
@@ -191,7 +210,7 @@ def test_handshake_rejects_version_skew():
 
     stale = socket.create_connection(transport.address, timeout=5.0)
     try:
-        send_frame(stale, (MSG_HELLO, WIRE_VERSION + 1, {}))
+        send_skewed(stale, (MSG_HELLO, {}))
         reply = recv_frame(stale)
         assert reply[0] == MSG_REJECT
         assert "mismatch" in reply[1]
@@ -202,11 +221,9 @@ def test_handshake_rejects_version_skew():
 
     good = socket.create_connection(transport.address, timeout=5.0)
     try:
-        send_frame(good, (MSG_HELLO, WIRE_VERSION, {"pid": 12345}))
+        send_frame(good, (MSG_HELLO, {"pid": 12345}))
         reply = recv_frame(good)
-        assert reply[0] == MSG_WELCOME
-        wid, version, program = reply[1], reply[2], reply[3]
-        assert (wid, version, program) == (0, WIRE_VERSION, "wc")
+        assert reply == (MSG_WELCOME, 0, "wc", SPEC, EngineConfig())
         server.join(timeout=10.0)
         assert results.get("ok"), results.get("error")
         assert transport.worker_ids == [0]
@@ -223,14 +240,14 @@ def test_socketpair_handshake_rejects_version_skew(monkeypatch):
     import repro.remote.client as client
 
     transport = SocketTransport(
-        workers=1, program="wc", spec_payload={}, config_payload={},
+        workers=1, program="wc", spec=SPEC, config=EngineConfig(),
         listen=False,
     )
     ours, theirs = socket.socketpair()
     server = threading.Thread(target=transport._handshake, args=(ours,),
                               daemon=True)
     server.start()
-    monkeypatch.setattr(client, "WIRE_VERSION", WIRE_VERSION + 1)
+    monkeypatch.setattr(client, "send_frame", send_skewed)
     try:
         with pytest.raises(ProtocolMismatchError, match="mismatch"):
             WorkerSession(theirs)
@@ -240,6 +257,49 @@ def test_socketpair_handshake_rejects_version_skew(monkeypatch):
     finally:
         theirs.close()
         transport.close()
+
+
+def _greeted(first_frame: bytes):
+    """The handshake's reply to a connection whose first frame is
+    ``first_frame`` (None: it hung up), and the workers it then holds."""
+    transport = SocketTransport(workers=1, program="wc", spec=SPEC,
+                                config=EngineConfig(), listen=False)
+    ours, theirs = socket.socketpair()
+    try:
+        theirs.sendall(first_frame)
+        transport._handshake(ours)
+        try:
+            reply = recv_frame(theirs)
+        except (EOFError, OSError):
+            reply = None
+        return reply, transport.worker_ids
+    finally:
+        theirs.close()
+        transport.close()
+
+
+def test_a_hello_too_long_or_holding_expressions_is_refused_before_interning():
+    """Until its first frame decodes, a peer is anyone: that frame is read
+    under a small cap, and a HELLO carrying an expression node table is
+    refused before a node of it is interned."""
+    from repro.expr import nodes
+    from repro.expr.ops import bv_var
+
+    def framed(msg):
+        payload = codec.dumps(msg)
+        return _HEADER.pack(len(payload)) + payload
+
+    assert _greeted(framed((MSG_HELLO, {"pid": 1})))[1] == [0]
+    too_long = framed((MSG_HELLO, {"host": "x" * transport_mod.HELLO_MAX}))
+    assert _greeted(too_long) == (None, [])
+    probe = bv_var("hello_probe", 8)
+    bearing = framed((MSG_HELLO, {"pid": probe}))
+    # Forget the node, as a process that never built it would.
+    del nodes._intern_table[next(k for k, v in nodes._intern_table.items() if v is probe)]
+    del probe
+    reply, workers = _greeted(bearing)
+    assert reply[0] == MSG_REJECT and "holds none" in reply[1] and workers == []
+    assert not any(n.name == "hello_probe" for n in nodes._intern_table.values())
 
 
 def _loopback_session(**transport_kw):
@@ -261,15 +321,12 @@ def _loopback_session(**transport_kw):
 def test_worker_session_handshake_and_stop():
     """Client-side handshake: connect() yields a configured session, and
     a TASK_STOP from the coordinator lands on the session task queue."""
-    transport, session = _loopback_session(
-        spec_payload={"n_args": 1, "arg_len": 2},
-        config_payload=encode_config(EngineConfig()),
-    )
+    config = EngineConfig(merging="dynamic", dsm_delta=5)
+    transport, session = _loopback_session(spec=SPEC, config=config)
     try:
         assert session.wid == 0
         assert session.program == "wc"
-        assert session.spec_payload == {"n_args": 1, "arg_len": 2}
-        decode_config(session.config_payload)  # stamped and decodable
+        assert (session.spec, session.config) == (SPEC, config)
         transport.stop_worker(0)
         msg = session.task_q.get(timeout=10.0)
         assert msg[0] == "stop"
@@ -283,7 +340,7 @@ def test_tcp_connections_disable_nagle():
     frames; with Nagle on, the second waits for the peer's delayed ACK
     (~40 ms per partition).  Both ends of a TCP session set
     TCP_NODELAY."""
-    transport, session = _loopback_session(spec_payload={}, config_payload={})
+    transport, session = _loopback_session(spec=SPEC, config=EngineConfig())
     try:
         for sock in (transport._endpoints[0].conn, session._sock):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
@@ -317,7 +374,7 @@ def test_socket_two_workers_matches_sequential():
 
 def test_garbled_first_frames_do_not_abort_the_campaign(monkeypatch):
     """Regression: one port scan killed a listening campaign before it
-    started — a first frame that does not unpickle raised out of
+    started — a first frame that does not decode raised out of
     ``transport.start()``, an oversized header likewise.  Each such
     connection is dropped and the accept loop goes on to the workers."""
     scans = [JUNK_FRAME, _HEADER.pack(MAX_FRAME + 1), b"\x00\x00"]
