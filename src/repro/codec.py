@@ -30,6 +30,13 @@ ran arbitrary constructors on load) by that name.  The loader resolves no
 global outside :data:`RECORDS`: a record is named by its index there and
 built by its own constructor from decoded plain values.
 
+**Streams.**  Successive payloads of one connection may share a
+:class:`NodeTable`: each then carries only the expression nodes no
+earlier payload of the stream carried and refers to the others by their
+position, so a sequence of path conditions with a common prefix is not
+re-encoded payload after payload.  The reader holds a table of its own
+and must read every payload, in order.
+
 **Schemas.**  ``loads(data, schema)`` holds the value to a type
 expression — ``int``, ``str | None``, ``tuple[bytes, ...]``,
 ``dict[str, int]``, ``list[TestCase]``, ``Literal["done"]`` or a union of
@@ -227,13 +234,25 @@ def _node_bytes(node: Expr) -> tuple[bytes, tuple[int, ...], bytes]:
     return bytes(head), tuple(c.eid for c in node.children), bytes(tail)
 
 
+class NodeTable:
+    """The expression nodes earlier payloads of one stream carried: by eid
+    on the writing end, by position on the reading end."""
+
+    __slots__ = ("index", "nodes")
+
+    def __init__(self) -> None:
+        self.index: dict[int, int] = {}  # written: eid -> position
+        self.nodes: list[Expr] = []  # read: position -> node
+
+
 class _Encoder:
     __slots__ = ("out", "nodes", "index", "refs")
 
-    def __init__(self):
+    def __init__(self, index: dict[int, int] | None = None):
         self.out = bytearray()
         self.nodes = bytearray()
-        self.index: dict[int, int] = {}  # eid -> position in the node table
+        # eid -> position in the node table (a stream's: earlier payloads too)
+        self.index: dict[int, int] = {} if index is None else index
         self.refs = 0  # expression references written
 
     def value(self, v) -> None:
@@ -326,16 +345,23 @@ class _Encoder:
         return index[root.eid]
 
 
-def dumps(value) -> bytes:
-    """Encode ``value`` (see the module docstring for what encodes)."""
-    enc = _Encoder()
-    enc.value(value)
-    body = bytearray()
-    _put_size(body, len(enc.index))
-    body += enc.nodes
-    body += enc.out
-    if len(body) + _HEAD.size > MAX_FRAME:
-        raise ValueError(f"payload of {len(body)} bytes exceeds MAX_FRAME")
+def dumps(value, table: NodeTable | None = None) -> bytes:
+    """Encode ``value`` (see the module docstring for what encodes), as the
+    next payload of ``table``'s stream if one is given."""
+    enc = _Encoder(None if table is None else table.index)
+    known = len(enc.index)
+    try:
+        enc.value(value)
+        body = bytearray()
+        _put_size(body, len(enc.index) - known)
+        body += enc.nodes
+        body += enc.out
+        if len(body) + _HEAD.size > MAX_FRAME:
+            raise ValueError(f"payload of {len(body)} bytes exceeds MAX_FRAME")
+    except BaseException:
+        for eid in list(enc.index)[known:]:  # nodes of a payload never written
+            del enc.index[eid]
+        raise
     return _HEAD.pack(_MAGIC, FORMAT_VERSION, zlib.crc32(body)) + body
 
 
@@ -345,10 +371,10 @@ def dumps(value) -> bytes:
 class _Decoder:
     __slots__ = ("data", "pos", "nodes")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, nodes: list[Expr] | None = None):
         self.data = data
         self.pos = 0
-        self.nodes: list[Expr] = []
+        self.nodes: list[Expr] = [] if nodes is None else nodes
 
     def size(self) -> int:
         data, pos = self.data, self.pos
@@ -458,9 +484,11 @@ class _Decoder:
         return cls(*values)
 
 
-def loads(data: bytes, schema=object):
+def loads(data: bytes, schema=object, table: NodeTable | None = None):
     """Decode one :func:`dumps` payload and hold it to ``schema``; raises
-    :class:`DecodeError` (:class:`VersionError`) on anything else."""
+    :class:`DecodeError` (:class:`VersionError`) on anything else.  With
+    ``table``, the payload is the next of a stream (a payload that does not
+    load leaves the stream unreadable)."""
     if len(data) > MAX_FRAME:
         raise DecodeError(f"payload of {len(data)} bytes exceeds MAX_FRAME")
     if data[:1] == _PRE_CODEC:
@@ -475,7 +503,7 @@ def loads(data: bytes, schema=object):
     if zlib.crc32(body) != crc:
         raise DecodeError("checksum mismatch: the payload is damaged")
     admitted = _admits_expr(schema)
-    dec = _Decoder(body)
+    dec = _Decoder(body, None if table is None else table.nodes)
     try:
         dec.node_table(admitted)
         value = dec.value()

@@ -59,9 +59,10 @@ from .similarity import (
     QceFullSimilarity,
     QceSimilarity,
 )
+from .solve_helper import SolveHelper
 from .state import ArrayBinding, Frame, Region, SymState
 from .stats import CoverageTracker, EngineStats
-from .testgen import TestSuite, make_test_case
+from .testgen import PendingCase, TestSuite, fill_pending, make_test_case
 
 if TYPE_CHECKING:
     from ..store.tier import StorePayload
@@ -134,6 +135,12 @@ class Engine:
         self.coverage = CoverageTracker()
         self.coverage.register_module(module)
         self.tests = TestSuite(spec)
+        # Whether explore() ships fresh test-generation solves to a forked
+        # helper (repro.engine.solve_helper; on a host that cannot fork it
+        # solves them in-process); fleet workers, which already own the
+        # cores, turn it off.  The helper of the running explore().
+        self.testgen_helper = True
+        self._helper: SolveHelper | None = None
         self.worklist: list[SymState] = []
         # The merge-candidate index (merging runs only): loc_key -> merge
         # key -> {entry seq: resident}, the wild residents (merge key None)
@@ -517,24 +524,46 @@ class Engine:
         """Drive the worklist until it drains, a budget trips, or
         ``interrupt(engine)`` returns True (partition-boundary hook: the
         worklist is left intact, so exploration can resume or the frontier
-        can be exported for work stealing)."""
+        can be exported for work stealing).
+
+        With ``testgen_helper`` on, fresh test-generation solves run in a
+        helper process meanwhile (:mod:`repro.engine.solve_helper`); the
+        call joins it before returning, so the tests, stats and CPU time
+        it leaves are those of an in-process exploration."""
         start = time.perf_counter()
         cpu_start = time.process_time()
         self.interrupted = False
-        while self.worklist:
-            if self._budget_exhausted(start):
-                self.stats.timed_out = True
-                break
-            if interrupt is not None and interrupt(self):
-                self.interrupted = True
-                break
-            state = self._pick_next()
-            successors = self.step(state)
-            for succ in successors:
-                if succ.halted:
-                    self._finalize(succ)
-                else:
-                    self._add_state(succ, try_merge=self.config.merging != "none")
+        first_test = len(self.tests.cases)
+        helper = self._helper = SolveHelper() if self.testgen_helper else None
+        try:
+            while self.worklist:
+                if self._budget_exhausted(start):
+                    self.stats.timed_out = True
+                    break
+                if interrupt is not None and interrupt(self):
+                    self.interrupted = True
+                    break
+                state = self._pick_next()
+                successors = self.step(state)
+                for succ in successors:
+                    if succ.halted:
+                        self._finalize(succ)
+                    else:
+                        self._add_state(succ, try_merge=self.config.merging != "none")
+            if helper is not None:
+                # Every answer in, each waiting test in its slot, the
+                # helper reaped and its CPU on this exploration's bill.
+                self.stats.cpu_time += helper.join()
+                self.stats.tests_generated -= fill_pending(self.tests.cases, first_test)
+        except BaseException:
+            if helper is not None:
+                # An aborted exploration keeps the tests that were whole.
+                helper.close()
+                cases = self.tests.cases
+                cases[first_test:] = [c for c in cases[first_test:] if type(c) is not PendingCase]
+            raise
+        finally:
+            self._helper = None
         self.stats.wall_time += time.perf_counter() - start
         self.stats.cpu_time += time.process_time() - cpu_start
         return self.stats
@@ -949,6 +978,7 @@ class Engine:
                 "path",
                 multiplicity=state.multiplicity,
                 stats_sink=self.stats,
+                helper=self._helper,
             )
             if case is not None:
                 self.tests.add(case)
@@ -969,6 +999,7 @@ class Engine:
             kind,
             line=line,
             stats_sink=self.stats,
+            helper=self._helper,
         )
         if case is not None:
             self.tests.add(case)

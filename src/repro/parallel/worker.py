@@ -92,6 +92,8 @@ def make_worker_engine(program: str, module, spec: ArgvSpec, config) -> Engine:
         # final stats message.
         config = dataclasses.replace(config, store_readonly=True)
     engine = Engine(module, spec, config, program=program)
+    # The fleet owns the cores: test generation solves in-process.
+    engine.testgen_helper = False
     # Seeded states are transferred from the coordinator's ledger, not
     # created here; start this worker's creation counter at zero so
     # per-worker stats sum exactly to the merged ledger.

@@ -31,7 +31,6 @@ The duck type the event loop relies on: ``start()``, ``worker_ids``,
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue as queue_mod
 import signal
@@ -54,6 +53,7 @@ from ..parallel.wire import (
     TASK_STOP,
     ProtocolMismatchError,
 )
+from ..processes import process_context
 
 _HEADER = struct.Struct(">I")
 
@@ -68,12 +68,6 @@ HANDSHAKE_TIMEOUT = 10.0
 
 class TransportError(RuntimeError):
     """Transport-level failure (startup timeout, oversized frame, ...)."""
-
-
-def _mp_context():
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
 
 
 # -- framing --------------------------------------------------------------------
@@ -208,7 +202,7 @@ class SocketTransport:
             ep.thread.start()
 
     def _spawn(self, target, args) -> None:
-        proc = _mp_context().Process(target=target, args=args, daemon=True)
+        proc = process_context().Process(target=target, args=args, daemon=True)
         proc.start()
         self._procs.append(proc)
 

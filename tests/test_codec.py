@@ -4,7 +4,8 @@ process.
 * **Round trip** — every message kind of the wire protocol and every row
   kind of the store and the campaign record decodes, under its own
   schema, to a value ``==`` the one encoded (expressions to the very
-  interned nodes).
+  interned nodes), and so does every payload of a ``NodeTable`` stream,
+  which carries each node once.
 * **Totality** — arbitrary bodies, mutated payloads, truncations,
   single-bit flips and oversized frames end in ``DecodeError``, never in
   another exception; a payload of another format version (the pre-codec
@@ -218,6 +219,31 @@ def test_every_message_and_row_kind_round_trips(schema, values, data):
 def test_expressions_decode_to_the_interned_nodes(values):
     back = codec.loads(codec.dumps(values), list)
     assert all(b is v for b, v in zip(back, values))
+
+
+@LAW
+@given(st.lists(st.lists(exprs, min_size=1, max_size=4).map(tuple), min_size=1, max_size=5))
+def test_a_stream_round_trips_and_sends_each_node_once(values):
+    """A :class:`codec.NodeTable` stream decodes each payload to the very
+    nodes encoded; a payload whose nodes all went out earlier carries no
+    node at all, and is unreadable without the stream."""
+    written, read = codec.NodeTable(), codec.NodeTable()
+    for value in values:
+        sent_before = len(written.index)
+        blob = codec.dumps(value, written)
+        back = codec.loads(blob, tuple, read)
+        assert all(b is v for b, v in zip(back, value)) and len(back) == len(value)
+        assert len(read.nodes) == len(written.index)
+        if len(written.index) == sent_before:  # nothing new: just references
+            assert len(blob) <= len(codec.dumps(value))
+            if value and sent_before:
+                with pytest.raises(codec.DecodeError):
+                    codec.loads(blob, tuple)
+    # A payload that fails to encode leaves the stream as it was.
+    before = dict(written.index)
+    with pytest.raises(TypeError):
+        codec.dumps((ops.bv_var("fresh_$", 8), object()), written)
+    assert written.index == before
 
 
 @settings(max_examples=30, deadline=None)
