@@ -1,6 +1,7 @@
 """Micro-benchmarks of the engine: stepping, merging, QCE analysis."""
 
 from repro.engine import Engine, EngineConfig
+from repro.engine import state as state_mod
 from repro.env import ArgvSpec
 from repro.lang import compile_program
 from repro.programs.registry import get_program
@@ -73,7 +74,21 @@ def test_merging_run_end_to_end(benchmark):
     assert stats.merges > 0
 
 
-def test_tsort_worklist_indexes_answer_by_lookup(benchmark):
+class CountingDict(dict):
+    """A dict that counts its writes and deletions."""
+
+    updates = 0
+
+    def __setitem__(self, key, value):
+        self.updates += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.updates += 1
+        super().__delitem__(key)
+
+
+def test_tsort_worklist_indexes_answer_by_lookup(benchmark, monkeypatch):
     """bench/'s ``merge_search`` program one size down (tsort dsm-qce 2x2).
 
     Both worklist questions are lookups: "is there a similar state?" asks
@@ -82,10 +97,25 @@ def test_tsort_worklist_indexes_answer_by_lookup(benchmark):
     one heap entry per location, not one per state.  Counts are
     deterministic; scanning each location bucket took 665 ``mergeable``
     calls for the same 7 merges, a per-state heap 695 rescores.
+
+    A move pays for what moved: the structural shape is re-sorted only
+    after a first name, a call or a return (162 frame and 34 region
+    recomputations in 1 733 moves, where re-sorting on every move took
+    one per frame per move), and DSM's hash multiset changes by at most
+    the two entries a move swaps, plus a whole history for each state a
+    seed, fork or merge files and for each it unfiles.
     """
     module = get_program("tsort").compile()
     spec = ArgvSpec(n_args=2, arg_len=2, stdin_len=get_program("tsort").default_stdin)
     calls = []
+    recomputed = {"frame_names": 0, "region_geometry": 0}
+    for name in recomputed:
+        def counted_recompute(*args, name=name, compute=getattr(state_mod, name)):
+            recomputed[name] += 1
+            return compute(*args)
+
+        monkeypatch.setattr(state_mod, name, counted_recompute)
+    engines = []
 
     def run():
         engine = Engine(module, spec, EngineConfig(merging="dynamic", similarity="qce",
@@ -97,6 +127,8 @@ def test_tsort_worklist_indexes_answer_by_lookup(benchmark):
             return mergeable(*args)
 
         engine.similarity.mergeable = counted
+        engine.strategy.hash_counts = CountingDict()
+        engines.append(engine)
         return engine.run()
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -104,6 +136,13 @@ def test_tsort_worklist_indexes_answer_by_lookup(benchmark):
     assert stats.sched_picks == 1707
     assert len(calls) <= 4 * stats.merges
     assert stats.sched_rescores <= 150
+    moves = stats.blocks_executed
+    assert moves == 1733
+    assert recomputed == {"frame_names": 162, "region_geometry": 34}
+    updates = engines[0].strategy.hash_counts.updates
+    filed = 1 + stats.forks + stats.merges  # seed, fork clones, merged states
+    assert updates <= 2 * moves + 2 * engines[0].config.dsm_delta * filed
+    assert updates == 3856
 
 
 # A purely concrete loop, so the lowering tier compiles every block once

@@ -550,6 +550,7 @@ class Engine:
                         self._finalize(succ)
                     else:
                         self._add_state(succ, try_merge=self.config.merging != "none")
+                self.strategy.settle()
             if helper is not None:
                 # Every answer in, each waiting test in its slot, the
                 # helper reaped and its CPU on this exploration's bill.

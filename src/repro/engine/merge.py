@@ -52,8 +52,8 @@ def merge_states(
     is responsible for having checked the similarity relation; this
     function enforces only *structural* compatibility.
     """
-    if s1.loc_key() != s2.loc_key():
-        return None
+    # The shape begins with the full-stack location, and clones share its
+    # cached parts, so this is mostly identity checks.
     if s1.shape_fingerprint() != s2.shape_fingerprint():
         return None
     prefix_len, suffix1, suffix2 = split_guard(s1.pc, s2.pc)

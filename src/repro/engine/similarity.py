@@ -122,7 +122,7 @@ class QceSimilarity(SimilarityRelation):
         self.qce = qce
         # Tuple of frame (func, block) -> per-frame sorted hot names.
         self._hot_sets: dict[tuple, tuple[tuple[str, ...], ...]] = {}
-        # id(cells) -> (cells, h(v) over them), for the immutable ``cells``
+        # id(cells) -> (cells, (h(v) over them, exact)), for the immutable ``cells``
         # tuple of a region (clones and untouched steps share it).  An entry
         # pins its tuple, so a live key's id cannot be reused.  Kept here,
         # not on ``Region``: region equality and ``snapshot()`` never see it.
@@ -147,14 +147,16 @@ class QceSimilarity(SimilarityRelation):
             self._hot_sets[key] = hot_sets
         return hot_sets
 
-    def _cells_signature(self, cells: tuple[Expr, ...]) -> tuple[int, ...]:
+    def _cells_signature(self, cells: tuple[Expr, ...]) -> tuple[tuple[int, ...], bool]:
+        """h(v) over a region's cells, and whether none of them is symbolic."""
         memo = self._cells_memo
         entry = memo.get(id(cells))
         if entry is not None and entry[0] is cells:
             return entry[1]
         signature = tuple([_h(c) for c in cells])
-        memo.put(id(cells), (cells, signature))
-        return signature
+        result = (signature, _SYMBOLIC not in signature)
+        memo.put(id(cells), (cells, result))
+        return result
 
     def mergeable(self, s1: SymState, s2: SymState, context=None) -> bool:
         if context is None:
@@ -216,8 +218,8 @@ class QceSimilarity(SimilarityRelation):
                 if region is None:
                     exact = False
                     continue
-                signature = self._cells_signature(region.cells)
-                exact = exact and _SYMBOLIC not in signature
+                signature, cells_exact = self._cells_signature(region.cells)
+                exact = exact and cells_exact
                 frame_part.append((var, signature))
             parts.append(tuple(frame_part))
         return tuple(parts), exact
@@ -250,7 +252,7 @@ class QceSimilarity(SimilarityRelation):
         signature, exact = self._signature(state, context)
         # The engine asks for the moved state's merge key next: same walk.
         self._walked = (state, signature if exact else None)
-        return hash((state.shape_fingerprint(),) + signature)
+        return hash((state.shape_hash(),) + signature)
 
 
 class QceFullSimilarity(QceSimilarity):
@@ -356,7 +358,7 @@ class LiveVarSimilarity(SimilarityRelation):
         return (frames, regions, globals_part)
 
     def state_hash(self, state: SymState, context=None) -> int:
-        parts: list = [state.shape_fingerprint()]
+        parts: list = [state.shape_hash()]
         for frame, live in zip(state.frames, self.live_sets(state)):
             parts.append(tuple((v, frame.store[v].eid) for v in sorted(live) if v in frame.store))
         for key in sorted(state.regions):

@@ -40,7 +40,7 @@ class Region:
         return Region(tuple(cells), self.cols, self.width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayBinding:
     """What a frame's array name denotes: a region, optionally one row of it."""
 
@@ -54,7 +54,7 @@ class ArrayBinding:
 class Frame:
     """One activation record."""
 
-    __slots__ = ("func", "block", "idx", "store", "arrays", "ret_dst", "depth")
+    __slots__ = ("func", "block", "idx", "store", "arrays", "ret_dst", "depth", "_names")
 
     def __init__(
         self,
@@ -73,9 +73,12 @@ class Frame:
         self.arrays = arrays
         self.ret_dst = ret_dst
         self.depth = depth
+        # (frame_names(self), its hash, name count): names are only ever
+        # added, so the entry holds while the count does.
+        self._names: tuple | None = None
 
     def clone(self) -> "Frame":
-        return Frame(
+        other = Frame(
             self.func,
             self.block,
             self.idx,
@@ -84,13 +87,47 @@ class Frame:
             self.ret_dst,
             self.depth,
         )
+        other._names = self._names
+        return other
 
     def loc(self) -> tuple[str, str, int]:
         return (self.func, self.block, self.idx)
 
+    def names(self) -> tuple:
+        """``(frame_names(self), its hash, name count)``, recomputed only
+        after a first assignment or a first binding in this frame."""
+        cached = self._names
+        count = len(self.store) + len(self.arrays)
+        if cached is None or cached[2] != count:
+            names = frame_names(self)
+            cached = self._names = (names, hash(names), count)
+        return cached
+
+
+def frame_names(frame: Frame) -> tuple:
+    """A frame's sorted store names and sorted array bindings."""
+    return (
+        tuple(sorted(frame.store)),
+        tuple(sorted([(n, b.binding_fingerprint()) for n, b in frame.arrays.items()])),
+    )
+
+
+def region_geometry(regions: dict[RegionKey, Region]) -> tuple:
+    """Every region's key, cell count, columns and width, sorted by key."""
+    return tuple(sorted([(k, len(r.cells), r.cols, r.width) for k, r in regions.items()]))
+
 
 class SymState:
-    """A symbolic execution state (worklist element of Algorithm 1)."""
+    """A symbolic execution state (worklist element of Algorithm 1).
+
+    Two rules about how a state grows let its structural shape
+    (:meth:`shape_fingerprint`) stay cached instead of being re-sorted on
+    every move: a frame's store and array names are only ever *added*
+    (never deleted, and a name's binding never replaced), and a region's
+    geometry (cell count, columns, width) never changes under its key —
+    writes and merges replace cells only, and keys come and go only with
+    the frames that own them, at a call or a return.
+    """
 
     __slots__ = (
         "sid",
@@ -107,6 +144,7 @@ class SymState:
         "exit_code",
         "error",
         "generation",
+        "_geometry",
     )
 
     def __init__(self, sid: int):
@@ -126,6 +164,10 @@ class SymState:
         self.exit_code: Expr | None = None
         self.error: str | None = None
         self.generation = 0
+        # (region_geometry(regions), its hash, region count, the frames'
+        # (depth, func)): region keys change only with the frames that own
+        # them, so the entry holds while the count and the stack do.
+        self._geometry: tuple | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -140,30 +182,32 @@ class SymState:
         )
 
     def shape_fingerprint(self) -> tuple:
-        """Location + store keys + array bindings + region geometry.
+        """Location + store names + array bindings + region geometry.
 
         Two states with equal fingerprints are structurally mergeable (the
         value-level similarity check is separate).
         """
-        # Lists, not generators, feed tuple()/sorted(): DSM hashes every
-        # move of every state through here.
-        frames_part = tuple(
-            [
-                (
-                    f.func,
-                    f.block,
-                    f.idx,
-                    f.ret_dst,
-                    tuple(sorted(f.store)),
-                    tuple(sorted([(n, b.binding_fingerprint()) for n, b in f.arrays.items()])),
-                )
-                for f in self.frames
-            ]
+        return self._shape(0)
+
+    def shape_hash(self) -> int:
+        """``hash`` of the shape, built from the cached parts' hashes."""
+        return hash(self._shape(1))
+
+    def _shape(self, part: int) -> tuple:
+        # part 0: the cached values, part 1: their hashes.  DSM asks for
+        # every move of every state, so only a call, a return or a first
+        # name re-sorts anything.
+        frames = self.frames
+        geometry = self._geometry
+        stack = tuple([(f.depth, f.func) for f in frames])
+        if geometry is None or geometry[2] != len(self.regions) or geometry[3] != stack:
+            value = region_geometry(self.regions)
+            geometry = self._geometry = (value, hash(value), len(self.regions), stack)
+        return (
+            tuple([(f.func, f.block, f.idx, f.ret_dst, f.names()[part]) for f in frames]),
+            geometry[part],
+            len(self.output),
         )
-        regions_part = tuple(
-            sorted([(k, len(r.cells), r.cols, r.width) for k, r in self.regions.items()])
-        )
-        return (frames_part, regions_part, len(self.output))
 
     def clone(self, new_sid: int) -> "SymState":
         other = SymState(new_sid)
@@ -180,6 +224,7 @@ class SymState:
         other.exit_code = self.exit_code
         other.error = self.error
         other.generation = self.generation
+        other._geometry = self._geometry
         return other
 
     # -- variable access -------------------------------------------------------

@@ -11,13 +11,22 @@ full control — that is the property that lets coverage-guided search
 coexist with merging (§4.1/§5.5).
 
 ``F`` is maintained, not recomputed (§4.3): with ``cur(s)`` the newest
-hash of a resident state's history,
+hash of a filed state's history,
 
     F == {s : hash_counts[cur(s)] > own_counts[s][cur(s)]}
 
 holds after every ``on_add``/``on_remove``.  Membership of ``s`` can only
 change when the count of ``cur(s)`` changes, so each hook re-evaluates
 just the residents filed under the hashes it touched.
+
+A move changes one history entry, so a move pays for one: the state a
+pick hands out stays filed, *in flight*, and when it comes back under the
+same sid with its history shifted by one entry, ``on_add`` takes the
+dropped hash out of the multiset and puts the new one in.  A state that
+does not come back (halted, merged away, infeasible) is unfiled by
+``settle``, which the engine calls at the end of every iteration, so
+``pick`` and ``steal_pick``, the only readers of ``F``, see it over
+exactly the residents.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ from .strategies import Strategy
 class DsmStrategy(Strategy):
     """pickNext for DSM; wraps the driving heuristic (pickNextD).
 
-    Bookkeeping costs O(delta + affected residents) per worklist change.
+    Bookkeeping costs O(1 + affected residents) per move and O(delta +
+    affected residents) per state filed or unfiled whole.
     A pick with an empty forwarding set is O(1) on top of the driving
     strategy's own pick; a pick with a non-empty one maps ``F`` to
     worklist indices (one pass of set lookups) and ranks only those,
@@ -53,6 +63,10 @@ class DsmStrategy(Strategy):
         # entry carries it (states with an empty history are not filed).
         self.by_current_hash: dict[int, set[int]] = {}
         self.ff_sids: set[int] = set()
+        # The sid the latest pick handed out, and the states picked but not
+        # yet re-added: sid -> history when picked (still filed under it).
+        self.picked: int | None = None
+        self.in_flight: dict[int, tuple] = {}
         self.topo = Prioritizer((TopologicalSignal(),))
 
     def bind(self, engine) -> None:
@@ -65,36 +79,94 @@ class DsmStrategy(Strategy):
     # -- bookkeeping ----------------------------------------------------------
 
     def on_add(self, state: SymState) -> None:
-        own: dict[int, int] = {}
-        hash_counts = self.hash_counts
-        for _, h in state.history:
-            own[h] = own.get(h, 0) + 1
-            hash_counts[h] = hash_counts.get(h, 0) + 1
-        self.own_counts[state.sid] = own
-        if state.history:
-            current = state.history[-1][1]
-            self.by_current_hash.setdefault(current, set()).add(state.sid)
-        self._reevaluate(own)
+        old = self.in_flight.pop(state.sid, None)
+        if old is None:
+            self._file(state.sid, state.history)
+        elif not self._shift(state.sid, old, state.history):
+            self._unfile(state.sid, old)
+            self._file(state.sid, state.history)
         self.driving.on_add(state)
 
     def on_remove(self, state: SymState) -> None:
-        own = self.own_counts.pop(state.sid, None)
-        if own is not None:
-            for h, count in own.items():
-                remaining = self.hash_counts[h] - count
-                if remaining > 0:
-                    self.hash_counts[h] = remaining
-                else:
-                    del self.hash_counts[h]
-            if state.history:
-                current = state.history[-1][1]
-                filed = self.by_current_hash[current]
-                filed.discard(state.sid)
-                if not filed:
-                    del self.by_current_hash[current]
-            self.forwarding.discard(state.sid)
-            self._reevaluate(own)
+        if state.sid == self.picked:
+            # Stays filed until it comes back or the iteration settles.
+            self.picked = None
+            self.in_flight[state.sid] = state.history
+        else:
+            self._unfile(state.sid, state.history)
         self.driving.on_remove(state)
+
+    def settle(self) -> None:
+        """End of an iteration: unfile the picked states not re-added."""
+        in_flight = self.in_flight
+        if in_flight:
+            for sid, history in in_flight.items():
+                self._unfile(sid, history)
+            in_flight.clear()
+        self.driving.settle()
+
+    def _file(self, sid: int, history) -> None:
+        own: dict[int, int] = {}
+        hash_counts = self.hash_counts
+        for _, h in history:
+            own[h] = own.get(h, 0) + 1
+            hash_counts[h] = hash_counts.get(h, 0) + 1
+        self.own_counts[sid] = own
+        if history:
+            self.by_current_hash.setdefault(history[-1][1], set()).add(sid)
+        self._reevaluate(own)
+
+    def _unfile(self, sid: int, history) -> None:
+        own = self.own_counts.pop(sid, None)
+        if own is None:
+            return
+        hash_counts = self.hash_counts
+        for h, count in own.items():
+            remaining = hash_counts[h] - count
+            if remaining > 0:
+                hash_counts[h] = remaining
+            else:
+                del hash_counts[h]
+        if history:
+            self._unlist(sid, history[-1][1])
+        self.forwarding.discard(sid)
+        self._reevaluate(own)
+
+    def _unlist(self, sid: int, current: int) -> None:
+        filed = self.by_current_hash[current]
+        filed.discard(sid)
+        if not filed:
+            del self.by_current_hash[current]
+
+    def _shift(self, sid: int, old, new) -> bool:
+        """Refile ``sid`` from history ``old`` to ``new`` by the difference,
+        if ``new`` is ``old`` plus one entry, cut from the front; False
+        (nothing done) otherwise."""
+        start = len(old) + 1 - len(new)
+        if not new or start < 0 or new[:-1] != old[start:]:
+            return False
+        own = self.own_counts[sid]
+        hash_counts = self.hash_counts
+        added = new[-1][1]
+        changed = [added]
+        for _, h in old[:start]:
+            if own[h] > 1:
+                own[h] -= 1
+            else:
+                del own[h]
+            if hash_counts[h] > 1:
+                hash_counts[h] -= 1
+            else:
+                del hash_counts[h]
+            changed.append(h)
+        own[added] = own.get(added, 0) + 1
+        hash_counts[added] = hash_counts.get(added, 0) + 1
+        if old:
+            self._unlist(sid, old[-1][1])
+        self.by_current_hash.setdefault(added, set()).add(sid)
+        self.forwarding.discard(sid)  # re-evaluated under ``added`` below
+        self._reevaluate(changed)
+        return True
 
     def _reevaluate(self, changed_hashes) -> None:
         """Restore the F invariant for residents filed under these hashes."""
@@ -113,6 +185,11 @@ class DsmStrategy(Strategy):
     # -- Algorithm 2 ------------------------------------------------------------
 
     def pick(self, worklist, engine) -> int:
+        index = self._choose(worklist, engine)
+        self.picked = worklist[index].sid
+        return index
+
+    def _choose(self, worklist, engine) -> int:
         forwarding = self.forwarding and [
             i for i, state in enumerate(worklist) if state.sid in self.forwarding
         ]

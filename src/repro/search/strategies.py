@@ -75,6 +75,10 @@ class Strategy:
     def on_remove(self, state: SymState) -> None:
         pass
 
+    def settle(self) -> None:
+        """Called at the end of every engine iteration, once the picked
+        state's successors have all been added, merged or finalized."""
+
 
 class PrioritizedStrategy(Strategy):
     """A strategy whose ranking is a :class:`Prioritizer` over signals.

@@ -8,9 +8,10 @@ it) holds three kinds of cross-run state:
 1. **canonicalized constraint cache** — α-canonical keys
    (:mod:`repro.expr.canon`) → SAT/UNSAT + model fragments, one row per
    independence group the solver chain had to bit-blast; the chain asks
-   for a group at the bottom of its tiers only (cache → split → presolve
-   → rewrite-fold → **store** → blast), where the alternative is a SAT
-   solve, and records nothing but the verdict of that solve;
+   for a group at the bottom of its tiers only (a branch query goes
+   slice → cache → presolve → rewrite-fold → **store** → blast), where
+   the alternative is a SAT solve, and records nothing but the verdict of
+   that solve;
 2. **test corpus** — every generated test with its coverage bitmap and
    path-prefix id, replayable, used to warm-start the next run's
    model-reuse cache tier and to answer test generation's group misses

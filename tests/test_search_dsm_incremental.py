@@ -4,9 +4,12 @@
 ``on_add``/``on_remove`` instead of testing every worklist state on every
 pick.  Two laws pin that down:
 
-* after *any* interleaving of adds and removes the maintained ``F`` is the
-  set the brute-force definition below yields, and the by-current-hash
-  index files exactly the resident states that have a history;
+* after *any* interleaving of adds, removes and moves the maintained
+  ``F`` is the set the brute-force definition below yields, and the
+  by-current-hash index files exactly the resident states that have a
+  history — a move being a pick whose state comes back with its history
+  shifted by one entry (refiled by the difference), or never comes back
+  (unfiled when the iteration settles);
 * a whole run driven by the maintained ``F`` picks the same states in the
   same order, and ends with the same tests, coverage and merge counters,
   as a run whose strategy rescans the worklist before every pick.
@@ -54,15 +57,26 @@ def check_forwarding_invariants(strategy: DsmStrategy, worklist) -> None:
 
 # Four hash values over histories of up to delta=4 entries: repeats within
 # one history and collisions between states are the common case.
-histories = st.lists(st.integers(0, 3), max_size=4).map(
-    lambda hashes: tuple((("main", "b", 0, None), h) for h in hashes)
+DELTA = 4
+LOC = ("main", "b", 0, None)
+histories = st.lists(st.integers(0, 3), max_size=DELTA).map(
+    lambda hashes: tuple((LOC, h) for h in hashes)
 )
+
+
+class ChosenDsm(DsmStrategy):
+    """Picks the worklist index the test drew; the bookkeeping is real."""
+
+    choice = 0
+
+    def _choose(self, worklist, engine) -> int:
+        return self.choice
 
 
 class DsmBooks(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.strategy = DsmStrategy(DfsStrategy(), engine=None)
+        self.strategy = ChosenDsm(DfsStrategy(), engine=None)
         self.worklist: list[SymState] = []
         self.next_sid = 0
 
@@ -93,6 +107,30 @@ class DsmBooks(RuleBasedStateMachine):
         """A picked state comes back under its old sid with a new history."""
         state = self._remove(data.draw(st.integers(0, len(self.worklist) - 1)))
         self._add(state.sid, history)
+
+    @precondition(lambda self: self.worklist)
+    @rule(data=st.data(), h=st.integers(0, 3),
+          fate=st.sampled_from(["readd", "merge", "halt", "rewrite"]))
+    def move(self, data, h, fate):
+        """One engine iteration: pick a resident, shift its history by one
+        entry (the oldest dropped at ``DELTA``), then re-add it, merge it
+        into another resident, or halt it; the iteration then settles, and
+        the invariants below are what the next pick reads.  ``rewrite``
+        re-adds it with any history at all, which is refiled whole."""
+        strategy = self.strategy
+        strategy.choice = data.draw(st.integers(0, len(self.worklist) - 1))
+        state = self._remove(strategy.pick(self.worklist, None))
+        state.history = (state.history + ((LOC, h),))[-DELTA:]
+        if fate == "rewrite":
+            state.history = data.draw(histories)
+        if fate in ("readd", "rewrite"):
+            self.worklist.append(state)
+            strategy.on_add(state)
+        elif fate == "merge" and self.worklist:
+            partner = self._remove(data.draw(st.integers(0, len(self.worklist) - 1)))
+            self.next_sid += 1
+            self._add(self.next_sid, partner.history)
+        strategy.settle()
 
     @precondition(lambda self: self.worklist)
     @rule(data=st.data())
