@@ -58,19 +58,43 @@ def new_campaign_id() -> str:
 
 
 class CampaignCheckpointer:
-    """Owns the epoch counter of one campaign and writes its records."""
+    """Owns the epoch counter and the test batches of one campaign and
+    writes its records.
 
-    def __init__(self, store, campaign: str):
+    ``live`` is the campaign's live record (the state's), whose records
+    :meth:`save` writes: its ``tests`` are final as far as they reach,
+    since :meth:`CampaignState.accept` only ever appends to them, so
+    each epoch batches the ones that arrived since the last.  What a
+    record holds past them — interim results of a lease that
+    :meth:`CampaignState.to_record` folded — stays in that record's row.
+    A loaded record continues its own chain: its epoch and its batches.
+    Without ``live`` every test of a saved record is final.
+    """
+
+    def __init__(self, store, campaign: str, live: CampaignRecord | None = None):
         self.store = store
         self.campaign = campaign
+        self.live = live
         # Monotonic across resumes: a resumed coordinator continues from
         # the loaded record's epoch, so epoch numbers never reuse.
-        self.epoch = 0
+        self.epoch = 0 if live is None else live.epoch
+        self.batches: list[tuple[str, int]] = []
+        self._last = None  # the test the batches end on
+        if live is not None and live.test_batches:
+            self.batches = list(live.test_batches)
+            self._last = live.tests[sum(count for _, count in self.batches) - 1]
 
     def save(self, record: CampaignRecord) -> int:
+        tests = record.tests if self.live is None else self.live.tests
+        done = sum(count for _, count in self.batches)
+        assert len(tests) >= done and (not done or tests[done - 1] is self._last), (
+            "a campaign's accepted tests are only ever appended to")
         self.epoch += 1
         record.epoch = self.epoch
-        save_checkpoint(self.store, record)
+        record.test_batches = self.batches
+        self.batches = save_checkpoint(self.store, record, len(tests))
+        if tests:
+            self._last = tests[-1]
         return self.epoch
 
 

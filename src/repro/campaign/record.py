@@ -30,10 +30,15 @@ A record is one :mod:`repro.codec` payload in the store's
 ``checkpoints`` table, its pending rows carrying blob digests in place
 of snapshots; the snapshots go through :meth:`ReproStore.put_blob`
 (SHA-256 content-addressing — consecutive epochs share unchanged
-partitions).
-Row + blob refs + epoch GC commit in one transaction, so the newest
-epoch in the file is always consistent: "find the newest consistent
-epoch" is simply ``ORDER BY epoch DESC LIMIT 1``.
+partitions).  Accepted tests are only ever appended, so they are saved
+as **batches**: each epoch that accepted tests puts the ones that
+arrived since the previous epoch into one content-addressed blob, and
+the record lists the batch digests in order in place of the tests — an
+epoch encodes only its own arrivals, never the whole suite again.
+Row + blob refs (snapshots and batches) + epoch GC commit in one
+transaction, so the newest epoch in the file is always consistent:
+"find the newest consistent epoch" is simply ``ORDER BY epoch DESC
+LIMIT 1``.
 """
 
 from __future__ import annotations
@@ -55,8 +60,11 @@ if TYPE_CHECKING:  # the record holds these; only save/load touch a store
     from ..store.tier import StorePayload
 
 # Epochs retained per campaign (older ones are GC'd, their unreferenced
-# snapshot blobs swept).
+# snapshot and test-batch blobs swept).
 CHECKPOINT_KEEP = 2
+
+# What a test-batch blob holds.
+TEST_BATCH = list["repro.engine.testgen.TestCase"]
 
 
 class RecordError(RuntimeError):
@@ -99,6 +107,10 @@ class CampaignRecord:
         default_factory=list)
     # Accepted results (completed partitions — not re-explored).
     tests: list[TestCase] = field(default_factory=list)
+    # (digest, count) of the test batches that hold tests[:sum(counts)],
+    # in order.  A saved record keeps only the tests past them; a loaded
+    # one has them back and keeps the list, which its checkpointer extends.
+    test_batches: list[tuple[str, int]] = field(default_factory=list)
     covered: set[tuple[str, str]] = field(default_factory=set)
     streamed_paths: int = 0
     # (pid, origin, paths, covered) per accepted completion
@@ -123,9 +135,14 @@ class CampaignRecord:
         )
 
 
-def save_checkpoint(store: ReproStore, record: CampaignRecord) -> None:
-    """Persist one epoch: content-address the pending snapshots, then
-    write row + blob refs + epoch GC in a single transaction."""
+def save_checkpoint(
+    store: ReproStore, record: CampaignRecord, final: int | None = None
+) -> list[tuple[str, int]]:
+    """Persist one epoch: content-address the pending snapshots and the
+    tests up to ``final`` (default: all) that ``record.test_batches`` do
+    not hold yet, as one new batch, then write row + blob refs + epoch
+    GC in a single transaction.  Tests past ``final`` stay in the row.
+    Returns the batches the saved record lists."""
     with store.transaction():
         refs: list[str] = []
         pending_refs = []
@@ -133,23 +150,61 @@ def save_checkpoint(store: ReproStore, record: CampaignRecord) -> None:
             digest = store.put_blob(snapshot)
             refs.append(digest)
             pending_refs.append((pid, digest, *rest))
-        state = codec.dumps(replace(record, pending=pending_refs))
+        batches = list(record.test_batches)
+        done = sum(count for _, count in batches)
+        final = len(record.tests) if final is None else final
+        if final > done:
+            batch = record.tests[done:final]
+            batches.append((store.put_blob(codec.dumps(batch)), len(batch)))
+            done = final
+        refs += [digest for digest, _ in batches]
+        state = codec.dumps(replace(
+            record, pending=pending_refs, tests=record.tests[done:],
+            test_batches=batches,
+        ))
         store.put_checkpoint(
             record.campaign, record.epoch, record.phase, state, refs,
             keep=CHECKPOINT_KEEP,
         )
+    return batches
+
+
+def _rehydrate(store: ReproStore, record: CampaignRecord) -> bool:
+    """Put a loaded record's snapshots and test batches back in place;
+    False when one of its blobs is gone or does not decode."""
+    pending = []
+    for pid, digest, *rest in record.pending:
+        snapshot = store.get_blob(digest) if type(digest) is str else None
+        if snapshot is None:
+            return False
+        pending.append((pid, snapshot, *rest))
+    tests = []
+    for digest, count in record.test_batches:
+        blob = store.get_blob(digest)
+        try:
+            batch = None if blob is None else codec.loads(blob, TEST_BATCH)
+        except codec.DecodeError:
+            return False
+        if batch is None or len(batch) != count:
+            return False
+        tests += batch
+    record.pending = pending
+    record.tests = tests + record.tests
+    return True
 
 
 def load_campaign(store: ReproStore, campaign: str) -> CampaignRecord | None:
-    """Newest consistent epoch of a campaign, snapshots rehydrated.
+    """Newest consistent epoch of a campaign, snapshots and tests
+    rehydrated.
 
     Epochs are written transactionally, so the newest row *is*
     consistent; the walk over older epochs is belt-and-braces against a
-    record that does not decode (a rejected row) or whose blobs were
-    swept by an over-eager external GC.  A record of another format
-    version is refused by name (:class:`RecordVersionError`), and so is a
-    campaign none of whose epochs loads while one of them does not decode
-    (:class:`RecordError`); ``None`` means no checkpoint.
+    record that does not decode (a rejected row) or whose snapshot or
+    test-batch blobs were swept by an over-eager external GC.  A record
+    of another format version is refused by name
+    (:class:`RecordVersionError`), and so is a campaign none of whose
+    epochs loads while one of them does not decode (:class:`RecordError`);
+    ``None`` means no checkpoint.
     """
     unreadable = None
     for epoch, _phase, state in store.iter_checkpoints(campaign):
@@ -163,14 +218,7 @@ def load_campaign(store: ReproStore, campaign: str) -> CampaignRecord | None:
         except codec.DecodeError as exc:
             unreadable = unreadable or f"epoch {epoch}: {exc}"
             continue
-        pending = []
-        for pid, digest, *rest in record.pending:
-            snapshot = store.get_blob(digest) if type(digest) is str else None
-            if snapshot is None:
-                break
-            pending.append((pid, snapshot, *rest))
-        else:
-            record.pending = pending
+        if _rehydrate(store, record):
             return record
     if unreadable is not None:
         raise RecordError(

@@ -66,7 +66,8 @@ from .memo import BoundedMemo
 # The one format version.  Bumped whenever any payload layout changes.
 #   v5 — this codec; every earlier store (v1), record and frame (v2–v4)
 #        and snapshot was Python's native object serialization.
-FORMAT_VERSION = 5
+#   v6 — a campaign record lists its accepted tests' batch blobs.
+FORMAT_VERSION = 6
 
 # The largest payload either side accepts (a partition snapshot is
 # kilobytes, a checkpoint record of a 588-test campaign tens of them).
@@ -117,7 +118,8 @@ _node_memo = BoundedMemo(65536, process_wide=True)
 _stats = {"fresh_encodes": 0, "memo_hits": 0}
 # id -> (record, its bytes) for frozen records that hold no expression:
 # immutable values, whose bytes do not depend on the payload around them.
-# A campaign checkpoint re-encodes every accepted TestCase at every epoch.
+# Every campaign checkpoint re-encodes the replay context and the split
+# phase's tests.
 _record_memo = BoundedMemo(1 << 14, process_wide=True)
 
 

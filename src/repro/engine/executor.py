@@ -234,6 +234,17 @@ class Engine:
             self.stats.warm_models_seeded = models
             self.stats.warm_cores_seeded = cores
 
+    @property
+    def commits_to_store(self) -> bool:
+        """True while :meth:`commit_to_store` has a writable store to
+        commit to and has not committed yet."""
+        return (
+            self.store is not None
+            and not self.store.readonly
+            and self._store_tier is not None
+            and not self._store_committed
+        )
+
     def commit_to_store(
         self,
         stats: EngineStats | None = None,
@@ -242,6 +253,7 @@ class Engine:
         payloads=(),
         workers: int | None = None,
         in_transaction=None,
+        coverage_of=None,
     ) -> int | None:
         """Single-writer commit of this run's artifacts; returns the run id.
 
@@ -260,6 +272,9 @@ class Engine:
         ``in_transaction(store)``, run inside the commit transaction
         after everything else — a finished campaign deletes its
         checkpoint rows atomically with its results becoming durable.
+        ``coverage_of`` maps tests to the coverage replayed as they
+        arrived (:class:`repro.store.ArrivalReplay`); the commit replays
+        only the new rows it lacks.
 
         The commit is one store transaction, retried with bounded
         backoff when another process holds the SQLite write lock.  If
@@ -268,12 +283,7 @@ class Engine:
         ``self.store_warning`` names what was lost (only the cross-run
         cache/corpus update), and the method returns None.
         """
-        if (
-            self.store is None
-            or self.store.readonly
-            or self._store_tier is None
-            or self._store_committed
-        ):
+        if not self.commits_to_store:
             return None
         import sqlite3
 
@@ -317,7 +327,8 @@ class Engine:
                     if payload is not None:
                         apply_payload(store, payload, run_id=run_id)
                 record_tests(
-                    store, self.module, self.program, self.spec, cases, run_id
+                    store, self.module, self.program, self.spec, cases, run_id,
+                    coverage_of=coverage_of,
                 )
                 if in_transaction is not None:
                     in_transaction(store)

@@ -129,6 +129,8 @@ def tokenize(source: str) -> list[Token]:
                 j = i + 2
                 while j < n and source[j] in "0123456789abcdefABCDEF":
                     j += 1
+                if j == i + 2:
+                    raise LexError("hex literal has no digits", start_line, start_col)
                 value = int(source[i:j], 16)
             else:
                 while j < n and source[j].isdigit():

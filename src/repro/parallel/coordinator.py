@@ -378,6 +378,11 @@ class Coordinator:
         # entry ("drain"); may transport.kill(wid)/disconnect(wid) or raise.
         self.fault_injector = None
         self._ckpt = None  # CampaignCheckpointer when campaign_id active
+        # Replay on arrival, when a fleet runs and the run will commit:
+        # the coverage of accepted tests, replayed between messages, and
+        # how many of rec.tests it has seen.
+        self._arrivals = None  # repro.store.ArrivalReplay
+        self._arrived = 0
 
     # -- public entry -----------------------------------------------------------
 
@@ -432,6 +437,13 @@ class Coordinator:
         if par.backend == "inline":
             payloads = self._run_inline(module)
         else:
+            if engine.commits_to_store:
+                from ..store import ArrivalReplay, spec_fingerprint
+
+                self._arrivals = ArrivalReplay(
+                    module,
+                    engine.store.test_keys(self.program, spec_fingerprint(self.spec)),
+                )
             transport = self._make_transport()
             transport.start()
             try:
@@ -520,10 +532,8 @@ class Coordinator:
                 f"campaign {par.campaign_id!r} needs a writable store at "
                 f"{self.config.store_path!r}"
             )
-        ckpt = CampaignCheckpointer(store, par.campaign_id)
-        # Monotonic across resumes: epoch numbers never reuse.
-        ckpt.epoch = self.state.rec.epoch
-        return ckpt
+        # A resume continues the loaded record's epochs and test batches.
+        return CampaignCheckpointer(store, par.campaign_id, self.state.rec)
 
     def _checkpoint(self, phase: str) -> None:
         """Persist one campaign epoch (no-op without a campaign identity)."""
@@ -566,6 +576,7 @@ class Coordinator:
             payloads=payloads,
             workers=self.parallel.workers,
             in_transaction=ckpt and (lambda store: store.delete_campaign(ckpt.campaign)),
+            coverage_of=None if self._arrivals is None else self._arrivals.coverage,
         )
         return ParallelResult(
             program=self.program,
@@ -626,6 +637,16 @@ class Coordinator:
 
     # -- worker fleets ---------------------------------------------------------------
 
+    def _replay_arrivals(self) -> None:
+        """Replay the tests accepted since the last call.  Called after a
+        message's actions are performed, so the lease it freed is already
+        out again and no worker waits on the replay."""
+        if self._arrivals is None:
+            return
+        tests = self.state.rec.tests
+        self._arrivals.add(tests[self._arrived:])
+        self._arrived = len(tests)
+
     def _run_transport(self, transport) -> list:
         """The I/O shell around :class:`CampaignState`: feed it worker
         deaths and messages, perform the actions it returns, drain.
@@ -664,6 +685,11 @@ class Coordinator:
                     self._fault_event(kind, wid, transport, msg[2])
 
         perform(state.begin(transport.worker_ids))
+        if self._arrivals is not None:
+            # The first leases are out: replay what the split phase (or a
+            # loaded record) accepted while the fleet starts on them.
+            self._arrivals.add(state.rec.split_tests)
+        self._replay_arrivals()
         while state.pending:
             for wid, reason in transport.dead_workers():
                 perform(state.on_death(wid, reason))
@@ -675,6 +701,7 @@ class Coordinator:
             msg = transport.recv(par.poll_timeout)
             if msg is not None:
                 handle(msg)
+            self._replay_arrivals()
 
         # Drain: stop every surviving worker and collect its final stats
         # message (which carries the buffered store inserts — the

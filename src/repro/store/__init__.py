@@ -53,6 +53,7 @@ parallel coordinator; see also ROADMAP.md):
 """
 
 from .corpus import (
+    ArrivalReplay,
     corpus_coverage,
     corpus_covered_blocks,
     record_tests,
@@ -70,6 +71,7 @@ from .db import (
 from .tier import PersistentTier, apply_payload, decode_core
 
 __all__ = [
+    "ArrivalReplay",
     "PersistentTier",
     "ReproStore",
     "StoreError",

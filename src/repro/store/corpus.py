@@ -4,7 +4,10 @@ Recording replays each test the corpus does not hold yet on the concrete
 interpreter to attach its true coverage bitmap (content-addressed, so
 the many tests sharing a bitmap store it once) — which doubles as an
 end-to-end check that the corpus stays replayable.  A test the corpus
-already holds keeps the bitmap its first recording attached.
+already holds keeps the bitmap its first recording attached.  A run
+that commits at its end may replay earlier, as each test arrives
+(:class:`ArrivalReplay`: a worker fleet's coordinator does, between two
+messages); the commit then replays only what that left out.
 
 Warm-start seeding is the read side: a fresh engine against a populated
 store pre-loads its in-memory :class:`QueryCache` with
@@ -42,6 +45,29 @@ def replay_coverage(module, case, max_steps: int = 2_000_000):
         return None
 
 
+class ArrivalReplay:
+    """Coverage replayed as a run's tests arrive, ahead of its commit.
+
+    :meth:`add` replays each case it has not seen whose key the corpus did
+    not hold when this was made (``known``, the :meth:`ReproStore
+    .test_keys` of the run's program and spec); :attr:`coverage` maps
+    each replayed case to what :func:`replay_coverage` returned and is
+    the ``coverage_of`` the commit's :func:`record_tests` takes.
+    """
+
+    def __init__(self, module, known: set[tuple]):
+        self.module = module
+        self.known = known
+        self.coverage: dict = {}
+
+    def add(self, cases) -> None:
+        for case in cases:
+            if case not in self.coverage and (
+                (case.kind, case.path_id, case.line) not in self.known
+            ):
+                self.coverage[case] = replay_coverage(self.module, case)
+
+
 def record_tests(
     store: ReproStore,
     module,
@@ -49,7 +75,7 @@ def record_tests(
     spec,
     cases,
     run_id: int | None = None,
-    with_coverage: bool = True,
+    coverage_of=None,
 ) -> int:
     """Write a run's generated tests into the corpus (deduplicated).
 
@@ -57,13 +83,18 @@ def record_tests(
     ``put_tests`` ignores everything about a duplicate but its key, whose
     ``created_run`` it refreshes.  The known keys are read on the caller's
     connection, so inside the caller's transaction they cannot go stale.
+    A new row's coverage is ``coverage_of[case]`` when the caller replayed
+    it already (:class:`ArrivalReplay`), else it is replayed here.
     """
     spec_fp = spec_fingerprint(spec)
     known = store.test_keys(program, spec_fp)
+    replayed = coverage_of or {}
     rows = []
     for case in cases:
-        replay = with_coverage and (case.kind, case.path_id, case.line) not in known
-        coverage = replay_coverage(module, case) if replay else None
+        coverage = None
+        if (case.kind, case.path_id, case.line) not in known:
+            coverage = (
+                replayed[case] if case in replayed else replay_coverage(module, case))
         rows.append(
             (
                 case.kind,

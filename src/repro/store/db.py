@@ -540,6 +540,7 @@ class ReproStore:
         # Coverage blobs are content-addressed and few tests cover a set of
         # blocks of their own (17 bitmaps for wc's 588): each is encoded once.
         cov_hashes: dict[tuple, str] = {}
+        block_counts: dict[tuple[str, str], int] = {}
         for kind, path_id, line, argv, model_items, stdin, multiplicity, coverage in rows:
             stored_line = line if line is not None else -1
             new = False
@@ -570,17 +571,10 @@ class ReproStore:
                 ).rowcount > 0
             if new:
                 inserted += 1
-                if coverage:
-                    # Maintain the (program, covered-block) index only for
-                    # rows actually inserted, so dedup re-runs don't
-                    # inflate counts.
-                    self.conn.executemany(
-                        "INSERT INTO test_coverage(program, func, block, tests)"
-                        " VALUES (?, ?, ?, 1)"
-                        " ON CONFLICT(program, func, block)"
-                        " DO UPDATE SET tests = tests + 1",
-                        [(program, func, block) for func, block in coverage],
-                    )
+                # The (program, covered-block) index counts only rows
+                # actually inserted, so dedup re-runs don't inflate it.
+                for block in coverage or ():
+                    block_counts[block] = block_counts.get(block, 0) + 1
             elif run_id is not None:
                 # Duplicate: this run *reproduced* the stored test.
                 # Refresh the provenance so gc()'s age-out keys on
@@ -592,6 +586,15 @@ class ReproStore:
                     " AND spec = ? AND kind = ? AND path_id = ? AND line = ?",
                     (run_id, program, spec, kind, path_id, stored_line),
                 )
+        # One upsert per block, the same sums _backfill_coverage_index
+        # rebuilds from the tests rows.
+        self.conn.executemany(
+            "INSERT INTO test_coverage(program, func, block, tests)"
+            " VALUES (?, ?, ?, ?)"
+            " ON CONFLICT(program, func, block)"
+            " DO UPDATE SET tests = tests + excluded.tests",
+            [(program, func, block, n) for (func, block), n in block_counts.items()],
+        )
         self._commit()
         return inserted
 

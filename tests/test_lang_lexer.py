@@ -62,3 +62,17 @@ def test_bad_character_raises():
 
 def test_eof_token_terminates():
     assert tokenize("")[-1].kind == "eof"
+
+
+@pytest.mark.parametrize("literal", ["0x", "0X;", "0xg"])
+def test_hex_prefix_without_digits_is_a_lex_error(literal):
+    from repro.lang import compile_program
+
+    source = "int main(){ int x = " + literal + "; return x; }"
+    with pytest.raises(LexError):
+        compile_program(source)
+    with pytest.raises(LexError) as err:
+        compile_program(source, include_stdlib=False)
+    assert (err.value.line, err.value.col) == (1, 21)
+    with pytest.raises(LexError, match="hex literal has no digits at line 2:3"):
+        tokenize("a\n  " + literal)
