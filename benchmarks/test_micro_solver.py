@@ -252,3 +252,41 @@ def test_presolve_fixpoint_deep_ite():
     assert (stats.queries, stats.fastpath_hits) == (12, 12)
     assert stats.presolve_batch_rounds == 144
     assert stats.sat_solver_runs == 0 and stats.assumption_probes == 0
+
+
+def _engine_kernel_counts(program, mode, n, l, monkeypatch, restrict=True):
+    """The engine chain's solver counters of one cell (cold memos)."""
+    from repro.experiments.harness import run_cell
+    from repro.solver import portfolio
+    from repro.solver.bitblast import BitBlaster
+
+    class UnrestrictedBlaster(BitBlaster):
+        def probe_cone(self, assumptions):
+            return None
+
+    with monkeypatch.context() as patch:
+        if not restrict:
+            patch.setattr(portfolio, "BitBlaster", UnrestrictedBlaster)
+        return run_cell(program, mode, n_args=n, arg_len=l).solver_stats
+
+
+def test_merged_probes_decide_only_their_cone(monkeypatch):
+    """Count gate (no wall time): ``echo dsm-qce 3x3``'s probes decide and
+    propagate only the circuits their assumptions reach.  An engine whose
+    persistent blasters search the whole formula took 2 425 decisions,
+    15 324 propagations and 30 202 watched-clause visits on this cell."""
+    here = _engine_kernel_counts("echo", "dsm-qce", 3, 3, monkeypatch)
+    whole = _engine_kernel_counts("echo", "dsm-qce", 3, 3, monkeypatch, restrict=False)
+    fields = ("sat_decisions", "sat_propagations", "bcp_props")
+    assert tuple(getattr(here, f) for f in fields) == (1232, 13492, 28152)
+    assert tuple(getattr(whole, f) for f in fields) == (2425, 15324, 30202)
+    assert all(getattr(here, f) < getattr(whole, f) for f in fields)
+
+
+def test_assumption_levels_keep_full_propagation(monkeypatch):
+    """Count gate (no wall time): ``factor plain 1x1`` pins the probes'
+    decisions and conflicts.  The cone restriction stops at the last
+    assumption level; restricting the assumption levels too leaves
+    later probes implications to decide, and moves both counts."""
+    stats = _engine_kernel_counts("factor", "plain", 1, 1, monkeypatch)
+    assert (stats.sat_decisions, stats.sat_conflicts) == (9, 2)

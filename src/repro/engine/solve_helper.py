@@ -10,10 +10,12 @@ travels as a :mod:`repro.codec` payload over a socketpair (one
 :class:`~repro.codec.NodeTable` stream: a pc's prefix is sent once, not
 with every group that shares it) and its fresh chain's model and cost
 units come back, in the order sent, while exploration goes on.  ``explore()`` joins before it
-returns: every answer is in, each waiting test fills its original slot,
-the helper's cost units and CPU seconds are in the engine's stats, and
-the helper is reaped — so whatever reads the engine afterwards sees what
-an in-process run produced.
+returns: while the helper answers the front of the backlog the parent
+solves it from the back, and once the two meet the helper is killed and
+reaped; every waiting test then fills its original slot, and the
+helper's cost units and CPU seconds (each answer carries its CPU seconds
+so far) are in the engine's stats — so whatever reads the engine
+afterwards sees what an in-process run produced.
 
 Why the models cannot move: :func:`~repro.engine.testgen.solve_group` is
 the one solve either side runs; the helper is only ever *forked*, so it
@@ -51,9 +53,9 @@ if TYPE_CHECKING:
 # helper is started or runs: importing the engine does not load them.
 
 # Parent -> helper: one group.  Helper -> parent: the group's (model, cost
-# units) or a timeout's message; after EOF, last, its CPU seconds.
+# units, the helper's CPU seconds so far) or a timeout's message.
 GROUP = tuple[Expr, ...]
-ANSWER = tuple[dict[str, int] | None, int] | str | float
+ANSWER = tuple[dict[str, int] | None, int, float] | str
 
 _HEADER = struct.Struct(">I")
 
@@ -79,8 +81,8 @@ class SolveHelper:
     :meth:`submit` solves in-process until :data:`FORK_AFTER_S` seconds
     have gone into it, then forks the helper and ships every later group,
     reading whatever answers are already there whenever it sends, so
-    neither side can block on a full socket buffer; :meth:`join` waits
-    for the rest; :meth:`close` aborts.
+    neither side can block on a full socket buffer; :meth:`join` drains
+    the rest from both ends; :meth:`close` aborts.
     """
 
     def __init__(self) -> None:
@@ -103,11 +105,7 @@ class SolveHelper:
             self._start()
         if self._sock is None:
             start = time.perf_counter()
-            try:
-                _settle(pending, sink, *testgen.solve_group(group))
-            except BaseException:
-                pending.forget()
-                raise
+            _solve_here(pending, group, sink)
             self._solved_here += time.perf_counter() - start
             return
         self._inflight.append((pending, group, sink))
@@ -117,14 +115,21 @@ class SolveHelper:
             self._fall_back()
 
     def join(self) -> float:
-        """Wait for every answer and reap the helper; its CPU seconds."""
+        """Settle every group in flight and reap the helper; its CPU seconds.
+
+        The helper answers the backlog from the front; meanwhile the
+        parent solves it from the back, reading the answers that came in
+        between two of its solves.  Answers arrive in send order, so the
+        ones past the front the parent has taken are for groups it
+        solved itself, and are dropped with the helper."""
         if self._sock is not None:
             import socket
 
             try:
                 self._sock.shutdown(socket.SHUT_WR)
-                while self._receive():
-                    select.select([self._sock], [], [])
+                while self._inflight and self._receive():
+                    if self._inflight:
+                        _solve_here(*self._inflight.pop())
             except OSError:
                 pass
             if self._inflight:  # it died before answering them all
@@ -200,13 +205,12 @@ class SolveHelper:
             del buf[:pos]
 
     def _answer(self, answer) -> None:
-        if type(answer) is float:
-            self._cpu = answer
-        elif type(answer) is str:
+        if type(answer) is str:
             raise SolverTimeout(answer)
-        else:
+        model, cost, self._cpu = answer
+        if self._inflight:  # else the parent solved this group at the join
             pending, _, sink = self._inflight.popleft()
-            _settle(pending, sink, *answer)
+            _settle(pending, sink, model, cost)
 
     def _fall_back(self) -> None:
         """The helper is gone: solve what it left unanswered here, in order,
@@ -230,6 +234,14 @@ class SolveHelper:
             self._proc = None
 
 
+def _solve_here(pending: testgen.Pending, group, sink) -> None:
+    try:
+        _settle(pending, sink, *testgen.solve_group(group))
+    except BaseException:
+        pending.forget()
+        raise
+
+
 def _settle(pending: testgen.Pending, sink, model, cost: int) -> None:
     pending.settle(model)
     sink.testgen_cost_units += cost
@@ -243,8 +255,8 @@ def _frame(value, table: codec.NodeTable | None = None) -> bytes:
 
 
 def _helper_main(sock: socket.socket, parent_end: socket.socket) -> None:
-    """The helper: answer each group with its fresh solve, in order, and
-    send its CPU seconds at EOF."""
+    """The helper: answer each group with its fresh solve and its CPU
+    seconds so far, in order, until EOF."""
     import signal
 
     parent_end.close()
@@ -262,11 +274,10 @@ def _helper_main(sock: socket.socket, parent_end: socket.socket) -> None:
             (size,) = _HEADER.unpack(head)
             group = codec.loads(rfile.read(size), GROUP, table)
             try:
-                answer = testgen.solve_group(list(group))
+                answer = (*testgen.solve_group(list(group)), time.process_time())
             except SolverTimeout as exc:
                 answer = str(exc)
             sock.sendall(_frame(answer))
-        sock.sendall(_frame(time.process_time()))
     except OSError:
         pass  # the parent is gone: nobody is waiting for the answers
     finally:

@@ -78,6 +78,12 @@ _COMMUTATIVE = frozenset({ADD, MUL, BVAND, BVOR, BVXOR, EQ, AND, OR, XOR})
 # — an evicted entry is recomputed, never answered differently.
 _named_cache = BoundedMemo(65536, process_wide=True)
 
+# Name-labelled Merkle digest of one DAG node, by eid: the constraints of
+# a merged path condition share most of their DAG, and each node is
+# hashed once however many of them reach it.  Pure and bounded like
+# ``_named_cache``.
+_named_node_cache = BoundedMemo(16384, process_wide=True)
+
 # α-canonical form of one independence component, by the component's
 # sorted eid tuple: path conditions grow by a conjunct at a time, so a
 # query's components are mostly ones an earlier query already had.  Pure
@@ -119,10 +125,17 @@ def _postorder(roots, done=()) -> list[Expr]:
     return out
 
 
-def _digest_nodes(nodes, memo: dict[int, bytes], var_digest) -> None:
+def _digest_nodes(nodes, memo: dict[int, bytes], var_digest, known=None) -> None:
     """Structural hash of every node of a post-order into ``memo``
-    (children not in ``nodes`` must already be there)."""
+    (children not in ``nodes`` must already be there); ``known``, a
+    :class:`BoundedMemo` of the same labelling, is read before a node is
+    hashed and told every digest computed."""
     for node in nodes:
+        if known is not None:
+            digest = known.get(node.eid)
+            if digest is not None:
+                memo[node.eid] = digest
+                continue
         if node.kind == VAR:
             digest = var_digest(node)
         elif node.kind == CONST:
@@ -139,13 +152,8 @@ def _digest_nodes(nodes, memo: dict[int, bytes], var_digest) -> None:
                 *child_digests,
             )
         memo[node.eid] = digest
-
-
-def _hash_bottom_up(root: Expr, memo: dict[int, bytes], var_digest) -> bytes:
-    """Structural hash over the DAG; ``memo`` doubles as the done-set (it is
-    consulted by membership, never copied)."""
-    _digest_nodes(_postorder([root], memo), memo, var_digest)
-    return memo[root.eid]
+        if known is not None:
+            known.put(node.eid, digest)
 
 
 def _context_sigs(cons, topo, ccolors, memo) -> dict[str, list[bytes]]:
@@ -331,20 +339,20 @@ def _canonicalize_component(cons) -> CanonResult:
     return CanonResult(key=key, rename=rename)
 
 
-def _constraint_digest(c: Expr, label) -> tuple[bytes, int]:
+def _constraint_digest(c: Expr, label, known=None) -> tuple[bytes, int]:
     """Merkle digest of one constraint under a variable labelling, plus
-    its DAG node count.
+    its DAG node count (``known``: as in :func:`_digest_nodes`).
 
-    :func:`_hash_bottom_up` sorts commutative operands' digests, so
+    :func:`_digest_nodes` sorts commutative operands' digests, so
     operand orientation never leaks in.  (A Merkle digest identifies the
     expression *tree*; DAG sharing is a representation detail with no
     semantic content, so conflating shared and unshared builds is sound.)
     """
     memo: dict[int, bytes] = {}
-    digest = _hash_bottom_up(
-        c, memo, lambda node: _h("V", _sort_code(node), label(node))
+    _digest_nodes(
+        _postorder([c]), memo, lambda node: _h("V", _sort_code(node), label(node)), known
     )
-    return digest, len(memo)
+    return memo[c.eid], len(memo)
 
 
 def _multiset_digest(parts) -> tuple[str, int]:
@@ -375,7 +383,7 @@ def named_key(constraints) -> str:
     for c in cons:
         part = _named_cache.get(c.eid)
         if part is None:
-            part = _constraint_digest(c, lambda node: node.name)
+            part = _constraint_digest(c, lambda node: node.name, _named_node_cache)
             _named_cache.put(c.eid, part)
         parts.append(part)
     digest, node_count = _multiset_digest(parts)

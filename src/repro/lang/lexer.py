@@ -70,6 +70,11 @@ PUNCT = [
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
 
+# ASCII only: ``str.isdigit``/``isalnum`` also accept ``²`` or ``١``.
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+
 
 @dataclass(frozen=True)
 class Token:
@@ -123,7 +128,7 @@ def tokenize(source: str) -> list[Token]:
             advance(end + 2 - i)
             continue
         start_line, start_col = line, col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
             if source.startswith("0x", i) or source.startswith("0X", i):
                 j = i + 2
@@ -133,16 +138,16 @@ def tokenize(source: str) -> list[Token]:
                     raise LexError("hex literal has no digits", start_line, start_col)
                 value = int(source[i:j], 16)
             else:
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
                 value = int(source[i:j])
             text = source[i:j]
             advance(j - i)
             tokens.append(Token("int", text, value, start_line, start_col))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _IDENT_CHARS:
                 j += 1
             text = source[i:j]
             advance(j - i)
@@ -158,6 +163,8 @@ def tokenize(source: str) -> list[Token]:
                 j += 2
             elif j < n:
                 value = ord(source[j])
+                if value > 255:
+                    raise LexError("char literal is not a byte", line, col)
                 j += 1
             else:
                 raise LexError("unterminated char literal", line, col)
@@ -178,6 +185,8 @@ def tokenize(source: str) -> list[Token]:
                     out.append(_ESCAPES[source[j + 1]])
                     j += 2
                 else:
+                    if ord(source[j]) > 255:
+                        raise LexError("string literal holds a non-byte character", line, col)
                     out.append(ord(source[j]))
                     j += 1
             if j >= n:

@@ -9,6 +9,13 @@ Grammar (C subset):
                | 'continue' ';' | 'return' expr? ';' | 'assert' '(' expr ')' ';'
                | 'halt' '(' expr? ')' ';' | '{' stmt* '}' | expr ';'
     expr      := assignment with C precedence, ternary, '&&'/'||', '++'/'--'
+
+Nesting is bounded by :data:`MAX_NESTING`: every statement, every
+(sub)expression that can hold a statement or expression of its own
+(parentheses, brackets, call arguments, ternary arms, assignment
+right-hand sides) and every prefix operator is one level.  Deeper
+source is a :class:`ParseError`, not a ``RecursionError`` somewhere in
+the parser, the lowering, the CFG or the interpreter.
 """
 
 from __future__ import annotations
@@ -16,6 +23,13 @@ from __future__ import annotations
 from . import ast_nodes as A
 from .lexer import Token, tokenize
 from .types import BY_NAME, Array2DType, ArrayType, ScalarType
+
+
+# Levels of nesting a program may use (module docstring).  It sits below
+# the shallowest depth at which any stage of compile_program or the
+# concrete interpreter runs out of Python stack under the default
+# recursion limit, with room for the caller's own frames.
+MAX_NESTING = 64
 
 
 class ParseError(Exception):
@@ -28,6 +42,7 @@ class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers --------------------------------------------------------
 
@@ -48,6 +63,16 @@ class Parser:
         if self.at(kind, text):
             return self.next()
         return None
+
+    def enter(self) -> None:
+        """One level deeper (undone by :meth:`leave`); past
+        :data:`MAX_NESTING` the program is refused."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than MAX_NESTING={MAX_NESTING} levels", self.peek())
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.accept(kind, text)
@@ -166,6 +191,12 @@ class Parser:
         return -value if negative else value
 
     def parse_stmt(self) -> A.Stmt:
+        self.enter()
+        stmt = self._parse_stmt()
+        self.leave()
+        return stmt
+
+    def _parse_stmt(self) -> A.Stmt:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "{":
             stmts = self.parse_block()
@@ -241,10 +272,7 @@ class Parser:
         then_body = self._stmt_or_block()
         else_body: tuple = ()
         if self.accept("kw", "else"):
-            if self.at("kw", "if"):
-                else_body = (self.parse_if(),)
-            else:
-                else_body = self._stmt_or_block()
+            else_body = self._stmt_or_block()
         return A.If(tok.line, cond, then_body, else_body)
 
     def parse_for(self) -> A.For:
@@ -287,14 +315,15 @@ class Parser:
         return self.parse_assignment()
 
     def parse_assignment(self) -> A.Expr:
+        self.enter()
         left = self.parse_ternary()
         tok = self.peek()
         if tok.kind == "punct" and tok.text in self._ASSIGN_OPS:
             if not isinstance(left, (A.Name, A.Index)):
                 raise ParseError("invalid assignment target", tok)
             self.next()
-            value = self.parse_assignment()
-            return A.Assign(tok.line, left, tok.text, value)
+            left = A.Assign(tok.line, left, tok.text, self.parse_assignment())
+        self.leave()
         return left
 
     def parse_ternary(self) -> A.Expr:
@@ -307,25 +336,35 @@ class Parser:
         else_expr = self.parse_assignment()
         return A.Ternary(tok.line, cond, then_expr, else_expr)
 
+    _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
     def parse_binary(self, level: int) -> A.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.peek().kind == "punct" and self.peek().text in ops:
-            tok = self.next()
-            right = self.parse_binary(level + 1)
+        """Operators of precedence ``level`` (an index into
+        :attr:`_BINARY_LEVELS`) and tighter, all left-associative, by
+        precedence climbing: a frame per operator, not per level."""
+        left = self.parse_unary()
+        while True:
+            tok = self.peek()
+            op_level = self._BINARY_LEVEL.get(tok.text) if tok.kind == "punct" else None
+            if op_level is None or op_level < level:
+                return left
+            self.next()
+            right = self.parse_binary(op_level + 1)
             left = A.Binary(tok.line, tok.text, left, right)
-        return left
 
     def parse_unary(self) -> A.Expr:
         tok = self.peek()
         if tok.kind == "punct" and tok.text in ("-", "!", "~"):
             self.next()
-            return A.Unary(tok.line, tok.text, self.parse_unary())
+            self.enter()
+            expr = A.Unary(tok.line, tok.text, self.parse_unary())
+            self.leave()
+            return expr
         if tok.kind == "punct" and tok.text in ("++", "--"):
             self.next()
+            self.enter()
             target = self.parse_unary()
+            self.leave()
             if not isinstance(target, (A.Name, A.Index)):
                 raise ParseError("invalid increment target", tok)
             return A.IncDec(tok.line, target, tok.text, True)

@@ -8,13 +8,23 @@ shifters, and division via the standard multiplication side-condition.
 
 Gate-level structural hashing keeps the circuit small on the heavily shared
 DAGs produced by state merging.
+
+Every variable records its *fan-in* when it is created: the inputs of a
+gate, the guarded literal of a guard, and for a divmod's free quotient
+and remainder bits the side-condition literals that pin them.  A probe
+(:meth:`BitBlaster.solve` with assumptions) hands the CDCL kernel the
+fan-in closure of its assumed guards as its active set, so it decides
+only the circuits the probe asks about (:mod:`repro.solver.sat`, "The
+probe cone").
 """
 
 from __future__ import annotations
 
+from array import array
+
 from ..expr import nodes as N
 from ..expr.nodes import Expr
-from .sat import CDCLSolver, SatResult
+from .sat import UNASSIGNED, CDCLSolver, SatResult
 
 
 class BitBlaster:
@@ -31,7 +41,12 @@ class BitBlaster:
 
     def __init__(self, max_learned: int | None = 4000) -> None:
         self.sat = CDCLSolver(max_learned=max_learned)
-        self.true_lit = self.sat.new_var()
+        # Fan-in, three variable slots per variable (0 = none), indexed
+        # ``3 * var``; variable 0 does not exist.
+        self._fanin = array("i", (0, 0, 0))
+        # Variables asserted true outright (assert_expr): always in a cone.
+        self._roots: list[int] = []
+        self.true_lit = self._new_var()
         self.sat.add_clause([self.true_lit])
         self._bool_cache: dict[int, int] = {}
         self._vec_cache: dict[int, list[int]] = {}
@@ -43,6 +58,16 @@ class BitBlaster:
         self.bool_vars: dict[str, int] = {}
 
     # -- gates ---------------------------------------------------------------
+
+    def _new_var(self, a: int = 0, b: int = 0, c: int = 0) -> int:
+        """A fresh variable whose fan-in is the literals ``a``, ``b``, ``c``."""
+        self._fanin.extend((a if a > 0 else -a, b if b > 0 else -b, c if c > 0 else -c))
+        return self.sat.new_var()
+
+    def _set_fanin(self, var: int, a: int, b: int, c: int) -> None:
+        i = 3 * var
+        fan = self._fanin
+        fan[i], fan[i + 1], fan[i + 2] = abs(a), abs(b), abs(c)
 
     def _const(self, value: bool) -> int:
         return self.true_lit if value else -self.true_lit
@@ -64,7 +89,7 @@ class BitBlaster:
         cached = self._gate_cache.get(key)
         if cached is not None:
             return cached
-        z = self.sat.new_var()
+        z = self._new_var(a, b)
         self.sat.add_clause([-z, a])
         self.sat.add_clause([-z, b])
         self.sat.add_clause([z, -a, -b])
@@ -93,7 +118,7 @@ class BitBlaster:
         cached = self._gate_cache.get(key)
         if cached is not None:
             return cached
-        z = self.sat.new_var()
+        z = self._new_var(a, b)
         self.sat.add_clause([-z, a, b])
         self.sat.add_clause([-z, -a, -b])
         self.sat.add_clause([z, -a, b])
@@ -122,7 +147,7 @@ class BitBlaster:
         cached = self._gate_cache.get(key)
         if cached is not None:
             return cached
-        z = self.sat.new_var()
+        z = self._new_var(c, t, e)
         self.sat.add_clause([-z, -c, t])
         self.sat.add_clause([-z, c, e])
         self.sat.add_clause([z, -c, -t])
@@ -236,15 +261,19 @@ class BitBlaster:
 
         Introduces fresh vectors q, r with ``num = q*den + r`` checked at
         double width (so no overflow can hide), ``r < den`` when ``den != 0``,
-        and the SMT-LIB division-by-zero convention otherwise.
+        and the SMT-LIB division-by-zero convention otherwise.  The fan-in
+        of q and r is those side-condition literals: ``q[0]`` and ``r[0]``
+        hold the five between them (and each other), every other bit
+        points at both, so a cone that reaches any bit holds every clause
+        that pins them.
         """
         width = len(num)
         true = self.true_lit
         if all(b == true or b == -true for b in den):
             d = sum(1 << i for i, b in enumerate(den) if b == true)
             return self._divmod_const(num, d)
-        q = [self.sat.new_var() for _ in range(width)]
-        r = [self.sat.new_var() for _ in range(width)]
+        q = [self._new_var() for _ in range(width)]
+        r = [self._new_var() for _ in range(width)]
         zero = self.vec_const(0, width)
         q2, den2, r2, num2 = (vec + zero for vec in (q, den, r, num))
         prod = self.vec_mul(q2, den2)
@@ -262,6 +291,11 @@ class BitBlaster:
         r_num = self.vec_eq(r, num)
         self.sat.add_clause([den_nonzero, q_ones])
         self.sat.add_clause([den_nonzero, r_num])
+        q0, r0 = q[0], r[0]
+        self._set_fanin(q0, ok_mul, ok_rem, r0)
+        self._set_fanin(r0, q_ones, r_num, den_nonzero)
+        for bit in q[1:] + r[1:]:
+            self._set_fanin(bit, q0, r0, 0)
         return q, r
 
     def _divmod_const(self, num: list[int], d: int) -> tuple[list[int], list[int]]:
@@ -341,7 +375,7 @@ class BitBlaster:
         if kind == N.VAR:
             bits = self.var_bits.get(e.name)
             if bits is None:
-                bits = [self.sat.new_var() for _ in range(e.width)]
+                bits = [self._new_var() for _ in range(e.width)]
                 self.var_bits[e.name] = bits
             return bits
         if kind == N.ITE:
@@ -407,7 +441,7 @@ class BitBlaster:
         if kind == N.VAR:
             lit = self.bool_vars.get(e.name)
             if lit is None:
-                lit = self.sat.new_var()
+                lit = self._new_var()
                 self.bool_vars[e.name] = lit
             return lit
         if kind == N.NOT:
@@ -436,7 +470,9 @@ class BitBlaster:
     # -- top level ---------------------------------------------------------------
 
     def assert_expr(self, e: Expr) -> None:
-        self.sat.add_clause([self.blast_bool(e)])
+        lit = self.blast_bool(e)
+        self._roots.append(abs(lit))
+        self.sat.add_clause([lit])
 
     def guard_literal(self, e: Expr) -> int:
         """Activation literal for ``e``: assuming it forces the constraint.
@@ -449,7 +485,7 @@ class BitBlaster:
         g = self._guard_cache.get(e.eid)
         if g is None:
             lit = self.blast_bool(e)
-            g = self.sat.new_var()
+            g = self._new_var(lit)
             self.sat.add_clause([-g, lit])
             self._guard_cache[e.eid] = g
             self._guard_expr[g] = e
@@ -466,6 +502,32 @@ class BitBlaster:
             self._guard_expr[lit] for lit in core_lits if lit in self._guard_expr
         ]
 
+    def probe_cone(self, assumptions: list[int]) -> bytearray | None:
+        """The active set of a probe: the fan-in closure of the assumed
+        literals and of every asserted one (None would restrict nothing)."""
+        fan = self._fanin
+        active = bytearray(self.sat.num_vars + 1)
+        stack = [lit if lit > 0 else -lit for lit in assumptions]
+        stack += self._roots
+        while stack:
+            v = stack.pop()
+            if active[v]:
+                continue
+            active[v] = 1
+            i = 3 * v
+            a = fan[i]
+            if a:
+                if not active[a]:
+                    stack.append(a)
+                b = fan[i + 1]
+                if b:
+                    if not active[b]:
+                        stack.append(b)
+                    c = fan[i + 2]
+                    if c and not active[c]:
+                        stack.append(c)
+        return active
+
     @property
     def clause_count(self) -> int:
         """Current clause-database size (original + learned)."""
@@ -477,23 +539,27 @@ class BitBlaster:
         """Solve the asserted formula; returns a model or None if UNSAT.
 
         ``assumptions`` (typically guard literals) activate constraints for
-        this call only — see :meth:`CDCLSolver.solve`.
+        this call only — see :meth:`CDCLSolver.solve` — and restrict the
+        search to their cone (:meth:`probe_cone`).  A bit the search left
+        unassigned reads its saved phase: the value this blaster last
+        agreed on.
         """
-        if self.sat.solve(conflict_budget, assumptions=assumptions) == SatResult.UNSAT:
+        sat = self.sat
+        sat.set_active(self.probe_cone(assumptions) if assumptions else None)
+        if sat.solve(conflict_budget, assumptions=assumptions) == SatResult.UNSAT:
             return None
+        assign, phase = sat.assign, sat.phase
+
+        def holds(lit: int) -> bool:
+            var = lit if lit > 0 else -lit
+            val = assign[var]
+            return (lit > 0) == (phase[var] if val == UNASSIGNED else val == 1)
+
         model: dict[str, int] = {}
         for name, bits in self.var_bits.items():
-            value = 0
-            for i, lit in enumerate(bits):
-                bit = self.sat.value(abs(lit))
-                if bit is None:
-                    bit = False
-                if (lit > 0) == bit:
-                    value |= 1 << i
-            model[name] = value
+            model[name] = sum(1 << i for i, lit in enumerate(bits) if holds(lit))
         for name, lit in self.bool_vars.items():
-            bit = self.sat.value(abs(lit))
-            model[name] = 1 if ((lit > 0) == (bit if bit is not None else False)) else 0
+            model[name] = int(holds(lit))
         return model
 
 

@@ -66,6 +66,47 @@ list, so the trail is not thrown away between calls:
   trail and conflict analysis is unchanged.  Late implications sit only
   at assumption levels (free decisions are undone before a clause is
   added), so ``_late`` is empty at root, where reductions happen.
+
+The probe cone
+--------------
+A persistent bit-blaster holds the circuits of every constraint it has
+ever seen, but a probe asks about the few its assumptions switch on.
+:meth:`~CDCLSolver.set_active` installs the probe's *active set* (the
+fan-in closure of its assumed guards, computed by the blaster) for the
+solves that follow, until the next call; ``None`` (the default, and what
+the blaster installs for every solve without assumptions) restricts
+nothing.  Above the last assumption level the kernel
+
+* decides only active variables — an inactive one that
+  :meth:`~CDCLSolver._decide` pops is *parked* (dropped from the order
+  heap) and pushed back by the first ``set_active`` under which it is
+  active;
+* never enqueues an inactive variable as a unit: the clause keeps its
+  watches, and the backtrack that unassigns its false watch leaves it
+  an ordinary two-watched clause again;
+* answers SAT once every active variable is assigned.
+
+Assumption levels keep full BCP, so the completeness invariant above
+holds at every level a later probe can keep: the units skipped above
+them were made unit by a free level, and no free level survives a
+probe.  The unassigned variables of a SAT answer read their saved phase.
+
+**Soundness.**  At a SAT answer every clause over active variables only
+is satisfied: active units were enqueued as always, and every active
+variable is assigned.  Every other clause is one of four kinds — a gate
+definition (whose output is inactive, since the active set is closed
+under fan-in), a guard implication whose guard was not assumed, a
+divmod side condition, or a learned consequence of the others.  Extend
+the active part of the trail to every variable in fan-in order: gates
+take the value of their function, unassumed guards are false, and a
+divmod's free quotient and remainder bits (whose fan-in is the side
+condition's literals, so they are inactive only with every circuit
+that reads them) take the quotient and remainder of their operands.
+The gate definitions, guard implications and side conditions then all
+hold, hence so do their learned consequences: the extension is a model
+of the formula under the assumptions that agrees with the trail on
+every active variable.  An UNSAT answer is derived from clauses the
+formula implies, whatever was skipped on the way.
 """
 
 from __future__ import annotations
@@ -151,6 +192,13 @@ class CDCLSolver:
         # level)``; it is empty at root level.
         self._assumed: list[int] = []
         self._late: dict[int, tuple[int, int]] = {}
+        # Probe cone (module docstring): the installed active set (a
+        # 0/1 bytearray indexed by variable, None = every variable) and
+        # the variables _decide dropped from the heap while inactive,
+        # flagged in ``_is_parked`` so each is listed once.
+        self._active: bytearray | None = None
+        self._parked: list[int] = []
+        self._is_parked = bytearray(1)
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.ok = True
@@ -215,8 +263,38 @@ class CDCLSolver:
         self.activity.append(0.0)
         self.phase.append(False)
         self._in_order.append(True)
+        self._is_parked.append(0)
         heapq.heappush(self._order, (0.0, v))
         return v
+
+    def set_active(self, active: bytearray | None) -> None:
+        """Install the active set of the solves that follow (module
+        docstring).
+
+        ``active`` is indexed by variable and must cover every variable
+        those solves see; ``None`` makes every variable active.  Parked
+        variables that are active under it go back on the order heap.
+        """
+        self._active = active
+        parked = self._parked
+        if not parked:
+            return
+        if active is None:
+            back, self._parked = parked, []
+        else:
+            back = [v for v in parked if active[v]]
+            if not back:
+                return
+            self._parked = [v for v in parked if not active[v]]
+        in_order = self._in_order
+        is_parked = self._is_parked
+        activity = self.activity
+        order = self._order
+        for v in back:
+            is_parked[v] = 0
+            if not in_order[v]:
+                heapq.heappush(order, (-activity[v], v))
+                in_order[v] = True
 
     def add_clause(self, lits: list[int]) -> bool:
         """Add a clause; returns False if the formula became trivially UNSAT.
@@ -366,6 +444,8 @@ class CDCLSolver:
         trail = self.trail
         cap = self._cap
         cur_level = len(self.trail_lim)
+        # Above the assumption levels an inactive unit stays unassigned.
+        restrict = self._active if cur_level > len(self._assumed) else None
         head = self.prop_head
         pops = 0
         visits = 0
@@ -416,7 +496,9 @@ class CDCLSolver:
                         self.stats_propagations += pops
                         self.stats_bcp_props += visits
                         return ci
-                    # Unit: enqueue the blocker.
+                    # Unit: enqueue the blocker (unless it is inactive).
+                    if restrict is not None and not restrict[blocker if blocker > 0 else -blocker]:
+                        continue
                     if blocker > 0:
                         assign[blocker] = 1
                         level[blocker] = cur_level
@@ -476,7 +558,10 @@ class CDCLSolver:
                     self.stats_propagations += pops
                     self.stats_bcp_props += visits
                     return ci
-                # Unit: enqueue ``first`` (inlined _enqueue on unassigned).
+                # Unit: enqueue ``first`` (inlined _enqueue on unassigned),
+                # unless it is inactive.
+                if restrict is not None and not restrict[first if first > 0 else -first]:
+                    continue
                 if first > 0:
                     assign[first] = 1
                     level[first] = cur_level
@@ -509,6 +594,8 @@ class CDCLSolver:
             self._order = [(-activity[v], v) for v in range(1, self.num_vars + 1)]
             heapq.heapify(self._order)
             self._in_order = [True] * (self.num_vars + 1)
+            self._parked = []
+            self._is_parked = bytearray(self.num_vars + 1)
         else:
             # The activity changed, so any older entry is now stale; this
             # fresh push is the var's unique current entry.
@@ -713,25 +800,32 @@ class CDCLSolver:
     # -- decisions -----------------------------------------------------------
 
     def _decide(self) -> int | None:
-        """Pop the unassigned variable of maximum activity (min index on ties).
+        """Pop the unassigned active variable of maximum activity (min
+        index on ties).
 
         Heap entries are ``(-activity, var)``; an entry is valid iff the
         variable is unassigned and the cached activity is current.  The
         heap pops ``(max activity, min var)`` — the first strict maximum
-        of a linear scan in index order.
+        of a linear scan in index order.  An unassigned inactive variable
+        is parked instead (module docstring).
         """
         order = self._order
         assign = self.assign
         activity = self.activity
         in_order = self._in_order
+        active = self._active
         heappop = heapq.heappop
         while order:
             neg_act, v = order[0]
             if activity[v] == -neg_act:
                 if assign[v] == UNASSIGNED:
-                    return v if self.phase[v] else -v
-                # Current entry of an assigned var: popping removes the
-                # var's only current entry.
+                    if active is None or active[v]:
+                        return v if self.phase[v] else -v
+                    if not self._is_parked[v]:
+                        self._is_parked[v] = 1
+                        self._parked.append(v)
+                # Current entry of an assigned (or parked) var: popping
+                # removes the var's only current entry.
                 in_order[v] = False
             heappop(order)
         return None

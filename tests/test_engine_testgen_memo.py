@@ -46,6 +46,7 @@ def oracle_test_case(spec, pc, kind, line=None, multiplicity=1):
         sorted((k, v) for k, v in full.items() if k.startswith(("arg", "stdin")))
     )
     canon._named_cache.clear()
+    canon._named_node_cache.clear()
     return testgen.TestCase(
         kind=kind,
         argv=tuple(spec.decode(full)),

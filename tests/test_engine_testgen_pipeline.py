@@ -205,6 +205,42 @@ def test_cpu_time_counts_the_helper(monkeypatch):
     assert engine.stats.cpu_time >= burned
 
 
+def test_join_drains_the_backlog_from_both_ends(monkeypatch):
+    """At the join the parent solves the backlog from the back while the
+    helper answers it from the front: every group settles to its own
+    fresh model and cost, both sides solved some, the helper's CPU
+    seconds come back, and no helper outlives the join."""
+    burn, solve = 0.02, testgen.solve_group
+    parent, here = os.getpid(), []
+
+    def costly(group):
+        if os.getpid() == parent:
+            here.append(group)
+        end = time.process_time() + burn
+        while time.process_time() < end:
+            pass
+        return solve(group)
+
+    monkeypatch.setattr(testgen, "solve_group", costly)
+    x = ops.bv_var("arg1_b0", 8)
+    groups = [[ops.ult(ops.bv(k, 8), x)] for k in range(16)]
+    helper, stats = solve_helper.SolveHelper(), EngineStats()
+    pendings = [testgen.Pending(("join", k)) for k in range(len(groups))]
+    try:
+        for pending, group in zip(pendings, groups):
+            helper.submit(pending, group, stats)
+        cpu = helper.join()
+    finally:
+        helper.close()
+    answers = [solve(group) for group in groups]
+    assert all(pending.done for pending in pendings)
+    assert [pending.model for pending in pendings] == [model for model, _ in answers]
+    assert stats.testgen_cost_units == sum(cost for _, cost in answers)
+    assert 0 < len(here) < len(groups)
+    assert cpu >= burn
+    assert not multiprocessing.active_children()
+
+
 @dataclasses.dataclass
 class _NoConflictChain(SolverChain):
     conflict_budget: int | None = 0
@@ -297,7 +333,7 @@ def test_more_answers_than_a_socket_buffer_holds(monkeypatch):
     # How many of the smallest answer frames fit before a send blocks.
     probe, _peer = tiny_pair()
     probe.setblocking(False)
-    frame, room = bytes(4) + codec.dumps((None, 0)), 0
+    frame, room = bytes(4) + codec.dumps((None, 0, 0.0)), 0
     try:
         while True:
             probe.send(frame)

@@ -204,6 +204,40 @@ def test_named_key_memo_is_unobservable(template, data):
         assert named_key(renamed) == _unmemoised_named_key(renamed)
 
 
+def test_named_key_hashes_each_shared_node_once():
+    """Constraints over one merged DAG find its node digests in the
+    process-wide node memo, and a memo too small to hold a single
+    constraint still gives the unmemoised key (node counts included)."""
+    x, y = ops.bv_var("canon_nx", 8), ops.bv_var("canon_ny", 8)
+    shared = ops.ite(ops.ult(x, y), ops.add(x, y), ops.mul(x, ops.bv(3, 8)))
+    cons = [ops.ult(shared, ops.bv(k, 8)) for k in range(1, 5)]
+    reference = _unmemoised_named_key(cons)
+    clear_memos()
+    hashed = []
+    real_h = canon_module._h
+    with mock.patch.object(canon_module, "_h", lambda *parts: hashed.append(parts) or real_h(*parts)):
+        assert named_key(cons) == reference
+    distinct = set()
+    stack = list(cons)
+    while stack:
+        node = stack.pop()
+        if node.eid not in distinct:
+            distinct.add(node.eid)
+            stack.extend(node.children)
+    assert len(hashed) == len(distinct)
+    assert set(canon_module._named_node_cache) == distinct
+    node_memo = canon_module._named_node_cache
+    bound = node_memo.bound
+    try:
+        node_memo.bound = 1
+        clear_memos()
+        assert named_key(cons) == reference
+        assert len(node_memo) == 1
+    finally:
+        node_memo.bound = bound
+        clear_memos()
+
+
 def test_key_is_deterministic_and_distinct():
     x, y = ops.bv_var("canon_dx", 8), ops.bv_var("canon_dy", 8)
     s = [ops.ult(x, ops.bv(5, 8)), ops.eq(y, ops.bv(3, 8))]

@@ -76,3 +76,28 @@ def test_hex_prefix_without_digits_is_a_lex_error(literal):
     assert (err.value.line, err.value.col) == (1, 21)
     with pytest.raises(LexError, match="hex literal has no digits at line 2:3"):
         tokenize("a\n  " + literal)
+
+
+@pytest.mark.parametrize(
+    "src, col",
+    [
+        ("²", 1),      # superscript two: str.isdigit() says yes
+        ("1²", 2),     # a number literal stops at the ASCII digits
+        ("١٢", 1),     # Arabic-Indic digits: int() would read 12
+        ("a²", 2),     # str.isalnum() says yes
+        ("xé", 2),
+    ],
+)
+def test_only_ascii_digits_and_identifiers(src, col):
+    with pytest.raises(LexError) as err:
+        tokenize("int x;\n" + src)
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+def test_non_ascii_number_never_escapes_compile_program():
+    from repro.lang import compile_program
+
+    for body in ("return 1²;", "return ١٢;", "int a² = 1; return 0;",
+                 "return '€';", 'char s[4] = "€"; return 0;'):
+        with pytest.raises(LexError):
+            compile_program("int main() { %s }" % body)

@@ -153,3 +153,53 @@ def test_2d_local_decl():
     body = parse_main_body("char grid[2][3];")
     assert isinstance(body[0].var_type, Array2DType)
     assert body[0].var_type.rows == 2 and body[0].var_type.cols == 3
+
+
+# -- bounded nesting ------------------------------------------------------------------
+
+from repro.lang import compile_program  # noqa: E402
+from repro.lang.interp import run_concrete  # noqa: E402
+from repro.lang.parser import MAX_NESTING  # noqa: E402
+
+# Each shape with n levels, and the levels main's body adds around them:
+# a return statement and its expression, or nothing around a bare block.
+NESTED = {
+    "parens": (lambda n: "return " + "(" * n + "1" + ")" * n + ";", 2),
+    "braces": (lambda n: "{" * n + "}" * n + " return 1;", 0),
+    "unary minus": (lambda n: "return " + "- " * n + "1;", 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_the_limit_compiles_and_runs(shape):
+    build, around = NESTED[shape]
+    n = MAX_NESTING - around
+    module = compile_program("int main() { %s }" % build(n))
+    want = -1 if shape == "unary minus" and n % 2 else 1
+    assert run_concrete(module, []).exit_code == want & 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_limit_is_a_parse_error(shape):
+    build, around = NESTED[shape]
+    with pytest.raises(ParseError, match=f"MAX_NESTING={MAX_NESTING}"):
+        compile_program("int main() { %s }" % build(MAX_NESTING - around + 1))
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_twenty_thousand_levels_are_a_parse_error(shape):
+    build, _ = NESTED[shape]
+    with pytest.raises(ParseError):
+        compile_program("int main() { %s }" % build(20_000))
+
+
+def test_else_if_chains_and_precedence_climbing_keep_their_trees():
+    body = parse_main_body("if (a) x = 1; else if (b) x = 2; else x = 3;")
+    assert isinstance(body[0].else_body[0], A.If)
+    assert isinstance(body[0].else_body[0].else_body[0], A.ExprStmt)
+    expr = parse_expr("a - b * c + d < e == f || g && h")
+    assert expr.op == "||"
+    assert expr.left.op == "==" and expr.left.left.op == "<"
+    assert expr.left.left.left.op == "+" and expr.left.left.left.left.op == "-"
+    assert expr.left.left.left.left.right.op == "*"
+    assert expr.right.op == "&&"
