@@ -42,13 +42,12 @@ class CampaignNotFound(CampaignError):
 class CampaignInterrupted(RuntimeError):
     """Raised by chaos injectors to abort a coordinator mid-campaign.
 
-    The fault harness (``repro.experiments.figures.fault_tolerance`` and
-    the resume tests) uses this to model a coordinator SIGKILL in
-    process: checkpoints already written are durable, the transport
-    closes on the way out (standing in for the orphaned workers dying),
-    and the campaign is left resumable.  The CLI's hidden
-    ``--chaos-kill`` knob delivers a *real* SIGKILL for the end-to-end
-    variant.
+    The resume tests (``tests/test_campaign_resume.py``) raise this to
+    model a coordinator SIGKILL in process: checkpoints already written
+    are durable, the transport closes on the way out (standing in for the
+    orphaned workers dying), and the campaign is left resumable.  The
+    CLI's hidden ``--chaos-kill`` knob delivers a *real* SIGKILL for the
+    end-to-end variant.
     """
 
 

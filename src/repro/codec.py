@@ -30,6 +30,12 @@ ran arbitrary constructors on load) by that name.  The loader resolves no
 global outside :data:`RECORDS`: a record is named by its index there and
 built by its own constructor from decoded plain values.
 
+**Frames.**  A stream between processes (the remote wire, the solve
+helper's socket) carries each payload as one :func:`frame`: its 4-byte
+big-endian length, then the payload.  :func:`frame_size` reads that
+length and refuses one over the limit before a byte of the payload is
+read.
+
 **Streams.**  Successive payloads of one connection may share a
 :class:`NodeTable`: each then carries only the expression nodes no
 earlier payload of the stream carried and refers to the others by their
@@ -89,6 +95,8 @@ RECORDS = (
 
 _MAGIC = b"RPC"
 _HEAD = struct.Struct(">3sBI")  # magic, version, CRC-32 of the body
+_FRAME = struct.Struct(">I")  # a frame's payload length
+FRAME_HEADER = _FRAME.size
 _DOUBLE = struct.Struct(">d")
 _PRE_CODEC = b"\x80"  # the first byte of every pre-codec payload (protocol 2+)
 
@@ -518,6 +526,24 @@ def loads(data: bytes, schema=object, table: NodeTable | None = None):
     if not conforms(value, schema):
         raise DecodeError(f"payload is not a {schema}")
     return value
+
+
+# -- framing --------------------------------------------------------------------------
+
+
+def frame(value, table: NodeTable | None = None) -> bytes:
+    """``value``'s :func:`dumps` payload behind its length: one frame."""
+    payload = dumps(value, table)
+    return _FRAME.pack(len(payload)) + payload
+
+
+def frame_size(head, offset: int = 0, limit: int = MAX_FRAME) -> int:
+    """The payload length of the frame whose header is at ``head[offset:]``;
+    raises :class:`DecodeError` past ``limit``."""
+    (size,) = _FRAME.unpack_from(head, offset)
+    if size > limit:
+        raise DecodeError(f"oversized frame: {size} bytes, over the {limit}-byte limit")
+    return size
 
 
 def conforms(value, schema) -> bool:

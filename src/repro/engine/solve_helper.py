@@ -6,7 +6,8 @@ miss both the memo and the corpus need not be solved where the pc was
 found.  A sequential ``explore()`` keeps the memo, corpus and accounting
 work, and ships each such group to one solver process, forked once the
 call has spent :data:`FORK_AFTER_S` on such solves itself: the group
-travels as a :mod:`repro.codec` payload over a socketpair (one
+travels as one :func:`repro.codec.frame` over a socketpair, the wire's
+frame without the ~45 ms import of :mod:`repro.remote` (one
 :class:`~repro.codec.NodeTable` stream: a pc's prefix is sent once, not
 with every group that shares it) and its fresh chain's model and cost
 units come back, in the order sent, while exploration goes on.  ``explore()`` joins before it
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import gc
 import select
-import struct
 import time
 from collections import deque
 from typing import TYPE_CHECKING
@@ -56,8 +56,6 @@ if TYPE_CHECKING:
 # units, the helper's CPU seconds so far) or a timeout's message.
 GROUP = tuple[Expr, ...]
 ANSWER = tuple[dict[str, int] | None, int, float] | str
-
-_HEADER = struct.Struct(">I")
 
 # Seconds of fresh solves an explore() runs in-process before it forks the
 # helper.  Importing multiprocessing, forking and reaping cost about 20 ms
@@ -110,7 +108,7 @@ class SolveHelper:
             return
         self._inflight.append((pending, group, sink))
         try:
-            self._send(_frame(tuple(group), self._table))
+            self._send(codec.frame(tuple(group), self._table))
         except OSError:
             self._fall_back()
 
@@ -193,12 +191,12 @@ class SolveHelper:
     def _parse(self) -> None:
         buf, pos = self._buf, 0
         try:
-            while len(buf) - pos >= _HEADER.size:
-                (size,) = _HEADER.unpack_from(buf, pos)
-                end = pos + _HEADER.size + size
+            while len(buf) - pos >= codec.FRAME_HEADER:
+                start = pos + codec.FRAME_HEADER
+                end = start + codec.frame_size(buf, pos)
                 if len(buf) < end:
                     break
-                answer = codec.loads(bytes(buf[pos + _HEADER.size:end]), ANSWER)
+                answer = codec.loads(bytes(buf[start:end]), ANSWER)
                 pos = end
                 self._answer(answer)
         finally:
@@ -247,13 +245,6 @@ def _settle(pending: testgen.Pending, sink, model, cost: int) -> None:
     sink.testgen_cost_units += cost
 
 
-def _frame(value, table: codec.NodeTable | None = None) -> bytes:
-    # The transport's frame (repro.remote.transport.send_frame), spelled
-    # here because importing the remote package costs a run ~45 ms.
-    payload = codec.dumps(value, table)
-    return _HEADER.pack(len(payload)) + payload
-
-
 def _helper_main(sock: socket.socket, parent_end: socket.socket) -> None:
     """The helper: answer each group with its fresh solve and its CPU
     seconds so far, in order, until EOF."""
@@ -268,16 +259,15 @@ def _helper_main(sock: socket.socket, parent_end: socket.socket) -> None:
     table = codec.NodeTable()  # the nodes the parent has sent
     try:
         while True:
-            head = rfile.read(_HEADER.size)
-            if len(head) < _HEADER.size:
+            head = rfile.read(codec.FRAME_HEADER)
+            if len(head) < codec.FRAME_HEADER:
                 break  # EOF: every group is in
-            (size,) = _HEADER.unpack(head)
-            group = codec.loads(rfile.read(size), GROUP, table)
+            group = codec.loads(rfile.read(codec.frame_size(head)), GROUP, table)
             try:
                 answer = (*testgen.solve_group(list(group)), time.process_time())
             except SolverTimeout as exc:
                 answer = str(exc)
-            sock.sendall(_frame(answer))
+            sock.sendall(codec.frame(answer))
     except OSError:
         pass  # the parent is gone: nobody is waiting for the answers
     finally:

@@ -81,7 +81,8 @@ class TestSuite:
         """The suite as an order-free value: what two explorations of the
         same path space agree on, in whatever order they met the paths
         (see :func:`repro.experiments.harness.same_exploration`)."""
-        return sorted((c.kind, c.argv, c.model, c.line, c.stdin) for c in self.cases)
+        return sorted((c.kind, c.argv, c.model, c.line, c.multiplicity, c.stdin)
+                      for c in self.cases)
 
 
 # History-free model per independence group, keyed by the group's *ordered*

@@ -5,7 +5,7 @@ SSM+QCE, DSM+QCE, merge-everything, ...) with deterministic budgets and
 collect comparable metrics.  Cost is reported both as wall-clock and as
 deterministic *cost units* (solver decisions + conflicts + one per query),
 because absolute pure-Python timings are not meaningful against the
-paper's C++/STP testbed — shapes and ratios are (DESIGN.md §2).
+paper's C++/STP testbed — shapes and ratios are.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ MODES: dict[str, dict[str, str]] = {
     "plain-rand": {"merging": "none", "similarity": "never", "strategy": "random"},
     "ssm-qce": {"merging": "static", "similarity": "qce", "strategy": "topological"},
     "ssm-all": {"merging": "static", "similarity": "always", "strategy": "topological"},
-    "ssm-cov": {"merging": "static", "similarity": "qce", "strategy": "coverage"},
     "dsm-qce": {"merging": "dynamic", "similarity": "qce", "strategy": "coverage"},
-    "dsm-dfs": {"merging": "dynamic", "similarity": "qce", "strategy": "dfs"},
     "dsm-topo": {"merging": "dynamic", "similarity": "qce", "strategy": "topological"},
     "ssm-qce-full": {"merging": "static", "similarity": "qce-full", "strategy": "topological"},
-    "live": {"merging": "static", "similarity": "live", "strategy": "topological"},
 }
 
 
@@ -45,34 +42,31 @@ def run_cell(program: str, mode: str = "plain", **overrides) -> SymbolicRunResul
     return run_symbolic(program, **MODES[mode], **overrides)
 
 
-def same_exploration(ref, other, label: str, *, paths: bool = True) -> None:
-    """The law every differential figure enforces: ``other`` explored what
-    ``ref`` explored — same test multiset, same covered blocks, same path
-    count.  Raises :class:`AssertionError` naming ``label`` and what changed.
+def same_exploration(ref, other, label: str) -> None:
+    """The identity law: ``other`` explored what ``ref`` explored — same
+    test multiset (:meth:`~repro.engine.testgen.TestSuite.multiset`), same
+    covered blocks, same path count.  Raises :class:`AssertionError`
+    naming ``label`` and what changed.
 
     Both arguments are run results (:class:`SymbolicRunResult` or
     :class:`~repro.parallel.ParallelResult`; anything with ``tests``,
-    ``covered`` and ``paths``).  ``paths=False`` drops what is *per path* —
-    the tests (one per completed path) and the path count — and holds the
-    two runs to coverage alone: merging is partition-local, so a
-    partitioned merging run legitimately completes other merged paths
-    than the sequential one.
+    ``covered`` and ``paths``).
     """
-    if paths and other.tests.multiset() != ref.tests.multiset():
+    if other.tests.multiset() != ref.tests.multiset():
         raise AssertionError(
             f"{label} changed the test multiset ({len(ref.tests.cases)} vs "
             f"{len(other.tests.cases)} tests and/or contents)"
         )
     if other.covered != ref.covered:
         raise AssertionError(f"{label} changed coverage")
-    if paths and other.paths != ref.paths:
+    if other.paths != ref.paths:
         raise AssertionError(
             f"{label} changed the path space ({ref.paths} vs {other.paths})"
         )
 
 
 def cost_of(result: SymbolicRunResult) -> int:
-    """Deterministic cost proxy for 'solving time' (DESIGN.md substitution)."""
+    """Deterministic cost proxy for 'solving time': the solver's cost units."""
     return result.solver_stats.cost_units
 
 

@@ -2,9 +2,8 @@
 
 One campaign event loop (:meth:`repro.parallel.Coordinator._run_transport`)
 drives one transport class, :class:`SocketTransport`: every worker holds
-one duplex stream socket carrying length-prefixed frames (4-byte
-big-endian size + one :mod:`repro.codec` payload) — tasks, commands,
-results and heartbeats.
+one duplex stream socket carrying :func:`repro.codec.frame` frames —
+tasks, commands, results and heartbeats.
 Worker ids are assigned at the HELLO/WELCOME handshake, and the
 transport tracks per-connection liveness (EOF or missed heartbeats), so
 the coordinator can revoke a dead worker's lease and requeue it.
@@ -35,13 +34,11 @@ import os
 import queue as queue_mod
 import signal
 import socket
-import struct
 import sys
 import threading
 import time
 
 from .. import codec
-from ..codec import MAX_FRAME
 from ..engine.executor import EngineConfig
 from ..env.argv import ArgvSpec
 from ..parallel.wire import (
@@ -54,8 +51,6 @@ from ..parallel.wire import (
     ProtocolMismatchError,
 )
 from ..processes import process_context
-
-_HEADER = struct.Struct(">I")
 
 # The first frame of a connection is read under this cap: a HELLO is a
 # few dozen bytes, and until it decodes the peer is anyone at all.
@@ -74,14 +69,13 @@ class TransportError(RuntimeError):
 
 
 def send_frame(sock: socket.socket, msg, lock: threading.Lock | None = None) -> None:
-    """Encode ``msg`` and write it as one length-prefixed frame.
+    """Encode ``msg`` and write it as one frame (:func:`repro.codec.frame`).
 
     The lock (one per connection) keeps concurrently sending threads —
     the worker's main loop and its heartbeat timer — from interleaving
     frame bytes.
     """
-    payload = codec.dumps(msg)
-    data = _HEADER.pack(len(payload)) + payload
+    data = codec.frame(msg)
     if lock is not None:
         with lock:
             sock.sendall(data)
@@ -99,14 +93,15 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def recv_frame(sock: socket.socket, schema=object, limit: int = MAX_FRAME):
-    """Read one length-prefixed frame of at most ``limit`` bytes holding a
-    ``schema`` value; raises EOFError on a closed peer,
-    :class:`TransportError` on a longer frame and
+def recv_frame(sock: socket.socket, schema=object, limit: int = codec.MAX_FRAME):
+    """Read one frame of at most ``limit`` bytes holding a ``schema``
+    value; raises EOFError on a closed peer, :class:`TransportError` on a
+    longer frame (a peer that sends one is hung up on, not answered) and
     :class:`~repro.codec.DecodeError` on a frame that is not one."""
-    (size,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if size > limit:
-        raise TransportError(f"oversized frame header: {size} bytes")
+    try:
+        size = codec.frame_size(_recv_exact(sock, codec.FRAME_HEADER), limit=limit)
+    except codec.DecodeError as exc:
+        raise TransportError(str(exc)) from None
     return codec.loads(_recv_exact(sock, size), schema)
 
 

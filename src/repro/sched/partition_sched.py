@@ -22,8 +22,8 @@ split the oldest exported state is the shallowest), so when the corpus
 has no discriminating evidence the policy degrades to FIFO instead of
 to an arbitrary permutation — corpus guidance can only help, never
 scramble.  The ``fifo`` policy scores by pid alone — exactly the old
-behavior, kept as the ablation baseline
-(``experiments.figures.sched_ablation``).
+behavior, kept as the baseline the ``sched`` figure reports against and
+``tests/test_figure_laws.py`` holds corpus dispatch to.
 
 Victim selection for work stealing uses the same signals plus the **QCE
 load** estimate (:meth:`~repro.qce.qce.QceAnalysis.qt_table`, heaviest

@@ -9,8 +9,6 @@ epochs reference, a missing batch makes the loader fall back to the older
 epoch, and a resumed checkpointer continues the loaded chain.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro import codec
@@ -25,14 +23,10 @@ from repro.campaign import (
 from repro.engine.executor import EngineConfig
 from repro.engine.testgen import TestCase
 from repro.env.argv import ArgvSpec
+from repro.experiments.harness import same_exploration
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
 from repro.programs.registry import get_program
 from repro.store import open_store
-
-
-def case_key(case):
-    return (case.kind, case.argv, case.model, case.line, case.multiplicity,
-            case.stdin)
 
 
 def _record(campaign="c1", tests=()):
@@ -212,7 +206,4 @@ def test_killed_campaign_resumes_with_tests_from_batches_in_order(tmp_path):
     assert loaded.tests == saved[-1]
     result = resume_campaign(store_path, "ckill")
     result.check_ledger()
-    baseline = run_parallel("wc", workers=1)
-    assert Counter(map(case_key, result.tests.cases)) == Counter(
-        map(case_key, baseline.tests.cases))
-    assert result.covered == baseline.covered
+    same_exploration(run_parallel("wc", workers=1), result, "resumed campaign")

@@ -20,7 +20,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,21 +38,13 @@ from repro.engine.executor import EngineConfig
 from repro.engine.testgen import TestCase
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic
+from repro.experiments.harness import same_exploration
 from repro.parallel import ConfigError, Coordinator, ParallelConfig, run_parallel
 from repro.programs.registry import get_program
 from repro.store import open_store, retry_locked
 from repro.store.db import ReproStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def case_key(case):
-    return (case.kind, case.argv, case.model, case.line, case.multiplicity,
-            case.stdin)
-
-
-def suite_multiset(result):
-    return Counter(case_key(c) for c in result.tests.cases)
 
 
 @pytest.fixture(scope="module")
@@ -283,8 +274,7 @@ def test_locked_store_degrades_with_warning(runner, tmp_path, monkeypatch,
         "(database is locked); run results are complete, only the cross-run "
         "cache/corpus update was lost"
     )
-    assert result.paths == wc_sequential.paths
-    assert suite_multiset(result) == suite_multiset(wc_sequential)
+    same_exploration(wc_sequential, result, f"{runner} with a locked store")
 
     monkeypatch.setattr(ReproStore, "record_run", failing("no such table: runs"))
     with pytest.raises(sqlite3.OperationalError, match="no such table"):
@@ -336,9 +326,7 @@ def test_resume_identity_after_coordinator_kill(event, nth, backend, tmp_path,
         coord.run()
     result = resume_campaign(store_path, campaign_id)
     result.check_ledger()
-    assert suite_multiset(result) == suite_multiset(wc_sequential)
-    assert result.covered == wc_sequential.covered
-    assert result.paths == wc_sequential.paths
+    same_exploration(wc_sequential, result, f"resume after a kill at {event}:{nth}")
     assert result.resumed_epoch is not None and result.resumed_epoch >= 1
     # Completed partitions were restored, not re-explored.
     if event == "done":
@@ -366,7 +354,7 @@ def test_clean_campaign_checkpoints_and_cleans_up(tmp_path, wc_sequential):
     assert result.campaign_id == "cclean"
     assert result.checkpoint_epoch >= 2  # at least split + drain
     assert result.resumed_epoch is None and result.restored_partitions == 0
-    assert suite_multiset(result) == suite_multiset(wc_sequential)
+    same_exploration(wc_sequential, result, "clean campaign")
     store = open_store(store_path, readonly=True)
     assert store.campaign_ids() == []
     store.close()
@@ -467,6 +455,5 @@ def test_cli_sigkill_then_resume(tmp_path, wc_sequential):
     assert returncode == -signal.SIGKILL, log_path.read_text(errors="replace")
     result = resume_campaign(store_path, "ckill")
     result.check_ledger()
-    assert suite_multiset(result) == suite_multiset(wc_sequential)
-    assert result.covered == wc_sequential.covered
+    same_exploration(wc_sequential, result, "resume after a SIGKILL")
     assert result.restored_partitions >= 1

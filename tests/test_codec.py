@@ -21,6 +21,7 @@ import dataclasses
 import pickle
 import socket
 import sqlite3
+import struct
 import typing
 import zlib
 
@@ -39,7 +40,7 @@ from repro.expr import ops
 from repro.parallel import ParallelConfig
 from repro.parallel import wire
 from repro.qce.qce import QceParams
-from repro.remote.transport import SocketTransport, _Endpoint, _HEADER
+from repro.remote.transport import SocketTransport, _Endpoint
 from repro.solver.portfolio import SolverStats
 from repro.store import PersistentTier, StoreError, apply_payload, open_store
 from repro.store import db
@@ -518,6 +519,10 @@ def _reader_verdict(wire_bytes: bytes) -> str:
     finally:
         ours.close()
     return endpoint.dead
+
+
+# The wire's length prefix, spelled here apart from repro.codec.frame.
+_HEADER = struct.Struct(">I")
 
 
 def _framed(payload: bytes) -> bytes:

@@ -16,10 +16,14 @@ socket buffer).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
 import socket
+import struct
+import subprocess
+import sys
 import time
 
 import pytest
@@ -371,3 +375,51 @@ def test_fleet_workers_and_hosts_without_fork_solve_in_process(monkeypatch):
     piped, local = run_both(lambda helper: engine_for("echo", "plain", helper))
     assert_exact(piped, local)
     assert piped.stats.testgen_group_solves > 0
+
+
+# -- frames: the helper's stream carries the wire's frame -----------------------
+
+
+def test_an_oversized_answer_frame_is_refused_by_name():
+    """The parent reads an answer's length before it buffers toward it."""
+    helper = solve_helper.SolveHelper()
+    helper._buf += struct.pack(">I", codec.MAX_FRAME + 1)
+    with pytest.raises(codec.DecodeError, match="oversized frame"):
+        helper._parse()
+
+
+def test_the_helper_refuses_an_oversized_group_frame_by_name(monkeypatch):
+    """... and the helper reads a group's length before it reads toward it.
+    (Run in this process: SIGINT and the collector are left as they are.)"""
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    ours, theirs = socket.socketpair()
+    parent_end, spare = socket.socketpair()
+    ours.sendall(struct.pack(">I", codec.MAX_FRAME + 1))
+    ours.close()  # EOF after the header: a helper that read on would not block
+    try:
+        with pytest.raises(codec.DecodeError, match="oversized frame"):
+            solve_helper._helper_main(theirs, parent_end)
+    finally:
+        spare.close()
+
+
+def test_a_sequential_run_does_not_import_the_remote_package():
+    """The helper frames with :mod:`repro.codec`: importing
+    :mod:`repro.remote` would cost every sequential run about 45 ms."""
+    code = (
+        "import sys\n"
+        "from repro.engine import solve_helper\n"
+        "from repro.env.runner import run_symbolic\n"
+        "solve_helper.FORK_AFTER_S = 0.0\n"
+        "run_symbolic('wc', generate_tests=True)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.remote')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -8,13 +8,12 @@ angle: hypothesis-generated arithmetic programs, hand-built symbolic
 bailout boundaries, deterministic test generation, and a 2-worker run.
 """
 
-from collections import Counter
-
 from hypothesis import given, settings
 
 from repro.engine.executor import EngineConfig
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic, run_symbolic_module
+from repro.experiments.harness import same_exploration
 from repro.lang import compile_program
 from repro.lang.cfg import ICall
 from repro.lang.compile import compile_block
@@ -27,14 +26,6 @@ from minic_gen import minic_programs
 # is a heat heuristic, not a semantics knob, and tests want the compiled
 # path exercised unconditionally.
 LOWER_NOW = {"lowering_enabled": True, "lowering_threshold": 0}
-
-
-def case_key(case):
-    return (case.kind, case.argv, case.model, case.line, case.multiplicity, case.stdin)
-
-
-def suite_multiset(result):
-    return Counter(case_key(c) for c in result.tests.cases)
 
 
 def run_module(source: str, lowered: bool, n_args: int = 1, arg_len: int = 2):
@@ -96,9 +87,8 @@ def test_symbolic_operand_bails_to_interpreter():
     assert lowered.stats.compiled_bailouts >= 1
     assert lowered.stats.compiled_steps >= 1
     assert lowered.stats.instructions_executed == interp.stats.instructions_executed
-    assert lowered.paths == interp.paths
     assert lowered.stats.forks == interp.stats.forks
-    assert suite_multiset(lowered) == suite_multiset(interp)
+    same_exploration(interp, lowered, "lowered run")
 
 
 def test_prefix_stops_at_call():
@@ -151,9 +141,7 @@ def test_call_first_block_compiles_to_none():
 def test_testgen_deterministic_unaffected_by_lowering():
     on = run_symbolic("wc", **LOWER_NOW)
     off = run_symbolic("wc", lowering_enabled=False)
-    assert suite_multiset(on) == suite_multiset(off)
-    assert on.paths == off.paths
-    assert on.coverage_blocks == off.coverage_blocks
+    same_exploration(off, on, "lowered run")
     assert on.stats.instructions_executed == off.stats.instructions_executed
 
 
@@ -165,6 +153,4 @@ def test_two_worker_multiset_with_lowering():
         "uniq", parallel=ParallelConfig(workers=2, backend="inline"), **LOWER_NOW
     )
     par.check_ledger()
-    assert par.paths == seq.paths
-    assert suite_multiset(par) == suite_multiset(seq)
-    assert par.covered == seq.covered
+    same_exploration(seq, par, "lowered 2-worker run")

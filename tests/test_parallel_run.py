@@ -22,17 +22,11 @@ from repro.engine.state import SymState
 from repro.engine.stats import EngineStats
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic
+from repro.experiments.harness import same_exploration
+from repro.memo import clear_memos
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
 from repro.programs.registry import get_program
 from repro.solver.portfolio import SolverStats
-
-
-def case_key(case):
-    return (case.kind, case.argv, case.model, case.line, case.multiplicity, case.stdin)
-
-
-def suite_multiset(result):
-    return Counter(case_key(c) for c in result.tests.cases)
 
 
 def test_one_worker_equals_sequential_engine():
@@ -40,9 +34,7 @@ def test_one_worker_equals_sequential_engine():
     par = run_parallel("wc", workers=1)
     par.check_ledger()
     assert par.partitions == 0 and len(par.ledger) == 1
-    assert par.paths == seq.stats.paths_completed
-    assert suite_multiset(par) == Counter(case_key(c) for c in seq.tests.cases)
-    assert par.covered == set(seq.engine.coverage.covered)
+    same_exploration(seq, par, "1-worker run")
 
 
 @pytest.mark.parametrize("program", ["wc", "uniq", "tsort"])
@@ -54,20 +46,21 @@ def test_inline_two_workers_matches_sequential(program):
     seq.check_ledger()
     par.check_ledger()
     assert par.partitions > 0, f"{program} never partitioned"
-    assert par.paths == seq.paths
-    assert suite_multiset(par) == suite_multiset(seq)
-    assert par.covered == seq.covered
+    same_exploration(seq, par, f"{program}: inline 2-worker run")
 
 
-def test_process_two_workers_matches_sequential():
-    seq = run_parallel("wc", workers=1)
-    par = run_parallel("wc", workers=2)
+@pytest.mark.parametrize("program", ["wc", "tsort", "join", "uniq"])
+def test_process_two_workers_matches_sequential(program):
+    """Both arms start from cleared memos: forked workers would inherit
+    the first arm's."""
+    clear_memos()
+    seq = run_parallel(program, workers=1)
+    clear_memos()
+    par = run_parallel(program, workers=2)
     par.check_ledger()
-    assert par.partitions > 0
+    assert par.parallel.backend == "process" and par.partitions > 0
     assert len(par.ledger) == 3  # coordinator + 2 workers
-    assert par.paths == seq.paths
-    assert suite_multiset(par) == suite_multiset(seq)
-    assert par.covered == seq.covered
+    same_exploration(seq, par, f"{program}: 2-worker run")
     # Both workers actually participated: the path work is split.
     worker_paths = [entry[1].paths_completed for entry in par.ledger[1:]]
     assert sum(worker_paths) > 0
@@ -127,9 +120,7 @@ def test_testgen_deterministic_across_exploration_orders():
     same leaves in opposite orders) emit identical suites."""
     dfs = run_symbolic("uniq", strategy="dfs")
     bfs = run_symbolic("uniq", strategy="bfs")
-    assert Counter(case_key(c) for c in dfs.tests.cases) == Counter(
-        case_key(c) for c in bfs.tests.cases
-    )
+    assert dfs.tests.multiset() == bfs.tests.multiset()
 
 
 def test_export_frontier_preserves_path_space():
@@ -161,10 +152,8 @@ def test_export_frontier_preserves_path_space():
     thief.explore()
     victim.explore()
 
-    combined = Counter(case_key(c) for c in victim.tests.cases) + Counter(
-        case_key(c) for c in thief.tests.cases
-    )
-    assert combined == Counter(case_key(c) for c in baseline.tests.cases)
+    combined = Counter(victim.tests.multiset()) + Counter(thief.tests.multiset())
+    assert combined == Counter(baseline.tests.multiset())
     assert (
         victim.stats.paths_completed + thief.stats.paths_completed
         == baseline.stats.paths_completed

@@ -32,6 +32,7 @@ import pytest
 from repro.engine.executor import EngineConfig
 from repro.engine.stats import EngineStats
 from repro.env.argv import ArgvSpec
+from repro.experiments.harness import same_exploration
 from repro.parallel import (
     Coordinator,
     ParallelConfig,
@@ -52,38 +53,22 @@ from repro.sched import PartitionScheduler
 from repro.solver.portfolio import SolverStats
 
 
-def case_key(case):
-    return (case.kind, case.argv, case.model, case.line, case.multiplicity,
-            case.stdin)
-
-
-def suite_multiset(result):
-    return Counter(case_key(c) for c in result.tests.cases)
-
-
 @pytest.fixture(scope="module")
 def wc_sequential():
     return run_parallel("wc", workers=1)
 
 
-def make_coordinator(workers=2, backend="socket", **kw):
-    info = get_program("wc")
+def make_coordinator(workers=2, backend="socket", program="wc", **kw):
+    info = get_program(program)
     spec = ArgvSpec(n_args=info.default_n, arg_len=info.default_l,
                     stdin_len=info.default_stdin)
     return Coordinator(
-        "wc", spec, EngineConfig(),
+        program, spec, EngineConfig(),
         ParallelConfig(workers=workers, backend=backend, **kw),
     )
 
 
 # -- integration: real campaigns with injected faults ----------------------------
-
-
-def assert_recovered(result, baseline):
-    result.check_ledger()
-    assert result.paths == baseline.paths
-    assert suite_multiset(result) == suite_multiset(baseline)
-    assert result.covered == baseline.covered
 
 
 BACKENDS = ["process", "socket"]
@@ -103,7 +88,8 @@ def _kill_at_first_start(backend, sig, baseline):
     assert killed, "fault injector never fired"
     assert result.workers_lost == 1
     assert result.requeue_count >= 1
-    assert_recovered(result, baseline)
+    result.check_ledger()
+    same_exploration(baseline, result, f"{backend} campaign after a kill")
 
 
 def test_socket_worker_sigkill_recovers(wc_sequential):
@@ -127,6 +113,29 @@ def test_fork_worker_silent_death_recovers(wc_sequential):
     _kill_at_first_start("process", signal.SIGTERM, wc_sequential)
 
 
+@pytest.mark.parametrize("program", ["wc", "uniq"])
+def test_socket_worker_sigkill_after_done_recovers(program, wc_sequential):
+    """SIGKILL a dialed worker right after its first completion: the
+    partition it finished stays accepted, the one it was leased in reply
+    is requeued, and the survivor finishes the identical campaign."""
+    baseline = wc_sequential if program == "wc" else run_parallel(program, workers=1)
+    coord = make_coordinator(program=program, heartbeat_timeout=3.0)
+    killed = []
+
+    def chaos(event, wid, transport, pid=None):
+        if event == "done" and not killed:
+            killed.append(wid)
+            transport.kill(wid)
+
+    coord.fault_injector = chaos
+    result = coord.run()
+    assert killed, "no partition completed"
+    assert result.workers_lost == 1
+    assert result.requeue_count >= 1
+    result.check_ledger()
+    same_exploration(baseline, result, f"{program} campaign after a kill at done")
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_worker_disconnect_recovers(backend, wc_sequential):
     """Drop a worker's connection (simulated network partition) without
@@ -144,7 +153,8 @@ def test_worker_disconnect_recovers(backend, wc_sequential):
     result = coord.run()
     assert dropped
     assert result.workers_lost == 1
-    assert_recovered(result, wc_sequential)
+    result.check_ledger()
+    same_exploration(wc_sequential, result, f"{backend} campaign after a disconnect")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -174,7 +184,8 @@ def test_chaos_random_fault_point(seed, backend, wc_sequential):
     # when the fault actually fired.
     if faulted:
         assert result.workers_lost == 1
-    assert_recovered(result, wc_sequential)
+    result.check_ledger()
+    same_exploration(wc_sequential, result, f"{backend} campaign after {faulted}")
 
 
 def test_poison_partition_dropped_end_to_end(wc_sequential):
@@ -213,8 +224,8 @@ def test_poison_partition_dropped_end_to_end(wc_sequential):
     assert dropped[0]["revocations"] == 3
     # The survivors' output is a strict subset of the undisturbed run:
     # nothing double-counted, only the dropped subtree missing.
-    base = suite_multiset(wc_sequential)
-    ours = suite_multiset(result)
+    base = Counter(wc_sequential.tests.multiset())
+    ours = Counter(result.tests.multiset())
     assert ours != base
     assert all(base[key] >= count for key, count in ours.items())
     assert result.covered <= wc_sequential.covered
@@ -439,5 +450,6 @@ def test_local_run_opens_no_listening_socket(monkeypatch, wc_sequential):
 
     monkeypatch.setattr(socket, "create_server", no_listener)
     result = run_parallel("wc", workers=2)
-    assert_recovered(result, wc_sequential)
+    result.check_ledger()
+    same_exploration(wc_sequential, result, "local 2-worker run")
     assert result.workers_lost == 0 and len(result.ledger) == 3

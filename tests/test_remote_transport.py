@@ -21,6 +21,7 @@ import pytest
 
 from repro import codec
 from repro.engine.executor import EngineConfig
+from repro.experiments.harness import same_exploration
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
 from repro.parallel.wire import (
     MSG_DONE,
@@ -39,8 +40,11 @@ from repro.remote import (
 )
 from repro.programs.registry import get_program
 from repro.remote import transport as transport_mod
-from repro.remote.transport import _HEADER, MAX_FRAME, handshake_error
+from repro.codec import MAX_FRAME
+from repro.remote.transport import handshake_error
 
+# The wire's length prefix, spelled here apart from repro.codec.frame.
+_HEADER = struct.Struct(">I")
 JUNK_FRAME = struct.pack(">I", 5) + b"junk!"  # a header, then no codec payload
 SPEC = get_program("wc").spec()
 
@@ -55,16 +59,13 @@ def send_skewed(sock, msg, lock=None) -> None:
     sock.sendall(_HEADER.pack(len(data)) + data)
 
 
-def case_key(case):
-    return (case.kind, case.argv, case.model, case.line, case.multiplicity,
-            case.stdin)
-
-
-def suite_multiset(result):
-    return Counter(case_key(c) for c in result.tests.cases)
-
-
 # -- framing --------------------------------------------------------------------
+
+
+def test_a_frame_is_the_payload_behind_its_big_endian_length():
+    msg = ("tag", 1, {"k": b"v"})
+    payload = codec.dumps(msg)
+    assert codec.frame(msg) == _HEADER.pack(len(payload)) + payload
 
 
 def test_frame_roundtrip():
@@ -99,7 +100,7 @@ def test_recv_frame_rejects_oversized_header():
     a, b = socket.socketpair()
     try:
         a.sendall(_HEADER.pack(MAX_FRAME + 1))
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError, match="oversized frame"):
             recv_frame(b)
     finally:
         a.close()
@@ -361,9 +362,7 @@ def test_socket_two_workers_matches_sequential():
     assert par.partitions > 0
     assert len(par.ledger) == 3  # coordinator + 2 workers
     assert par.requeue_count == 0 and par.workers_lost == 0
-    assert par.paths == seq.paths
-    assert suite_multiset(par) == suite_multiset(seq)
-    assert par.covered == seq.covered
+    same_exploration(seq, par, "socket 2-worker run")
     # Both socket workers actually did path work.
     worker_paths = [entry[1].paths_completed for entry in par.ledger[1:]]
     assert sum(worker_paths) > 0
@@ -401,7 +400,7 @@ def test_garbled_first_frames_do_not_abort_the_campaign(monkeypatch):
     assert len(held) == 3
     par.check_ledger()
     assert par.workers_lost == 0 and len(par.ledger) == 3
-    assert suite_multiset(par) == suite_multiset(run_parallel("wc", workers=1))
+    same_exploration(run_parallel("wc", workers=1), par, "scanned campaign")
 
 
 @pytest.mark.parametrize("backend", ["process", "socket"])
@@ -428,6 +427,4 @@ def test_garbled_frame_mid_campaign_fences_its_sender(backend, monkeypatch):
     assert result.wall_time < 60.0
     assert result.workers_lost == 1 and result.requeue_count >= 1
     result.check_ledger()
-    baseline = run_parallel("wc", workers=1)
-    assert result.paths == baseline.paths
-    assert suite_multiset(result) == suite_multiset(baseline)
+    same_exploration(run_parallel("wc", workers=1), result, "fenced campaign")
