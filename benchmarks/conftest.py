@@ -2,7 +2,8 @@
 
 Every benchmark regenerates one figure of the paper at CI scale, prints
 the rows the paper reports, and asserts the expected *shape* (who wins,
-roughly by how much) — not absolute numbers, per DESIGN.md.
+roughly by how much) — not absolute numbers, which move with the host
+and with the CI-scale inputs.
 """
 
 import pytest

@@ -1,4 +1,5 @@
-"""Ablations of design choices called out in DESIGN.md §5."""
+"""Ablations of the engine's design choices: the solver chain's tiers, the
+similarity relation, DSM's history depth and the QCE variant."""
 
 from conftest import run_once
 
@@ -30,9 +31,9 @@ def test_ablation_solver_chain(benchmark):
                 solver_fastpath=fastpath,
                 solver_cache=cache,
             )
-            rows.append([fastpath, cache, engine.solver.stats.queries,
-                         engine.solver.stats.sat_solver_runs,
-                         engine.solver.stats.cost_units])
+            rows.append([fastpath, cache, engine.stats.queries,
+                         engine.stats.sat_solver_runs,
+                         engine.stats.cost_units])
         return rows
 
     rows = run_once(benchmark, run)
@@ -45,7 +46,7 @@ def test_ablation_solver_chain(benchmark):
 
 
 def test_ablation_similarity_relations(benchmark):
-    """QCE vs merge-all vs live-variable baseline vs none (DESIGN.md §5)."""
+    """QCE vs merge-all vs live-variable baseline vs none, merging statically."""
 
     def run():
         rows = []
@@ -54,7 +55,7 @@ def test_ablation_similarity_relations(benchmark):
             engine, stats = _run("echo", merging=merging, similarity=sim,
                                  strategy="topological")
             rows.append([sim, stats.merges, stats.states_terminated,
-                         engine.solver.stats.queries, engine.solver.stats.cost_units])
+                         engine.stats.queries, engine.stats.cost_units])
         return rows
 
     rows = run_once(benchmark, run)
@@ -77,7 +78,7 @@ def test_ablation_dsm_delta(benchmark):
             engine, stats = _run("cat", merging="dynamic", similarity="qce",
                                  strategy="coverage", dsm_delta=delta)
             rows.append([delta, stats.merges, stats.dsm_fastforward_picks,
-                         engine.solver.stats.queries])
+                         engine.stats.queries])
         return rows
 
     rows = run_once(benchmark, run)

@@ -170,7 +170,7 @@ def test_factor_probes_keep_their_prefix_on_the_trail(benchmark):
     def run():
         return run_symbolic("factor", n_args=1, arg_len=2, preconditions=(first_byte,))
 
-    stats = benchmark.pedantic(run, rounds=1, iterations=1).solver_stats
+    stats = benchmark.pedantic(run, rounds=1, iterations=1).stats
     assert stats.assumption_probes == 100
     assert stats.bcp_props <= 400_000
     carried = stats.assumption_levels_reused + stats.assumption_levels_opened
@@ -198,7 +198,7 @@ def test_store_answers_blasts_not_lookups(tmp_path, program, mode, paths, tests)
     cold, warm = run(), run()
     for result in (cold, warm):
         assert (result.paths, len(result.tests.cases)) == (paths, tests)
-    c, w = cold.solver_stats, warm.solver_stats
+    c, w = cold.stats, warm.stats
     assert cold.stats.testgen_group_solves > 0
     assert warm.stats.testgen_group_solves == 0
     assert warm.stats.testgen_corpus_hits == cold.stats.testgen_group_solves
@@ -224,7 +224,7 @@ def test_branch_queries_are_slices(n, l, paths, queries, max_misses, max_presolv
     from repro.env.runner import run_symbolic
 
     result = run_symbolic("wc", n_args=n, arg_len=l)
-    stats = result.solver_stats
+    stats = result.stats
     assert (result.paths, len(result.tests.cases), stats.queries) == (paths, paths, queries)
     assert stats.cache_misses <= max_misses
     assert stats.fastpath_hits <= max_presolve
@@ -267,7 +267,7 @@ def _engine_kernel_counts(program, mode, n, l, monkeypatch, restrict=True):
     with monkeypatch.context() as patch:
         if not restrict:
             patch.setattr(portfolio, "BitBlaster", UnrestrictedBlaster)
-        return run_cell(program, mode, n_args=n, arg_len=l).solver_stats
+        return run_cell(program, mode, n_args=n, arg_len=l).stats
 
 
 def test_merged_probes_decide_only_their_cone(monkeypatch):

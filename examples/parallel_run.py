@@ -27,22 +27,22 @@ def main() -> int:
 
     print(f"\n== {workers} workers ==")
     par = run_parallel(program, parallel=ParallelConfig(workers=workers))
-    par.check_ledger()  # merged stats == sum of per-worker ledgers
+    par.check_ledger()  # merged stats == sum of the participants' records
     print(f"paths={par.paths}  tests={len(par.tests.cases)}  "
           f"coverage={par.coverage_blocks} blocks  "
           f"wall={par.wall_time:.2f}s  partitions={par.partitions}  "
           f"steals={par.steals}")
 
     print("\nper-participant ledger:")
-    for name, stats, solver in par.ledger:
+    for name, stats in par.ledger:
         print(f"  {name:12s} paths={stats.paths_completed:5d}  "
-              f"queries={solver.queries:6d}  cpu={stats.cpu_time:.2f}s")
+              f"queries={stats.queries:6d}  cpu={stats.cpu_time:.2f}s")
 
     same = seq.tests.multiset() == par.tests.multiset()
     print(f"\ntest suites identical: {same}  "
           f"({len(seq.tests.cases)} sequential vs {len(par.tests.cases)} parallel)")
     critical = par.ledger[0][1].cpu_time + max(
-        (e[1].cpu_time for e in par.ledger[1:]), default=0.0
+        (stats.cpu_time for _, stats in par.ledger[1:]), default=0.0
     )
     if critical:
         print(f"critical-path speedup: {seq.stats.cpu_time / critical:.2f}x "

@@ -61,8 +61,8 @@ def main() -> None:
         print(
             f"{label}: paths={stats.paths_completed:>4} "
             f"merges={stats.merges:>2} forks={stats.forks:>3} "
-            f"queries={engine.solver.stats.queries:>4} "
-            f"solver-cost={engine.solver.stats.cost_units:>5}"
+            f"queries={stats.queries:>4} "
+            f"solver-cost={stats.cost_units:>5}"
         )
 
     # Show a few generated test cases from the last run.

@@ -22,13 +22,12 @@ from repro.store import open_store
 
 
 def describe(label, result):
-    s = result.solver_stats
+    s = result.stats
     print(
         f"{label:>5}: paths={result.paths:<4} tests={len(result.tests.cases):<4} "
         f"queries={s.queries:<5} full blasts={s.sat_solver_runs:<4} "
         f"cost={s.cost_units:<7} store hits={s.store_hits:<4} "
-        f"cores={s.unsat_cores} seeds={result.stats.warm_models_seeded}"
-        f"+{result.stats.warm_cores_seeded}"
+        f"cores={s.unsat_cores} seeds={s.warm_models_seeded}+{s.warm_cores_seeded}"
     )
 
 
@@ -52,7 +51,7 @@ def main() -> int:
     print(f"\nidentical test multiset: {same_tests}")
     print(
         "full blasts: "
-        f"{cold.solver_stats.sat_solver_runs} -> {warm.solver_stats.sat_solver_runs}"
+        f"{cold.stats.sat_solver_runs} -> {warm.stats.sat_solver_runs}"
     )
 
     store = open_store(store_path, readonly=True)

@@ -51,11 +51,10 @@ from .. import codec
 
 if TYPE_CHECKING:  # the record holds these; only save/load touch a store
     from ..engine.executor import EngineConfig
-    from ..engine.stats import EngineStats
     from ..engine.testgen import TestCase
     from ..env.argv import ArgvSpec
     from ..parallel.coordinator import ParallelConfig
-    from ..solver.portfolio import SolverStats
+    from ..stats import Stats
     from ..store.db import ReproStore
     from ..store.tier import StorePayload
 
@@ -116,12 +115,11 @@ class CampaignRecord:
     # (pid, origin, paths, covered) per accepted completion
     partition_results: list[tuple[int, str, int, set[tuple[str, str]]]] = field(
         default_factory=list)
-    # Ledger: one (name, EngineStats, SolverStats) entry per worker of
-    # every fleet generation — the sum of its accepted per-partition
-    # deltas — and the frozen split-phase contribution.
-    worker_entries: list[tuple[str, EngineStats, SolverStats]] = field(
-        default_factory=list)
-    split_entry: tuple[str, EngineStats, SolverStats] | None = None
+    # Ledger: one (name, Stats) entry per worker of every fleet
+    # generation — the sum of its accepted per-partition deltas — and the
+    # frozen split-phase contribution.
+    worker_entries: list[tuple[str, Stats]] = field(default_factory=list)
+    split_entry: tuple[str, Stats] | None = None
     split_tests: list[TestCase] = field(default_factory=list)
     split_covered: set[tuple[str, str]] = field(default_factory=set)
     # The split engine's buffered store inserts.

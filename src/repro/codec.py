@@ -73,7 +73,9 @@ from .memo import BoundedMemo
 #   v5 — this codec; every earlier store (v1), record and frame (v2–v4)
 #        and snapshot was Python's native object serialization.
 #   v6 — a campaign record lists its accepted tests' batch blobs.
-FORMAT_VERSION = 6
+#   v7 — one stats record per ledger participant (engine and solver
+#        counters in one ``Stats``).
+FORMAT_VERSION = 7
 
 # The largest payload either side accepts (a partition snapshot is
 # kilobytes, a checkpoint record of a 588-test campaign tens of them).
@@ -83,8 +85,7 @@ MAX_FRAME = 1 << 27
 # nothing else; a record's tag carries its index in this tuple.
 RECORDS = (
     "repro.engine.testgen.TestCase",
-    "repro.engine.stats.EngineStats",
-    "repro.solver.portfolio.SolverStats",
+    "repro.stats.Stats",
     "repro.store.tier.StorePayload",
     "repro.env.argv.ArgvSpec",
     "repro.qce.qce.QceParams",

@@ -1,5 +1,6 @@
 """Symbolic execution engine: Algorithm 1, state merging, similarity, tests."""
 
+from ..stats import CoverageTracker
 from .executor import Engine, EngineConfig
 from .merge import merge_states, split_guard
 from .similarity import (
@@ -10,7 +11,6 @@ from .similarity import (
     QceSimilarity,
 )
 from .state import ArrayBinding, Frame, Region, SymState
-from .stats import CoverageTracker, EngineStats
 from .testgen import TestCase, TestSuite, make_test_case
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "CoverageTracker",
     "Engine",
     "EngineConfig",
-    "EngineStats",
     "Frame",
     "LiveVarSimilarity",
     "MergeAlways",

@@ -51,6 +51,7 @@ from ..lang.compile import compile_block
 from ..lang.types import Array2DType, ArrayType
 from ..qce.qce import QceAnalysis, QceParams, analyze_module
 from ..solver.portfolio import IncrementalChain
+from ..stats import CoverageTracker, Stats
 from .merge import merge_states
 from .similarity import (
     LiveVarSimilarity,
@@ -61,7 +62,6 @@ from .similarity import (
 )
 from .solve_helper import SolveHelper
 from .state import ArrayBinding, Frame, Region, SymState
-from .stats import CoverageTracker, EngineStats
 from .testgen import PendingCase, TestSuite, fill_pending, make_test_case
 
 if TYPE_CHECKING:
@@ -120,18 +120,20 @@ class Engine:
         module: Module,
         spec: ArgvSpec,
         config: EngineConfig | None = None,
-        store=None,
         program: str | None = None,
     ):
         self.module = module
         self.spec = spec
         self.config = config or EngineConfig()
         self.program = program or "<module>"
+        # One counter record: the chain counts into the engine's own.
+        self.stats = Stats()
         self.solver = IncrementalChain(
-            use_cache=self.config.solver_cache, use_fastpath=self.config.solver_fastpath
+            use_cache=self.config.solver_cache,
+            use_fastpath=self.config.solver_fastpath,
+            stats=self.stats,
         )
-        self.stats = EngineStats()
-        self._init_store(store)
+        self._init_store()
         self.coverage = CoverageTracker()
         self.coverage.register_module(module)
         self.tests = TestSuite(spec)
@@ -184,42 +186,35 @@ class Engine:
 
     # -- construction helpers ----------------------------------------------------
 
-    def _init_store(self, store) -> None:
+    def _init_store(self) -> None:
         """Attach the persistent store (repro.store), if configured.
 
-        An injected ``store`` wins over ``config.store_path``.  When a
-        store is present the solver chain gains a persistent cache tier,
-        and the in-memory query cache is seeded with the corpus' models
-        and stored UNSAT cores — verdict-neutral evidence that lets this
-        run answer queries without re-solving what earlier runs already
-        solved.
+        When a store is present the solver chain gains a persistent cache
+        tier, and the in-memory query cache is seeded with the corpus'
+        models and stored UNSAT cores — verdict-neutral evidence that lets
+        this run answer queries without re-solving what earlier runs
+        already solved.
         """
-        self.store = store
+        self.store = None
         self._store_tier = None
         self._store_committed = False
-        self._owns_store = False
         # Set when a commit degraded because the store stayed locked.
         self.store_warning: str | None = None
         # Blocks any stored corpus test has covered — the scheduler's
         # cross-run novelty signal (repro.sched.CorpusNoveltySignal).
         # Empty without a store, so the signal is neutral.
         self.corpus_covered: frozenset = frozenset()
-        if self.store is None and self.config.store_path:
-            from ..store import open_store  # local import: engine stays store-free otherwise
-
-            self.store = open_store(
-                self.config.store_path, readonly=self.config.store_readonly
-            )
-            self._owns_store = self.store is not None
-        if self.store is None and not self.config.store_path:
+        if not self.config.store_path:
             return
-        from ..store import (
+        from ..store import (  # local import: engine stays store-free otherwise
             PersistentTier,
             corpus_covered_blocks,
+            open_store,
             seed_query_cache,
             spec_fingerprint,
         )
 
+        self.store = open_store(self.config.store_path, readonly=self.config.store_readonly)
         self._store_tier = PersistentTier(
             self.store, program=self.program, spec=spec_fingerprint(self.spec)
         )
@@ -247,8 +242,7 @@ class Engine:
 
     def commit_to_store(
         self,
-        stats: EngineStats | None = None,
-        solver_stats=None,
+        stats: Stats | None = None,
         tests: TestSuite | None = None,
         payloads=(),
         workers: int | None = None,
@@ -264,7 +258,7 @@ class Engine:
 
         A partitioned run commits through its split engine — the one
         that opened the store writable — and passes what differs: the
-        merged ``stats`` / ``solver_stats`` / ``tests`` of the whole
+        merged ``stats`` / ``tests`` of the whole
         ledger (default: this engine's own), the read-only workers'
         exported ``payloads`` (applied after this engine's own buffer),
         the ``workers`` count (suffixes the run row's mode string, which
@@ -297,7 +291,6 @@ class Engine:
 
         self._store_committed = True
         stats = self.stats if stats is None else stats
-        solver_stats = self.solver.stats if solver_stats is None else solver_stats
         cases = (self.tests if tests is None else tests).cases
         cfg = self.config
         mode = f"{cfg.merging}/{cfg.similarity}/{cfg.strategy}"
@@ -315,10 +308,10 @@ class Engine:
                     spec_fingerprint(self.spec),
                     mode=mode,
                     wall_time=stats.wall_time,
-                    queries=solver_stats.queries,
-                    sat_solver_runs=solver_stats.sat_solver_runs,
-                    store_hits=solver_stats.store_hits,
-                    cost_units=solver_stats.cost_units,
+                    queries=stats.queries,
+                    sat_solver_runs=stats.sat_solver_runs,
+                    store_hits=stats.store_hits,
+                    cost_units=stats.cost_units,
                     paths=stats.paths_completed,
                     tests=stats.tests_generated,
                     stats=stats.snapshot(),
@@ -349,17 +342,16 @@ class Engine:
         return run_id
 
     def close_store(self) -> None:
-        """Release the store connection if this engine opened it.
+        """Release the store connection, if open.
 
-        Injected stores belong to their caller and are left open.  After
-        closing, the solver's persistent tier degrades to buffer-only
-        (every lookup misses) rather than touching a dead connection.
+        After closing, the solver's persistent tier degrades to
+        buffer-only (every lookup misses) rather than touching a dead
+        connection.
         """
-        if self.store is None or not self._owns_store:
+        if self.store is None:
             return
         self.store.close()
         self.store = None
-        self._owns_store = False
         if self._store_tier is not None:
             self._store_tier.store = None
             self._store_tier.writable = False
@@ -502,7 +494,7 @@ class Engine:
     # (repro.parallel) drives the same loop with restored snapshot states
     # and an ``interrupt`` hook at partition boundaries.
 
-    def run(self) -> EngineStats:
+    def run(self) -> Stats:
         """Explore until the worklist empties or a budget trips."""
         self.seed_states([self.make_initial_state()])
         stats = self.explore()
@@ -531,7 +523,7 @@ class Engine:
             else:
                 self._add_state(state, try_merge=False)
 
-    def explore(self, interrupt=None) -> EngineStats:
+    def explore(self, interrupt=None) -> Stats:
         """Drive the worklist until it drains, a budget trips, or
         ``interrupt(engine)`` returns True (partition-boundary hook: the
         worklist is left intact, so exploration can resume or the frontier

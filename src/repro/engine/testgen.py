@@ -32,7 +32,7 @@ from ..expr.independence import split_independent
 from ..memo import BoundedMemo
 from ..solver.portfolio import SolverChain, complete_model
 from ..solver.presolve import group_signature
-from .stats import EngineStats
+from ..stats import Stats
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,16 @@ def deterministic_model(
     were one to, the test would still be dropped, but the groups after it
     would have been counted where an in-process run stops at the first.
 
-    ``stats_sink`` (an :class:`~repro.engine.stats.EngineStats`) receives
+    ``stats_sink`` (a :class:`~repro.stats.Stats`) receives
     the extra solver work: one ``testgen_queries`` per call, a
     ``testgen_group_hits``/``testgen_group_solves`` per group (corpus
     answers are hits, also counted in ``testgen_corpus_hits``), and the
     ``testgen_cost_units`` of the solves actually run (a shipped group's
-    when its answer arrives) — none of it is part of the engine chain's
-    own balanced ledger.
+    when its answer arrives) — none of it touches the engine chain's own
+    balanced ``queries`` ledger.
     """
     if stats_sink is None:
-        stats_sink = EngineStats()
+        stats_sink = Stats()
     stats_sink.testgen_queries += 1
     flat, const_false = SolverChain._flatten(pc)
     if const_false:

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.executor import Engine, EngineConfig
-from ..engine.stats import EngineStats
 from ..engine.testgen import TestSuite
 from ..lang import Module
 from ..qce.qce import QceParams
-from ..solver.portfolio import SolverStats
+from ..stats import Stats
 from .argv import ArgvSpec
 
 
@@ -27,8 +26,7 @@ class SymbolicRunResult:
     program: str
     spec: ArgvSpec
     config: EngineConfig
-    stats: EngineStats
-    solver_stats: SolverStats
+    stats: Stats
     tests: TestSuite
     coverage_blocks: int
     statement_coverage: float
@@ -43,8 +41,13 @@ class SymbolicRunResult:
         return self.engine.coverage.covered
 
     @property
+    def solver_stats(self) -> Stats:
+        """The solver's counters: the same record as ``stats``."""
+        return self.stats
+
+    @property
     def cost_units(self) -> int:
-        return self.solver_stats.cost_units
+        return self.stats.cost_units
 
     @property
     def completed(self) -> bool:
@@ -64,7 +67,6 @@ def run_symbolic_module(
         spec=spec,
         config=engine.config,
         stats=stats,
-        solver_stats=engine.solver.stats,
         tests=engine.tests,
         coverage_blocks=engine.coverage.blocks_covered,
         statement_coverage=engine.coverage.statement_coverage(),

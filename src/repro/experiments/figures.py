@@ -410,7 +410,7 @@ def fig9_dsm_vs_ssm(scale: str = CI, programs=None) -> Fig9Result:
         # to hit the solver fast path; the query count is the stable
         # exhaustive-mode workload measure (both runs explore the same
         # merged state space).
-        cost_s, cost_d = max(1, ssm.solver_stats.queries), dsm.solver_stats.queries
+        cost_s, cost_d = max(1, ssm.stats.queries), dsm.stats.queries
         rows.append(
             Fig9Row(
                 program,
@@ -509,14 +509,14 @@ def presolve_ablation(
             base = dict(max_steps=cap, generate_tests=True)
             off = run_cell(program, mode, solver_fastpath=False, **base)
             on = run_cell(program, mode, solver_fastpath=True, **base)
-            s_on = on.solver_stats
+            s_on = on.stats
             rows.append(
                 PresolveRow(
                     program=program,
                     mode=mode,
                     paths=on.paths,
                     queries=s_on.queries,
-                    sat_runs_off=off.solver_stats.sat_solver_runs,
+                    sat_runs_off=off.stats.sat_solver_runs,
                     sat_runs_on=s_on.sat_solver_runs,
                     presolve_sat=s_on.presolve_hits_sat,
                     presolve_unsat=s_on.presolve_hits_unsat,
@@ -678,12 +678,12 @@ def warm_start(
                     chain=chain,
                     paths=warm.paths,
                     tests=len(warm.tests.cases),
-                    sat_runs_cold=cold.solver_stats.sat_solver_runs,
-                    sat_runs_warm=warm.solver_stats.sat_solver_runs,
+                    sat_runs_cold=cold.stats.sat_solver_runs,
+                    sat_runs_warm=warm.stats.sat_solver_runs,
                     cost_cold=cost_of(cold),
                     cost_warm=cost_of(warm),
-                    store_hits_warm=warm.solver_stats.store_hits,
-                    store_misses_warm=warm.solver_stats.store_misses,
+                    store_hits_warm=warm.stats.store_hits,
+                    store_misses_warm=warm.stats.store_misses,
                     testgen_solves_cold=cold.stats.testgen_group_solves,
                     testgen_solves_warm=warm.stats.testgen_group_solves,
                     warm_models=warm.stats.warm_models_seeded,
@@ -750,7 +750,7 @@ def cache_report(
     rows: list[CacheRow] = []
     for program in programs:
         result = run_cell(program, mode, max_steps=cap, store_path=store_path)
-        s = result.solver_stats
+        s = result.stats
         lookups = s.cache_hits_exact + s.cache_hits_subset + s.cache_hits_model + s.cache_misses
         hits = s.cache_hits_exact + s.cache_hits_subset + s.cache_hits_model
         rows.append(

@@ -67,7 +67,7 @@ def same_exploration(ref, other, label: str) -> None:
 
 def cost_of(result: SymbolicRunResult) -> int:
     """Deterministic cost proxy for 'solving time': the solver's cost units."""
-    return result.solver_stats.cost_units
+    return result.stats.cost_units
 
 
 # Programs small enough for quick exhaustive exploration in CI-scale runs.

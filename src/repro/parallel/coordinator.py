@@ -27,9 +27,9 @@ The run has three phases:
    imbalance previous runs recorded.
 3. **Merge** — per-partition results stream in (tests, coverage, path
    counts, cumulative stats snapshots); the coordinator folds everything
-   into one ledger whose additive fields are exactly the sums of the
-   per-participant entries (:meth:`EngineStats.merge` /
-   :meth:`SolverStats.merge`).
+   into one ledger: one ``(name, Stats)`` entry per participant, merged
+   once by the one rule of :meth:`~repro.stats.Stats.merge`, so every
+   additive field is exactly the sum of the entries.
 
 Everything the campaign knows between two messages lives in one
 :class:`~repro.parallel.state.CampaignState`; :meth:`Coordinator
@@ -61,13 +61,12 @@ from dataclasses import dataclass, field
 
 from ..campaign import CampaignCheckpointer, CampaignRecord
 from ..engine.executor import Engine, EngineConfig
-from ..engine.stats import EngineStats
 from ..engine.testgen import TestSuite
 from ..env.argv import ArgvSpec
 from ..programs.registry import get_program
 from ..qce.qce import analyze_module
 from ..sched import PartitionScheduler, adaptive_partition_factor
-from ..solver.portfolio import SolverStats
+from ..stats import ADDITIVE_FIELDS, Stats
 from .partition import Partition
 from .state import CHECKPOINT, FENCE, SEND_TASK, CampaignState
 from .wire import MSG_DONE, MSG_ERROR, MSG_START, TASK_PARTITION
@@ -190,16 +189,13 @@ class ParallelConfig:
             raise ConfigError("checkpoint_every must be >= 1")
 
 
-# One ledger participant: (name, engine stats, solver stats).
-LedgerEntry = tuple[str, EngineStats, SolverStats]
-
-
 @dataclass
 class ParallelResult:
     """Merged outcome of a partitioned exploration.
 
-    ``ledger`` lists every participant (the coordinator's split-phase
-    engine plus each worker); ``stats``/``solver_stats`` are their merge.
+    ``ledger`` lists every participant as ``(name, stats)`` (the
+    coordinator's split-phase engine, then each worker); ``stats`` is
+    their merge.
     ``wall_time`` is end-to-end elapsed time — ``stats.wall_time`` is the
     *summed* per-participant time (aggregate CPU seconds), which is the
     quantity that stays comparable to a sequential run's cost.
@@ -209,11 +205,10 @@ class ParallelResult:
     spec: ArgvSpec
     config: EngineConfig
     parallel: ParallelConfig
-    stats: EngineStats
-    solver_stats: SolverStats
+    stats: Stats
     tests: TestSuite
     covered: set
-    ledger: list[LedgerEntry]
+    ledger: list[tuple[str, Stats]]
     partitions: int
     steals: int
     wall_time: float
@@ -261,6 +256,11 @@ class ParallelResult:
         return [entry for entry in self.requeues if entry.get("kind") == "dropped"]
 
     @property
+    def solver_stats(self) -> Stats:
+        """The solver's counters: the same record as ``stats``."""
+        return self.stats
+
+    @property
     def paths(self) -> int:
         return self.stats.paths_completed
 
@@ -275,32 +275,21 @@ class ParallelResult:
     def check_ledger(self) -> None:
         """Assert the stats-merge ledger invariants.
 
-        Every additive field of the merged stats must equal the sum over
-        participants — spot-checked here on the load-bearing counters —
-        and the solver's own accounting identity must survive the merge.
+        Every additive field the record declares
+        (:data:`~repro.stats.ADDITIVE_FIELDS`) must equal the sum over
+        participants, and the solver's own accounting identity must
+        survive the merge.
         """
-        for fname in ("queries", "sat_answers", "unsat_answers", "timeouts",
-                      "cost_units", "sat_solver_runs", "clauses_forgotten"):
-            total = sum(getattr(entry[2], fname) for entry in self.ledger)
-            merged = getattr(self.solver_stats, fname)
+        s = self.stats
+        for fname in ADDITIVE_FIELDS:
+            total = sum(getattr(entry, fname) for _, entry in self.ledger)
+            merged = getattr(s, fname)
             if merged != total:
                 raise AssertionError(
                     f"ledger violation: merged {fname}={merged} != sum {total}"
                 )
-        s = self.solver_stats
         if s.queries != s.sat_answers + s.unsat_answers + s.timeouts:
             raise AssertionError("ledger violation: queries != sat + unsat + timeouts")
-        for fname in ("paths_completed", "tests_generated", "errors_found",
-                      "blocks_executed", "forks", "states_terminated",
-                      "testgen_queries", "testgen_cost_units",
-                      "testgen_group_solves", "testgen_group_hits",
-                      "testgen_corpus_hits"):
-            total = sum(getattr(entry[1], fname) for entry in self.ledger)
-            merged = getattr(self.stats, fname)
-            if merged != total:
-                raise AssertionError(
-                    f"ledger violation: merged {fname}={merged} != sum {total}"
-                )
         path_tests = sum(1 for c in self.tests.cases if c.kind == "path")
         if self.stats.tests_generated != path_tests:
             raise AssertionError(
@@ -481,11 +470,7 @@ class Coordinator:
         # snapshot serves every checkpoint record *and* the final
         # assembly — they can never disagree.
         rec = state.rec
-        rec.split_entry = (
-            "coordinator",
-            copy.deepcopy(engine.stats),
-            copy.deepcopy(engine.solver.stats),
-        )
+        rec.split_entry = ("coordinator", copy.deepcopy(engine.stats))
         rec.split_tests = list(engine.tests.cases)
         rec.split_covered = set(engine.coverage.covered)
         rec.store_payload = engine.export_store_payload(drain=False)
@@ -549,10 +534,9 @@ class Coordinator:
         # entry is byte-identical to the original's), then every worker
         # of every fleet generation — each accepted delta summed exactly
         # once.
-        ledger: list[LedgerEntry] = [rec.split_entry, *rec.worker_entries]
+        ledger = [rec.split_entry, *rec.worker_entries]
         tests = TestSuite(self.spec, cases=rec.split_tests + rec.tests)
-        merged_stats = EngineStats.merged(entry[1] for entry in ledger)
-        merged_solver = SolverStats.merged(entry[2] for entry in ledger)
+        merged_stats = Stats.merged(stats for _, stats in ledger)
         # Observed imbalance: how unevenly the completed-path work landed
         # across workers.  Recorded with the run (its snapshot goes into
         # the store) so the next adaptive split can level against it.
@@ -571,7 +555,6 @@ class Coordinator:
         ckpt = self._ckpt
         engine.commit_to_store(
             stats=merged_stats,
-            solver_stats=merged_solver,
             tests=tests,
             payloads=payloads,
             workers=self.parallel.workers,
@@ -584,7 +567,6 @@ class Coordinator:
             config=self.config,
             parallel=self.parallel,
             stats=merged_stats,
-            solver_stats=merged_solver,
             tests=tests,
             covered=rec.split_covered | rec.covered,
             ledger=ledger,
@@ -628,9 +610,7 @@ class Coordinator:
             state.accept(part, *run_partition(engine, part.pid, part.snapshot))
         payloads: list = []
         for i, engine in enumerate(engines):
-            state.rec.worker_entries.append(
-                (f"worker-{i}", engine.stats, engine.solver.stats)
-            )
+            state.rec.worker_entries.append((f"worker-{i}", engine.stats))
             payloads.append(engine.export_store_payload())
             engine.close_store()
         return payloads
@@ -731,7 +711,7 @@ class Coordinator:
         return [state.payloads.get(wid) for wid in state.workers]
 
 
-def _worker_imbalance(worker_entries: list[LedgerEntry]) -> float:
+def _worker_imbalance(worker_entries: list[tuple[str, Stats]]) -> float:
     """Max/mean of per-worker completed paths (1.0 = perfectly level).
 
     Path counts rather than CPU seconds: they are deterministic (the
@@ -739,7 +719,7 @@ def _worker_imbalance(worker_entries: list[LedgerEntry]) -> float:
     snapshot unchanged.  Runs with fewer than two workers — or where no
     worker completed a path — report 1.0, the neutral value.
     """
-    counts = [entry[1].paths_completed for entry in worker_entries]
+    counts = [stats.paths_completed for _, stats in worker_entries]
     total = sum(counts)
     if len(counts) < 2 or total == 0:
         return 1.0

@@ -41,8 +41,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..campaign.record import CampaignRecord
-from ..engine.stats import EngineStats
-from ..solver.portfolio import SolverStats
+from ..stats import Stats
 from .partition import Partition
 from .wire import (
     CMD_STEAL,
@@ -58,22 +57,6 @@ SEND_TASK = "task"
 SEND_CMD = "cmd"
 FENCE = "fence"
 CHECKPOINT = "checkpoint"
-
-
-def _stats_delta(cur, prev, keep: tuple = ()):
-    """Additive difference of two cumulative stats snapshots.  Fields in
-    ``keep`` (maxima, any-of flags) stay cumulative — merged maxima only
-    ever read upper bounds."""
-    if prev is None:
-        return cur
-    out = copy.copy(cur)
-    for name in cur.__dataclass_fields__:
-        if name not in keep:
-            setattr(out, name, getattr(cur, name) - getattr(prev, name))
-    return out
-
-
-_ENGINE_KEEP = EngineStats._MAX_FIELDS + EngineStats._OR_FIELDS
 
 
 @dataclass
@@ -113,7 +96,7 @@ class CampaignState:
         # wid -> index of its ledger entry in rec.worker_entries, and the
         # cumulative snapshot its last accepted delta was computed against.
         self._entry: dict[int, int] = {}
-        self._last_cum: dict[int, tuple] = {}
+        self._last_cum: dict[int, Stats] = {}
         self.steal_inflight: set[int] = set()
         # Workers whose last steal reply was empty: their frontier is too
         # thin to split, so don't ping them again until they make progress
@@ -134,8 +117,8 @@ class CampaignState:
         (exactly once — a twice-resumed campaign keeps earlier tags).
         """
         rec.worker_entries = [
-            (name if "@e" in name else f"{name}@e{rec.epoch}", estats, sstats)
-            for name, estats, sstats in rec.worker_entries
+            (name if "@e" in name else f"{name}@e{rec.epoch}", stats)
+            for name, stats in rec.worker_entries
         ]
         return cls(rec, **knobs)
 
@@ -172,20 +155,15 @@ class CampaignState:
         rec.streamed_paths += paths
         rec.partition_results.append((part.pid, part.origin, paths, covered))
 
-    def _credit(self, wid: int, estats: EngineStats, sstats: SolverStats) -> None:
+    def _credit(self, wid: int, stats: Stats) -> None:
         """Add the work between ``wid``'s last accepted cumulative
         snapshot and this one to its ledger entry.  A worker's entry is
         thus the sum of its accepted per-partition deltas: work on a
         revoked lease is excluded by construction."""
-        prev = self._last_cum.get(wid, (None, None))
-        entries = self.rec.worker_entries
-        name, etotal, stotal = entries[self._entry[wid]]
-        entries[self._entry[wid]] = (
-            name,
-            EngineStats.merged((etotal, _stats_delta(estats, prev[0], _ENGINE_KEEP))),
-            SolverStats.merged((stotal, _stats_delta(sstats, prev[1]))),
-        )
-        self._last_cum[wid] = (estats, sstats)
+        entries, i = self.rec.worker_entries, self._entry[wid]
+        name, total = entries[i]
+        entries[i] = (name, Stats.merged((total, stats.delta(self._last_cum.get(wid)))))
+        self._last_cum[wid] = stats
 
     # -- events ----------------------------------------------------------------
 
@@ -200,9 +178,7 @@ class CampaignState:
         self.workers = sorted(worker_ids)
         for wid in self.workers:
             self._entry[wid] = len(rec.worker_entries)
-            rec.worker_entries.append(
-                (f"worker-{wid}", EngineStats.merged(()), SolverStats.merged(()))
-            )
+            rec.worker_entries.append((f"worker-{wid}", Stats.merged(())))
         return self._dispatch()
 
     def on_message(self, msg) -> list | None:
@@ -221,14 +197,14 @@ class CampaignState:
             lease.started = True
             self.steal_dry.discard(wid)
         elif kind == MSG_DONE:
-            _, _, pid, tests, covered, paths, estats, sstats = msg
+            _, _, pid, tests, covered, paths, stats = msg
             if lease is None or lease.part.pid != pid:
                 return None
             del self.leases[wid]
             self.steal_inflight.discard(wid)
             self.steal_dry.discard(wid)
             self.accept(lease.part, tests, covered, paths)
-            self._credit(wid, estats, sstats)
+            self._credit(wid, stats)
             self.completions += 1
             if self.completions % self.checkpoint_every == 0:
                 actions.append((CHECKPOINT, "dispatch"))
@@ -246,7 +222,7 @@ class CampaignState:
             else:
                 self.steal_dry.add(wid)
         elif kind == MSG_STATS:
-            self.payloads[wid] = msg[4]
+            self.payloads[wid] = msg[3]
         return actions + self._dispatch() + self._rebalance()
 
     def on_death(self, wid: int, reason: str) -> list:
@@ -289,9 +265,9 @@ class CampaignState:
             # Recover from the last steal checkpoint: accept the interim
             # results (paths completed before the boundary); exactly the
             # frontier the victim had retained is what remains.
-            retained, (tests, covered, paths, estats, sstats) = lease.residual
+            retained, (tests, covered, paths, stats) = lease.residual
             self.accept(part, tests, covered, paths)
-            self._credit(wid, estats, sstats)
+            self._credit(wid, stats)
         if count > self.max_requeues:
             rec.requeue_log.append({
                 "kind": "dropped",

@@ -30,10 +30,9 @@ Coordinator -> worker (command channel, out of band):
 
 Worker -> coordinator (result channel):
     (MSG_START, worker_id, partition_id)            — began a partition
-    (MSG_DONE, worker_id, partition_id, tests, covered, paths,
-        engine_stats, solver_stats)
-        — partition finished; ``engine_stats``/``solver_stats`` are
-          *cumulative* snapshots of the worker's ledgers taken at this
+    (MSG_DONE, worker_id, partition_id, tests, covered, paths, stats)
+        — partition finished; ``stats`` is a *cumulative* snapshot of
+          the worker's :class:`~repro.stats.Stats` record taken at this
           quiescent point.  The lease layer differences consecutive
           snapshots to attribute exactly the accepted work to the
           worker, so a revoked partition's partial counters are
@@ -45,15 +44,14 @@ Worker -> coordinator (result channel):
         partition they were split off; the coordinator gives each its
         own.  ``retained`` is the same encoding of the *kept* frontier —
         a checkpoint of the victim's remaining work — and ``interim`` is
-        (tests, covered, paths, engine_stats, solver_stats) for the
-        partition so far.  If the victim's lease is later revoked, the
-        coordinator accepts the interim results and requeues the
-        retained checkpoint, so pre-steal paths are neither lost nor
-        re-run.
+        (tests, covered, paths, stats) for the partition so far.  If the
+        victim's lease is later revoked, the coordinator accepts the
+        interim results and requeues the retained checkpoint, so
+        pre-steal paths are neither lost nor re-run.
     (MSG_HEARTBEAT, worker_id) — liveness beacon, sent by a worker-side
         timer thread; filtered out by the transport (refreshes the lease
         deadline, never reaches the event loop).
-    (MSG_STATS, worker_id, EngineStats, SolverStats, store_payload)
+    (MSG_STATS, worker_id, stats, store_payload)
         — final, pre-exit; ``store_payload`` is the worker's buffered
           persistent-store inserts (canonical constraint rows + UNSAT
           cores) or None.  Workers open the store read-only: the
@@ -68,10 +66,9 @@ from __future__ import annotations
 from typing import Literal, Optional
 
 from ..engine.executor import EngineConfig
-from ..engine.stats import EngineStats
 from ..engine.testgen import TestCase
 from ..env.argv import ArgvSpec
-from ..solver.portfolio import SolverStats
+from ..stats import Stats
 
 TASK_PARTITION = "part"
 TASK_STOP = "stop"
@@ -95,7 +92,7 @@ ROW = tuple[int, bytes, str, int, str, str, int]
 # storeless coordinator does not import the store (and SQLite) for it.
 STORE_PAYLOAD = Optional["repro.store.tier.StorePayload"]
 # New tests, newly covered blocks, completed paths, cumulative stats.
-RESULTS = tuple[list[TestCase], set[tuple[str, str]], int, EngineStats, SolverStats]
+RESULTS = tuple[list[TestCase], set[tuple[str, str]], int, Stats]
 
 HELLO = tuple[Literal[MSG_HELLO], dict[str, int | str]]
 HANDSHAKE_REPLY = (
@@ -110,10 +107,10 @@ TO_WORKER = (
 FROM_WORKER = (
     tuple[Literal[MSG_START], int, int]
     | tuple[Literal[MSG_DONE], int, int, list[TestCase], set[tuple[str, str]], int,
-            EngineStats, SolverStats]
+            Stats]
     | tuple[Literal[MSG_STOLEN], int, list[ROW], list[ROW], RESULTS]
     | tuple[Literal[MSG_HEARTBEAT], int]
-    | tuple[Literal[MSG_STATS], int, EngineStats, SolverStats, STORE_PAYLOAD]
+    | tuple[Literal[MSG_STATS], int, Stats, STORE_PAYLOAD]
     | tuple[Literal[MSG_ERROR], int, str]
 )
 

@@ -10,11 +10,11 @@ partition-boundary hook; the worker exports roughly half its frontier and
 resumes on the rest.
 
 Per-partition results (new tests, newly covered blocks, completed paths,
-and a cumulative stats snapshot) stream back as they finish; on shutdown
-the worker ships its buffered store inserts.  ``worker_main`` is the
-single entry point: it serves one
-:class:`~repro.remote.client.WorkerSession`, whether that session's
-socket was dialed or inherited from a forking coordinator.
+and the engine's cumulative stats record, which ``put`` encodes on the
+spot) stream back as they finish; on shutdown the worker ships its
+buffered store inserts.  ``worker_main`` is the single entry point: it
+serves one :class:`~repro.remote.client.WorkerSession`, whether that
+session's socket was dialed or inherited from a forking coordinator.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ def _make_interrupt(cmd_q, pid: int):
         return bool(msg) and msg[0] == CMD_STEAL and msg[1] == pid
 
     return check
-
-
-def _stats(engine: Engine):
-    """Cumulative (EngineStats, SolverStats) at a quiescent point.  The
-    live objects: the result channel encodes inside ``put``."""
-    return engine.stats, engine.solver.stats
 
 
 def _export_rows(states, pid: int, origin: str) -> list:
@@ -153,7 +147,7 @@ def run_partition(
             )
             retained = _export_rows(engine.worklist, pid, f"requeue:{worker_id}")
             result_q.put((MSG_STOLEN, worker_id, stolen, retained,
-                          (*results(), *_stats(engine))))
+                          (*results(), engine.stats)))
     return results()
 
 
@@ -173,8 +167,7 @@ def worker_main(session) -> None:
             msg = session.task_q.get()
             if msg[0] == TASK_STOP:
                 session.put(
-                    (MSG_STATS, worker_id, *_stats(engine),
-                     engine.export_store_payload())
+                    (MSG_STATS, worker_id, engine.stats, engine.export_store_payload())
                 )
                 engine.close_store()
                 return
@@ -185,7 +178,7 @@ def worker_main(session) -> None:
             results = run_partition(
                 engine, pid, snapshot, session.cmd_q, session, worker_id
             )
-            session.put((MSG_DONE, worker_id, pid, *results, *_stats(engine)))
+            session.put((MSG_DONE, worker_id, pid, *results, engine.stats))
     except BaseException:  # noqa: BLE001 — ship the traceback, then die
         session.put((MSG_ERROR, worker_id, traceback.format_exc()))
         raise

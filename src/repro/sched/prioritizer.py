@@ -193,7 +193,6 @@ class Prioritizer:
         # sid -> (state, seq, group) of every registered state.
         self._resident: dict[int, tuple] = {}
         self._seq = 0
-        self.picks = 0
         self._rescores = 0
 
     # -- bookkeeping ---------------------------------------------------------
@@ -262,7 +261,7 @@ class Prioritizer:
         return len(self._resident)
 
     def take_rescores(self) -> int:
-        """Rescore count since the last call (flushed into EngineStats)."""
+        """Rescore count since the last call (flushed into the engine's Stats)."""
         count = self._rescores
         self._rescores = 0
         return count
@@ -303,7 +302,6 @@ class Prioritizer:
             except ValueError:
                 # Foreign worklist (same length by coincidence): fall back.
                 return self._scan(worklist, engine)
-            self.picks += 1
             return index
         return self._scan(worklist, engine)
 

@@ -86,7 +86,7 @@ class PrioritizedStrategy(Strategy):
     Subclasses build ``self.sched`` with their signal chain; this base
     supplies the hook plumbing (worklist mirrored into the heap when an
     engine is bound) and the pick/steal adapters.  ``pick`` also flushes
-    the scheduler's counters into ``EngineStats`` so experiment snapshots
+    the scheduler's counters into the engine's ``Stats`` so experiment snapshots
     carry the heap's work (``sched_picks``/``sched_rescores``).
     """
 

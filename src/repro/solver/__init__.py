@@ -13,7 +13,6 @@ from .portfolio import (
     CheckResult,
     IncrementalChain,
     SolverChain,
-    SolverStats,
     SolverTimeout,
     complete_model,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "QueryCache",
     "SatResult",
     "SolverChain",
-    "SolverStats",
     "SolverTimeout",
     "check_sat",
     "complete_model",

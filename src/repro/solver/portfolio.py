@@ -72,101 +72,11 @@ from ..expr import ops
 from ..expr.independence import relevant_constraints, split_independent
 from ..expr.nodes import Expr
 from ..expr.subst import conjuncts as flatten_conjuncts
+from ..stats import Stats
 from .bitblast import BitBlaster
 from .cache import QueryCache
 from .presolve import SAT, UNSAT, PresolveManager, group_signature, simplify_group
 from .sat import SatResult
-
-
-@dataclass
-class SolverStats:
-    """Counters accumulated across all queries of one chain instance."""
-
-    queries: int = 0
-    sat_answers: int = 0
-    unsat_answers: int = 0
-    const_answers: int = 0
-    cache_hits: int = 0
-    fastpath_hits: int = 0
-    sat_solver_runs: int = 0
-    sat_decisions: int = 0
-    sat_conflicts: int = 0
-    sat_propagations: int = 0
-    # Watch-list entries visited during BCP.  The blocker optimization
-    # shows up as this falling relative to ``sat_propagations``.
-    bcp_props: int = 0
-    cost_units: int = 0
-    time_total: float = 0.0
-    timeouts: int = 0
-    # In-memory cache effectiveness, broken down by tier (synced from the
-    # QueryCache's own counters; ``cache_hits`` above is the chain-side
-    # total and predates the breakdown).
-    cache_hits_exact: int = 0
-    cache_hits_subset: int = 0
-    cache_hits_model: int = 0
-    cache_misses: int = 0
-    # Persistent-store tier (stay 0 when no store is attached): hits +
-    # misses = groups that reached the bottom tier, misses = solves run.
-    store_hits: int = 0
-    store_misses: int = 0
-    store_inserts: int = 0
-    store_rejects: int = 0
-    # Assumption cores extracted from UNSAT answers (incremental tier).
-    unsat_cores: int = 0
-    # Pre-solve tier (repro.solver.presolve).  ``fastpath_hits`` above keeps
-    # its historical meaning — answered without bit-blasting — and equals
-    # ``presolve_hits_sat + presolve_hits_unsat`` exactly.
-    presolve_hits_sat: int = 0
-    presolve_hits_unsat: int = 0
-    # Groups structurally rewritten at the solver boundary before blasting.
-    presolve_rewrites: int = 0
-    # Environment snapshots extended incrementally (vs. built from scratch).
-    presolve_env_reuses: int = 0
-    presolve_env_builds: int = 0
-    # Work-list pops that reused the environment's generation-tagged fact
-    # memo across pops (stays 0 with presolve batching disabled).
-    presolve_batch_rounds: int = 0
-    # Incremental-tier counters (stay 0 on a fresh-blast chain).
-    # ``sat_solver_runs`` counts *full blasts*: every bottom-tier query on
-    # the fresh chain, but only blaster (re)builds on the incremental one.
-    assumption_probes: int = 0
-    # Assumption literals whose level a probe found still on the CDCL
-    # trail vs. had left to place; they sum to the literals probes carried.
-    assumption_levels_reused: int = 0
-    assumption_levels_opened: int = 0
-    incremental_reuses: int = 0
-    clauses_retained: int = 0
-    clauses_forgotten: int = 0
-    blasters_created: int = 0
-    blasters_reset: int = 0
-    # check_branch calls, and the ``¬cond`` arms among them that were never
-    # asked: ``slice ∧ cond`` came back UNSAT and the caller's pc is
-    # satisfiable (the satisfiable-pc invariant), so ``¬cond`` holds on it.
-    branch_batches: int = 0
-    branch_elisions: int = 0
-
-    def snapshot(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def merge(self, other: "SolverStats") -> "SolverStats":
-        """Fold ``other`` into this ledger entry (all fields are additive).
-
-        The merge law the parallel coordinator relies on: merging the
-        per-worker stats must equal the stats of one chain that answered
-        every worker's queries — every field here is a pure event counter
-        (or a duration), so component-wise addition is exact and the
-        operation is associative and commutative.
-        """
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
-    @classmethod
-    def merged(cls, parts) -> "SolverStats":
-        total = cls()
-        for part in parts:
-            total.merge(part)
-        return total
 
 
 @dataclass
@@ -186,14 +96,12 @@ class SolverChain:
     Args:
         use_cache: enable the counterexample/model cache tier.
         use_fastpath: enable the equality/interval/probing fast path.
-        use_independence: split queries into variable-disjoint groups.
         conflict_budget: per-query CDCL conflict limit (None = unlimited);
             exceeding it raises :class:`SolverTimeout`.
     """
 
     use_cache: bool = True
     use_fastpath: bool = True
-    use_independence: bool = True
     conflict_budget: int | None = 200_000
     # Learned-clause cap handed to every CDCL core this chain creates;
     # past it the least-active half is forgotten at a restart (None
@@ -202,7 +110,8 @@ class SolverChain:
     # clauses for the whole worker lifetime.
     sat_max_learned: int | None = 4000
     cache: QueryCache = field(default_factory=QueryCache)
-    stats: SolverStats = field(default_factory=SolverStats)
+    # The counter record: an engine's chain counts into the engine's own.
+    stats: Stats = field(default_factory=Stats)
     # The stateful pre-solve tier (abstract domains; repro.solver.presolve),
     # gated by ``use_fastpath``.  Environments live per independence-group
     # signature and are extended incrementally as path conditions grow.
@@ -264,10 +173,10 @@ class SolverChain:
     def _sync_cache_counters(self) -> None:
         """Mirror the cache/tier-internal counters into this chain's stats.
 
-        Assignment (not addition) is correct here: each chain owns exactly
-        one :class:`QueryCache` and at most one persistent tier, so the
-        mirrored values are this chain's own totals and stay additive
-        under :meth:`SolverStats.merge` across chains.
+        Assignment (not addition) is correct here: each record has exactly
+        one chain, which owns one :class:`QueryCache` and at most one
+        persistent tier, so the mirrored values are that participant's own
+        totals and stay additive under :meth:`~repro.stats.Stats.merge`.
         """
         cache = self.cache
         self.stats.cache_hits_exact = cache.hits_exact
@@ -321,10 +230,9 @@ class SolverChain:
         if self.use_cache:
             hit = self.cache.lookup(flat)
             if hit is not None:
-                self.stats.cache_hits += 1
                 return CheckResult(hit[0], dict(hit[1]) if hit[1] is not None else None)
 
-        groups = split_independent(flat) if self.use_independence else [flat]
+        groups = split_independent(flat)
         # A lone group is the whole set, just looked up above and stored
         # below: the group tier would only repeat both.
         cache_groups = self.use_cache and len(groups) > 1
@@ -354,7 +262,6 @@ class SolverChain:
         if cached:
             hit = self.cache.lookup(group)
             if hit is not None:
-                self.stats.cache_hits += 1
                 return CheckResult(hit[0], dict(hit[1]) if hit[1] is not None else None)
         result = self._solve_group(group)
         if cached:
@@ -367,11 +274,9 @@ class SolverChain:
             sig = group_signature(group)
             verdict, model = self.presolve.check_group(group, sig)
             if verdict == SAT:
-                self.stats.fastpath_hits += 1
                 self.stats.presolve_hits_sat += 1
                 return CheckResult(True, model)
             if verdict == UNSAT:
-                self.stats.fastpath_hits += 1
                 self.stats.presolve_hits_unsat += 1
                 return CheckResult(False)
         blast, early = self._blast_set(group)
@@ -412,7 +317,6 @@ class SolverChain:
         blast: list[Expr] = []
         for c in rewritten:
             if c.is_false():
-                self.stats.fastpath_hits += 1
                 self.stats.presolve_hits_unsat += 1
                 return group, CheckResult(False)
             if not c.is_true():
@@ -464,7 +368,7 @@ class SolverChain:
         return self.check(list(path_condition) + [expr]).is_sat
 
 
-# Cumulative CDCL counter -> the SolverStats field its per-probe delta feeds.
+# Cumulative CDCL counter -> the Stats field its per-probe delta feeds.
 _PROBE_COUNTERS = (
     ("stats_decisions", "sat_decisions"),
     ("stats_conflicts", "sat_conflicts"),

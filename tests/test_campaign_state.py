@@ -38,6 +38,7 @@ one line of the state machine and must be caught.
 import copy
 import dataclasses
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -53,7 +54,6 @@ from hypothesis.stateful import (
 )
 
 from repro.campaign import CampaignRecord
-from repro.engine.stats import EngineStats
 from repro.parallel import Partition
 from repro.parallel.state import (
     CHECKPOINT,
@@ -72,7 +72,7 @@ from repro.parallel.wire import (
     TASK_STOP,
 )
 from repro.sched import PartitionScheduler
-from repro.solver.portfolio import SolverStats
+from repro.stats import Stats
 
 def row(pid: int, snapshot: bytes, origin: str) -> tuple:
     """One Partition row (its fields in order) rooted at main/entry."""
@@ -112,10 +112,8 @@ class Process:
         self.steal_request = None
 
     def stats(self):
-        return (
-            EngineStats(states_created=0, paths_completed=len(self.explored)),
-            SolverStats(queries=sum(cost(i) for i in self.explored)),
-        )
+        return Stats(states_created=0, paths_completed=len(self.explored),
+                     queries=sum(cost(i) for i in self.explored))
 
     def explore(self, count: int) -> None:
         for _ in range(min(count, len(self.task["todo"]))):
@@ -229,7 +227,7 @@ class Campaign(RuleBasedStateMachine):
             elif verb == SEND_TASK and args[1][0] == TASK_STOP:
                 proc = self.fleet[args[0]]
                 if proc.running:
-                    self.deliver((MSG_STATS, args[0], *proc.stats(), {"from": args[0]}))
+                    self.deliver((MSG_STATS, args[0], proc.stats(), {"from": args[0]}))
             elif verb == SEND_CMD:
                 wid, (tag, pid) = args
                 assert tag == CMD_STEAL and pid == self.state.leases[wid].part.pid
@@ -299,7 +297,7 @@ class Campaign(RuleBasedStateMachine):
             self.oracle.accept(wid, ids)
 
         actions = self.deliver((MSG_DONE, wid, task["pid"], list(ids), coverage(ids),
-                                len(ids), *proc.stats()), accepted)
+                                len(ids), proc.stats()), accepted)
         if actions is not None:
             due = self.state.completions % self.knobs["checkpoint_every"] == 0
             assert ((CHECKPOINT, "dispatch") in actions) == due
@@ -330,7 +328,7 @@ class Campaign(RuleBasedStateMachine):
             MSG_STOLEN, wid,
             [row(request, blob(ids), f"steal:{wid}") for ids in stolen],
             [row(request, blob(ids), f"requeue:{wid}") for ids in retained],
-            (done, coverage(done), len(done), *proc.stats()),
+            (done, coverage(done), len(done), proc.stats()),
         ), accepted)
         if actions is not None:
             assert ((CHECKPOINT, "steal") in actions) == bool(stolen)
@@ -424,13 +422,13 @@ class Campaign(RuleBasedStateMachine):
              for pid, origin, paths, cov in rec.partition_results],
             rec.next_pid, rec.steals, rec.workers_lost, rec.requeue_log,
             sorted(rec.requeue_counts.items()), rec.pending,
-            [(name, e.paths_completed, s.queries) for name, e, s in rec.worker_entries],
+            [(name, e.paths_completed, e.queries) for name, e in rec.worker_entries],
             [p.pid for p in state.sched.pending()],
             sorted((w, l.part.pid, l.started, l.residual is not None)
                    for w, l in state.leases.items()),
             sorted(state.fenced), sorted(state.steal_inflight), sorted(state.steal_dry),
             sorted(state.payloads), state.completions,
-            sorted((w, c[0].paths_completed) for w, c in state._last_cum.items()),
+            sorted((w, c.paths_completed) for w, c in state._last_cum.items()),
         ))
 
     def dropped_ids(self) -> set:
@@ -449,8 +447,8 @@ class Campaign(RuleBasedStateMachine):
             view.update(bag(snapshot))
         self.check_conserved(view)
         assert rec.streamed_paths == len(rec.tests)
-        assert sum(e.paths_completed for _, e, _ in rec.worker_entries) == len(rec.tests)
-        assert sum(s.queries for _, _, s in rec.worker_entries) == sum(
+        assert sum(e.paths_completed for _, e in rec.worker_entries) == len(rec.tests)
+        assert sum(e.queries for _, e in rec.worker_entries) == sum(
             cost(i) for i in rec.tests)
 
     @invariant()
@@ -488,11 +486,11 @@ class Campaign(RuleBasedStateMachine):
         rec = self.state.rec
         assert rec.streamed_paths == len(rec.tests)
         assert rec.covered == coverage(rec.tests)
-        assert [name for name, _, _ in rec.worker_entries] == list(self.oracle.by_worker)
-        for name, estats, sstats in rec.worker_entries:
+        assert [name for name, _ in rec.worker_entries] == list(self.oracle.by_worker)
+        for name, stats in rec.worker_entries:
             ids = self.oracle.by_worker[name]
-            assert estats.paths_completed == len(ids), name
-            assert sstats.queries == sum(cost(i) for i in ids), name
+            assert stats.paths_completed == len(ids), name
+            assert stats.queries == sum(cost(i) for i in ids), name
 
     @invariant()
     def no_steal_outlives_its_lease(self):
@@ -505,7 +503,9 @@ class Campaign(RuleBasedStateMachine):
     # -- resume identity: whatever happened, finishing accepts every id once ---------
 
     def teardown(self):
-        if not hasattr(self, "state"):
+        # A step that already failed may have left the state inconsistent:
+        # driving it on would bury that failure under a harness crash.
+        if not hasattr(self, "state") or sys.exc_info()[1] is not None:
             return
         for _ in range(200):
             for wid in self.unnoticed():

@@ -33,7 +33,6 @@ from repro import codec
 from repro.campaign import CampaignRecord
 from repro.engine.executor import EngineConfig
 from repro.engine.state import SNAPSHOT
-from repro.engine.stats import EngineStats
 from repro.engine.testgen import TestCase
 from repro.env.argv import ArgvSpec
 from repro.expr import ops
@@ -41,7 +40,7 @@ from repro.parallel import ParallelConfig
 from repro.parallel import wire
 from repro.qce.qce import QceParams
 from repro.remote.transport import SocketTransport, _Endpoint
-from repro.solver.portfolio import SolverStats
+from repro.stats import Stats
 from repro.store import PersistentTier, StoreError, apply_payload, open_store
 from repro.store import db
 from repro.store.tier import CORE, StorePayload
@@ -112,11 +111,11 @@ test_cases = st.builds(
     stdin=st.binary(max_size=4),
     path_id=st.text(max_size=12),
 )
-engine_stats, solver_stats = stats_of(EngineStats), stats_of(SolverStats)
+run_stats = stats_of(Stats)
 rows = st.tuples(st.integers(0, 2**20), st.binary(max_size=40), names,
                  st.integers(0, 99), names, names, st.integers(1, 9))
 results = st.tuples(st.lists(test_cases, max_size=3), covered, st.integers(0, 10**6),
-                    engine_stats, solver_stats)
+                    run_stats)
 store_payloads = st.builds(
     StorePayload,
     program=st.none() | names,
@@ -144,12 +143,11 @@ FROM_WORKER = [
     st.tuples(st.just(wire.MSG_START), wids, st.integers(0, 2**20)),
     st.tuples(st.just(wire.MSG_DONE), wids, st.integers(0, 2**20),
               st.lists(test_cases, max_size=3), covered, st.integers(0, 10**6),
-              engine_stats, solver_stats),
+              run_stats),
     st.tuples(st.just(wire.MSG_STOLEN), wids, st.lists(rows, max_size=3),
               st.lists(rows, max_size=3), results),
     st.tuples(st.just(wire.MSG_HEARTBEAT), wids),
-    st.tuples(st.just(wire.MSG_STATS), wids, engine_stats, solver_stats,
-              st.none() | store_payloads),
+    st.tuples(st.just(wire.MSG_STATS), wids, run_stats, st.none() | store_payloads),
     st.tuples(st.just(wire.MSG_ERROR), wids, st.text(max_size=40)),
 ]
 TO_WORKER = [
@@ -176,8 +174,8 @@ records = st.builds(
     covered=covered, streamed_paths=st.integers(0, 999),
     partition_results=st.lists(st.tuples(st.integers(0, 99), names, st.integers(0, 99),
                                          covered), max_size=2),
-    worker_entries=st.lists(st.tuples(names, engine_stats, solver_stats), max_size=2),
-    split_entry=st.none() | st.tuples(names, engine_stats, solver_stats),
+    worker_entries=st.lists(st.tuples(names, run_stats), max_size=2),
+    split_entry=st.none() | st.tuples(names, run_stats),
     split_tests=st.lists(test_cases, max_size=2), split_covered=covered,
     store_payload=st.none() | store_payloads,
 )
@@ -267,10 +265,10 @@ class Pinned:
 
 
 def test_remembered_record_bytes_are_those_of_immutable_expression_free_records(monkeypatch):
-    stats = EngineStats()
-    codec.dumps(stats)
-    stats.forks = 7  # a mutable record is encoded as it is now
-    assert codec.loads(codec.dumps(stats), EngineStats).forks == 7
+    record = Stats()
+    codec.dumps(record)
+    record.forks = 7  # a mutable record is encoded as it is now
+    assert codec.loads(codec.dumps(record), Stats).forks == 7
     monkeypatch.setattr(codec, "RECORDS", codec.RECORDS + (f"{__name__}.Pinned",))
     monkeypatch.setitem(codec._CLASSES, "Pinned", Pinned)
     monkeypatch.setattr(codec, "_RESOLVED", dict(codec._RESOLVED))
@@ -530,7 +528,7 @@ def _framed(payload: bytes) -> bytes:
 
 
 DONE = (wire.MSG_DONE, 0, 3, [TestCase("path", (b"a",), (("x", 1),))], {("main", "b0")}, 2,
-        EngineStats(), SolverStats())
+        Stats())
 
 
 @pytest.mark.parametrize("garble", [

@@ -27,7 +27,7 @@ def test_branch_on_symbolic_byte_forks():
 def test_concrete_branch_no_fork_no_query():
     engine, stats = run_sym("if (argc == 2) return 1; return 0;", generate_tests=False)
     assert stats.forks == 0
-    assert engine.solver.stats.queries == 0  # branch decided concretely
+    assert engine.stats.queries == 0  # branch decided concretely
     assert stats.paths_completed == 1
 
 

@@ -382,7 +382,7 @@ def observed(result):
         "paths": stats.paths_completed,
         "merges": stats.merges,
         "ff_merges": stats.dsm_ff_merges,
-        "queries": result.solver_stats.queries,
+        "queries": result.stats.queries,
     }
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import testgen
-from repro.engine.stats import EngineStats
 from repro.engine.testgen import TestCase, TestSuite, deterministic_model, make_test_case
 from repro.env.argv import ArgvSpec
 from repro.expr import nodes as N
@@ -12,6 +11,7 @@ from repro.expr.nodes import Expr
 from repro.expr.sorts import BOOL
 from repro.memo import clear_memos
 from repro.solver.portfolio import SolverChain
+from repro.stats import Stats
 
 
 def test_make_test_case_decodes_argv():
@@ -61,7 +61,7 @@ def fresh_memo():
 
 def test_deterministic_constant_false_pc_is_none(fresh_memo):
     x = ops.bv_var("arg1_b0", 8)
-    stats = EngineStats()
+    stats = Stats()
     pc = (ops.eq(x, ops.bv(1, 8)), ops.FALSE)
     assert deterministic_model(pc, stats_sink=stats) is None
     # One query asked, nothing solved, nothing memoised.
@@ -81,7 +81,7 @@ def test_deterministic_empty_pc_completes_to_zeros(fresh_memo):
 def test_deterministic_memo_hit_returns_a_copy(fresh_memo):
     x = ops.bv_var("arg1_b0", 8)
     pc = (ops.ult(ops.bv(7, 8), x),)
-    stats = EngineStats()
+    stats = Stats()
     first = deterministic_model(pc, stats_sink=stats)
     witness = dict(first)
     first["arg1_b0"] = 0  # a caller scribbling on its model ...
@@ -99,7 +99,7 @@ def test_deterministic_group_key_is_ordered(fresh_memo):
     answered with whatever the other one happened to produce first."""
     x = ops.bv_var("arg1_b0", 8)
     a, b = ops.ult(ops.bv(3, 8), x), ops.ult(x, ops.bv(200, 8))
-    stats = EngineStats()
+    stats = Stats()
     for pc in ((a, b), (b, a)):
         model = deterministic_model(pc, stats_sink=stats)
         assert model == SolverChain(use_cache=False).check(list(pc)).model
@@ -113,7 +113,7 @@ def test_deterministic_ground_singleton_groups(fresh_memo):
     ground_true = Expr._make(N.ULT, BOOL, (ops.bv(1, 8), ops.bv(2, 8)))
     ground_false = Expr._make(N.ULT, BOOL, (ops.bv(2, 8), ops.bv(1, 8)))
     assert not ground_true.variables and not ground_true.is_true()
-    stats = EngineStats()
+    stats = Stats()
     model = deterministic_model((ground_true, ops.eq(x, ops.bv(9, 8))), stats_sink=stats)
     assert model == {"arg1_b0": 9}
     assert stats.testgen_group_solves == 2
@@ -127,7 +127,7 @@ def test_deterministic_unsat_group_short_circuits(fresh_memo):
     sat_x = ops.eq(x, ops.bv(5, 8))
     unsat_y = (ops.ult(y, ops.bv(3, 8)), ops.ult(ops.bv(9, 8), y))
     sat_z = ops.eq(z, ops.bv(6, 8))
-    stats = EngineStats()
+    stats = Stats()
     assert deterministic_model((sat_x, *unsat_y, sat_z), stats_sink=stats) is None
     # The z group after the contradiction is never reached, and what was
     # memoised is per-group verdicts only — never a partial whole-pc model.

@@ -15,7 +15,6 @@ import pytest
 
 from repro import codec
 from repro.engine import executor, testgen
-from repro.engine.stats import EngineStats
 from repro.env.runner import run_symbolic
 from repro.experiments.harness import MODES
 from repro.expr.evaluate import evaluate
@@ -24,6 +23,7 @@ from repro.memo import clear_memos
 from repro.parallel import ParallelConfig, run_parallel
 from repro.solver.portfolio import SolverChain
 from repro.solver.presolve import group_signature
+from repro.stats import Stats
 from repro.store import PersistentTier, open_store, spec_fingerprint
 from test_engine_testgen_memo import CORPUS, case_key, oracle_test_case, suite
 
@@ -184,7 +184,7 @@ def test_tampered_row_is_rejected_and_resolved(monkeypatch, cold_memos, tmp_path
         )
         store.conn.commit()
         clear_memos()
-        stats = EngineStats()
+        stats = Stats()
         chain = SolverChain(persistent=PersistentTier(store, "echo", spec=spec_fp))
         case = testgen.make_test_case(
             chain, spec, pc, kind, line=line, multiplicity=multiplicity,
@@ -223,7 +223,7 @@ def test_row_of_another_generator_is_used_only_verified(monkeypatch, cold_memos,
         )
         store.conn.commit()
         clear_memos()
-        stats = EngineStats()
+        stats = Stats()
         chain = SolverChain(persistent=PersistentTier(store, "echo", spec=spec_fp))
         case = testgen.make_test_case(chain, spec, pc, kind, line=line,
                                       multiplicity=multiplicity, stats_sink=stats)

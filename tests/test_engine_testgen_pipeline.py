@@ -5,8 +5,8 @@ corpus to one forked helper and fills each waiting test into its slot at
 the join.  The **exactness law**: that is unobservable.  Pipelined and
 in-process runs of the same input emit equal ``engine.tests.cases`` in
 order, every field (``path_id`` included), equal coverage and paths, and
-equal ``EngineStats`` apart from ``wall_time``/``cpu_time`` — on the
-corpus under three modes and on generated programs.  The in-process run
+equal ``Stats`` apart from its seconds (``wall_time``, ``cpu_time``,
+``time_total``) — on the corpus under three modes and on generated programs.  The in-process run
 is the oracle: an engine with ``testgen_helper`` off, as every fleet
 worker is.  The rest holds the helper to its hygiene (nothing alive or
 open after a run) and its faults (timeout, a killed helper, a full
@@ -32,7 +32,6 @@ from hypothesis import HealthCheck, given, settings
 from repro import codec
 from repro.engine import solve_helper, testgen
 from repro.engine.executor import Engine, EngineConfig
-from repro.engine.stats import EngineStats
 from repro.env.argv import ArgvSpec
 from repro.experiments.harness import MODES
 from repro.expr import ops
@@ -41,6 +40,7 @@ from repro.memo import clear_memos
 from repro.parallel.worker import make_worker_engine
 from repro.programs.registry import PROGRAMS, get_program
 from repro.solver.portfolio import SolverChain, SolverTimeout
+from repro.stats import Stats
 
 from minic_gen import minic_programs
 
@@ -70,9 +70,9 @@ def engine_for(program, mode, helper, dims=None, **config):
     return engine
 
 
-def counters(stats: EngineStats) -> dict:
+def counters(stats: Stats) -> dict:
     out = stats.snapshot()
-    del out["wall_time"], out["cpu_time"]
+    del out["wall_time"], out["cpu_time"], out["time_total"]
     return out
 
 
@@ -169,7 +169,7 @@ def test_in_flight_duplicate_is_a_hit_answered_once():
     x = ops.bv_var("arg1_b0", 8)
     pc = (ops.ult(ops.bv(7, 8), x), ops.ult(x, ops.bv(90, 8)))
     want_model, want_cost = testgen.solve_group(list(pc))
-    helper, stats = solve_helper.SolveHelper(), EngineStats()
+    helper, stats = solve_helper.SolveHelper(), Stats()
     try:
         first = testgen.deterministic_model(pc, stats_sink=stats, helper=helper)
         # Nothing is sent for the second ask, so nothing is read either:
@@ -228,7 +228,7 @@ def test_join_drains_the_backlog_from_both_ends(monkeypatch):
     monkeypatch.setattr(testgen, "solve_group", costly)
     x = ops.bv_var("arg1_b0", 8)
     groups = [[ops.ult(ops.bv(k, 8), x)] for k in range(16)]
-    helper, stats = solve_helper.SolveHelper(), EngineStats()
+    helper, stats = solve_helper.SolveHelper(), Stats()
     pendings = [testgen.Pending(("join", k)) for k in range(len(groups))]
     try:
         for pending, group in zip(pendings, groups):
@@ -259,7 +259,7 @@ def test_testgen_timeout_leaves_run_as_solver_timeout(monkeypatch, helper):
     engine = engine_for("seq", "plain", helper, dims=(1, 2))
     with pytest.raises(SolverTimeout):
         engine.run()
-    ledger = engine.solver.stats
+    ledger = engine.stats
     assert ledger.queries == ledger.sat_answers + ledger.unsat_answers + ledger.timeouts
     assert not multiprocessing.active_children()
     assert all(type(c) is testgen.TestCase for c in engine.tests.cases)

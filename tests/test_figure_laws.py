@@ -36,14 +36,24 @@ def test_presolve_tier_is_neutral_and_saves_blasts(monkeypatch):
     """On echo/cat/uniq/wc under dsm-qce and ssm-qce: each tier-on run
     explores what its bit-blast-only run explored, the tier answers a
     non-zero share of the group checks bound for the bottom tier, and the
-    tier-on runs perform at least 25% fewer full blasts in all."""
+    tier-on runs perform at least 25% fewer full blasts in all — at least
+    40% fewer under dsm-qce, whose merged ite-heavy groups are where the
+    tier's facts through ``ite`` and its UNSAT answers save blasts, and at
+    least half as many under ssm-qce."""
     runs = recorded(monkeypatch, "run_cell")
     result = figures.presolve_ablation()
     assert len(result.rows) == 8 and len(runs) == 16
+    blasts = {}  # mode -> [blasts with the tier off, with it on]
     for row, off, on in zip(result.rows, runs[::2], runs[1::2]):
         same_exploration(off, on, f"{row.program}/{row.mode}: presolve tier")
+        total = blasts.setdefault(row.mode, [0, 0])
+        total[0] += off.stats.sat_solver_runs
+        total[1] += on.stats.sat_solver_runs
     assert result.hit_rate() > 0.0
     assert result.blast_reduction() <= 0.75, result.table()
+    for mode, bound in (("dsm-qce", 0.6), ("ssm-qce", 0.5)):
+        off, on = blasts[mode]
+        assert on <= bound * off, (mode, result.table())
 
 
 def test_warm_runs_explore_the_same_with_no_more_blasts(monkeypatch, tmp_path):

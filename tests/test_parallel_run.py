@@ -19,14 +19,15 @@ import pytest
 from repro import codec
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.state import SymState
-from repro.engine.stats import EngineStats
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic
 from repro.experiments.harness import same_exploration
 from repro.memo import clear_memos
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
+from repro.parallel.worker import make_worker_engine
 from repro.programs.registry import get_program
-from repro.solver.portfolio import SolverStats
+from repro.solver.portfolio import SolverChain
+from repro.stats import ADDITIVE_FIELDS, Stats
 
 
 def test_one_worker_equals_sequential_engine():
@@ -109,7 +110,7 @@ def test_two_worker_run_row_is_what_the_adaptive_split_reads(tmp_path):
      paths, tests, stats_json) = row
     assert (program, mode) == ("wc", "none/never/dfs/workers=2")
     assert (paths, tests) == (par.paths, par.stats.tests_generated)
-    assert (queries, cost) == (par.solver_stats.queries, par.solver_stats.cost_units)
+    assert (queries, cost) == (par.stats.queries, par.stats.cost_units)
     assert paths > par.ledger[0][1].paths_completed  # merged, not the split engine's
     assert json.loads(stats_json)["sched_imbalance"] == par.imbalance == recorded
 
@@ -161,15 +162,15 @@ def test_export_frontier_preserves_path_space():
 
 
 def test_engine_stats_merge_laws():
-    a = EngineStats(blocks_executed=5, forks=2, max_worklist=7, wall_time=1.0,
-                    timed_out=False, states_created=3, testgen_queries=4,
-                    testgen_cost_units=9, testgen_group_solves=3,
-                    testgen_group_hits=8, testgen_corpus_hits=2)
-    b = EngineStats(blocks_executed=11, forks=1, max_worklist=4, wall_time=0.5,
-                    timed_out=True, states_created=2, testgen_queries=2,
-                    testgen_cost_units=1, testgen_group_solves=1,
-                    testgen_group_hits=5, testgen_corpus_hits=4)
-    merged = EngineStats.merged([a, b])
+    a = Stats(blocks_executed=5, forks=2, max_worklist=7, wall_time=1.0,
+              timed_out=False, states_created=3, testgen_queries=4,
+              testgen_cost_units=9, testgen_group_solves=3,
+              testgen_group_hits=8, testgen_corpus_hits=2)
+    b = Stats(blocks_executed=11, forks=1, max_worklist=4, wall_time=0.5,
+              timed_out=True, states_created=2, testgen_queries=2,
+              testgen_cost_units=1, testgen_group_solves=1,
+              testgen_group_hits=5, testgen_corpus_hits=4)
+    merged = Stats.merged([a, b])
     assert merged.blocks_executed == 16
     assert merged.forks == 3
     assert merged.states_created == 5
@@ -183,20 +184,55 @@ def test_engine_stats_merge_laws():
     assert merged.timed_out is True  # any-of
     assert merged.wall_time == pytest.approx(1.5)
     # Associativity/commutativity on the additive fields.
-    ab = EngineStats.merged([a, b]).snapshot()
-    ba = EngineStats.merged([b, a]).snapshot()
+    ab = Stats.merged([a, b]).snapshot()
+    ba = Stats.merged([b, a]).snapshot()
     assert ab == ba
 
 
 def test_solver_stats_merge_is_additive():
-    a = SolverStats(queries=4, sat_answers=3, unsat_answers=1, cost_units=10)
-    b = SolverStats(queries=6, sat_answers=2, unsat_answers=3, timeouts=1,
-                    cost_units=7)
-    merged = SolverStats.merged([a, b])
+    a = Stats(queries=4, sat_answers=3, unsat_answers=1, cost_units=10)
+    b = Stats(queries=6, sat_answers=2, unsat_answers=3, timeouts=1,
+              cost_units=7)
+    merged = Stats.merged([a, b])
     assert merged.queries == 10
     assert merged.cost_units == 17
     # The solver's own accounting identity survives the merge.
     assert merged.queries == merged.sat_answers + merged.unsat_answers + merged.timeouts
+
+
+def test_an_engine_and_its_chain_count_into_one_record():
+    info = get_program("echo")
+    sequential = Engine(info.compile(), info.spec(), EngineConfig())
+    worker = make_worker_engine("echo", info.compile(), info.spec(), EngineConfig())
+    for engine in (sequential, worker):
+        assert engine.solver.stats is engine.stats
+    assert SolverChain().stats is not SolverChain().stats  # standalone: its own
+
+
+def test_delta_undoes_merge_on_additive_fields():
+    """Two cumulative snapshots of one worker difference to the work
+    between them; maxima and flags stay cumulative."""
+    first = Stats(forks=2, queries=3, max_worklist=9, time_total=0.25)
+    later = Stats.merged([first, Stats(forks=5, queries=1, max_worklist=4, timed_out=True)])
+    step = later.delta(first)
+    assert (step.forks, step.queries, step.time_total) == (5, 1, 0.0)
+    assert step.max_worklist == 9 and step.timed_out
+    assert Stats.merged([first, step]).snapshot() == later.snapshot()
+    assert later.delta(None) is later
+
+
+def test_check_ledger_holds_every_additive_field():
+    """The ledger law is the record's own declaration: a merged total off
+    by one on any additive field is a violation, named by that field."""
+    par = run_parallel("wc", parallel=ParallelConfig(workers=2, backend="inline"))
+    par.check_ledger()
+    assert len(ADDITIVE_FIELDS) == len(Stats.__dataclass_fields__) - 4
+    for fname in ADDITIVE_FIELDS:
+        value = getattr(par.stats, fname)
+        setattr(par.stats, fname, value + 1)
+        with pytest.raises(AssertionError, match=f"merged {fname}="):
+            par.check_ledger()
+        setattr(par.stats, fname, value)
 
 
 def test_engine_config_wire_roundtrip():

@@ -30,7 +30,6 @@ from collections import Counter, deque
 import pytest
 
 from repro.engine.executor import EngineConfig
-from repro.engine.stats import EngineStats
 from repro.env.argv import ArgvSpec
 from repro.experiments.harness import same_exploration
 from repro.parallel import (
@@ -50,7 +49,7 @@ from repro.parallel.wire import (
 )
 from repro.programs.registry import get_program
 from repro.sched import PartitionScheduler
-from repro.solver.portfolio import SolverStats
+from repro.stats import Stats
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +233,6 @@ def test_poison_partition_dropped_end_to_end(wc_sequential):
 # -- scripted transports: deterministic lease-layer edge cases -------------------
 
 
-def _zero_stats():
-    return EngineStats(states_created=0), SolverStats()
-
-
 def _blob_partition(coord, tag):
     return Partition(coord.state.alloc_pid(), tag, "split", 1, "main", "entry", 1)
 
@@ -280,10 +275,10 @@ class ScriptedTransport:
 
     # script helpers
     def worker_finishes(self, wid, pid, paths=1):
-        self.out.append((MSG_DONE, wid, pid, [], set(), paths, *_zero_stats()))
+        self.out.append((MSG_DONE, wid, pid, [], set(), paths, Stats.merged(())))
 
     def worker_reports_stats(self, wid):
-        self.out.append((MSG_STATS, wid, *_zero_stats(), None))
+        self.out.append((MSG_STATS, wid, Stats.merged(()), None))
 
 
 def _scripted_coordinator(workers, **kw):

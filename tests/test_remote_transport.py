@@ -100,6 +100,9 @@ def test_recv_frame_rejects_oversized_header():
     a, b = socket.socketpair()
     try:
         a.sendall(_HEADER.pack(MAX_FRAME + 1))
+        # The sender is done: a reader that skipped the size check and
+        # waited for the payload would get EOF, not hang.
+        a.shutdown(socket.SHUT_WR)
         with pytest.raises(TransportError, match="oversized frame"):
             recv_frame(b)
     finally:

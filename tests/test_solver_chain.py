@@ -88,17 +88,15 @@ def test_timeout_raises():
                     ops.not_(ops.and_(ops.bool_var(f"to{p1}_{h}"),
                                       ops.bool_var(f"to{p2}_{h}")))
                 )
-    chain = SolverChain(conflict_budget=5, use_fastpath=False, use_cache=False,
-                        use_independence=False)
+    chain = SolverChain(conflict_budget=5, use_fastpath=False, use_cache=False)
     with pytest.raises(SolverTimeout):
         chain.check(constraints)
     assert chain.stats.timeouts == 1
 
 
 def test_disabled_tiers_still_correct():
-    for cache, fastpath, independence in [(False, False, False), (True, False, True)]:
-        chain = SolverChain(use_cache=cache, use_fastpath=fastpath,
-                            use_independence=independence)
+    for cache, fastpath in [(False, False), (True, False)]:
+        chain = SolverChain(use_cache=cache, use_fastpath=fastpath)
         assert chain.check([ops.ult(X, ops.bv(4, 8))]).is_sat
         assert not chain.check([ops.ult(X, ops.bv(4, 8)),
                                 ops.ult(ops.bv(9, 8), X)]).is_sat
@@ -158,8 +156,7 @@ def test_cached_model_cannot_clobber_other_group():
 @pytest.mark.parametrize("chain_cls", [SolverChain, IncrementalChain])
 def test_timeout_keeps_answer_ledger_consistent(chain_cls):
     """queries == sat_answers + unsat_answers + timeouts, even on timeout."""
-    chain = chain_cls(conflict_budget=5, use_fastpath=False, use_cache=False,
-                      use_independence=False)
+    chain = chain_cls(conflict_budget=5, use_fastpath=False, use_cache=False)
     with pytest.raises(SolverTimeout):
         chain.check(_pigeonhole_constraints())
     stats = chain.stats
@@ -172,8 +169,7 @@ def test_timeout_resets_persistent_blaster_and_recovers():
     """After a timeout the stale blaster is dropped; the chain stays usable
     and re-solves the same query correctly once the budget allows."""
     hard = _pigeonhole_constraints()
-    chain = IncrementalChain(conflict_budget=5, use_fastpath=False, use_cache=False,
-                             use_independence=False)
+    chain = IncrementalChain(conflict_budget=5, use_fastpath=False, use_cache=False)
     with pytest.raises(SolverTimeout):
         chain.check(hard)
     assert chain.stats.blasters_created == 1

@@ -171,12 +171,12 @@ def test_engine_differential_incremental_vs_fresh(fresh_and_incremental, program
     assert incr.stats.forks == fresh.stats.forks
     assert incr.engine.stats.errors_found == fresh.engine.stats.errors_found
     assert len(incr.tests.cases) == len(fresh.tests.cases)
-    assert incr.solver_stats.sat_solver_runs <= fresh.solver_stats.sat_solver_runs
-    assert incr.solver_stats.assumption_probes > 0
-    assert incr.solver_stats.incremental_reuses > 0
+    assert incr.stats.sat_solver_runs <= fresh.stats.sat_solver_runs
+    assert incr.stats.assumption_probes > 0
+    assert incr.stats.incremental_reuses > 0
 
     def total(runs, counter):
-        return sum(getattr(run.solver_stats, counter) for run in runs)
+        return sum(getattr(run.stats, counter) for run in runs)
 
     all_fresh, all_incr = zip(*fresh_and_incremental.values())
     blast_ratio = total(all_incr, "sat_solver_runs") / total(all_fresh, "sat_solver_runs")

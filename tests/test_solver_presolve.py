@@ -302,8 +302,7 @@ def test_timeout_resets_presolve_envs_with_blaster():
                     ops.not_(ops.and_(ops.bool_var(f"pt{p1}_{h}"),
                                       ops.bool_var(f"pt{p2}_{h}")))
                 )
-    chain = IncrementalChain(conflict_budget=5, use_cache=False,
-                             use_independence=False)
+    chain = IncrementalChain(conflict_budget=5, use_cache=False)
     with pytest.raises(SolverTimeout):
         chain.check(constraints)
     assert not chain.presolve._sigs, "timed-out signature must drop its envs"
@@ -348,5 +347,5 @@ def test_engine_neutrality_presolve_on_off(mode_kwargs):
         )
     off, on = results[False], results[True]
     same_exploration(off, on, "presolve tier")
-    assert on.solver_stats.fastpath_hits > 0
-    assert on.solver_stats.sat_solver_runs <= off.solver_stats.sat_solver_runs
+    assert on.stats.fastpath_hits > 0
+    assert on.stats.sat_solver_runs <= off.stats.sat_solver_runs

@@ -285,16 +285,16 @@ def test_unsatisfiable_preconditions_are_caught_at_seed():
     run = run_symbolic("echo", preconditions=(ops.ult(FIRST_BYTE, k(3)), ops.ult(k(5), FIRST_BYTE)))
     assert run.stats.states_infeasible == 1
     assert run.paths == 0 and run.tests.cases == [] and run.stats.blocks_executed == 0
-    assert run.solver_stats.queries == 1
+    assert run.stats.queries == 1
 
 
 def test_satisfiable_preconditions_cost_one_query_and_bind_every_test(monkeypatch):
     free = run_symbolic("echo")
-    asked = free.solver_stats
+    asked = free.stats
     # Every query is a branch arm: an empty precondition tuple asks nothing.
     assert asked.queries + asked.branch_elisions == 2 * asked.branch_batches
     bound = (ops.ult(FIRST_BYTE, k(3)),)
-    asked = run_symbolic("echo", preconditions=bound).solver_stats
+    asked = run_symbolic("echo", preconditions=bound).stats
     assert asked.queries + asked.branch_elisions == 2 * asked.branch_batches + 1
     sliced, whole = run_both_ways(monkeypatch, "echo", "plain", preconditions=bound)
     assert sliced == whole and 0 < sliced["paths"] < free.paths
@@ -308,7 +308,7 @@ def test_composite_models_answer_queries_that_join_slices():
     23 with a composite that forgets, 18 before branches were sliced)."""
     run = run_symbolic("tsort", n_args=2, arg_len=2, generate_tests=False, **MODES["dsm-qce"])
     assert run.stats.merges > 0
-    assert run.solver_stats.assumption_probes <= 19
+    assert run.stats.assumption_probes <= 19
 
     cache = QueryCache()
     cache.store([ops.ult(A, k(5))], True, {"sl_a": 4})

@@ -534,6 +534,6 @@ def test_chain_level_ledger_and_reuse_on_a_growing_path_condition(monkeypatch):
 def test_engine_run_level_ledger(monkeypatch):
     carried = _count_assumption_literals(monkeypatch)
     result = run_symbolic("factor", n_args=1, arg_len=1)
-    s = result.solver_stats
+    s = result.stats
     assert s.assumption_probes > 0
     assert s.assumption_levels_reused + s.assumption_levels_opened == carried[0]

@@ -31,7 +31,7 @@ HARD = [ops.eq(ops.mul(X, Y), ops.bv(143, 8)), ops.ult(ops.bv(1, 8), X), ops.ult
 
 
 def check_tier_order_ledger(stats, incremental: bool = True) -> None:
-    """The tier-order ledger law on one chain's (or a merged) SolverStats."""
+    """The tier-order ledger law on one chain's (or a merged) Stats record."""
     solves = stats.assumption_probes if incremental else stats.sat_solver_runs
     assert stats.store_misses == solves
     assert stats.store_inserts <= stats.store_misses + stats.unsat_cores
@@ -60,17 +60,17 @@ def test_tier_order_ledger_cold_warm_readonly(monkeypatch, tmp_path, program, mo
         clear_memos()
         run = run_symbolic(program, generate_tests=True, store_path=path,
                            store_readonly=readonly, **MODES[mode])
-        stats = run.solver_stats
+        stats = run.stats
         check_tier_order_ledger(stats)
         assert stats.store_hits + stats.store_misses == run.engine.solver.persistent.lookups
         runs[phase] = run
     cold, warm, worker = runs["cold"], runs["warm"], runs["worker"]
-    assert cold.solver_stats.store_hits == 0  # never this run's own buffer
+    assert cold.stats.store_hits == 0  # never this run's own buffer
     assert suite(warm.tests.cases) == suite(cold.tests.cases) == suite(worker.tests.cases)
     assert warm.paths == cold.paths == worker.paths
     for later in (warm, worker):
-        assert later.solver_stats.sat_solver_runs <= cold.solver_stats.sat_solver_runs
-        assert later.solver_stats.store_rejects == 0
+        assert later.stats.sat_solver_runs <= cold.stats.sat_solver_runs
+        assert later.stats.store_rejects == 0
     # A read-only engine buffers what it solved and commits nothing.
     store = open_store(path, readonly=True)
     assert len(store.run_rows(program)) == 2
@@ -162,7 +162,7 @@ def test_parent_layout_store_still_warms(monkeypatch, tmp_path, mode):
         patched.setattr(SolverChain, "check", check_and_record_whole_query)
         old = run_symbolic("uniq", generate_tests=True, store_path=path, **MODES[mode])
     store = open_store(path, readonly=True)
-    assert store.constraint_count() > old.solver_stats.store_misses  # whole-query rows
+    assert store.constraint_count() > old.stats.store_misses  # whole-query rows
     store.close()
 
     clear_memos()
@@ -173,9 +173,9 @@ def test_parent_layout_store_still_warms(monkeypatch, tmp_path, mode):
     assert warm.paths == reference.paths
     assert suite(warm.tests.cases) == suite(reference.tests.cases)
     assert warm.engine.coverage.covered == reference.engine.coverage.covered
-    assert warm.solver_stats.store_rejects == 0
-    assert warm.solver_stats.sat_solver_runs <= old.solver_stats.sat_solver_runs
-    check_tier_order_ledger(warm.solver_stats)
+    assert warm.stats.store_rejects == 0
+    assert warm.stats.sat_solver_runs <= old.stats.sat_solver_runs
+    check_tier_order_ledger(warm.stats)
 
 
 @pytest.mark.parametrize("incremental", [True, False])
@@ -192,15 +192,15 @@ def test_fastpath_neutrality_with_a_store(monkeypatch, tmp_path, incremental):
             run = run_symbolic(
                 "wc", generate_tests=True, store_path=path, solver_fastpath=fastpath,
             )
-            check_tier_order_ledger(run.solver_stats, incremental)
+            check_tier_order_ledger(run.stats, incremental)
             results[fastpath, phase] = run
     reference = results[False, "cold"]
     for run in results.values():
         assert run.paths == reference.paths
         assert suite(run.tests.cases) == suite(reference.tests.cases)
         assert run.engine.coverage.covered == reference.engine.coverage.covered
-    assert results[True, "cold"].solver_stats.fastpath_hits > 0
-    assert results[False, "cold"].solver_stats.fastpath_hits == 0
+    assert results[True, "cold"].stats.fastpath_hits > 0
+    assert results[False, "cold"].stats.fastpath_hits == 0
     # Presolve takes the traffic the store used to intercept.
-    assert (results[True, "cold"].solver_stats.store_misses
-            < results[False, "cold"].solver_stats.store_misses)
+    assert (results[True, "cold"].stats.store_misses
+            < results[False, "cold"].stats.store_misses)

@@ -35,9 +35,9 @@ def test_warm_start_differential(program, tmp_path):
     same_exploration(cold, warm, f"{program}: warm run")
 
     # Savings: strictly fewer full blasts (the acceptance criterion).
-    assert cold.solver_stats.sat_solver_runs > 0
-    assert warm.solver_stats.sat_solver_runs < cold.solver_stats.sat_solver_runs
-    assert warm.solver_stats.store_hits > 0
+    assert cold.stats.sat_solver_runs > 0
+    assert warm.stats.sat_solver_runs < cold.stats.sat_solver_runs
+    assert warm.stats.store_hits > 0
     assert warm.stats.warm_models_seeded > 0
 
     # Cross-run metadata landed: two run rows, a non-empty corpus.
@@ -54,7 +54,7 @@ def test_warm_start_third_run_stable(tmp_path):
     run_symbolic("echo", generate_tests=True, store_path=path)
     second = run_symbolic("echo", generate_tests=True, store_path=path)
     third = run_symbolic("echo", generate_tests=True, store_path=path)
-    assert third.solver_stats.sat_solver_runs <= second.solver_stats.sat_solver_runs
+    assert third.stats.sat_solver_runs <= second.stats.sat_solver_runs
     assert third.tests.multiset() == second.tests.multiset()
     store = open_store(path, readonly=True)
     assert store.test_count("echo") == len(third.tests.cases)  # deduplicated
@@ -72,11 +72,11 @@ def test_parallel_shared_store_ledger(tmp_path):
     warm.check_ledger()
 
     same_exploration(cold, warm, "warm run")
-    assert warm.solver_stats.sat_solver_runs < cold.solver_stats.sat_solver_runs
+    assert warm.stats.sat_solver_runs < cold.stats.sat_solver_runs
     # Seeding and presolve answer everything here before the store is
     # asked; what the ledgers owe is the tier-order law, workers summed.
-    check_tier_order_ledger(cold.solver_stats)
-    check_tier_order_ledger(warm.solver_stats)
+    check_tier_order_ledger(cold.stats)
+    check_tier_order_ledger(warm.stats)
     assert warm.stats.testgen_group_solves == 0 < warm.stats.testgen_corpus_hits
 
     # The coordinator (single writer) persisted the workers' buffered
@@ -97,11 +97,11 @@ def test_sequential_and_parallel_share_one_store(tmp_path):
         "wc", parallel=ParallelConfig(workers=2, backend="inline"), store_path=path
     )
     par.check_ledger()
-    check_tier_order_ledger(par.solver_stats)
-    assert par.solver_stats.sat_solver_runs < seq.solver_stats.sat_solver_runs
+    check_tier_order_ledger(par.stats)
+    assert par.stats.sat_solver_runs < seq.stats.sat_solver_runs
     assert par.tests.multiset() == seq.tests.multiset()
     seq2 = run_symbolic("wc", generate_tests=True, store_path=path)
-    assert seq2.solver_stats.sat_solver_runs < seq.solver_stats.sat_solver_runs
+    assert seq2.stats.sat_solver_runs < seq.stats.sat_solver_runs
 
 
 def test_warm_start_across_processes(tmp_path):
@@ -125,8 +125,8 @@ def test_warm_start_across_processes(tmp_path):
         "import json, sys\n"
         "from repro.env.runner import run_symbolic\n"
         "r = run_symbolic('wc', generate_tests=True, store_path=sys.argv[1])\n"
-        "print(json.dumps({'blasts': r.solver_stats.sat_solver_runs,\n"
-        "                  'solver': r.solver_stats.snapshot(),\n"
+        "print(json.dumps({'blasts': r.stats.sat_solver_runs,\n"
+        "                  'solver': r.stats.snapshot(),\n"
         "                  'cases': len(r.tests.cases),\n"
         "                  'models': sorted(c.model for c in r.tests.cases)}))\n"
     )
