@@ -13,6 +13,7 @@ differential this example is meant to show (what the *store* saves).
     python examples/warm_start.py [program] [store.sqlite]
 """
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -56,11 +57,12 @@ def main() -> int:
 
     store = open_store(store_path, readonly=True)
     print(f"store contents: {store.counts()}")
-    for row in store.run_rows(program):
-        # id, program, spec, mode, started, wall, queries, sat_runs, hits, ...
+    for run_id, *_, stats_json in store.run_rows(program):
+        stats = json.loads(stats_json)
         print(
-            f"  run {row[0]}: queries={row[6]} blasts={row[7]} "
-            f"store_hits={row[8]} paths={row[10]}"
+            f"  run {run_id}: queries={stats['queries']} "
+            f"blasts={stats['sat_solver_runs']} "
+            f"store_hits={stats['store_hits']} paths={stats['paths_completed']}"
         )
     store.close()
     return 0

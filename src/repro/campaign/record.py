@@ -92,7 +92,6 @@ class CampaignRecord:
     # accumulates.  requeue_log holds one named dict per lease revocation
     # and per poison drop; requeue_counts maps pid -> revocations charged
     # to its lineage, so the poison cap spans crashes.
-    factor: int = 0
     next_pid: int = 0
     steals: int = 0
     workers_lost: int = 0

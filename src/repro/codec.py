@@ -75,7 +75,10 @@ from .memo import BoundedMemo
 #   v6 — a campaign record lists its accepted tests' batch blobs.
 #   v7 — one stats record per ledger participant (engine and solver
 #        counters in one ``Stats``).
-FORMAT_VERSION = 7
+#   v8 — no adaptive split fan-out: ``Stats``, ``CampaignRecord`` and
+#        ``ParallelConfig`` lose its fields; a run row keeps its counters
+#        in the stats snapshot alone.
+FORMAT_VERSION = 8
 
 # The largest payload either side accepts (a partition snapshot is
 # kilobytes, a checkpoint record of a 588-test campaign tens of them).

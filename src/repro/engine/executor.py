@@ -91,7 +91,6 @@ class EngineConfig:
     track_exact_paths: bool = False
     generate_tests: bool = True
     keep_terminal_states: bool = False
-    zeta: float = 2.0  # ite cost multiplier for similarity='qce-full' (Eq. 7)
     seed: int = 0
     solver_cache: bool = True
     solver_fastpath: bool = True
@@ -245,7 +244,6 @@ class Engine:
         stats: Stats | None = None,
         tests: TestSuite | None = None,
         payloads=(),
-        workers: int | None = None,
         in_transaction=None,
         coverage_of=None,
     ) -> int | None:
@@ -261,9 +259,7 @@ class Engine:
         merged ``stats`` / ``tests`` of the whole
         ledger (default: this engine's own), the read-only workers'
         exported ``payloads`` (applied after this engine's own buffer),
-        the ``workers`` count (suffixes the run row's mode string, which
-        :meth:`ReproStore.last_parallel_imbalance` filters on), and
-        ``in_transaction(store)``, run inside the commit transaction
+        and ``in_transaction(store)``, run inside the commit transaction
         after everything else — a finished campaign deletes its
         checkpoint rows atomically with its results becoming durable.
         ``coverage_of`` maps tests to the coverage replayed as they
@@ -294,8 +290,6 @@ class Engine:
         cases = (self.tests if tests is None else tests).cases
         cfg = self.config
         mode = f"{cfg.merging}/{cfg.similarity}/{cfg.strategy}"
-        if workers is not None:
-            mode += f"/workers={workers}"
         store = self.store
         # Drain the tier buffer once, outside the retried closure: a
         # rolled-back attempt must not lose it, a retry not re-drain it.
@@ -306,15 +300,8 @@ class Engine:
                 run_id = store.record_run(
                     self.program,
                     spec_fingerprint(self.spec),
-                    mode=mode,
-                    wall_time=stats.wall_time,
-                    queries=stats.queries,
-                    sat_solver_runs=stats.sat_solver_runs,
-                    store_hits=stats.store_hits,
-                    cost_units=stats.cost_units,
-                    paths=stats.paths_completed,
-                    tests=stats.tests_generated,
-                    stats=stats.snapshot(),
+                    mode,
+                    stats.snapshot(),
                 )
                 for payload in payloads:
                     if payload is not None:
@@ -382,7 +369,7 @@ class Engine:
             return QceSimilarity(self.qce)
         if kind == "qce-full":
             assert self.qce is not None
-            return QceFullSimilarity(self.qce, self.config.zeta)
+            return QceFullSimilarity(self.qce)
         raise ValueError(f"unknown similarity {kind!r}")
 
     def _fresh_sid(self) -> int:

@@ -784,7 +784,6 @@ class SchedRow:
     paths_to_target_fifo: int
     paths_to_target_corpus: int
     imbalance: float
-    partition_factor: int
 
 
 @dataclass
@@ -876,7 +875,7 @@ def sched_ablation(
 
         # (2) The two dispatch policies, same split, same partitions.
         full = dict(MODES["plain"], store_path=store_path, store_readonly=True)
-        inline = dict(workers=workers, backend="inline", partition_factor=4)
+        inline = dict(workers=workers, backend="inline")
         fifo = run_parallel(
             program, parallel=ParallelConfig(dispatch="fifo", **inline), **full
         )
@@ -902,7 +901,6 @@ def sched_ablation(
                 paths_to_target_fifo=to_fifo,
                 paths_to_target_corpus=to_corpus,
                 imbalance=corpus.imbalance,
-                partition_factor=corpus.partition_factor,
             )
         )
     return SchedAblationResult(workers=workers, rows=rows)

@@ -10,7 +10,7 @@ Public API::
 from . import nodes, ops
 from .evaluate import EvalError, evaluate
 from .nodes import Expr, interned_count
-from .printer import to_smtlib, to_smtlib_script, to_str
+from .printer import to_str
 from .sorts import BOOL, BV8, BV16, BV32, BV64, BoolSort, BVSort, Sort, to_signed, to_unsigned
 from .subst import conjuncts, disjuncts, rebuild, substitute
 
@@ -34,8 +34,6 @@ __all__ = [
     "rebuild",
     "substitute",
     "to_signed",
-    "to_smtlib",
-    "to_smtlib_script",
     "to_str",
     "to_unsigned",
 ]

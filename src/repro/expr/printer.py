@@ -1,4 +1,4 @@
-"""Human-readable and SMT-LIB printers for expressions."""
+"""Human-readable printer for expressions."""
 
 from __future__ import annotations
 
@@ -75,78 +75,3 @@ def to_str(expr: Expr, max_depth: int = 0) -> str:
         raise AssertionError(f"unhandled kind {kind!r}")
 
     return render(expr, 1)
-
-
-_SMT_OPS = {
-    N.ADD: "bvadd",
-    N.SUB: "bvsub",
-    N.MUL: "bvmul",
-    N.UDIV: "bvudiv",
-    N.UREM: "bvurem",
-    N.SDIV: "bvsdiv",
-    N.SREM: "bvsrem",
-    N.NEG: "bvneg",
-    N.BVAND: "bvand",
-    N.BVOR: "bvor",
-    N.BVXOR: "bvxor",
-    N.BVNOT: "bvnot",
-    N.SHL: "bvshl",
-    N.LSHR: "bvlshr",
-    N.ASHR: "bvashr",
-    N.EQ: "=",
-    N.ULT: "bvult",
-    N.ULE: "bvule",
-    N.SLT: "bvslt",
-    N.SLE: "bvsle",
-    N.NOT: "not",
-    N.AND: "and",
-    N.OR: "or",
-    N.XOR: "xor",
-    N.ITE: "ite",
-    N.CONCAT: "concat",
-}
-
-
-def to_smtlib(expr: Expr) -> str:
-    """Render an expression as an SMT-LIB 2 term (QF_BV).
-
-    Provided for interoperability/debugging: the output can be fed to any
-    external SMT solver to cross-check our built-in solver.
-    """
-    if expr.kind == N.CONST:
-        if expr.is_bool():
-            return "true" if expr.value else "false"
-        return f"(_ bv{expr.value} {expr.width})"
-    if expr.kind == N.VAR:
-        return expr.name
-    if expr.kind == N.ZEXT:
-        pad = expr.params[0] - expr.children[0].width
-        return f"((_ zero_extend {pad}) {to_smtlib(expr.children[0])})"
-    if expr.kind == N.SEXT:
-        pad = expr.params[0] - expr.children[0].width
-        return f"((_ sign_extend {pad}) {to_smtlib(expr.children[0])})"
-    if expr.kind == N.EXTRACT:
-        hi, lo = expr.params
-        return f"((_ extract {hi} {lo}) {to_smtlib(expr.children[0])})"
-    op = _SMT_OPS[expr.kind]
-    args = " ".join(to_smtlib(c) for c in expr.children)
-    return f"({op} {args})"
-
-
-def to_smtlib_script(assertions: list[Expr]) -> str:
-    """A complete SMT-LIB script asserting the given booleans."""
-    decls: dict[str, Expr] = {}
-    for a in assertions:
-        for node in a.iter_nodes():
-            if node.kind == N.VAR:
-                decls.setdefault(node.name, node)
-    lines = ["(set-logic QF_BV)"]
-    for name in sorted(decls):
-        node = decls[name]
-        sort = "Bool" if node.is_bool() else f"(_ BitVec {node.width})"
-        lines.append(f"(declare-const {name} {sort})")
-    for a in assertions:
-        lines.append(f"(assert {to_smtlib(a)})")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines)

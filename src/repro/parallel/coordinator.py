@@ -18,13 +18,11 @@ The run has three phases:
    the inline backend runs the same partitions in this process for
    deterministic testing.  At most one lease is in flight per worker,
    so every hand-out is the best-scored pending partition (corpus
-   novelty, QCE load, prefix depth — see :mod:`repro.sched`).  When
+   novelty, prefix depth, pid — see :mod:`repro.sched`).  When
    everything is dispatched while some workers are still busy, the
-   coordinator sends steal requests — victim choice routes through the
-   same scheduler — and re-queues whatever frontier the busy workers
-   export.  The split fan-out itself adapts: with a persistent store,
-   ``partition_factor=None`` scales the target frontier by the worker
-   imbalance previous runs recorded.
+   coordinator sends steal requests to the worker running the
+   best-scored partition and re-queues whatever frontier the busy
+   workers export.
 3. **Merge** — per-partition results stream in (tests, coverage, path
    counts, cumulative stats snapshots); the coordinator folds everything
    into one ledger: one ``(name, Stats)`` entry per participant, merged
@@ -64,8 +62,7 @@ from ..engine.executor import Engine, EngineConfig
 from ..engine.testgen import TestSuite
 from ..env.argv import ArgvSpec
 from ..programs.registry import get_program
-from ..qce.qce import analyze_module
-from ..sched import PartitionScheduler, adaptive_partition_factor
+from ..sched import PartitionScheduler
 from ..stats import ADDITIVE_FIELDS, Stats
 from .partition import Partition
 from .state import CHECKPOINT, FENCE, SEND_TASK, CampaignState
@@ -76,6 +73,9 @@ from .worker import make_worker_engine, run_partition
 # Give up splitting after this many blocks even if the frontier is
 # small — skinny trees fork rarely and may never reach the target.
 SPLIT_MAX_STEPS = 512
+# Split until the frontier holds workers * PARTITION_FACTOR states: more
+# partitions than workers smooths the initial imbalance.
+PARTITION_FACTOR = 4
 
 
 class ConfigError(ValueError):
@@ -108,14 +108,8 @@ class ParallelConfig:
     """Knobs for one parallel exploration."""
 
     workers: int = 2
-    # Split until the frontier holds workers * partition_factor states
-    # (more partitions than workers smooths the initial imbalance).
-    # None = adaptive: the factor is derived from the worker imbalance
-    # recorded by previous runs in the persistent store (base 4 without
-    # one) — see repro.sched.adaptive_partition_factor.
-    partition_factor: int | None = None
     # Dispatch policy: 'corpus' ranks pending partitions by corpus
-    # novelty / QCE load / prefix depth (repro.sched.PartitionScheduler);
+    # novelty / prefix depth (repro.sched.PartitionScheduler);
     # 'fifo' preserves split order (the ablation baseline).
     dispatch: str = "corpus"
     # Where the fleet's connections come from — the framed, lease-tracked
@@ -170,8 +164,6 @@ class ParallelConfig:
             raise ConfigError(f"unknown dispatch policy {self.dispatch!r}")
         if self.backend not in ("inline", "process", "socket"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.partition_factor is not None and self.partition_factor < 1:
-            raise ConfigError("partition_factor must be >= 1 (or None = adaptive)")
         if self.poll_timeout <= 0 or self.join_timeout <= 0:
             raise ConfigError("poll_timeout and join_timeout must be > 0")
         if self.heartbeat_interval <= 0:
@@ -215,14 +207,10 @@ class ParallelResult:
     # Sum of the per-partition path deltas streamed in MSG_DONE messages;
     # cross-checked against the final stats ledger in check_ledger().
     streamed_paths: int = 0
-    # Scheduling telemetry: the split fan-out actually used (relevant when
-    # ParallelConfig.partition_factor is None/adaptive), the observed
-    # worker imbalance (max/mean of per-worker completed paths; 1.0 =
-    # perfectly level — also mirrored into stats.sched_imbalance and the
-    # store's run row, where the next adaptive split reads it), and the
+    # Scheduling telemetry: the observed worker imbalance (max/mean of
+    # per-worker completed paths; 1.0 = perfectly level) and the
     # per-partition completion log [(pid, origin, paths, new_coverage)]
     # in completion order — what the `sched` ablation figure replays.
-    partition_factor: int = 0
     imbalance: float = 1.0
     partition_results: list = field(default_factory=list)
     # Fault-tolerance telemetry: the requeue event log — one named dict
@@ -400,20 +388,11 @@ class Coordinator:
             # accepted, only the final commit is left to redo.
             return self._assemble(engine, start)
 
-        # One scheduler scores every dispatch decision of this run: split
-        # partitions, stolen/requeued partitions, and steal-victim
-        # choice.  Its signals come from the same sources the search
-        # strategies use — the store's corpus-coverage index and the QCE
-        # Qt export.  The Qt supplier is lazy: only victim selection
-        # reads the load signal, so runs that never steal never run the
-        # QCE analysis.
-        state.sched = PartitionScheduler(
-            engine.corpus_covered,
-            qt_table=lambda: (
-                engine.qce or analyze_module(module, self.config.qce_params)
-            ).qt_table(),
-            policy=par.dispatch,
-        )
+        # One scheduler's score ranks every partition decision of this
+        # run: split partitions, stolen/requeued partitions, and
+        # steal-victim choice.  Its corpus signal is the store's
+        # coverage index, the one the search strategies read.
+        state.sched = PartitionScheduler(engine.corpus_covered, policy=par.dispatch)
         for part in partitions:
             state.push(part)
         if not resumed:
@@ -448,11 +427,6 @@ class Coordinator:
         the split phase's contribution, export the frontier."""
         par, state = self.parallel, self.state
         engine.seed_states([engine.make_initial_state()])
-        state.rec.factor = (
-            par.partition_factor
-            if par.partition_factor is not None
-            else adaptive_partition_factor(engine.store, self.program)
-        )
         if par.workers == 1:
             # Sequential mode: the same loop, no split interrupt, no
             # fleet (whatever a tripped budget leaves behind stays
@@ -460,7 +434,7 @@ class Coordinator:
             engine.explore()
             frontier = []
         else:
-            target = par.workers * state.rec.factor
+            target = par.workers * PARTITION_FACTOR
             engine.explore(
                 interrupt=lambda eng: len(eng.worklist) >= target
                 or eng.stats.blocks_executed >= SPLIT_MAX_STEPS
@@ -537,11 +511,6 @@ class Coordinator:
         ledger = [rec.split_entry, *rec.worker_entries]
         tests = TestSuite(self.spec, cases=rec.split_tests + rec.tests)
         merged_stats = Stats.merged(stats for _, stats in ledger)
-        # Observed imbalance: how unevenly the completed-path work landed
-        # across workers.  Recorded with the run (its snapshot goes into
-        # the store) so the next adaptive split can level against it.
-        imbalance = _worker_imbalance(rec.worker_entries)
-        merged_stats.sched_imbalance = max(merged_stats.sched_imbalance, imbalance)
         payloads = list(store_payloads or [])
         if self._resumed_epoch is not None:
             # The split engine's buffered inserts, in place of the tier
@@ -557,7 +526,6 @@ class Coordinator:
             stats=merged_stats,
             tests=tests,
             payloads=payloads,
-            workers=self.parallel.workers,
             in_transaction=ckpt and (lambda store: store.delete_campaign(ckpt.campaign)),
             coverage_of=None if self._arrivals is None else self._arrivals.coverage,
         )
@@ -574,8 +542,7 @@ class Coordinator:
             steals=rec.steals,
             wall_time=time.perf_counter() - start,
             streamed_paths=rec.streamed_paths,
-            partition_factor=rec.factor,
-            imbalance=imbalance,
+            imbalance=_worker_imbalance(rec.worker_entries),
             partition_results=list(rec.partition_results),
             requeues=list(rec.requeue_log),
             workers_lost=rec.workers_lost,
@@ -715,8 +682,7 @@ def _worker_imbalance(worker_entries: list[tuple[str, Stats]]) -> float:
     """Max/mean of per-worker completed paths (1.0 = perfectly level).
 
     Path counts rather than CPU seconds: they are deterministic (the
-    inline backend and tests can pin them) and survive the store's JSON
-    snapshot unchanged.  Runs with fewer than two workers — or where no
+    inline backend and tests can pin them).  Runs with fewer than two workers — or where no
     worker completed a path — report 1.0, the neutral value.
     """
     counts = [stats.paths_completed for _, stats in worker_entries]

@@ -470,19 +470,6 @@ class QceAnalysis:
     def qadd_map(self, func: str, block: str) -> dict[str, float]:
         return self.functions[func].qadd.get(block, {})
 
-    def qt_table(self) -> dict[tuple[str, str], float]:
-        """Flat Qt export keyed by (function, block).
-
-        The scheduler's query-load signal (:mod:`repro.sched`): Qt at a
-        location estimates the solver work remaining below it, which the
-        partition dispatcher uses to run the heaviest subtrees first.
-        """
-        return {
-            (fname, label): qt
-            for fname, result in self.functions.items()
-            for label, qt in result.qt.items()
-        }
-
     def hot_variables(self, func: str, block: str, qt_global: float) -> frozenset[str]:
         """H(l) = {v | Qadd(l, v) > alpha * Qt(l)} (paper Eq. 2).
 

@@ -223,11 +223,15 @@ def remote_worker_main(host: str, port: int, heartbeat_interval: float = 0.5,
               f"{host}:{port}", file=sys.stderr)
 
 
-def _spawned_worker(host: str, port: int, heartbeat_interval: float) -> None:
-    """Entry point for coordinator-spawned loopback workers."""
-    raise SystemExit(
-        remote_worker_main(host, port, heartbeat_interval, retries=25)
-    )
+def _spawned_worker(listener: socket.socket, heartbeat_interval: float) -> None:
+    """Entry point of a coordinator-spawned loopback worker.  The
+    coordinator's ``listener`` was copied into this process by the fork;
+    it is closed first, or a dead coordinator's port would keep
+    accepting dials that nobody answers.  It was bound before the fork,
+    so one dial reaches it; one session, and a hangup ends the process."""
+    host, port = listener.getsockname()[:2]
+    listener.close()
+    raise SystemExit(remote_worker_main(host, port, heartbeat_interval))
 
 
 def serve_inherited(sock: socket.socket, inherited: list,

@@ -231,7 +231,7 @@ class SocketTransport:
 
             for _ in range(self.workers):
                 self._spawn(_spawned_worker,
-                            (*self.address, self.heartbeat_interval))
+                            (self._server, self.heartbeat_interval))
         deadline = time.monotonic() + self.accept_timeout
         while len(self._endpoints) < self.workers:
             remaining = deadline - time.monotonic()

@@ -9,10 +9,7 @@ Every "what runs next" decision in the system goes through this package:
 * **parallel dispatch** — the coordinator's task queue is a
   :class:`PartitionScheduler` priority queue scored by the same signal
   model over :class:`~repro.parallel.partition.Partition` metadata, and
-  work-stealing victim selection routes through it;
-* **adaptive splitting** — :func:`adaptive_partition_factor` picks the
-  split fan-out from the worker imbalance observed by previous runs
-  (recorded in the persistent store's run metadata).
+  work-stealing victim selection ranks by that one score.
 
 The model: a :class:`Signal` maps a work item (a live
 :class:`~repro.engine.state.SymState` or a partition's metadata) to a
@@ -25,10 +22,13 @@ available today:
 * global coverage frontier (is the item's block uncovered *this run*?);
 * stored corpus evidence (does any stored test cover the block? —
   :meth:`repro.store.db.ReproStore.covered_blocks`, indexed);
-* pick counts and CFG-topological order.
+* pick counts and CFG-topological order;
+* for partitions, prefix depth and the partition id —
+  :func:`partition_score` (corpus novelty, prefix depth, pid) is the
+  one key every dispatch and steal decision ranks by.
 
-Scheduling invariants (enforced by ``tests/test_sched.py`` and the
-``sched`` ablation figure):
+Scheduling invariants (enforced by ``tests/test_sched.py`` and, for
+corpus-guided dispatch, ``tests/test_figure_laws.py``):
 
 * **neutrality in plain mode** — scheduling changes the *order* paths
   are explored, never the path space: 1-worker and N-worker plain-mode
@@ -49,11 +49,7 @@ from .prioritizer import (
     Signal,
     TopologicalSignal,
 )
-from .partition_sched import (
-    PartitionScheduler,
-    adaptive_partition_factor,
-    partition_score,
-)
+from .partition_sched import PartitionScheduler, partition_score
 
 __all__ = [
     "CorpusNoveltySignal",
@@ -63,6 +59,5 @@ __all__ = [
     "Prioritizer",
     "Signal",
     "TopologicalSignal",
-    "adaptive_partition_factor",
     "partition_score",
 ]

@@ -108,16 +108,6 @@ class PickCountSignal(Signal):
         return self.counts[(frame.func, frame.block)]
 
 
-def _qt_bucket(qt: float) -> int:
-    """Log2 bucket of a Qt estimate (0 for <=1 expected queries)."""
-    bucket = 0
-    value = qt
-    while value > 1.0 and bucket < 62:
-        value /= 2.0
-        bucket += 1
-    return bucket
-
-
 class TopologicalSignal(Signal):
     """Static state merging's order: the full CFG-topological key."""
 

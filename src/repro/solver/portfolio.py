@@ -353,20 +353,6 @@ class SolverChain:
         self.stats.clauses_forgotten += sat.stats_forgotten
         self.stats.cost_units += sat.stats_decisions + sat.stats_conflicts
 
-    # -- convenience API used by the engine ------------------------------------
-
-    def get_model(self, constraints) -> dict[str, int] | None:
-        result = self.check(constraints)
-        return result.model if result.is_sat else None
-
-    def must_be_true(self, path_condition, expr: Expr) -> bool:
-        """True iff ``expr`` holds on every solution of the path condition."""
-        return not self.check(list(path_condition) + [ops.not_(expr)]).is_sat
-
-    def may_be_true(self, path_condition, expr: Expr) -> bool:
-        """True iff some solution of the path condition satisfies ``expr``."""
-        return self.check(list(path_condition) + [expr]).is_sat
-
 
 # Cumulative CDCL counter -> the Stats field its per-probe delta feeds.
 _PROBE_COUNTERS = (

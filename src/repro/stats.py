@@ -80,12 +80,9 @@ class Stats:
     warm_models_seeded: int = 0
     warm_cores_seeded: int = 0
     # Scheduler subsystem (repro.sched): heap picks served by prioritized
-    # strategies, lazy rescores the heap absorbed, and — on parallel runs
-    # — the observed worker imbalance (max/mean of per-worker path work;
-    # 1.0 = perfectly level; feeds next run's adaptive partition_factor).
+    # strategies and lazy rescores the heap absorbed.
     sched_picks: int = 0
     sched_rescores: int = 0
-    sched_imbalance: float = 0.0
 
     # -- the solver chain ------------------------------------------------------
     # Accounting invariant: queries == sat_answers + unsat_answers + timeouts.
@@ -149,7 +146,7 @@ class Stats:
     branch_elisions: int = 0
 
     # The fields that do not merge by addition (module docstring).
-    _MAX_FIELDS = ("max_multiplicity", "max_worklist", "sched_imbalance")
+    _MAX_FIELDS = ("max_multiplicity", "max_worklist")
     _OR_FIELDS = ("timed_out",)
 
     @property

@@ -85,14 +85,7 @@ CREATE TABLE IF NOT EXISTS runs (
     spec TEXT NOT NULL,
     mode TEXT,
     started REAL NOT NULL,
-    wall_time REAL,
-    queries INTEGER,
-    sat_solver_runs INTEGER,
-    store_hits INTEGER,
-    cost_units INTEGER,
-    paths INTEGER,
-    tests INTEGER,
-    stats_json TEXT
+    stats_json TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS tests (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -475,40 +468,14 @@ class ReproStore:
 
     # -- runs ------------------------------------------------------------------
 
-    def record_run(
-        self,
-        program: str,
-        spec: str,
-        mode: str,
-        wall_time: float,
-        queries: int,
-        sat_solver_runs: int,
-        store_hits: int,
-        cost_units: int,
-        paths: int,
-        tests: int,
-        stats: dict | None = None,
-    ) -> int:
+    def record_run(self, program: str, spec: str, mode: str, stats: dict) -> int:
+        """One run row: its mode and the snapshot of its merged counters."""
         if self.readonly:
             raise StoreError("read-only store cannot record runs")
         cur = self.conn.execute(
-            "INSERT INTO runs(program, spec, mode, started, wall_time, queries,"
-            " sat_solver_runs, store_hits, cost_units, paths, tests, stats_json)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                program,
-                spec,
-                mode,
-                time.time(),
-                wall_time,
-                queries,
-                sat_solver_runs,
-                store_hits,
-                cost_units,
-                paths,
-                tests,
-                json.dumps(stats) if stats is not None else None,
-            ),
+            "INSERT INTO runs(program, spec, mode, started, stats_json)"
+            " VALUES (?, ?, ?, ?, ?)",
+            (program, spec, mode, time.time(), json.dumps(stats)),
         )
         self._commit()
         return cur.lastrowid
@@ -682,32 +649,6 @@ class ReproStore:
             (program,),
         ).fetchall()
         return {(func, block) for func, block in rows}
-
-    def last_parallel_imbalance(self, program: str) -> float | None:
-        """Worker imbalance recorded by the most recent parallel run.
-
-        Reads the ``sched_imbalance`` field out of the newest run row
-        whose mode string marks a multi-worker run; the adaptive
-        ``partition_factor`` policy (:func:`repro.sched
-        .adaptive_partition_factor`) scales the next split with it.
-        """
-        # workers=1 runs are the sequential special case and always
-        # record the neutral 1.0 — they carry no balance signal and must
-        # not mask a real multi-worker observation.
-        rows = self.conn.execute(
-            "SELECT stats_json FROM runs WHERE program = ?"
-            " AND mode LIKE '%workers=%' AND mode NOT LIKE '%workers=1'"
-            " AND stats_json IS NOT NULL ORDER BY id DESC LIMIT 5",
-            (program,),
-        ).fetchall()
-        for (stats_json,) in rows:
-            try:
-                value = json.loads(stats_json).get("sched_imbalance")
-            except ValueError:
-                continue
-            if value:
-                return float(value)
-        return None
 
     def test_count(self, program: str | None = None) -> int:
         if program is None:

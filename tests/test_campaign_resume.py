@@ -433,27 +433,58 @@ def test_worker_connect_exhausts_retry_budget():
 # -- end-to-end: a real SIGKILL through the CLI ----------------------------------
 
 
+def _processes_with_arg(arg: str) -> list[int]:
+    """Pids of live processes whose command line holds ``arg`` (Linux)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                argv = f.read().split(b"\0")
+        except OSError:
+            continue  # exited meanwhile, or not ours to read
+        if arg.encode() in argv:
+            pids.append(int(entry))
+    return pids
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL semantics")
 def test_cli_sigkill_then_resume(tmp_path, wc_sequential):
     """The whole stack: `python -m repro.remote campaign` SIGKILLs itself
     (hidden --chaos-kill knob) after the first accepted completion; the
-    campaign is then resumed and must match the undisturbed baseline."""
+    campaign is then resumed and must match the undisturbed baseline.
+    The coordinator's forked workers must not outlive it."""
     store_path = tmp_path / "s.sqlite"
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    # Orphaned workers outlive the SIGKILLed coordinator by design (they
-    # re-dial with backoff); stream output to files, not pipes, so the
-    # wait ends with the coordinator instead of with the last orphan.
+    # Unique per run: forked workers keep the coordinator's command
+    # line, so the id is how the orphan check below finds them.
+    campaign = f"ckill-{os.getpid()}-{time.monotonic_ns()}"
+    # The workers hang up when the coordinator dies, each at its next
+    # frame; stream output to files, not pipes, so the wait ends with the
+    # coordinator instead of with the last worker.
     log_path = tmp_path / "campaign.log"
     with open(log_path, "wb") as log:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.remote", "campaign", "wc",
              "--workers", "2", "--store", str(store_path),
-             "--campaign-id", "ckill", "--chaos-kill", "done:1"],
+             "--campaign-id", campaign, "--chaos-kill", "done:1"],
             env=env, stdout=log, stderr=subprocess.STDOUT,
         )
         returncode = proc.wait(timeout=300)
+    killed_at = time.monotonic()
     assert returncode == -signal.SIGKILL, log_path.read_text(errors="replace")
-    result = resume_campaign(store_path, "ckill")
+    result = resume_campaign(store_path, campaign)
     result.check_ledger()
     same_exploration(wc_sequential, result, "resume after a SIGKILL")
     assert result.restored_partitions >= 1
+    if not os.path.isdir("/proc"):
+        return
+    while (orphans := _processes_with_arg(campaign)) and time.monotonic() < killed_at + 30:
+        time.sleep(0.2)
+    for pid in orphans:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    assert not orphans, f"workers {orphans} outlived their coordinator by 30 s"

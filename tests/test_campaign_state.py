@@ -42,7 +42,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, Phase, Verbosity, settings
+from hypothesis import HealthCheck, Phase, Verbosity, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -643,6 +643,14 @@ def _requeue_counts_lost_on_resume(monkeypatch):
     monkeypatch.setattr(CampaignState, "from_record", classmethod(mutant))
 
 
+# A fixed search seed: derandomize alone would digest the machine's
+# source, so any edit to the harness would swap the examples each mutant
+# is tried on.  Every mutant above fails under this seed.
+@seed(0)
+def _seeded_campaign():
+    return Campaign()
+
+
 @pytest.mark.parametrize("mutate", [
     _residual_fold_skipped,
     _fenced_done_accepted,
@@ -654,7 +662,7 @@ def test_the_law_catches_a_broken_state_machine(mutate, monkeypatch):
     mutate(monkeypatch)
     with pytest.raises(AssertionError):
         # First failure wins: no shrinking, no second bug hunt.
-        run_state_machine_as_test(Campaign, settings=settings(
+        run_state_machine_as_test(_seeded_campaign, settings=settings(
             max_examples=500, stateful_step_count=40, deadline=None,
             derandomize=True, database=None, verbosity=Verbosity.quiet,
             phases=[Phase.generate], report_multiple_bugs=False,

@@ -110,6 +110,6 @@ def test_full_never_merges_more_than_eq1():
     eq1_stats = eq1.run()
     eq7 = Engine(info.compile(), spec,
                  EngineConfig(merging="static", similarity="qce-full",
-                              strategy="topological", generate_tests=False, zeta=4.0))
+                              strategy="topological", generate_tests=False))
     eq7_stats = eq7.run()
     assert eq7_stats.merges <= eq1_stats.merges

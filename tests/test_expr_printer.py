@@ -1,7 +1,7 @@
-"""Printers: infix rendering and SMT-LIB output."""
+"""The infix printer."""
 
 from repro.expr import ops
-from repro.expr.printer import to_smtlib, to_smtlib_script, to_str
+from repro.expr.printer import to_str
 
 X = ops.bv_var("px", 8)
 
@@ -26,20 +26,3 @@ def test_to_str_depth_elision():
 def test_to_str_signed_constant_display():
     assert to_str(ops.bv(255, 8)) == "-1"
     assert to_str(ops.bv(100, 8)) == "100"
-
-
-def test_smtlib_terms():
-    e = ops.add(X, ops.bv(1, 8))
-    assert to_smtlib(e) == "(bvadd px (_ bv1 8))"
-    assert to_smtlib(ops.TRUE) == "true"
-    assert to_smtlib(ops.zext(X, 16)) == "((_ zero_extend 8) px)"
-    assert to_smtlib(ops.extract(X, 3, 0)) == "((_ extract 3 0) px)"
-
-
-def test_smtlib_script_declares_all_vars():
-    c = ops.ult(X, ops.bv_var("py", 8))
-    script = to_smtlib_script([c])
-    assert "(set-logic QF_BV)" in script
-    assert "(declare-const px (_ BitVec 8))" in script
-    assert "(declare-const py (_ BitVec 8))" in script
-    assert "(check-sat)" in script

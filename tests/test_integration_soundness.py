@@ -90,9 +90,9 @@ def test_symbolic_output_matches_replay(program, merging, similarity, strategy):
     engine.run()
     checked = 0
     for state in engine.terminal_states:
-        solver_model = engine.solver.get_model(list(state.pc))
-        assert solver_model is not None, "terminal pc must be satisfiable"
-        model = complete_model(solver_model, spec.input_variables())
+        result = engine.solver.check(list(state.pc))
+        assert result.is_sat, "terminal pc must be satisfiable"
+        model = complete_model(result.model, spec.input_variables())
         argv = spec.decode(model)
         replay = run_concrete(module, argv)
         symbolic_output = bytes(evaluate(b, model) & 0xFF for b in state.output)

@@ -285,7 +285,7 @@ def _scripted_coordinator(workers, **kw):
     coord = make_coordinator(
         workers=workers, poll_timeout=0.01, join_timeout=5.0, **kw
     )
-    coord.state.sched = PartitionScheduler(set(), qt_table=lambda: {}, policy="fifo")
+    coord.state.sched = PartitionScheduler(set(), policy="fifo")
     return coord
 
 

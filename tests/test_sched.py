@@ -9,14 +9,15 @@ Covers the four layers the subsystem owns:
   match the documented ranking, and DSM's hash bookkeeping survives
   work-stealing frontier exports without going negative;
 * partition dispatch — corpus-novel roots first, FIFO degradation
-  without evidence, scheduler-routed victim choice, adaptive
-  ``partition_factor`` from recorded imbalance;
+  without evidence, victim choice by the dispatch score, a constant
+  split fan-out;
 * the store's (program, covered-block) index and the GC command it
   rides with.
 """
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.env.runner import run_symbolic
 from repro.experiments.harness import same_exploration
 from repro.lang import compile_program
 from repro.parallel import Coordinator, ParallelConfig, run_parallel
+from repro.parallel.coordinator import PARTITION_FACTOR
 from repro.parallel.partition import Partition
 from repro.programs.registry import get_program
 from repro.sched import (
@@ -35,7 +37,6 @@ from repro.sched import (
     PickCountSignal,
     Prioritizer,
     TopologicalSignal,
-    adaptive_partition_factor,
 )
 from repro.search.dsm import DsmStrategy
 from repro.search.strategies import (
@@ -44,6 +45,7 @@ from repro.search.strategies import (
     TopologicalStrategy,
     topological_key,
 )
+from repro.stats import Stats
 from test_search_dsm_incremental import check_forwarding_invariants
 
 MAIN = "int main(int argc, char argv[][]) { %s }"
@@ -459,51 +461,36 @@ def test_pick_victim_prefers_best_scored_running_partition():
     assert sched.pick_victim(running) == 1
 
 
-def test_pick_victim_load_breaks_novelty_ties():
-    """The QCE load signal steers victim choice (never dispatch order):
-    among equally-novel running partitions, steal from the heaviest."""
-    qt = {("main", "entry0"): 100.0, ("main", "then1"): 1.0}
-    sched = PartitionScheduler(frozenset({("f", "g")}), qt_table=qt, policy="corpus")
+def test_pick_victim_depth_breaks_novelty_ties():
+    """Victim rank is the dispatch score: among equally-novel running
+    partitions, steal from the shallowest prefix."""
+    sched = PartitionScheduler(frozenset({("f", "g")}), policy="corpus")
     running = {
-        0: fake_partition(0, block="then1", prefix_len=3),
+        0: fake_partition(0, block="then1", prefix_len=7),
         1: fake_partition(1, block="entry0", prefix_len=3),
+        2: fake_partition(2, block="else2", prefix_len=5),
     }
     assert sched.pick_victim(running) == 1
-    # ...while the dispatch score ignores load entirely (FIFO-aligned).
-    assert sched.score(running[0]) < sched.score(running[1])
+    assert sched.pick_victim(running) == min(running, key=lambda w: sched.score(running[w]))
 
 
-def test_pick_victim_single_candidate_never_resolves_qt():
-    """One eligible victim (always, at two workers) is returned unscored:
-    ranking it would run the QCE analysis behind the lazy Qt supplier."""
-    def supplier():
-        raise AssertionError("Qt table resolved to rank a single candidate")
-
-    sched = PartitionScheduler(frozenset({("f", "g")}), qt_table=supplier, policy="corpus")
-    assert sched.pick_victim({3: fake_partition(0, block="then1", prefix_len=3)}) == 3
-    with pytest.raises(ValueError):
-        sched.pick_victim({})
-    # Two candidates are ranked exactly as before, load signal included.
-    with pytest.raises(AssertionError, match="Qt table resolved"):
-        sched.pick_victim({
-            0: fake_partition(0, block="then1", prefix_len=3),
-            1: fake_partition(1, block="entry0", prefix_len=3),
-        })
-
-
-def test_pick_victim_scores_two_or_more_candidates_by_victim_score():
-    qt = {("main", "entry0"): 100.0, ("main", "then1"): 1.0, ("main", "else2"): 30.0}
-    sched = PartitionScheduler(frozenset({("main", "else2")}), qt_table=qt, policy="corpus")
+def test_pick_victim_ranks_by_score_then_lowest_wid():
+    sched = PartitionScheduler(frozenset({("main", "else2")}), policy="corpus")
     running = {
         4: fake_partition(0, block="then1", prefix_len=3),
         2: fake_partition(1, block="entry0", prefix_len=9),
         7: fake_partition(2, block="else2", prefix_len=1),
     }
-    for size in (2, 3):
-        subset = dict(list(running.items())[:size])
-        expected = min(subset, key=lambda wid: (sched.victim_score(subset[wid]), wid))
-        assert sched.pick_victim(subset) == expected
-    assert sched.pick_victim(running) == 2  # novel and heaviest
+    assert sched.pick_victim(running) == 4  # novel, then shallowest
+    del running[4]
+    assert sched.pick_victim(running) == 2  # novel beats shallow
+    # Equal scores (a test-only pid clash) fall to the lowest worker id.
+    twin = {9: fake_partition(5, block="then1"), 3: fake_partition(5, block="then1")}
+    assert sched.pick_victim(twin) == 3
+    fifo = PartitionScheduler(frozenset(), policy="fifo")
+    assert fifo.pick_victim({5: fake_partition(8), 6: fake_partition(1)}) == 6
+    with pytest.raises(ValueError):
+        sched.pick_victim({})
 
 
 def test_paths_to_cover_empty_target_is_zero():
@@ -530,67 +517,28 @@ def test_stolen_partition_metadata_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Adaptive partition_factor + imbalance surfacing
+# Split fan-out
 # ---------------------------------------------------------------------------
 
 
-def test_adaptive_factor_defaults_without_store():
-    assert adaptive_partition_factor(None, "wc") == 4
+def test_split_stops_at_a_constant_fan_out(monkeypatch):
+    """The split interrupts exploration once the frontier holds
+    ``workers * PARTITION_FACTOR`` states, whatever the store recorded."""
+    interrupts = []
+    explore = Engine.explore
 
+    def spy(self, interrupt=None):
+        interrupts.append(interrupt)
+        return explore(self, interrupt)
 
-def test_imbalance_recorded_and_feeds_next_split(tmp_path):
-    store_path = str(tmp_path / "sched.sqlite")
-    par = run_parallel(
-        "wc", store_path=store_path,
-        parallel=ParallelConfig(workers=2, backend="inline"),
-    )
-    par.check_ledger()
-    assert par.imbalance >= 1.0
-    assert par.stats.sched_imbalance == pytest.approx(par.imbalance)
-    assert par.partition_factor == 4  # first run: no recorded history
-
-    from repro.store import open_store
-
-    store = open_store(store_path, readonly=True)
-    recorded = store.last_parallel_imbalance("wc")
-    store.close()
-    assert recorded == pytest.approx(par.imbalance)
-
-    again = run_parallel(
-        "wc", store_path=store_path,
-        parallel=ParallelConfig(workers=2, backend="inline"),
-    )
-    expected = max(2, min(16, round(4 * par.imbalance)))
-    assert again.partition_factor == expected
-
-
-def test_sequential_runs_do_not_mask_recorded_imbalance(tmp_path):
-    """A later workers=1 run must not reset the adaptive-split signal."""
-    from repro.store import open_store
-
-    store_path = str(tmp_path / "mask.sqlite")
-    store = open_store(store_path)
-    for mode, imbalance in (("plain/never/dfs/workers=4", 3.0),
-                            ("plain/never/dfs/workers=1", 1.0)):
-        store.record_run("wc", "spec", mode=mode, wall_time=0.0, queries=0,
-                         sat_solver_runs=0, store_hits=0, cost_units=0,
-                         paths=0, tests=0, stats={"sched_imbalance": imbalance})
-    assert store.last_parallel_imbalance("wc") == pytest.approx(3.0)
-    # workers=11 is not workers=1: its signal still counts.
-    store.record_run("wc", "spec", mode="plain/never/dfs/workers=11",
-                     wall_time=0.0, queries=0, sat_solver_runs=0, store_hits=0,
-                     cost_units=0, paths=0, tests=0,
-                     stats={"sched_imbalance": 2.0})
-    assert store.last_parallel_imbalance("wc") == pytest.approx(2.0)
-    store.close()
-
-
-def test_explicit_factor_overrides_adaptive(tmp_path):
-    par = run_parallel(
-        "wc",
-        parallel=ParallelConfig(workers=2, backend="inline", partition_factor=2),
-    )
-    assert par.partition_factor == 2
+    monkeypatch.setattr(Engine, "explore", spy)
+    run_parallel("wc", parallel=ParallelConfig(workers=3, backend="inline"))
+    split = interrupts[0]  # the coordinator's split runs first
+    target = 3 * PARTITION_FACTOR
+    engine = SimpleNamespace(worklist=[None] * (target - 1), stats=Stats())
+    assert not split(engine)
+    engine.worklist.append(None)
+    assert split(engine)
 
 
 # ---------------------------------------------------------------------------

@@ -56,17 +56,18 @@ def test_cache_avoids_resolving():
 
 
 def test_must_and_may_helpers():
+    """``must`` is ``pc ∧ ¬e`` UNSAT, ``may`` is ``pc ∧ e`` SAT."""
     chain = SolverChain()
     pc = [ops.ult(X, ops.bv(10, 8))]
-    assert chain.must_be_true(pc, ops.ult(X, ops.bv(11, 8)))
-    assert not chain.must_be_true(pc, ops.ult(X, ops.bv(5, 8)))
-    assert chain.may_be_true(pc, ops.ult(X, ops.bv(5, 8)))
-    assert not chain.may_be_true(pc, ops.ult(ops.bv(10, 8), X))
+    assert not chain.check(pc + [ops.not_(ops.ult(X, ops.bv(11, 8)))]).is_sat
+    assert chain.check(pc + [ops.not_(ops.ult(X, ops.bv(5, 8)))]).is_sat
+    assert chain.check(pc + [ops.ult(X, ops.bv(5, 8))]).is_sat
+    assert not chain.check(pc + [ops.ult(ops.bv(10, 8), X)]).is_sat
 
 
 def test_get_model_unsat_returns_none():
     chain = SolverChain()
-    assert chain.get_model([ops.FALSE]) is None
+    assert chain.check([ops.FALSE]).model is None
 
 
 def test_complete_model_fills_zero():
@@ -195,9 +196,9 @@ def test_incremental_chain_matches_on_chain_unit_cases():
     assert result.is_sat
     assert result.model["px8"] == 1 and result.model["py8"] == 2
     pc = [ops.ult(X, ops.bv(10, 8))]
-    assert chain.must_be_true(pc, ops.ult(X, ops.bv(11, 8)))
-    assert chain.may_be_true(pc, ops.ult(X, ops.bv(5, 8)))
-    assert not chain.may_be_true(pc, ops.ult(ops.bv(10, 8), X))
+    assert not chain.check(pc + [ops.not_(ops.ult(X, ops.bv(11, 8)))]).is_sat
+    assert chain.check(pc + [ops.ult(X, ops.bv(5, 8))]).is_sat
+    assert not chain.check(pc + [ops.ult(ops.bv(10, 8), X)]).is_sat
 
 
 def test_branch_elision_rests_on_the_satisfiable_pc_invariant():

@@ -1,5 +1,7 @@
 """repro.store: open/insert/lookup/reopen cycles, blobs, corpus, tier."""
 
+import json
+
 import pytest
 
 from repro.env.argv import ArgvSpec
@@ -158,13 +160,11 @@ def test_tier_canonicalizes_per_component_once(store, monkeypatch):
 
 
 def test_run_rows_and_counts(store):
-    run_id = store.record_run(
-        "echo", "spec", "plain", wall_time=0.1, queries=10, sat_solver_runs=2,
-        store_hits=0, cost_units=50, paths=18, tests=18, stats={"forks": 17},
-    )
+    run_id = store.record_run("echo", "spec", "plain", {"forks": 17, "wall_time": 0.1})
     assert run_id == 1
-    rows = store.run_rows("echo")
-    assert len(rows) == 1
+    ((rid, program, spec, mode, _started, stats_json),) = store.run_rows("echo")
+    assert (rid, program, spec, mode) == (1, "echo", "spec", "plain")
+    assert json.loads(stats_json) == {"forks": 17, "wall_time": 0.1}
     assert store.counts()["runs"] == 1
 
 

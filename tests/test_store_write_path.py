@@ -70,7 +70,7 @@ def test_index_equals_backfill_on_generated_commits(tmp_path_factory, commits, k
     tmp_path = tmp_path_factory.mktemp("law")
     with ReproStore(tmp_path / "s.sqlite") as store:
         for program, rows in commits:
-            run_id = store.record_run(program, "s", "m", 0.0, 0, 0, 0, 0, 0, 0)
+            run_id = store.record_run(program, "s", "m", {})
             store.put_tests(
                 program, "s",
                 [(kind, pid, line, (b"a",), (), b"", 1, cov)
