@@ -1,10 +1,11 @@
 """Warm-start exploration against a persistent store (repro.store).
 
 Runs a corpus program twice against the same store file.  The first (cold)
-run populates the canonicalized constraint cache, the UNSAT cores, and the
-test corpus; the second (warm) run answers most solver queries from the
-store and from corpus-seeded cache tiers — fewer full bit-blasts, same
-tests, same coverage.
+run populates the constraint cache (verdicts filed under each group's
+named key, ``repro.expr.canon.named_key``), the UNSAT cores, and the test
+corpus; the second (warm) run, asking the same queries over the same
+names, answers most of them from the store and from corpus-seeded cache
+tiers — fewer full bit-blasts, same tests, same coverage.
 
 The presolve tier is disabled for both runs: it would answer nearly every
 bottom-tier query on these small programs itself, hiding exactly the

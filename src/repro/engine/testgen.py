@@ -52,7 +52,7 @@ class TestCase:
     line: int | None = None
     multiplicity: int = 1
     stdin: bytes = b""
-    # α-canonical key of the path condition that produced this test (see
+    # Named key of the path condition that produced this test (see
     # repro.expr.canon): a stable cross-process path-prefix identity, used
     # by the persistent test corpus to deduplicate across runs.
     path_id: str = ""

@@ -8,7 +8,7 @@ decided.
 
 Two cuts, two callers.  :func:`split_independent` partitions a whole set:
 ``SolverChain.check`` decides it group by group, test generation and the
-store's canonical keys work per group.  :func:`relevant_constraints`
+store's constraint rows work per group.  :func:`relevant_constraints`
 keeps the one group a query belongs to: ``SolverChain.check_branch`` and
 ``check_sliced`` (:mod:`repro.solver.portfolio`) — every feasibility
 query the engine makes — send the solver that slice and nothing else,

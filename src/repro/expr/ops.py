@@ -393,7 +393,7 @@ def eq(a: Expr, b: Expr) -> Expr:
     # Canonical operand order, constants last (like add/mul): comparing
     # eids of a fresh node and a long-interned constant would make the
     # structure depend on interning history, which must not leak into
-    # α-canonical keys (repro.expr.canon).
+    # cross-process keys (repro.expr.canon).
     if a.is_const() or (not b.is_const() and _later(a, b)):
         a, b = b, a
     return Expr._make(N.EQ, BOOL, (a, b))

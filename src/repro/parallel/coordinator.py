@@ -71,7 +71,10 @@ from .worker import make_worker_engine, run_partition
 
 
 # Give up splitting after this many blocks even if the frontier is
-# small — skinny trees fork rarely and may never reach the target.
+# small — skinny trees fork rarely and may never reach the target.  On
+# the corpus this cap is what usually ends a plain (DFS) split: wc and
+# uniq stop at 5 states, tsort at 6 (default spec), short of the 8 or 12
+# that PARTITION_FACTOR asks for with 2 or 3 workers.
 SPLIT_MAX_STEPS = 512
 # Split until the frontier holds workers * PARTITION_FACTOR states: more
 # partitions than workers smooths the initial imbalance.

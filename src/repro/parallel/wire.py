@@ -53,7 +53,7 @@ Worker -> coordinator (result channel):
         deadline, never reaches the event loop).
     (MSG_STATS, worker_id, stats, store_payload)
         — final, pre-exit; ``store_payload`` is the worker's buffered
-          persistent-store inserts (canonical constraint rows + UNSAT
+          persistent-store inserts (named-key constraint rows + UNSAT
           cores) or None.  Workers open the store read-only: the
           split engine's commit applies these payloads.
           (The stats are informational: a worker's ledger entry is the

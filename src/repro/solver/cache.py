@@ -1,6 +1,6 @@
 """Query caching in the style of KLEE's counterexample cache.
 
-Constraint sets are canonicalized to frozensets of interned-expression ids.
+Constraint sets are keyed by frozensets of interned-expression ids.
 Three lookup tiers:
 
 * **exact** — same constraint set seen before (SAT model or UNSAT verdict);
@@ -29,7 +29,7 @@ from ..expr.nodes import Expr
 
 
 class QueryCache:
-    """Bounded cache of solver verdicts keyed by canonical constraint sets."""
+    """Bounded cache of solver verdicts keyed by constraint sets."""
 
     def __init__(self, max_entries: int = 8192, max_models: int = 64, max_unsat_sets: int = 256):
         self._exact: OrderedDict[frozenset[int], tuple[bool, dict[str, int] | None]] = (

@@ -284,7 +284,7 @@ class SolverChain:
             return early
         # The bottom of the chain: what is left costs a SAT solve, which is
         # what a stored verdict is worth.  Everything above decides a group
-        # for less than the store's canonical key costs to compute.
+        # for less than the store's key and SQL lookup cost.
         if self.persistent is not None:
             hit = self.persistent.lookup(group)
             if hit is not None:
@@ -470,7 +470,7 @@ class IncrementalChain(SolverChain):
         and as a *smaller* set it subsumes strictly more future queries
         through the subset-UNSAT cache tier — in this process via the
         :class:`QueryCache`, across runs via the persistent store (both
-        the canonical cache row and a decodable core blob for warm-start
+        the constraint cache row and a decodable core blob for warm-start
         seeding).
         """
         core_lits = blaster.sat.last_core

@@ -32,7 +32,7 @@ The module also hosts the **solver-boundary structural simplifier**
 (:func:`simplify_group`): union-find style equality/constant propagation
 substitutes defined variables into the remaining constraints before
 bit-blasting, with a process-wide memo.  Rewriting stays strictly at the
-solver boundary — caches, stores, ``path_id``s and canonical keys all see
+solver boundary — caches, stores, ``path_id``s and named keys all see
 the original constraint set — and is model-preserving because every binding
 is re-emitted as a defining equality.
 """

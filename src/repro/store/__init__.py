@@ -5,10 +5,10 @@ and generated tests died with the process.  This subsystem makes solver
 knowledge *durable*.  One SQLite file (plus content-addressed blobs in
 it) holds three kinds of cross-run state:
 
-1. **canonicalized constraint cache** — α-canonical keys
-   (:mod:`repro.expr.canon`) → SAT/UNSAT + model fragments, one row per
-   independence group the solver chain had to bit-blast; the chain asks
-   for a group at the bottom of its tiers only (a branch query goes
+1. **constraint cache** — named keys (:func:`repro.expr.canon.named_key`)
+   → SAT/UNSAT + the solve's model over the group's variables, one row
+   per independence group the solver chain had to bit-blast; the chain
+   asks for a group at the bottom of its tiers only (a branch query goes
    slice → cache → presolve → rewrite-fold → **store** → blast), where
    the alternative is a SAT solve, and records nothing but the verdict of
    that solve;
@@ -27,12 +27,11 @@ parallel coordinator; see also ROADMAP.md):
   writable (a partitioned run's split engine applies its own and its
   workers' buffered inserts).  Workers open read-only and ship inserts
   over the wire protocol.
-* **canonical-key soundness** — a cached answer is valid only because the
-  canonical key digests the *complete* renamed constraint set of every
-  independence component (the set's key is the sorted multiset of
-  component keys); partial keys would turn α-equivalence into wrong
-  verdicts.  SAT models are additionally verified by evaluation before
-  being trusted.
+* **key soundness** — equal named keys mean the same constraint
+  multiset (the key digests every conjunct's complete expression tree,
+  variable names included), so a stored verdict answers exactly the
+  query that was solved; a renamed query is a miss.  SAT models are
+  additionally verified by evaluation before being trusted.
 * **warm-start neutrality** — store hits and cache seedings may change
   *which tier* answers a query, never the verdict, so warm runs explore
   the same path space and emit the same (deterministically generated)

@@ -3,9 +3,9 @@
 One file holds four kinds of knowledge (see the package docstring for the
 subsystem overview and invariants):
 
-* ``constraint_cache`` — α-canonical constraint-set keys
-  (:mod:`repro.expr.canon`) mapped to SAT/UNSAT verdicts plus model
-  fragments in canonical variable names;
+* ``constraint_cache`` — constraint-set keys
+  (:func:`repro.expr.canon.named_key`) mapped to SAT/UNSAT verdicts plus
+  the solve's model over the set's own variables;
 * ``blobs`` — content-addressed payloads (SHA-256 of the bytes), used for
   serialized UNSAT-core expression DAGs and per-test coverage bitmaps, so
   identical payloads are stored once no matter how many rows point at them;
@@ -17,7 +17,11 @@ Every value column and blob is a :mod:`repro.codec` payload of the row
 kind's schema below, and the file records the codec's
 ``FORMAT_VERSION``: a store of another format (every pre-codec store is
 v1) is refused by name at open.  A row that does not
-decode is *rejected* — read as absent — never half-used.
+decode is *rejected* — read as absent — never half-used.  Rows written
+before constraint keys were named keys (α-canonical keys over renamed
+variables, same format version) stay in the file but can only read as
+misses: a named key matches one only through a SHA-256 collision, and
+even then their models, over ``c<r>.v<i>`` names, fail verification.
 
 Concurrency model: **one writer** (the sequential engine, or the parallel
 coordinator), any number of read-only connections (workers).  Readers
@@ -36,7 +40,7 @@ from pathlib import Path
 
 from .. import codec
 
-# Row kinds: a constraint row's model (canonical names), a test's argv, its
+# Row kinds: a constraint row's model, a test's argv, its
 # model, and the coverage blob it points at.
 MODEL = dict[str, int]
 ARGV = tuple[bytes, ...]
@@ -298,10 +302,10 @@ class ReproStore:
         return None if model is None else (bool(is_sat), model)
 
     def put_constraints(self, rows, run_id: int | None = None) -> int:
-        """Insert ``(key, is_sat, canonical_model | None)`` rows.
+        """Insert ``(key, is_sat, model | None)`` rows.
 
         First write wins (``INSERT OR IGNORE``): any two correct writers
-        agree on the verdict for a canonical key, so overwriting buys
+        agree on the verdict for a key, so overwriting buys
         nothing.  Returns the number of rows actually inserted.
         """
         if self.readonly:

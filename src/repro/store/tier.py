@@ -7,23 +7,21 @@ bit-blast for, and nothing else:
   consults :meth:`lookup` for an independence group only after the cache,
   presolve and the boundary rewrite have all failed to decide it, i.e.
   exactly where the next step is a SAT solve; the solve that follows a
-  miss is the only verdict :meth:`record` ever sees.  The group is
-  canonicalized (:func:`repro.expr.canon.canonicalize`, which remembers
-  component forms process-wide, so the tier keeps no memo of its own) and
-  looked up in the cross-run store.  Hits come back as ``(is_sat,
-  model)`` with the stored model fragment renamed into the query's own
+  miss is the only verdict :meth:`record` ever sees.  The group is keyed
+  by :func:`repro.expr.canon.named_key` (which remembers per-constraint
+  digests process-wide, so the tier keeps no memo of its own) and looked
+  up in the cross-run store.  Hits come back as ``(is_sat, model)``, the
+  stored model being the solve's model cut down to the group's own
   variables; SAT models are *verified* by evaluation before being
   trusted (a failed or absent model is a miss), UNSAT verdicts rest on
-  canonical-key soundness — the key digests the sorted multiset of
-  component keys, each of which digests its complete renamed component,
-  so equal keys mean α-equivalent sets.
+  key soundness — equal named keys mean the same constraint multiset.
 * **test generation's group misses** — :meth:`test_model` hands
   :func:`repro.engine.testgen.deterministic_model` the input the corpus
   holds under the very key the test about to be built would be
   deduplicated onto; the caller verifies it by evaluation too.
 
 Writes never happen inline.  Every tier buffers its inserts (deduplicated
-by canonical key) and the **single writer** —
+by key) and the **single writer** —
 :meth:`~repro.engine.executor.Engine.commit_to_store` of the one engine
 that opened the store writable, handed the buffers its workers shipped
 over the wire — applies them in one batch.  This keeps workers read-only
@@ -36,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import codec
-from ..expr.canon import canonicalize
+from ..expr.canon import named_key
 from ..expr.evaluate import EvalError, evaluate
 from ..expr.nodes import Expr
 from .db import ReproStore
@@ -50,7 +48,7 @@ class StorePayload:
     """A tier's buffered inserts, as a worker ships them to the writer."""
 
     program: str | None
-    # (canonical key, is_sat, canonical model | None)
+    # (named key, is_sat, model over the group's variables | None)
     constraints: list[tuple[str, bool, dict[str, int] | None]]
     # (core size, CORE blob)
     cores: list[tuple[int, bytes]]
@@ -71,7 +69,7 @@ class PersistentTier:
         # (None: no corpus lookups).
         self.spec = spec
         self.writable = store is not None and not store.readonly
-        # key -> (is_sat, canonical model | None); insertion-ordered so
+        # key -> (is_sat, model | None); insertion-ordered so
         # flushes are deterministic.
         self._pending: OrderedDict[str, tuple[bool, dict[str, int] | None]] = (
             OrderedDict()
@@ -94,16 +92,14 @@ class PersistentTier:
         """
         if self.store is None:
             return None
-        canon = canonicalize(flat)
-        hit = self.store.lookup_constraint(canon.key)
+        hit = self.store.lookup_constraint(named_key(flat))
         if hit is None:
             return None
-        is_sat, canonical_model = hit
+        is_sat, model = hit
         if not is_sat:
             return (False, None)
-        if canonical_model is None:
+        if model is None:
             return None  # nothing to verify: not an answer
-        model = canon.from_canonical(canonical_model)
         memo: dict[int, int] = {}
         try:
             if all(evaluate(c, model, memo) for c in flat):
@@ -133,13 +129,13 @@ class PersistentTier:
 
     def record(self, flat, is_sat: bool, model: dict[str, int] | None) -> bool:
         """Buffer a verdict for the flush; True if the key is new here."""
-        canon = canonicalize(flat)
-        if canon.key in self._pending:
+        key = named_key(flat)
+        if key in self._pending:
             return False
-        self._pending[canon.key] = (
-            is_sat,
-            canon.to_canonical(model) if model is not None else None,
-        )
+        if model is not None:
+            names = {name for c in flat for name in c.variables}
+            model = {k: v for k, v in model.items() if k in names}
+        self._pending[key] = (is_sat, model)
         return True
 
     def record_core(self, core) -> None:

@@ -20,7 +20,7 @@ def test_bounded_memo_forgets_its_oldest_entry():
 
 def test_clear_memos_reaches_every_process_wide_memo():
     shared = [testgen._GROUP_MEMO, presolve._REWRITE_MEMO, canon._named_cache,
-              canon._named_node_cache, canon._component_cache, codec._node_memo,
+              canon._named_node_cache, codec._node_memo,
               codec._record_memo, qce._ANALYSIS_CACHE]
     assert all(any(m is s for m in memo._PROCESS_WIDE) for s in shared)
     for m in shared:

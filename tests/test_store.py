@@ -6,10 +6,8 @@ import pytest
 
 from repro.env.argv import ArgvSpec
 from repro.env.runner import run_symbolic
-from repro.expr import canon as canon_module
 from repro.expr import ops
-from repro.expr.canon import canonicalize
-from repro.memo import clear_memos
+from repro.expr.canon import named_key
 from repro.solver.cache import QueryCache
 from repro.store import (
     PersistentTier,
@@ -41,19 +39,19 @@ C = ops.eq(Y, ops.bv(7, 8))
 
 
 def test_constraint_insert_lookup_reopen(store, tmp_path):
-    canon = canonicalize([A, B])
-    assert store.lookup_constraint(canon.key) is None
-    store.put_constraints([(canon.key, True, {"v0": 5})])
-    assert store.lookup_constraint(canon.key) == (True, {"v0": 5})
+    key = named_key([A, B])
+    assert store.lookup_constraint(key) is None
+    store.put_constraints([(key, True, {"st_x": 5})])
+    assert store.lookup_constraint(key) == (True, {"st_x": 5})
     store.close()
 
     reopened = ReproStore(tmp_path / "s.sqlite")
-    assert reopened.lookup_constraint(canon.key) == (True, {"v0": 5})
+    assert reopened.lookup_constraint(key) == (True, {"st_x": 5})
     reopened.close()
 
     # Read-only connections see the same data but refuse writes.
     ro = open_store(tmp_path / "s.sqlite", readonly=True)
-    assert ro.lookup_constraint(canon.key) == (True, {"v0": 5})
+    assert ro.lookup_constraint(key) == (True, {"st_x": 5})
     with pytest.raises(StoreError):
         ro.put_constraints([("k", False, None)])
     ro.close()
@@ -104,56 +102,27 @@ def test_tier_lookup_record_flush(store):
     tier = PersistentTier(store, program="prog")
     flat = [A, B]
     assert tier.lookup(flat) is None  # cold store
-    assert tier.record(flat, True, {"st_x": 5})
+    assert tier.record(flat, True, {"st_x": 5, "st_y": 7})
     assert not tier.record(flat, True, {"st_x": 5})  # deduped
     assert tier.lookup(flat) is None  # pending buffer is not consulted
     assert tier.flush() == 1
     hit = tier.lookup(flat)
     assert hit is not None and hit[0] is True
-    assert hit[1] == {"st_x": 5}  # model renamed back into our variables
-    # An α-renamed query hits the same row, model mapped to *its* names.
+    assert hit[1] == {"st_x": 5}  # cut down to the set's own variables
+    # A renamed query is another key: a miss, not a rejected hit.
     Z = ops.bv_var("st_z", 8)
     renamed = [ops.ult(Z, ops.bv(10, 8)), ops.ult(ops.bv(3, 8), Z)]
-    hit = tier.lookup(renamed)
-    assert hit is not None and hit[0] is True
-    assert hit[1] == {"st_z": 5}
+    assert tier.lookup(renamed) is None
+    assert tier.rejects == 0
 
 
 def test_tier_rejects_bad_model(store):
     # A corrupted row (model violating the constraints) must be treated as
     # a miss, not trusted: SAT hits are verified by evaluation.
-    canon = canonicalize([A, B])
-    store.put_constraints([(canon.key, True, {canon.rename["st_x"]: 200})])
+    store.put_constraints([(named_key([A, B]), True, {"st_x": 200})])
     tier = PersistentTier(store, program="prog")
     assert tier.lookup([A, B]) is None
     assert tier.rejects == 1
-
-
-def test_tier_canonicalizes_per_component_once(store, monkeypatch):
-    """lookup + record of one flat set canonicalize each independence
-    component once between them; a pc grown by one conjunct pays for that
-    conjunct's component alone."""
-    calls = []
-    real = canon_module._canonicalize_component
-
-    def counted(cons):
-        calls.append(sorted(cons, key=lambda c: c.eid))
-        return real(cons)
-
-    monkeypatch.setattr(canon_module, "_canonicalize_component", counted)
-    clear_memos()
-    by_eid = lambda *cons: sorted(cons, key=lambda c: c.eid)
-    tier = PersistentTier(store, program="prog")
-    flat = [A, C, B]  # components {A, B} over st_x and {C} over st_y
-    assert tier.lookup(flat) is None
-    assert tier.record(flat, True, {"st_x": 5, "st_y": 7})
-    assert sorted(calls, key=len) == [by_eid(C), by_eid(A, B)]
-
-    calls.clear()
-    grown = flat + [ops.ult(Y, ops.bv(9, 8))]
-    assert tier.lookup(grown) is None
-    assert tier.record(grown, True, {"st_x": 5, "st_y": 7})
-    assert calls == [by_eid(C, grown[-1])]
 
 
 # -- run metadata & test corpus ----------------------------------------------
@@ -213,7 +182,7 @@ def test_test_model_reads_one_row_by_its_identity(store):
 def test_tier_sat_row_without_a_model_is_a_miss(store):
     """A SAT verdict is only ever taken together with a model that
     verifies; a model-less row (nothing this build writes) is not one."""
-    store.put_constraints([(canonicalize([A, B]).key, True, None)])
+    store.put_constraints([(named_key([A, B]), True, None)])
     tier = PersistentTier(store, program="prog")
     assert tier.lookup([A, B]) is None
     assert tier.rejects == 0

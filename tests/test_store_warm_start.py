@@ -110,7 +110,7 @@ def test_warm_start_across_processes(tmp_path):
     Regression test for the subtle failure mode where warm-start core
     decoding at engine construction perturbs the interning order, flips
     eid-ordered commutative operands, and silently changes every
-    path_id/canonical key — duplicating the corpus and losing store hits.
+    path_id/named key — duplicating the corpus and losing store hits.
     Operand orientation is structural (``Expr.skey``) precisely so this
     holds; a cold and a warm *process* must agree on all keys.
     """
