@@ -3,7 +3,10 @@
 from repro.engine import Engine, EngineConfig
 from repro.engine import state as state_mod
 from repro.env import ArgvSpec
+from repro.expr import subst
 from repro.lang import compile_program
+from repro.lang.compile import BUILDERS
+from repro.memo import clear_memos
 from repro.programs.registry import get_program
 from repro.qce import QceAnalysis, QceParams, qce
 
@@ -20,6 +23,24 @@ def test_engine_step_throughput(benchmark):
         return stats.blocks_executed
 
     assert benchmark(run) > 0
+
+
+def test_wc_evaluates_by_builders_not_substitution(monkeypatch):
+    """Count gate (no wall time) for the interpreter's expression
+    evaluation on ``plain_wc``'s program one size down (wc plain 2x2):
+    every expression goes through its compiled builder, so no
+    substitution walks the DAG, and the run compiles one builder per
+    distinct expression it evaluates outside a lowered prefix."""
+    walks = []
+    walk = subst._walk
+    monkeypatch.setattr(subst, "_walk", lambda *args: (walks.append(1), walk(*args))[1])
+    clear_memos()
+    engine = Engine(get_program("wc").compile(), ArgvSpec(n_args=2, arg_len=2),
+                    EngineConfig(merging="none", similarity="never", strategy="dfs"))
+    stats = engine.run()
+    assert stats.paths_completed == 84
+    assert walks == []
+    assert (len(BUILDERS), stats.blocks_compiled) == (28, 13)
 
 
 def test_qce_analysis_cost(monkeypatch):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .. import codec
 from ..expr import ops
 from ..expr.nodes import Expr
-from ..expr.subst import substitute
+from ..lang.compile import BUILDERS, compile_builder
 
 RegionKey = tuple[int, str, str]  # (frame depth, function, array name)
 
@@ -245,12 +245,20 @@ class SymState:
             self.top.store[name] = value
 
     def eval_expr(self, expr: Expr) -> Expr:
-        """Evaluate an IR expression to a symbolic value in the current frame."""
-        names = expr.variables
-        if not names:
+        """Evaluate an IR expression to a symbolic value in the current frame.
+
+        Runs ``expr``'s builder (``repro.lang.compile.compile_builder``,
+        compiled on the expression's first evaluation): it reads the
+        store directly and calls the smart constructors ``substitute``
+        would, so the value is the same interned object substituting the
+        bindings gives, and an unbound name raises the same ``KeyError``.
+        """
+        if not expr.variables:
             return expr
-        mapping = {name: self.lookup(name) for name in names}
-        return substitute(expr, mapping)
+        builder = BUILDERS.get(expr.eid)
+        if builder is None:
+            builder = compile_builder(expr)
+        return builder(self)
 
     # -- path condition ----------------------------------------------------------
 

@@ -7,51 +7,50 @@ from . import ops
 from .nodes import Expr
 
 # Dispatch table mapping node kinds to the smart constructors that rebuild
-# them.  Going back through the smart constructors re-applies all local
-# simplifications, so substituting constants folds the DAG eagerly.
-_REBUILD = {
-    N.ADD: ops.add,
-    N.SUB: ops.sub,
-    N.MUL: ops.mul,
-    N.UDIV: ops.udiv,
-    N.UREM: ops.urem,
-    N.SDIV: ops.sdiv,
-    N.SREM: ops.srem,
-    N.NEG: ops.neg,
-    N.BVAND: ops.bvand,
-    N.BVOR: ops.bvor,
-    N.BVXOR: ops.bvxor,
-    N.BVNOT: ops.bvnot,
-    N.SHL: ops.shl,
-    N.LSHR: ops.lshr,
-    N.ASHR: ops.ashr,
-    N.EQ: ops.eq,
-    N.ULT: ops.ult,
-    N.ULE: ops.ule,
-    N.SLT: ops.slt,
-    N.SLE: ops.sle,
-    N.NOT: ops.not_,
-    N.AND: ops.and_,
-    N.OR: ops.or_,
-    N.XOR: ops.xor,
-    N.ITE: ops.ite,
+# them, and how many of the node's params each takes after the children.
+# Going back through the smart constructors re-applies all local
+# simplifications, so substituting constants folds the DAG eagerly.  The
+# engine's expression builders (repro.lang.compile) call the same table.
+REBUILD = {
+    N.ADD: (ops.add, 0),
+    N.SUB: (ops.sub, 0),
+    N.MUL: (ops.mul, 0),
+    N.UDIV: (ops.udiv, 0),
+    N.UREM: (ops.urem, 0),
+    N.SDIV: (ops.sdiv, 0),
+    N.SREM: (ops.srem, 0),
+    N.NEG: (ops.neg, 0),
+    N.BVAND: (ops.bvand, 0),
+    N.BVOR: (ops.bvor, 0),
+    N.BVXOR: (ops.bvxor, 0),
+    N.BVNOT: (ops.bvnot, 0),
+    N.SHL: (ops.shl, 0),
+    N.LSHR: (ops.lshr, 0),
+    N.ASHR: (ops.ashr, 0),
+    N.EQ: (ops.eq, 0),
+    N.ULT: (ops.ult, 0),
+    N.ULE: (ops.ule, 0),
+    N.SLT: (ops.slt, 0),
+    N.SLE: (ops.sle, 0),
+    N.NOT: (ops.not_, 0),
+    N.AND: (ops.and_, 0),
+    N.OR: (ops.or_, 0),
+    N.XOR: (ops.xor, 0),
+    N.ITE: (ops.ite, 0),
+    N.ZEXT: (ops.zext, 1),
+    N.SEXT: (ops.sext, 1),
+    N.EXTRACT: (ops.extract, 2),
+    N.CONCAT: (ops.concat, 0),
 }
 
 
 def rebuild(kind: str, children: tuple[Expr, ...], params: tuple[int, ...]) -> Expr:
     """Rebuild a node of ``kind`` from new children via smart constructors."""
-    ctor = _REBUILD.get(kind)
-    if ctor is not None:
-        return ctor(*children)
-    if kind == N.ZEXT:
-        return ops.zext(children[0], params[0])
-    if kind == N.SEXT:
-        return ops.sext(children[0], params[0])
-    if kind == N.EXTRACT:
-        return ops.extract(children[0], params[0], params[1])
-    if kind == N.CONCAT:
-        return ops.concat(children[0], children[1])
-    raise AssertionError(f"cannot rebuild kind {kind!r}")
+    entry = REBUILD.get(kind)
+    if entry is None:
+        raise AssertionError(f"cannot rebuild kind {kind!r}")
+    ctor, n_params = entry
+    return ctor(*children, *params[:n_params])
 
 
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -1,5 +1,6 @@
-"""Generated-code tiers over the CFG IR: the one IR→int emitter, and the
-lowering tier that compiles hot straight-line prefixes for the engine.
+"""Generated-code tiers over the CFG IR: the one IR→int emitter, the
+lowering tier that compiles hot straight-line prefixes for the engine, and
+the expression builders its interpreter evaluates every expression with.
 
 :class:`_Codegen` turns an IR expression into Python expression text that
 computes its int value.  Two tiers emit through it and differ only in its
@@ -7,15 +8,28 @@ VAR leaf (:meth:`_Codegen.var_int`): this module's lowering tier reads the
 engine's Expr store and bails when an operand is not concrete, and the
 concrete interpreter (``repro.lang.interp``) reads a frame's ints.
 
+The expression builders.  ``SymState.eval_expr`` runs each IR expression
+through a generated function of its own (:func:`compile_builder`, memoised
+per expression in :data:`BUILDERS`): it reads the expression's variables
+straight from the frame's store and the global store, then rebuilds every
+node that holds one with the smart constructor ``repro.expr.subst.rebuild``
+would call, one statement per DAG node.  It is ``substitute``'s walk with
+the walking done once, at compile time — no mapping dict, no per-node set
+intersection, cache probe or child tuple — and it keeps the walk's order
+and its short-circuit (all children unchanged: the node itself), so it
+returns the same interned object and interns the same nodes in the same
+order.  ``substitute`` stays the reference (``tests/test_engine_eval_law.py``).
+
 The lowering tier.  The interpreter in ``repro.engine.executor`` dispatches
 every instruction through ``isinstance`` chains and evaluates every
-expression by building a substitution dict and re-interning each node.  On
-concrete-dominated blocks (string scanning loops, counters) almost all of
-that work collapses to a few integer operations.  This module compiles the
-longest *straight-line prefix* of a block — ``IAssign``/``ILoad``/
-``IStore``/``IPutc``/``IAssert``, stopping at the first ``ICall`` or
-unsupported expression — into one generated Python function that executes
-the prefix with native ints while every touched operand is concrete.
+expression through its builder, one smart-constructor call (and intern
+lookup) per rebuilt node.  On concrete-dominated blocks (string scanning
+loops, counters) almost all of that work collapses to a few integer
+operations.  This module compiles the longest *straight-line prefix* of a
+block — ``IAssign``/``ILoad``/``IStore``/``IPutc``/``IAssert``, stopping
+at the first ``ICall`` or unsupported expression — into one generated
+Python function that executes the prefix with native ints while every
+touched operand is concrete.
 
 Exactness contract (the only law that matters here):
 
@@ -24,7 +38,7 @@ Exactness contract (the only law that matters here):
   identical to ``repro.expr.evaluate``.  The generated code reproduces that
   arithmetic on raw ints and re-interns results through ``ops.bv`` /
   ``ops.bool_const``, so a compiled step produces the *same interned Expr
-  object* the interpreter's substitute-and-fold would.
+  object* the interpreter's builder would.
 * The compiled function mutates state only for instructions it fully
   retires.  At the first symbolic operand, unbound name, missing region,
   out-of-bounds concrete index, or failed/symbolic assertion it *bails*:
@@ -46,11 +60,14 @@ from dataclasses import dataclass
 
 from ..expr import nodes as N
 from ..expr import ops
+from ..expr.nodes import Expr
 from ..expr.sorts import ashr_int, sdiv_int, srem_int
+from ..expr.subst import REBUILD, rebuild, substitute
+from ..memo import BoundedMemo
 from .cfg import Block, IAssert, IAssign, ILoad, IPutc, IStore
 from .lower import straightline_prefix
 
-__all__ = ["CompiledBlock", "compile_block"]
+__all__ = ["BUILDERS", "CompiledBlock", "compile_block", "compile_builder"]
 
 _GLOBAL_KEY_DEPTH = 0  # matches engine.state.GLOBAL_DEPTH
 
@@ -249,7 +266,7 @@ class _PrefixCodegen(_Codegen):
         """Compile a value position to ``(expr_loc, int_loc | None)``.
 
         CONST and VAR pass the Expr object through untouched — exactly what
-        ``eval_expr``'s substitution does — so copies of *symbolic* values
+        ``eval_expr`` does — so copies of *symbolic* values
         stay compiled.  Anything else is computed concretely and re-interned.
         """
         if e.kind == N.CONST:
@@ -394,3 +411,107 @@ def compile_block(block: Block) -> CompiledBlock | None:
     }
     exec(compile(source, f"<compiled block {block.label}>", "exec"), namespace)
     return CompiledBlock(run=namespace["_run"], prefix_len=prefix_len, source=source)
+
+
+# -- the symbolic interpreter's expression builders --------------------------------
+
+
+def _substituted(state, expr):
+    """``expr`` under ``state``'s bindings by ``repro.expr.subst.substitute``.
+
+    The builders' path wherever a leaf is not what they were compiled for:
+    an unbound name raises ``state.lookup``'s ``KeyError`` and a value of
+    another sort ``substitute``'s ``TypeError``, verbatim.
+    """
+    return substitute(expr, {name: state.lookup(name) for name in expr.variables})
+
+
+# What a builder calls: each kind's smart constructor, named ``_<kind>``.
+_BUILDER_GLOBALS = {
+    **{f"_{kind}": ctor for kind, (ctor, _) in REBUILD.items()},
+    "_rebuild": rebuild,
+    "_substituted": _substituted,
+}
+
+# IR expression eid -> its builder; the builder's globals pin the expression.
+BUILDERS = BoundedMemo(1 << 14, process_wide=True)
+
+
+class _BuilderCodegen:
+    """Emits one IR expression's builder: ``(SymState) -> Expr``.
+
+    It is ``substitute``'s walk unrolled over one DAG.  A prologue reads
+    every VAR leaf from the top frame's store or the global store and
+    checks its sort; then one statement per node that holds a variable, in
+    ``_walk``'s post-order (children left to right, a shared node once),
+    keeps the node itself when every rebuilt child ``is`` the old one and
+    otherwise calls the smart constructor ``rebuild`` would.  So it
+    returns the object ``substitute`` returns and interns the same fresh
+    nodes in the same order; a leaf it cannot take (unbound, another sort)
+    sends the whole expression to :func:`_substituted` before anything is
+    built.
+    """
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
+        self.namespace = dict(_BUILDER_GLOBALS)
+        self.reads: list[str] = []
+        self.lines: list[str] = []
+        self.value: dict[int, str] = {}  # node eid -> local holding its new value
+        self.refs: dict[int, str] = {}  # object id -> global naming it
+
+    def ref(self, obj) -> str:
+        """A global of the builder naming ``obj`` (an Expr or a sort)."""
+        name = self.refs.get(id(obj))
+        if name is None:
+            name = self.refs[id(obj)] = f"k{len(self.refs)}"
+            self.namespace[name] = obj
+        return name
+
+    def visit(self, e: Expr) -> str:
+        """Text of ``e``'s new value: a global if it holds no variable."""
+        if not e.variables:
+            return self.ref(e)
+        loc = self.value.get(e.eid)
+        if loc is not None:
+            return loc
+        loc = self.value[e.eid] = f"t{len(self.value)}"
+        if e.kind == N.VAR:
+            src = "g" if e.name.startswith("g$") else "store"
+            self.reads.append(f"    {loc} = {src}.get({e.name!r})")
+            self.reads.append(
+                f"    if {loc} is None or {loc}.sort is not {self.ref(e.sort)}: "
+                f"return _substituted(state, {self.ref(self.expr)})"
+            )
+            return loc
+        args = [self.visit(c) for c in e.children]
+        same = " and ".join(
+            f"{a} is {self.ref(c)}" for a, c in zip(args, e.children) if c.variables
+        )
+        if e.kind in REBUILD:
+            params = [str(p) for p in e.params[: REBUILD[e.kind][1]]]
+            call = f"_{e.kind}({', '.join(args + params)})"
+        else:  # rebuild's own error for a kind it cannot rebuild
+            call = f"_rebuild({e.kind!r}, ({', '.join(args)},), {e.params!r})"
+        self.lines.append(f"    {loc} = {self.ref(e)} if {same} else {call}")
+        return loc
+
+    def function(self):
+        result = self.visit(self.expr)
+        header = ["def _build(state):"]
+        names = self.expr.variables
+        if not all(name.startswith("g$") for name in names):
+            header.append("    store = state.frames[-1].store")
+        if any(name.startswith("g$") for name in names):
+            header.append("    g = state.globals_store")
+        source = "\n".join(header + self.reads + self.lines + [f"    return {result}"])
+        exec(compile(source, "<expression builder>", "exec"), self.namespace)
+        return self.namespace["_build"]
+
+
+def compile_builder(expr: Expr):
+    """``expr``'s builder (memoised in :data:`BUILDERS`): called with a
+    state, it returns what :func:`_substituted` would, as the same object."""
+    builder = _BuilderCodegen(expr).function()
+    BUILDERS.put(expr.eid, builder)
+    return builder

@@ -427,7 +427,14 @@ class Coordinator:
 
     def _split(self, engine: Engine) -> list[Partition]:
         """Explore sequentially until the frontier is wide enough, freeze
-        the split phase's contribution, export the frontier."""
+        the split phase's contribution, export the frontier.
+
+        Two conditions end the split: a frontier of ``workers *
+        PARTITION_FACTOR`` states, or ``SPLIT_MAX_STEPS`` blocks.  On the
+        corpus the block cap comes first, so the cap, not the target, sets
+        the fan-out: wc (3x2 and default) and uniq split into 5 states,
+        tsort into 6, against a target of 8 with two workers (echo and cat
+        finish inside the split)."""
         par, state = self.parallel, self.state
         engine.seed_states([engine.make_initial_state()])
         if par.workers == 1:

@@ -113,6 +113,9 @@ def _trailing_zeros_known(mask: int, val: int) -> int:
 
 _FULL = None  # sentinel for "no fact cached yet"
 
+# Widest variable over which ``PresolveEnv.absorb`` runs to its fixpoint.
+_SMALL_WIDTH = 8
+
 
 class PresolveEnv:
     """Abstract facts derived from an absorbed set of constraints.
@@ -182,8 +185,14 @@ class PresolveEnv:
 
         Each constraint is asserted once, then re-processed whenever a
         variable it watches narrows (work-list propagation).  A pop budget
-        bounds pathological ping-pong chains; hitting it loses precision,
-        never soundness.
+        bounds pathological ping-pong chains (``x < y, y <= x`` narrows one
+        bound by one per round); hitting it loses precision, never
+        soundness, but leaves facts that depend on how the constraints were
+        split across calls.  While every variable is at most
+        ``_SMALL_WIDTH`` bits the budget is lifted: a constraint is re-popped
+        only after a strict narrowing, and such a variable narrows at most
+        ``2**(w+1) + w`` times, so the work-list reaches its fixpoint and an
+        env extended call by call equals one built from scratch.
         """
         if self.infeasible:
             return False
@@ -197,6 +206,8 @@ class PresolveEnv:
         queue: deque[Expr] = deque(fresh)
         queued: set[int] = {c.eid for c in fresh}
         budget = 16 + 6 * len(self.absorbed)
+        if all(v.is_bool() or v.width <= _SMALL_WIDTH for v in self.vars.values()):
+            budget = float("inf")
         pops = 0
         # One generation-tagged fact memo serves every work-list pop
         # (batching): entries are validated against the narrow-event

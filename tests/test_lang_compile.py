@@ -4,8 +4,9 @@ The tier's one law: a compiled straight-line prefix is *observationally
 identical* to the interpreter — same stores, same output, same forks, same
 test suites — because it bails to the interpreter at the first operand it
 cannot retire concretely.  Everything here checks that law from a different
-angle: hypothesis-generated arithmetic programs, hand-built symbolic
-bailout boundaries, deterministic test generation, and a 2-worker run.
+angle: hypothesis-generated straight-line and control-flow programs,
+hand-built symbolic bailout boundaries, deterministic test generation, and
+a 2-worker run.
 """
 
 from hypothesis import given, settings
@@ -61,6 +62,26 @@ def test_compiled_matches_interpreted_on_straightline(source):
     assert lowered.paths == interp.paths
     # The tier actually engaged: a concrete arithmetic program must retire
     # at least its assignment prefix through compiled code.
+    assert lowered.stats.compiled_steps > 0
+    assert interp.stats.compiled_steps == 0
+
+
+def outputs(result) -> list[tuple[int, ...]]:
+    """Each terminal state's output, as interned objects (eids)."""
+    return sorted(tuple(e.eid for e in state.output) for state in result.engine.terminal_states)
+
+
+@settings(max_examples=30, deadline=None)
+@given(minic_programs(control=True))
+def test_compiled_matches_interpreted_on_control_flow(source):
+    # Loops, branches and calls: a lowered prefix bails or ends mid-block,
+    # and the interpreter re-enters there and evaluates the rest.
+    lowered = run_module(source, lowered=True)
+    interp = run_module(source, lowered=False)
+    assert outputs(lowered) == outputs(interp)
+    assert lowered.stats.instructions_executed == interp.stats.instructions_executed
+    assert lowered.stats.forks == interp.stats.forks
+    same_exploration(interp, lowered, "lowered run")
     assert lowered.stats.compiled_steps > 0
     assert interp.stats.compiled_steps == 0
 
