@@ -23,10 +23,14 @@ from .figures import FIGURES
 from .report import save_json
 
 
-def _jsonable(result) -> object:
-    if dataclasses.is_dataclass(result):
-        return dataclasses.asdict(result)
-    return repr(result)
+def _jsonable(figure) -> dict:
+    """A figure's title and rows, each row its named fields."""
+    rows = [
+        {name: dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+         for name, value in vars(row).items()}
+        for row in figure.rows
+    ]
+    return {"title": figure.title, "rows": rows}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,7 +3,9 @@ path-count fitting, reporting."""
 
 import dataclasses
 import inspect
+import json
 import math
+import tempfile
 from types import SimpleNamespace
 
 import pytest
@@ -138,6 +140,25 @@ def test_report_only_figures_run_and_render(figure):
     result = figure(programs=["echo"])
     assert [row.program for row in result.rows] == ["echo"]
     assert "echo" in result.table()
+
+
+def test_store_figures_leave_no_temporary_store(monkeypatch, tmp_path):
+    """Without a ``store_path`` the warm and sched figures write their
+    stores into a temporary directory that is gone when they return."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    figures.warm_start(programs=["echo"])
+    figures.sched_ablation(programs=["head"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_json_dumps_each_row_by_its_named_fields(tmp_path, capsys):
+    assert cli.main(["cache", "--json", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "cache.json").read_text())["rows"]
+    assert [row["program"] for row in rows] == ["echo", "test", "wc", "uniq"]
+    for row in rows:
+        assert {"queries", "hits_exact", "misses", "hit_rate"} <= set(row)
+        assert row["queries"] > 0
 
 
 def test_fit_points_perfect_line():
